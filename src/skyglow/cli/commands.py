@@ -260,17 +260,21 @@ def cmd_train(config: RunConfig) -> None:
     y = targets[keep].astype(np.int64)
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES}
+    stacks: dict[StackSpec, tuple] = {}
     for spec in config.specs:
-        stack, matrix = fit_stack(table, targets, keep, labels,
-                                  config.feature_config, spec.stack, config.seed)
-        X = matrix.values[keep]
+        if spec.stack not in stacks:
+            stack, matrix = fit_stack(table, targets, keep, labels,
+                                      config.feature_config, spec.stack,
+                                      config.seed)
+            stacks[spec.stack] = (stack, matrix.values[keep], stack_to_obj(stack))
+        stack, X, stack_obj = stacks[spec.stack]
         if spec.kind == "gbdt":
             model = fit_gbdt(X, y, spec.params, n_classes=N_CLASSES,
                              feature_names=stack.columns)
         else:
             model = fit_forest(X, y, spec.params, n_classes=N_CLASSES,
                                feature_names=stack.columns)
-        save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
+        save_json(out / _stack_json(spec.model_id), stack_obj)
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
         _note(f"trained {spec.model_id} on {len(y)} rows, "
               f"{len(stack.columns)} features")

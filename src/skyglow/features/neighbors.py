@@ -1,4 +1,4 @@
-"""Neighbor-mean features over an exact KNN index.
+"""Neighbor-mean features over exact k-nearest-neighbor search.
 
 The mean of a value column over each row's k nearest neighbors, with the
 row itself always excluded and, in out-of-fold mode, every row sharing its
@@ -9,6 +9,13 @@ target inside its own fold (the fallback mean is restricted the same way).
 An optional neighbor mask further limits which rows may serve as
 neighbors (cross-validation restricts the pool to training rows); masked
 rows still receive features of their own.
+
+Neighbors come from `knn._exact_knn`: a k-d tree over the eligible pool
+proposes candidates, which are re-ranked by (squared distance, row) with
+the brute-force arithmetic, so results equal an exhaustive scan bit for
+bit. Out-of-fold mode builds one tree per fold label, over the member rows
+outside that fold, and queries the rows of the fold; own-fold rows are
+never in the tree, so they cannot leak.
 """
 
 from __future__ import annotations
@@ -16,19 +23,34 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from .knn import _exact_knn
 from .pipeline import NeighborIndex
-
-_BLOCK = 256
 
 
 def _fold_complement_means(values: np.ndarray, eligible: np.ndarray,
-                           labels: np.ndarray) -> dict[int, float]:
-    """For each fold label, the mean of eligible values outside that fold."""
-    out: dict[int, float] = {}
-    for label in np.unique(labels):
-        pool = eligible & (labels != label)
-        out[int(label)] = float(values[pool].mean()) if pool.any() else 0.0
+                           fold_labels: np.ndarray,
+                           labels: np.ndarray) -> np.ndarray:
+    """For each label in `labels`, the mean of eligible values outside
+    that fold (0.0 when there are none)."""
+    out = np.zeros(len(labels))
+    for i, label in enumerate(labels):
+        pool = eligible & (fold_labels != label)
+        if pool.any():
+            out[i] = values[pool].mean()
     return out
+
+
+def _neighbor_sums(neighbors: np.ndarray, values: np.ndarray,
+                   usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and count of the usable `values` at each row's ranked neighbor
+    positions (-1 where a row has fewer neighbors than columns).
+
+    Skipped neighbors contribute 0.0 in place, so every row sums the same
+    width in the same order as a brute-force scan, bit for bit.
+    """
+    take = (neighbors >= 0) & usable[neighbors]
+    sums = np.where(take, values[neighbors], 0.0).sum(axis=1)
+    return sums, take.sum(axis=1)
 
 
 def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
@@ -63,48 +85,42 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
                 f"neighbor mask must have shape ({index.n_rows},), got {neighbor_mask.shape}")
 
     eligible_values = ~np.isnan(values) & neighbor_mask
-    global_mean = float(values[eligible_values].mean()) if eligible_values.any() else 0.0
     if mode == "out_of_fold":
-        complement = _fold_complement_means(values, eligible_values, index.fold_labels)
-
-        def fallback(row: int) -> float:
-            return complement[int(index.fold_labels[row])]
+        labels, label_of_row = np.unique(index.fold_labels, return_inverse=True)
+        complement = _fold_complement_means(values, eligible_values,
+                                            index.fold_labels, labels)
+        means = complement[label_of_row]
     else:
-        def fallback(row: int) -> float:
-            return global_mean
-
-    means = np.empty(index.n_rows)
+        global_mean = float(values[eligible_values].mean()) if eligible_values.any() else 0.0
+        means = np.full(index.n_rows, global_mean)
     counts = np.zeros(index.n_rows, dtype=np.int64)
-    for row in range(index.n_rows):
-        means[row] = fallback(row)
 
     points = index.points
     m = len(points)
-    idx_values = values[index.table_rows]
-    idx_usable = eligible_values[index.table_rows]
-    idx_member = neighbor_mask[index.table_rows]
+    member = np.flatnonzero(neighbor_mask[index.table_rows])
+    neighbors = np.full((m, min(k, m)), -1, dtype=np.int64)
     if mode == "out_of_fold":
         idx_labels = index.fold_labels[index.table_rows]
+        for label in np.unique(idx_labels):
+            rows = np.flatnonzero(idx_labels == label)
+            pool = member[idx_labels[member] != label]
+            found = pool[_exact_knn(points[pool], points[rows], k)]
+            neighbors[rows, :found.shape[1]] = found
+    else:
+        found = member[_exact_knn(points[member], points, k + 1)]
+        # drop each row itself (at most once per row), keeping rank order
+        found = np.where(found == np.arange(m)[:, None], -1, found)
+        found = np.take_along_axis(
+            found, np.argsort(found < 0, axis=1, kind="stable"), axis=1)
+        width = min(k, found.shape[1])
+        neighbors[:, :width] = found[:, :width]
 
-    for start in range(0, m, _BLOCK):
-        stop = min(start + _BLOCK, m)
-        block = np.arange(start, stop)
-        # (B, m) squared distances; matches the per-pair oracle bit for bit
-        d2 = ((points[block][:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
-        d2[:, ~idx_member] = np.inf
-        d2[np.arange(len(block)), block] = np.inf
-        if mode == "out_of_fold":
-            d2[idx_labels[block][:, None] == idx_labels[None, :]] = np.inf
-        # stable sort: distance ties resolve to the smaller row index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        found = np.isfinite(np.take_along_axis(d2, order, axis=1))
-        usable = found & idx_usable[order]
-        n_used = usable.sum(axis=1)
-        sums = np.where(usable, idx_values[order], 0.0).sum(axis=1)
-        rows = index.table_rows[block]
-        counts[rows] = n_used
-        has = n_used > 0
-        means[rows[has]] = sums[has] / n_used[has]
+    sums, n_used = _neighbor_sums(neighbors, values[index.table_rows],
+                                  eligible_values[index.table_rows])
+    rows = index.table_rows
+    counts[rows] = n_used
+    has = n_used > 0
+    means[rows[has]] = sums[has] / n_used[has]
     return means, counts
 
 
@@ -119,21 +135,10 @@ def cross_neighbor_means(ref_points: np.ndarray, ref_values: np.ndarray,
         raise ParameterError(f"k must be >= 1, got {k}")
     if ref_points.shape[1] != query_points.shape[1]:
         raise ParameterError("reference and query dimensionality differ")
-    n = len(query_points)
-    means = np.full(n, fallback)
-    counts = np.zeros(n, dtype=np.int64)
     present = ~np.isnan(ref_values)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        d2 = ((query_points[start:stop][:, None, :] - ref_points[None, :, :]) ** 2
-              ).sum(axis=-1)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        usable = present[order]
-        n_used = usable.sum(axis=1)
-        sums = np.where(usable, ref_values[order], 0.0).sum(axis=1)
-        has = n_used > 0
-        block_means = np.full(stop - start, fallback)
-        block_means[has] = sums[has] / n_used[has]
-        means[start:stop] = block_means
-        counts[start:stop] = n_used
+    neighbors = _exact_knn(ref_points, query_points, k)
+    sums, counts = _neighbor_sums(neighbors, ref_values, present)
+    means = np.full(len(query_points), fallback)
+    has = counts > 0
+    means[has] = sums[has] / counts[has]
     return means, counts

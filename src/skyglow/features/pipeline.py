@@ -23,6 +23,7 @@ from ..errors import (
     ParameterError,
     UnknownFieldError,
 )
+from .knn import _exact_knn, _kd_tree
 
 N_CLASSES = 8
 
@@ -334,9 +335,11 @@ class NeighborIndex:
 
     Rows missing latitude, longitude, or time are left out of the index
     (and diagnosed) but keep their position in the alignment, so queries
-    and features stay row-aligned with the source table. Search is a
-    blocked brute-force scan; results match a pairwise-distance oracle
-    exactly, with ties broken by smaller row index.
+    and features stay row-aligned with the source table. Search runs on a
+    k-d tree built on the first query and kept for later ones; candidates
+    are re-ranked with the brute-force arithmetic (`knn._exact_knn`), so
+    results match a pairwise-distance oracle exactly, with ties broken by
+    smaller row index.
     """
 
     def __init__(self, points: np.ndarray, table_rows: np.ndarray, n_rows: int,
@@ -351,6 +354,7 @@ class NeighborIndex:
         pos = np.full(n_rows, -1, dtype=np.int64)
         pos[table_rows] = np.arange(len(table_rows))
         self._position = pos
+        self._tree = None
 
     def __len__(self) -> int:
         return len(self.table_rows)
@@ -366,16 +370,17 @@ class NeighborIndex:
         pos = self._position[row]
         if pos < 0:
             return np.empty(0, dtype=np.int64)
-        d2 = ((self.points - self.points[pos]) ** 2).sum(axis=1)
         eligible = np.ones(len(self.table_rows), dtype=bool)
         eligible[pos] = False
         if banned_rows is not None:
             eligible &= ~banned_rows[self.table_rows]
-        d2 = np.where(eligible, d2, np.inf)
-        order = np.argsort(d2, kind="stable")
-        take = order[:k]
-        take = take[np.isfinite(d2[take])]
-        return self.table_rows[take]
+        if self._tree is None:
+            self._tree = _kd_tree(self.points)
+        # widen by every ineligible row, so k eligible ones survive the filter
+        wide = k + int(np.count_nonzero(~eligible))
+        found = _exact_knn(self.points, self.points[pos:pos + 1], wide,
+                           tree=self._tree)[0]
+        return self.table_rows[found[eligible[found]][:k]]
 
 
 def neighbor_points(table: ObservationTable,

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skyglow
 from skyglow.errors import ParameterError
 from skyglow.features.neighbors import cross_neighbor_means, neighbor_mean_features
 from skyglow.features.pipeline import NeighborIndex
@@ -171,3 +177,71 @@ def test_cross_neighbor_means_no_self_exclusion():
     # a query identical to a reference row uses that row (no identity notion)
     assert means.tolist() == [3.0, 5.0]
     assert counts.tolist() == [1.0, 1.0]
+
+
+def test_tie_heavy_grid_matches_oracle():
+    # a 3x3 integer grid: most points have exact duplicates and most
+    # distances tie, so every rank is decided by the row tie-break
+    rng = np.random.default_rng(41)
+    for trial in range(72):
+        n = int(rng.integers(2, 40))
+        points = rng.integers(0, 3, size=(n, 2)).astype(float)
+        values = rng.integers(0, 8, size=n).astype(float)
+        values[rng.random(n) < 0.25] = np.nan
+        folds = rng.integers(-1, 3, size=n)
+        mask = rng.random(n) < 0.7
+        k = trial % 12 + 1
+        index = make_index(points, folds)
+        for mode, labels in (("all", None), ("out_of_fold", folds)):
+            means, counts = neighbor_mean_features(index, values, k, mode=mode,
+                                                   neighbor_mask=mask)
+            m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=labels,
+                                          eligible=mask)
+            # integer values: every sum is exact, so means compare bitwise
+            assert np.array_equal(counts, c0)
+            assert np.array_equal(means, m0)
+        ref, ref_values = points[mask], values[mask]
+        queries = rng.integers(0, 3, size=(8, 2)).astype(float)
+        means, counts = cross_neighbor_means(ref, ref_values, queries, k,
+                                             fallback=-1.0)
+        for i, q in enumerate(queries):
+            neigh = brute_knn(np.vstack([ref, q]), len(ref), k)
+            vals = [ref_values[j] for j in neigh if not np.isnan(ref_values[j])]
+            assert counts[i] == len(vals)
+            assert means[i] == (sum(vals) / len(vals) if vals else -1.0)
+
+
+def test_empty_and_exhausted_pools():
+    points = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    folds = np.array([0, 0, 1, 1, -1])
+    index = make_index(points, folds)
+    # empty reference: every row gets the fallback and count 0
+    nobody = np.zeros(5, dtype=bool)
+    for mode in ("all", "out_of_fold"):
+        means, counts = neighbor_mean_features(index, values, 3, mode=mode,
+                                               neighbor_mask=nobody)
+        assert counts.tolist() == [0] * 5 and means.tolist() == [0.0] * 5
+    means, counts = cross_neighbor_means(np.empty((0, 1)), np.empty(0),
+                                         points, 3, fallback=2.5)
+    assert counts.tolist() == [0] * 5 and means.tolist() == [2.5] * 5
+    # k beyond the pool: every other row is a neighbor
+    means, counts = neighbor_mean_features(index, values, 10)
+    assert counts.tolist() == [4] * 5
+    assert means[0] == (2.0 + 3.0 + 4.0 + 5.0) / 4
+    # fold 0's complement has no member rows, so fold 0 falls back
+    means, counts = neighbor_mean_features(index, values, 2, mode="out_of_fold",
+                                           neighbor_mask=folds == 0)
+    assert counts.tolist() == [0, 0, 2, 2, 2]
+    assert means.tolist() == [0.0, 0.0, 1.5, 1.5, 1.5]
+
+
+def test_cli_import_leaves_kd_tree_unloaded():
+    # scipy.spatial takes ~0.25 s to import; stages that build no neighbor
+    # features must not pay for it
+    src = Path(skyglow.__file__).resolve().parents[1]
+    code = "import sys, skyglow.cli.commands; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "False"
