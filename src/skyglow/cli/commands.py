@@ -216,13 +216,13 @@ def cmd_features(config: RunConfig) -> None:
     _note(f"feature matrix {matrix.values.shape[0]}x{matrix.values.shape[1]} written")
 
 
-def cmd_cv(config: RunConfig, n_threads: int = 1) -> None:
+def cmd_cv(config: RunConfig) -> None:
     out = config.output_dir
     _require(out, FEATURES_CSV)
     table = _load_clean_table(config)
     result = run_cv(table, config.feature_config, config.specs,
                     k=config.cv_k, seed=config.seed,
-                    stratified=config.stratified, n_threads=n_threads)
+                    stratified=config.stratified)
 
     with open(out / CV_TRUTH, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -431,7 +431,7 @@ def cmd_report(config: RunConfig) -> None:
 
 
 def dispatch(command: str, config_path: str, out_override: str | None = None,
-             seed_override: int | None = None, n_threads: int = 1) -> int:
+             seed_override: int | None = None) -> int:
     """Run one command under the output-directory lock; returns 0 on
     success. Failures raise SkyglowError subclasses, which the CLI entry
     point turns into a one-line message and exit code 1."""
@@ -462,7 +462,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
         elif command == "features":
             cmd_features(config)
         elif command == "cv":
-            cmd_cv(config, n_threads=n_threads)
+            cmd_cv(config)
         elif command == "train":
             cmd_train(config)
         elif command == "ensemble":

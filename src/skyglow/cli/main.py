@@ -3,24 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..errors import SkyglowError
 from .commands import COMMANDS, dispatch
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SKYGLOW_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"skyglow: ignoring non-integer SKYGLOW_THREADS={raw!r}",
-              file=sys.stderr)
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return dispatch(args.command, args.config, args.out, args.seed,
-                        n_threads=_thread_count())
+        return dispatch(args.command, args.config, args.out, args.seed)
     except SkyglowError as exc:
         print(f"skyglow: error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .binning import BinnedMatrix, bin_matrix
-from .gbdt import _class_setup, _coerce_matrix
+from .gbdt import _class_setup, _coerce_matrix, leaf_nodes
 from .params import LearnerParams
 
 
@@ -30,16 +30,7 @@ class ClassificationTree:
     distribution: np.ndarray  # (n_nodes, n_classes) leaf class shares
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[nodes]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                break
-            at = nodes[active]
-            go_left = X[active, feat[active]] <= self.threshold[at]
-            nodes[active] = np.where(go_left, self.left[at], self.right[at])
-        return self.distribution[nodes]
+        return self.distribution[leaf_nodes(self, X)]
 
 
 def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,

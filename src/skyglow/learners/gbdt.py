@@ -47,6 +47,20 @@ def softmax_gradient_hessian(scores: np.ndarray,
     return g, h
 
 
+def leaf_nodes(tree, X: np.ndarray) -> np.ndarray:
+    """Index of the leaf each row of X reaches in `tree`, which has the
+    node arrays feature, threshold, left and right."""
+    nodes = np.zeros(len(X), dtype=np.int32)
+    while True:
+        feat = tree.feature[nodes]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            return nodes
+        at = nodes[active]
+        go_left = X[active, feat[active]] <= tree.threshold[at]
+        nodes[active] = np.where(go_left, tree.left[at], tree.right[at])
+
+
 @dataclass(frozen=True)
 class RegressionTree:
     feature: np.ndarray    # int32; -1 marks a leaf
@@ -60,16 +74,7 @@ class RegressionTree:
         return int((self.feature < 0).sum())
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[nodes]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                break
-            at = nodes[active]
-            go_left = X[active, feat[active]] <= self.threshold[at]
-            nodes[active] = np.where(go_left, self.left[at], self.right[at])
-        return self.value[nodes]
+        return self.value[leaf_nodes(self, X)]
 
 
 class _TreeBuilder:

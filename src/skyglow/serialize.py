@@ -1,33 +1,29 @@
 """Sidecar persistence: every fitted object round-trips through plain
-JSON, bit-exactly.
-
-Floats survive exactly because json emits Python's repr and float(repr(x))
-is the identity; arrays carry dtype and shape explicitly so empty and
-multi-dimensional blocks reload unambiguously. Files are written with
-sorted keys and fixed indentation, so identical objects produce identical
-bytes — the determinism the CLI artifacts are tested against.
+JSON, bit-exactly. One codec serves every fitted dataclass: a JSON object
+keyed by its field names, rebuilt from its field type hints, so renaming a
+field changes the file format. Floats survive because json emits Python's
+repr; arrays carry dtype and shape, so empty and multi-dimensional blocks
+reload unambiguously. Sorted keys and fixed indentation make identical
+objects identical bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import asdict
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .features.pipeline import (
-    CategoryMap,
-    FeatureConfig,
-    FeaturePipelineModel,
-    NumericStats,
-)
-from .features.stack import NeighborReference, StackModel, StackSpec
-from .learners.forest import ClassificationTree, ForestModel
-from .learners.gbdt import GbdtModel, RegressionTree
-from .learners.params import LearnerParams
-from .textfeat import SvdModel, TextFeatureModel, TfidfModel
+from .features.stack import StackModel
+from .learners.forest import ForestModel
+from .learners.gbdt import GbdtModel
+
+LEARNER_KINDS = {"gbdt": GbdtModel, "forest": ForestModel}
 
 
 def save_json(path: str | Path, payload: dict) -> None:
@@ -53,198 +49,70 @@ def array_from_obj(obj: dict) -> np.ndarray:
     return np.array(obj["data"], dtype=obj["dtype"]).reshape(obj["shape"])
 
 
-# ---------------------------------------------------------------- pipeline
-
-def pipeline_to_obj(model: FeaturePipelineModel) -> dict:
-    return {
-        "config": asdict(model.config),
-        "numeric": [asdict(s) for s in model.numeric],
-        "categorical": [{"column": c.column, "categories": list(c.categories),
-                         "missing_fraction": c.missing_fraction}
-                        for c in model.categorical],
-        "excluded": list(model.excluded),
-        "indicator_columns": list(model.indicator_columns),
-        "diagnostics": list(model.diagnostics),
-    }
+def to_obj(value):
+    """JSON form of a dataclass, array, tuple or list; other values as they are."""
+    if isinstance(value, np.ndarray):
+        return array_to_obj(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_obj(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_obj(v) for v in value]
+    return value
 
 
-def pipeline_from_obj(obj: dict) -> FeaturePipelineModel:
-    config = dict(obj["config"])
-    for key in ("numeric_features", "categorical_features"):
-        config[key] = tuple(config[key])
-    return FeaturePipelineModel(
-        config=FeatureConfig(**config),
-        numeric=tuple(NumericStats(**s) for s in obj["numeric"]),
-        categorical=tuple(
-            CategoryMap(c["column"], tuple(c["categories"]), c["missing_fraction"])
-            for c in obj["categorical"]),
-        excluded=tuple(obj["excluded"]),
-        indicator_columns=tuple(obj["indicator_columns"]),
-        diagnostics=tuple(obj["diagnostics"]),
-    )
+@functools.cache
+def _field_hints(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-# -------------------------------------------------------------------- text
+def from_obj(hint, obj):
+    """Rebuild a `hint` from its to_obj form; a misfit raises ParseError."""
+    if hint is np.ndarray:
+        try:
+            return array_from_obj(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"array does not fit its dtype and shape: {exc}") from None
+    if dataclasses.is_dataclass(hint):
+        fields = _field_hints(hint)
+        keys = obj.keys() if isinstance(obj, dict) else set()
+        if keys != fields.keys():
+            missing, unknown = sorted(fields.keys() - keys), sorted(keys - fields.keys())
+            raise ParseError(f"{hint.__name__}: missing fields {missing}, not fields {unknown}")
+        try:
+            return hint(**{name: from_obj(h, obj[name]) for name, h in fields.items()})
+        except ParseError as exc:
+            raise ParseError(f"{hint.__name__}: {exc}") from None
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if obj is None else from_obj(args[0], obj)
+    if typing.get_origin(hint) is tuple:
+        varying = args[-1] is Ellipsis
+        if not isinstance(obj, list) or not (varying or len(obj) == len(args)):
+            raise ParseError(f"does not fit {hint}: {obj!r:.60}")
+        hints = [args[0]] * len(obj) if varying else args
+        return tuple(from_obj(h, v) for h, v in zip(hints, obj))
+    return obj
 
-def tfidf_to_obj(model: TfidfModel) -> dict:
-    return {"vocabulary": list(model.vocabulary),
-            "idf": array_to_obj(model.idf),
-            "document_count": model.document_count,
-            "cap": model.cap,
-            "degenerate": model.degenerate}
-
-
-def tfidf_from_obj(obj: dict) -> TfidfModel:
-    return TfidfModel(tuple(obj["vocabulary"]), array_from_obj(obj["idf"]),
-                      obj["document_count"], obj["cap"], obj["degenerate"])
-
-
-def svd_to_obj(model: SvdModel) -> dict:
-    return {"rank": model.rank,
-            "components": array_to_obj(model.components),
-            "singular_values": array_to_obj(model.singular_values),
-            "seed": model.seed}
-
-
-def svd_from_obj(obj: dict) -> SvdModel:
-    return SvdModel(obj["rank"], array_from_obj(obj["components"]),
-                    array_from_obj(obj["singular_values"]), obj["seed"])
-
-
-def text_model_to_obj(model: TextFeatureModel) -> dict:
-    return {"tfidf": tfidf_to_obj(model.tfidf),
-            "svd": svd_to_obj(model.svd) if model.svd is not None else None}
-
-
-def text_model_from_obj(obj: dict) -> TextFeatureModel:
-    svd = svd_from_obj(obj["svd"]) if obj["svd"] is not None else None
-    return TextFeatureModel(tfidf_from_obj(obj["tfidf"]), svd)
-
-
-# ------------------------------------------------------------------- stack
 
 def stack_to_obj(model: StackModel) -> dict:
-    neighbor = None
-    if model.neighbor is not None:
-        neighbor = {"points": array_to_obj(model.neighbor.points),
-                    "values": array_to_obj(model.neighbor.values),
-                    "k": model.neighbor.k,
-                    "fallback": model.neighbor.fallback}
-    return {
-        "spec": asdict(model.spec),
-        "feature_config": asdict(model.feature_config),
-        "pipeline": pipeline_to_obj(model.pipeline),
-        "text_models": [[column, text_model_to_obj(tm)]
-                        for column, tm in model.text_models],
-        "neighbor": neighbor,
-        "columns": list(model.columns),
-    }
+    return to_obj(model)
 
 
 def stack_from_obj(obj: dict) -> StackModel:
-    neighbor = None
-    if obj["neighbor"] is not None:
-        neighbor = NeighborReference(
-            array_from_obj(obj["neighbor"]["points"]),
-            array_from_obj(obj["neighbor"]["values"]),
-            obj["neighbor"]["k"], obj["neighbor"]["fallback"])
-    config = dict(obj["feature_config"])
-    for key in ("numeric_features", "categorical_features"):
-        config[key] = tuple(config[key])
-    return StackModel(
-        spec=StackSpec(**obj["spec"]),
-        feature_config=FeatureConfig(**config),
-        pipeline=pipeline_from_obj(obj["pipeline"]),
-        text_models=tuple((column, text_model_from_obj(tm))
-                          for column, tm in obj["text_models"]),
-        neighbor=neighbor,
-        columns=tuple(obj["columns"]),
-    )
-
-
-# ---------------------------------------------------------------- learners
-
-def _regression_tree_to_obj(tree: RegressionTree) -> dict:
-    return {name: array_to_obj(getattr(tree, name))
-            for name in ("feature", "threshold", "left", "right", "value")}
-
-
-def _regression_tree_from_obj(obj: dict) -> RegressionTree:
-    return RegressionTree(**{name: array_from_obj(obj[name]) for name in obj})
-
-
-def gbdt_to_obj(model: GbdtModel) -> dict:
-    return {
-        "kind": "gbdt",
-        "n_classes": model.n_classes,
-        "init_scores": array_to_obj(model.init_scores),
-        "trees": [[_regression_tree_to_obj(t) for t in round_trees]
-                  for round_trees in model.trees],
-        "params": asdict(model.params),
-        "feature_names": list(model.feature_names) if model.feature_names else None,
-        "train_losses": list(model.train_losses),
-        "validation_losses": (list(model.validation_losses)
-                              if model.validation_losses is not None else None),
-        "diagnostics": list(model.diagnostics),
-    }
-
-
-def gbdt_from_obj(obj: dict) -> GbdtModel:
-    return GbdtModel(
-        n_classes=obj["n_classes"],
-        init_scores=array_from_obj(obj["init_scores"]),
-        trees=tuple(tuple(_regression_tree_from_obj(t) for t in round_trees)
-                    for round_trees in obj["trees"]),
-        params=LearnerParams(**obj["params"]),
-        feature_names=(tuple(obj["feature_names"])
-                       if obj["feature_names"] is not None else None),
-        train_losses=tuple(obj["train_losses"]),
-        validation_losses=(tuple(obj["validation_losses"])
-                           if obj["validation_losses"] is not None else None),
-        diagnostics=tuple(obj["diagnostics"]),
-    )
-
-
-def _classification_tree_to_obj(tree: ClassificationTree) -> dict:
-    return {name: array_to_obj(getattr(tree, name))
-            for name in ("feature", "threshold", "left", "right", "distribution")}
-
-
-def forest_to_obj(model: ForestModel) -> dict:
-    return {
-        "kind": "forest",
-        "n_classes": model.n_classes,
-        "trees": [_classification_tree_to_obj(t) for t in model.trees],
-        "params": asdict(model.params),
-        "feature_names": list(model.feature_names) if model.feature_names else None,
-        "diagnostics": list(model.diagnostics),
-    }
-
-
-def forest_from_obj(obj: dict) -> ForestModel:
-    return ForestModel(
-        n_classes=obj["n_classes"],
-        trees=tuple(ClassificationTree(
-            **{name: array_from_obj(t[name]) for name in t}) for t in obj["trees"]),
-        params=LearnerParams(**obj["params"]),
-        feature_names=(tuple(obj["feature_names"])
-                       if obj["feature_names"] is not None else None),
-        diagnostics=tuple(obj["diagnostics"]),
-    )
+    return from_obj(StackModel, obj)
 
 
 def learner_to_obj(model) -> dict:
-    if isinstance(model, GbdtModel):
-        return gbdt_to_obj(model)
-    if isinstance(model, ForestModel):
-        return forest_to_obj(model)
+    for kind, cls in LEARNER_KINDS.items():
+        if isinstance(model, cls):
+            return {"kind": kind, **to_obj(model)}
     raise ParseError(f"not a serializable learner: {type(model).__name__}")
 
 
 def learner_from_obj(obj: dict):
-    kind = obj.get("kind")
-    if kind == "gbdt":
-        return gbdt_from_obj(obj)
-    if kind == "forest":
-        return forest_from_obj(obj)
-    raise ParseError(f"unknown learner kind in sidecar: {kind!r}")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in LEARNER_KINDS:
+        raise ParseError(f"unknown learner kind in sidecar: {kind!r}")
+    return from_obj(LEARNER_KINDS[kind], {k: v for k, v in obj.items() if k != "kind"})

@@ -5,14 +5,12 @@ annual trends).
 The CV protocol: per fold, every fitted object (feature pipeline, text
 models, neighbor features, learner) sees only the k-1 training folds; the
 held-out fold is predicted by that fold's model, so OOF coverage is total
-and honest. Folds are independent and may run on a thread pool without
-changing any result bit.
+and honest.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -269,7 +267,7 @@ def _fit_and_predict(spec: LearnerSpec, X_train, y_train, X_val, y_val):
 
 def run_cv(table: ObservationTable, feature_config: FeatureConfig,
            specs: Sequence[LearnerSpec], k: int = 5, seed: int = 0,
-           stratified: bool = True, n_threads: int = 1) -> CvResult:
+           stratified: bool = True) -> CvResult:
     """Cross-validate every learner spec with full OOF coverage.
 
     Rows without a target are excluded up front. Specs sharing a feature
@@ -301,10 +299,9 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     oof = {spec.model_id: np.zeros((n, N_CLASSES)) for spec in specs}
     diagnostics: dict[str, list[str]] = {spec.model_id: [] for spec in specs}
 
-    def one_fold(fold: int):
+    for fold in range(k):
         train_mask = folds != fold
         val_rows = np.nonzero(~train_mask)[0]
-        results = {}
         features = {}
         for group in stack_groups:
             _, matrix = fit_stack(cv_table, target_col, train_mask, folds,
@@ -315,20 +312,8 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
             X = features[spec.stack]
             probs, diags = _fit_and_predict(
                 spec, X[train_mask], y[train_mask], X[val_rows], y[val_rows])
-            results[spec.model_id] = (probs, tuple(
-                f"fold {fold}: {d}" for d in diags))
-        return val_rows, results
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            fold_outputs = list(pool.map(one_fold, range(k)))
-    else:
-        fold_outputs = [one_fold(f) for f in range(k)]
-
-    for val_rows, results in fold_outputs:
-        for model_id, (probs, diags) in results.items():
-            oof[model_id][val_rows] = probs
-            diagnostics[model_id].extend(diags)
+            oof[spec.model_id][val_rows] = probs
+            diagnostics[spec.model_id].extend(f"fold {fold}: {d}" for d in diags)
 
     models = []
     for spec in specs:

@@ -1,11 +1,12 @@
 import hashlib
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
-from skyglow.cli.main import _thread_count, main
+from skyglow.cli.main import main
 from skyglow.errors import (
     ConfigError,
     DependencyError,
@@ -254,13 +255,18 @@ def test_main_out_override(tmp_path, config):
     assert (elsewhere / "config_echo.ini").exists()
 
 
-def test_thread_count_env(monkeypatch, capsys):
-    monkeypatch.setenv("SKYGLOW_THREADS", "3")
-    assert _thread_count() == 3
-    monkeypatch.setenv("SKYGLOW_THREADS", "0")
-    assert _thread_count() >= 1
-    monkeypatch.setenv("SKYGLOW_THREADS", "lots")
-    assert _thread_count() == 1
-    assert "SKYGLOW_THREADS" in capsys.readouterr().err
-    monkeypatch.delenv("SKYGLOW_THREADS")
-    assert _thread_count() == 1
+def test_tampered_sidecar_fails_with_one_line(tmp_path, config, capsys):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("predict")]:
+        assert dispatch(command, config) == 0, command
+    sidecar = out / "model_woods.json"
+    payload = json.loads(sidecar.read_text(encoding="utf-8"))
+    del payload["params"]
+    sidecar.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:") and "ForestModel" in err[0]
+    assert "params" in err[0]
+    assert not (out / ".skyglow.lock").exists()

@@ -4,31 +4,37 @@ import pytest
 from skyglow.errors import ParseError
 from skyglow.features.pipeline import (
     FeatureConfig,
+    FeaturePipelineModel,
     apply_feature_pipeline,
     fit_feature_pipeline,
     target_classes,
 )
-from skyglow.features.stack import StackSpec, apply_stack, fit_stack
+from skyglow.features.stack import (
+    StackModel,
+    StackSpec,
+    apply_stack,
+    fit_stack,
+)
 from skyglow.learners.forest import fit_forest, predict_proba_forest
 from skyglow.learners.gbdt import fit_gbdt, predict_proba_gbdt
 from skyglow.learners.params import LearnerParams
 from skyglow.serialize import (
     array_from_obj,
     array_to_obj,
-    forest_to_obj,
-    gbdt_to_obj,
+    from_obj,
     learner_from_obj,
     learner_to_obj,
     load_json,
-    pipeline_from_obj,
-    pipeline_to_obj,
     save_json,
     stack_from_obj,
     stack_to_obj,
-    text_model_from_obj,
-    text_model_to_obj,
+    to_obj,
 )
-from skyglow.textfeat import fit_text_features, transform_text_features
+from skyglow.textfeat import (
+    TextFeatureModel,
+    fit_text_features,
+    transform_text_features,
+)
 
 from helpers import grid_table
 
@@ -66,7 +72,8 @@ def test_pipeline_round_trip_transforms_identically(tmp_path):
     table = grid_table(50, seed=22)
     model = fit_feature_pipeline(table, FeatureConfig(quantile_low=0.05,
                                                       quantile_high=0.95))
-    again = pipeline_from_obj(disk_round_trip(tmp_path, pipeline_to_obj(model)))
+    again = from_obj(FeaturePipelineModel,
+                     disk_round_trip(tmp_path, to_obj(model)))
     assert again == model
     first = apply_feature_pipeline(model, table)
     second = apply_feature_pipeline(again, table)
@@ -78,8 +85,7 @@ def test_text_model_round_trip(tmp_path):
     texts = ["dark sky many stars", "bright city glow", None,
              "faint milky way", "dark transparent sky", "city lights haze"]
     model = fit_text_features(texts, cap=16, rank=2, seed=5)
-    again = text_model_from_obj(disk_round_trip(tmp_path,
-                                                text_model_to_obj(model)))
+    again = from_obj(TextFeatureModel, disk_round_trip(tmp_path, to_obj(model)))
     assert np.array_equal(transform_text_features(model, texts),
                           transform_text_features(again, texts))
 
@@ -111,7 +117,7 @@ def test_forest_round_trip_predicts_identically(tmp_path):
     y = np.arange(matrix.values.shape[0]) % 3
     params = LearnerParams(n_rounds=15, seed=4)
     model = fit_forest(matrix.values, y, params)
-    again = learner_from_obj(disk_round_trip(tmp_path, forest_to_obj(model)))
+    again = learner_from_obj(disk_round_trip(tmp_path, learner_to_obj(model)))
     assert np.array_equal(predict_proba_forest(model, matrix.values),
                           predict_proba_forest(again, matrix.values))
 
@@ -121,8 +127,8 @@ def test_learner_kind_dispatch(tmp_path):
     y = np.array([0, 0, 1, 1] * 4)
     gbdt = fit_gbdt(X, y, LearnerParams(n_rounds=3))
     forest = fit_forest(X, y, LearnerParams(n_rounds=3))
-    assert gbdt_to_obj(gbdt)["kind"] == "gbdt"
-    assert forest_to_obj(forest)["kind"] == "forest"
+    assert learner_to_obj(gbdt)["kind"] == "gbdt"
+    assert learner_to_obj(forest)["kind"] == "forest"
     assert type(learner_from_obj(learner_to_obj(gbdt))).__name__ == "GbdtModel"
     assert type(learner_from_obj(learner_to_obj(forest))).__name__ == "ForestModel"
     with pytest.raises(ParseError):
@@ -149,3 +155,105 @@ def test_identical_payloads_produce_identical_bytes(tmp_path):
     save_json(a, stack_to_obj(stack))
     save_json(b, stack_to_obj(stack))
     assert a.read_bytes() == b.read_bytes()
+
+
+def fitted_learners():
+    _, stack, matrix = fitted_stack()
+    y = np.arange(matrix.values.shape[0]) % 3
+    gbdt = fit_gbdt(matrix.values, y, LearnerParams(n_rounds=3, seed=2),
+                    feature_names=stack.columns)
+    forest = fit_forest(matrix.values, y, LearnerParams(n_trees=3, seed=4),
+                        feature_names=stack.columns)
+    return stack, gbdt, forest
+
+
+def test_sidecar_keys_are_pinned():
+    # The keys follow the dataclass field names; renaming a field changes
+    # the file format, and this test names the change.
+    stack, gbdt, forest = fitted_learners()
+    obj = stack_to_obj(stack)
+    assert sorted(obj) == ["columns", "feature_config", "neighbor", "pipeline",
+                           "spec", "text_models"]
+    assert sorted(obj["spec"]) == ["svd_rank", "use_neighbor", "use_text",
+                                   "vocab_cap"]
+    assert sorted(obj["feature_config"]) == [
+        "categorical_features", "indicator_threshold", "knn_k",
+        "numeric_features", "quantile_high", "quantile_low"]
+    assert sorted(obj["pipeline"]) == ["categorical", "config", "diagnostics",
+                                       "excluded", "indicator_columns",
+                                       "numeric"]
+    assert sorted(obj["pipeline"]["numeric"][0]) == [
+        "clip_high", "clip_low", "column", "constant", "impute", "mean",
+        "missing_fraction", "std"]
+    assert sorted(obj["pipeline"]["categorical"][0]) == [
+        "categories", "column", "missing_fraction"]
+    assert sorted(obj["neighbor"]) == ["fallback", "k", "points", "values"]
+    assert sorted(obj["neighbor"]["points"]) == ["data", "dtype", "shape"]
+    column, text_model = obj["text_models"][0]
+    assert isinstance(column, str)
+    assert sorted(text_model) == ["svd", "tfidf"]
+    assert sorted(text_model["tfidf"]) == ["cap", "degenerate",
+                                           "document_count", "idf",
+                                           "vocabulary"]
+    assert sorted(text_model["svd"]) == ["components", "rank", "seed",
+                                         "singular_values"]
+
+    obj = learner_to_obj(gbdt)
+    assert sorted(obj) == ["diagnostics", "feature_names", "init_scores",
+                           "kind", "n_classes", "params", "train_losses",
+                           "trees", "validation_losses"]
+    assert sorted(obj["params"]) == [
+        "early_stopping_patience", "l2_regularization", "learning_rate",
+        "max_bins", "max_leaves", "min_samples_leaf", "n_rounds", "n_trees",
+        "seed"]
+    assert sorted(obj["trees"][0][0]) == ["feature", "left", "right",
+                                          "threshold", "value"]
+    obj = learner_to_obj(forest)
+    assert sorted(obj) == ["diagnostics", "feature_names", "kind",
+                           "n_classes", "params", "trees"]
+    assert sorted(obj["trees"][0]) == ["distribution", "feature", "left",
+                                       "right", "threshold"]
+
+
+def test_every_sidecar_class_round_trips():
+    stack, gbdt, forest = fitted_learners()
+    text_model = stack.text_models[0][1]
+    values = [stack, stack.spec, stack.feature_config, stack.pipeline,
+              stack.pipeline.numeric[0], stack.pipeline.categorical[0],
+              stack.neighbor, text_model, text_model.tfidf, text_model.svd,
+              gbdt, gbdt.trees[0][0], gbdt.params, forest, forest.trees[0]]
+    for value in values:
+        obj = to_obj(value)
+        again = from_obj(type(value), obj)
+        assert type(again) is type(value)
+        assert to_obj(again) == obj, type(value).__name__
+
+
+def test_malformed_sidecar_raises_parse_error_naming_the_class():
+    stack, gbdt, forest = fitted_learners()
+    obj = learner_to_obj(forest)
+    del obj["params"]
+    with pytest.raises(ParseError, match="ForestModel.*params"):
+        learner_from_obj(obj)
+
+    obj = learner_to_obj(gbdt)
+    obj["colour"] = "blue"
+    with pytest.raises(ParseError, match="GbdtModel.*colour"):
+        learner_from_obj(obj)
+
+    obj = learner_to_obj(gbdt)
+    obj["trees"][0][0]["value"]["data"].append(0.5)
+    with pytest.raises(ParseError, match="GbdtModel: RegressionTree: array"):
+        learner_from_obj(obj)
+
+    obj = stack_to_obj(stack)
+    obj["neighbor"]["points"]["dtype"] = "no such dtype"
+    with pytest.raises(ParseError, match="StackModel: NeighborReference"):
+        stack_from_obj(obj)
+
+    obj = stack_to_obj(stack)
+    obj["text_models"][0] = [obj["text_models"][0][0]]
+    with pytest.raises(ParseError, match="StackModel"):
+        stack_from_obj(obj)
+    with pytest.raises(ParseError, match="StackModel"):
+        from_obj(StackModel, [])

@@ -172,15 +172,6 @@ def test_run_cv_oof_coverage_and_metrics():
         result.model("nope")
 
 
-def test_run_cv_threaded_is_bit_identical():
-    table = grid_table(100, seed=9)
-    specs = [LearnerSpec("g", "gbdt", SMALL_PARAMS, PLAIN)]
-    serial = run_cv(table, FeatureConfig(), specs, k=3, seed=1, n_threads=1)
-    threaded = run_cv(table, FeatureConfig(), specs, k=3, seed=1, n_threads=3)
-    assert np.array_equal(serial.models[0].probabilities,
-                          threaded.models[0].probabilities)
-
-
 def test_run_cv_rejects_duplicate_ids_and_empty():
     table = grid_table(30, seed=10)
     spec = LearnerSpec("m", "gbdt", SMALL_PARAMS, PLAIN)
