@@ -6,7 +6,6 @@ for a fixed config and seed. Diagnostics go to stderr only.
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 from pathlib import Path
@@ -16,6 +15,8 @@ import numpy as np
 from ..dataset import (
     ObservationTable,
     category_distribution,
+    csv_reader,
+    csv_writer,
     join_population,
     missingness_report,
     parse_observations,
@@ -58,7 +59,7 @@ from ..validation import (
     read_oof_csv,
 )
 from ..learners import fit_forest, fit_gbdt
-from .config import CORRELATION_FIELDS, RunConfig, load_config, render_config
+from .config import RunConfig, load_config, render_config
 from .svg import bar_chart_svg, line_chart_svg, write_svg
 
 CLEAN_OBSERVATIONS = "observations_clean.csv"
@@ -79,8 +80,9 @@ MODEL_COMPARISON = "model_comparison.csv"
 LOCK_FILE = ".skyglow.lock"
 CONFIG_ECHO = "config_echo.ini"
 
-COMMANDS = ("synth", "ingest", "eda", "features", "cv", "train", "ensemble",
-            "predict", "report")
+CORRELATION_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
+                      "sensor_reading", "population", "year", "month",
+                      "day_of_year", "seconds_of_day")
 
 
 def _category_csv(field: str) -> str:
@@ -164,8 +166,7 @@ def cmd_ingest(config: RunConfig) -> None:
     out = config.output_dir
     write_observations(table, out / CLEAN_OBSERVATIONS)
     write_population(population, out / POPULATION_LONG)
-    with open(out / INGEST_DIAGNOSTICS, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / INGEST_DIAGNOSTICS) as writer:
         writer.writerow(["line", "row_id", "message"])
         for diag in diagnostics:
             writer.writerow([diag.line, diag.row_id, diag.message])
@@ -182,8 +183,7 @@ def cmd_eda(config: RunConfig) -> None:
 
     target = table.numeric_column("limiting_magnitude")
     numeric = derived_numeric_columns(table)
-    with open(out / CORRELATIONS, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / CORRELATIONS) as writer:
         writer.writerow(["field", "pearson_with_target", "complete_pairs", "note"])
         for field in CORRELATION_FIELDS:
             column = numeric[field]
@@ -207,8 +207,7 @@ def cmd_features(config: RunConfig) -> None:
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
                               labels, config.feature_config, spec, config.seed)
-    with open(out / FEATURES_CSV, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / FEATURES_CSV) as writer:
         writer.writerow(["row_id"] + list(matrix.columns))
         for i, row_id in enumerate(matrix.row_ids):
             writer.writerow([row_id] + [repr(float(v)) for v in matrix.values[i]])
@@ -224,8 +223,7 @@ def cmd_cv(config: RunConfig) -> None:
                     k=config.cv_k, seed=config.seed,
                     stratified=config.stratified)
 
-    with open(out / CV_TRUTH, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / CV_TRUTH) as writer:
         writer.writerow(["row_id", "fold", "true_class"])
         for i, row_id in enumerate(result.row_ids):
             writer.writerow([row_id, int(result.folds[i]), int(result.truth[i])])
@@ -241,8 +239,7 @@ def cmd_cv(config: RunConfig) -> None:
         for diag in model.diagnostics:
             _note(f"{model.model_id}: {diag}")
         _note(f"{model.model_id}: OOF micro-F1 {model.metrics.micro_f1:.4f}")
-    with open(out / CV_SUMMARY, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / CV_SUMMARY) as writer:
         writer.writerow(["model_id", "micro_f1"]
                         + [f"fold_{f}" for f in range(result.k)])
         writer.writerows(summary_rows)
@@ -282,8 +279,7 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def _read_cv_truth(out: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    with open(out / CV_TRUTH, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(out / CV_TRUTH) as reader:
         if next(reader, None) != ["row_id", "fold", "true_class"]:
             raise SchemaError("bad cv truth file header")
         ids, folds, truth = [], [], []
@@ -313,8 +309,7 @@ def cmd_ensemble(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     write_oof_csv(out / ENSEMBLE_OOF, ids, folds, "ensemble_opt", blended)
     mean_f1 = micro_f1(predicted_classes(mean_blend(matrices)), truth)
-    with open(out / ENSEMBLE_METRICS, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / ENSEMBLE_METRICS) as writer:
         writer.writerow(["model_id", "micro_f1", "weight"])
         for i, model_id in enumerate(config.model_ids):
             single = micro_f1(predicted_classes(matrices[i]), truth)
@@ -359,8 +354,7 @@ def cmd_predict(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 
-    with open(out / PREDICTIONS, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / PREDICTIONS) as writer:
         writer.writerow(["row_id", "predicted_class"]
                         + [f"p_class_{c}" for c in range(blended.shape[1])])
         for i, row_id in enumerate(table.ids):
@@ -370,8 +364,7 @@ def cmd_predict(config: RunConfig) -> None:
 
 
 def _read_simple_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         header = next(reader)
         return header, list(reader)
 
@@ -382,8 +375,7 @@ def cmd_report(config: RunConfig) -> None:
 
     # model comparison table: single models plus both ensembles
     _, metric_rows = _read_simple_csv(out / ENSEMBLE_METRICS)
-    with open(out / MODEL_COMPARISON, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out / MODEL_COMPARISON) as writer:
         writer.writerow(["model_id", "micro_f1", "weight"])
         writer.writerows(metric_rows)
     comparison_bars = [(row[0], float(row[1])) for row in metric_rows]
@@ -430,6 +422,20 @@ def cmd_report(config: RunConfig) -> None:
     _note("report bundle written")
 
 
+_COMMAND_TABLE = {
+    "synth": cmd_synth,
+    "ingest": cmd_ingest,
+    "eda": cmd_eda,
+    "features": cmd_features,
+    "cv": cmd_cv,
+    "train": cmd_train,
+    "ensemble": cmd_ensemble,
+    "predict": cmd_predict,
+    "report": cmd_report,
+}
+COMMANDS = tuple(_COMMAND_TABLE)
+
+
 def dispatch(command: str, config_path: str, out_override: str | None = None,
              seed_override: int | None = None) -> int:
     """Run one command under the output-directory lock; returns 0 on
@@ -453,24 +459,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
         os.close(fd)
         with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
             fh.write(render_config(config))
-        if command == "synth":
-            cmd_synth(config)
-        elif command == "ingest":
-            cmd_ingest(config)
-        elif command == "eda":
-            cmd_eda(config)
-        elif command == "features":
-            cmd_features(config)
-        elif command == "cv":
-            cmd_cv(config)
-        elif command == "train":
-            cmd_train(config)
-        elif command == "ensemble":
-            cmd_ensemble(config)
-        elif command == "predict":
-            cmd_predict(config)
-        else:
-            cmd_report(config)
+        _COMMAND_TABLE[command](config)
     finally:
         lock_path.unlink(missing_ok=True)
     return 0

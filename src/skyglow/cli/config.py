@@ -1,52 +1,50 @@
 """Run configuration: a flat `[section] key = value` file parsed into one
-validated RunConfig, with documented defaults for everything except the
-two input paths.
+validated RunConfig, with defaults for everything except the two input paths.
 
-Unknown sections or keys are hard errors naming the offender; range
-checks are delegated to the owning module's constructors so the CLI and
-the library reject exactly the same values. Every command writes an echo
-of the effective configuration into the output directory.
+Each key is declared once, by `_entries`, which lists a RunConfig as
+ordered (section, key, value) entries. Listing the default RunConfig, built
+from the owning library dataclasses, gives the keys a file may set and the
+type each parses as; listing the effective one gives the echo every command
+writes into the output directory. Unknown sections or keys are hard errors
+naming the offender; range checks are left to the owning constructors so
+the CLI and the library reject exactly the same values.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
+from ..dataset import CATEGORICAL_REPORT_FIELDS
+from ..ensemble import DEFAULT_STEP_SCHEDULE
 from ..errors import ConfigError, ParameterError
 from ..features.pipeline import FeatureConfig
 from ..features.stack import StackSpec
 from ..learners.params import LearnerParams
 from ..synth import SynthConfig
-from ..textfeat import DEFAULT_SVD_RANK, DEFAULT_VOCAB_CAP
 from ..validation import LearnerSpec
 
-_KNOWN_KEYS = {
-    "data": {"observations", "population", "strictness"},
-    "output": {"directory"},
-    "features": {"quantile_low", "quantile_high", "knn_k", "vocab_cap",
-                 "svd_rank", "indicator_threshold"},
-    "cv": {"k", "seed", "stratified"},
-    "models": {"ids"},
-    "ensemble": {"steps"},
-    "report": {"trend_fields", "category_fields"},
-    "synth": {"n_rows", "seed", "missing_sensor_reading", "missing_comment_1",
-              "missing_comment_2", "missing_constellation", "missing_target",
-              "share_type_gan", "share_clouds_clear",
-              "share_constellation_orion", "share_evening"},
-    "predict": {"observations"},
-}
-_MODEL_KEYS = {"kind", "rounds", "learning_rate", "max_leaves",
-               "min_samples_leaf", "max_bins", "l2", "trees", "patience",
-               "seed", "use_text", "use_neighbor"}
-
 DEFAULT_TREND_FIELDS = ("limiting_magnitude", "sensor_reading", "elevation_m")
-DEFAULT_CATEGORY_FIELDS = ("sensor_type", "clouds", "constellation",
-                           "time_of_day_category")
-CORRELATION_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
-                      "sensor_reading", "population", "year", "month",
-                      "day_of_year", "seconds_of_day")
+
+# [features] keys that FeatureConfig owns; its feature lists are not settable.
+_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig) if f.name not in
+                      ("numeric_features", "categorical_features"))
+
+# [model.<id>] key -> LearnerParams field, in field order.
+_SHORT_PARAM_KEYS = {"n_rounds": "rounds", "l2_regularization": "l2",
+                     "n_trees": "trees", "early_stopping_patience": "patience"}
+_PARAM_KEYS = {_SHORT_PARAM_KEYS.get(f.name, f.name): f.name
+               for f in fields(LearnerParams)}
+
+# The roster used when [models] ids is not set: model id -> (kind, stack).
+_DEFAULT_ROSTER = {
+    "gbdt_full": ("gbdt", StackSpec()),
+    "gbdt_plain": ("gbdt", StackSpec(use_text=False, use_neighbor=False)),
+    "forest": ("forest", StackSpec()),
+}
 
 
 @dataclass(frozen=True)
@@ -73,90 +71,130 @@ class RunConfig:
         return tuple(spec.model_id for spec in self.specs)
 
 
-def _get(parser, section, key, default, convert, errors: list[str]):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return convert(raw)
-    except ValueError:
-        errors.append(f"{section}.{key}")
-        return default
+def _entries(config: RunConfig) -> list[tuple[str, str, object]]:
+    """The configuration as ordered (section, key, value) entries."""
+    entries: list[tuple[str, str, object]] = [
+        ("data", "observations", config.observations_path),
+        ("data", "population", config.population_path),
+        ("data", "strictness", config.strictness),
+        ("output", "directory", config.output_dir),
+    ]
+    entries += [("features", key, getattr(config.feature_config, key))
+                for key in _FEATURE_KEYS]
+    entries += [
+        ("features", "vocab_cap", config.vocab_cap),
+        ("features", "svd_rank", config.svd_rank),
+        ("cv", "k", config.cv_k),
+        ("cv", "seed", config.seed),
+        ("cv", "stratified", config.stratified),
+        ("models", "ids", config.model_ids),
+    ]
+    for spec in config.specs:
+        section = f"model.{spec.model_id}"
+        entries.append((section, "kind", spec.kind))
+        entries += [(section, key, getattr(spec.params, name))
+                    for key, name in _PARAM_KEYS.items()]
+        entries += [(section, "use_text", spec.stack.use_text),
+                    (section, "use_neighbor", spec.stack.use_neighbor)]
+    entries.append(("ensemble", "steps", config.step_schedule))
+    entries += [("synth", f.name, getattr(config.synth, f.name))
+                for f in fields(SynthConfig)]
+    entries += [
+        ("report", "trend_fields", config.trend_fields),
+        ("report", "category_fields", config.category_fields),
+        ("predict", "observations", config.predict_path),
+    ]
+    return entries
 
 
-def _boolean(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _names(raw: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-    if not parts:
-        raise ValueError(raw)
-    return parts
-
-
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in _names(raw))
-
-
-def _check_keys(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        if section.startswith("model."):
-            allowed = _MODEL_KEYS
-        elif section in _KNOWN_KEYS:
-            allowed = _KNOWN_KEYS[section]
-        else:
-            raise ConfigError(f"unknown section: {section!r}")
-        for key in parser.options(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key: {section}.{key}")
-
-
-def _learner_spec(parser, model_id: str, global_seed: int,
-                  vocab_cap: int, svd_rank: int,
-                  defaults: dict | None = None) -> LearnerSpec:
-    section = f"model.{model_id}"
-    bad: list[str] = []
-    values = dict(defaults or {})
-
-    def read(key, default, convert):
-        if parser is not None and parser.has_option(section, key):
-            return _get(parser, section, key, default, convert, bad)
-        return values.get(key, default)
-
-    kind = read("kind", "gbdt", str)
-    params = LearnerParams(
-        n_rounds=read("rounds", 300, int),
-        learning_rate=read("learning_rate", 0.05, float),
-        max_leaves=read("max_leaves", 31, int),
-        min_samples_leaf=read("min_samples_leaf", 20, int),
-        max_bins=read("max_bins", 256, int),
-        l2_regularization=read("l2", 1.0, float),
-        n_trees=read("trees", 300, int),
-        early_stopping_patience=read("patience", 30, int),
-        seed=read("seed", global_seed, int),
+def _defaults(ids: tuple[str, ...] | None, seed: int = 0,
+              observations: Path = Path()) -> dict[tuple[str, str], object]:
+    """Default of every key a file may set, by (section, key). `ids=None`
+    is the default roster; [synth] and model seeds default to `seed`, the
+    [cv] seed; `observations` stands in for both input paths."""
+    roster = _DEFAULT_ROSTER if ids is None else {
+        model_id: ("gbdt", StackSpec()) for model_id in ids}
+    config = RunConfig(
+        observations_path=observations,
+        population_path=observations,
+        output_dir=Path("skyglow_out"),
+        strictness="lenient",
+        feature_config=FeatureConfig(),
+        vocab_cap=StackSpec.vocab_cap,
+        svd_rank=StackSpec.svd_rank,
+        cv_k=5,
+        seed=seed,
+        stratified=True,
+        specs=tuple(LearnerSpec(model_id, kind, LearnerParams(seed=seed), stack)
+                    for model_id, (kind, stack) in roster.items()),
+        step_schedule=DEFAULT_STEP_SCHEDULE,
+        synth=SynthConfig(seed=seed),
+        trend_fields=DEFAULT_TREND_FIELDS,
+        category_fields=CATEGORICAL_REPORT_FIELDS,
+        predict_path=observations,
     )
-    stack = StackSpec(
-        use_text=read("use_text", True, _boolean),
-        use_neighbor=read("use_neighbor", True, _boolean),
+    return {(section, key): value for section, key, value in _entries(config)}
+
+
+def _from_values(values: dict[tuple[str, str], object]) -> RunConfig:
+    """The RunConfig whose entries are `values`."""
+    def section(name: str, keys) -> dict[str, object]:
+        return {key: values[name, key] for key in keys}
+
+    vocab_cap, svd_rank = values["features", "vocab_cap"], values["features", "svd_rank"]
+    specs = []
+    for model_id in values["models", "ids"]:
+        model = f"model.{model_id}"
+        params = LearnerParams(**{name: values[model, key]
+                                  for key, name in _PARAM_KEYS.items()})
+        stack = StackSpec(use_text=values[model, "use_text"],
+                          use_neighbor=values[model, "use_neighbor"],
+                          vocab_cap=vocab_cap, svd_rank=svd_rank)
+        specs.append(LearnerSpec(model_id, values[model, "kind"], params, stack))
+    return RunConfig(
+        observations_path=values["data", "observations"],
+        population_path=values["data", "population"],
+        output_dir=values["output", "directory"],
+        strictness=values["data", "strictness"],
+        feature_config=FeatureConfig(**section("features", _FEATURE_KEYS)),
         vocab_cap=vocab_cap,
         svd_rank=svd_rank,
+        cv_k=values["cv", "k"],
+        seed=values["cv", "seed"],
+        stratified=values["cv", "stratified"],
+        specs=tuple(specs),
+        step_schedule=values["ensemble", "steps"],
+        synth=SynthConfig(**section("synth", (f.name for f in fields(SynthConfig)))),
+        trend_fields=values["report", "trend_fields"],
+        category_fields=values["report", "category_fields"],
+        predict_path=values["predict", "observations"],
     )
-    if bad:
-        raise ConfigError(f"invalid value for: {', '.join(bad)}")
-    return LearnerSpec(model_id, kind, params, stack)
 
 
-_DEFAULT_ROSTER = (
-    ("gbdt_full", {"kind": "gbdt"}),
-    ("gbdt_plain", {"kind": "gbdt", "use_text": False, "use_neighbor": False}),
-    ("forest", {"kind": "forest"}),
-)
+def _parse(default: object, raw: str) -> object:
+    """Parse `raw` as the type of `default`: a tuple is a comma-separated
+    nonempty list of its first element's type. Raises ValueError."""
+    if isinstance(default, tuple):
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
+        if not parts:
+            raise ValueError(raw)
+        return tuple(_parse(default[0], part) for part in parts)
+    if isinstance(default, bool):
+        lowered = raw.strip().lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(raw)
+    return type(default)(raw)
+
+
+def _format(value: object) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format(item) for item in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
 
 def load_config(path: str | Path, out_override: str | None = None,
@@ -175,178 +213,60 @@ def load_config(path: str | Path, out_override: str | None = None,
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
-    _check_keys(parser)
 
-    for section, key in (("data", "observations"), ("data", "population")):
-        if not parser.has_option(section, key):
-            raise ConfigError(f"missing required key: {section}.{key}")
-    bad: list[str] = []
-
-    observations = Path(parser.get("data", "observations"))
-    population = Path(parser.get("data", "population"))
-    strictness = _get(parser, "data", "strictness", "lenient", str, bad)
-    if strictness not in ("strict", "lenient"):
-        raise ConfigError("invalid value for: data.strictness")
-
-    output_dir = Path(out_override) if out_override else Path(
-        _get(parser, "output", "directory", "skyglow_out", str, bad))
-
-    seed = _get(parser, "cv", "seed", 0, int, bad)
-    if seed_override is not None:
-        seed = seed_override
-    cv_k = _get(parser, "cv", "k", 5, int, bad)
-    stratified = _get(parser, "cv", "stratified", True, _boolean, bad)
-
-    vocab_cap = _get(parser, "features", "vocab_cap", DEFAULT_VOCAB_CAP, int, bad)
-    svd_rank = _get(parser, "features", "svd_rank", DEFAULT_SVD_RANK, int, bad)
-    feature_config = FeatureConfig(
-        quantile_low=_get(parser, "features", "quantile_low", 0.01, float, bad),
-        quantile_high=_get(parser, "features", "quantile_high", 0.99, float, bad),
-        knn_k=_get(parser, "features", "knn_k", 10, int, bad),
-        indicator_threshold=_get(parser, "features", "indicator_threshold",
-                                 0.01, float, bad),
-    )
-
-    synth_seed = _get(parser, "synth", "seed", seed, int, bad)
-    if seed_override is not None:
-        synth_seed = seed_override
-    synth = SynthConfig(
-        n_rows=_get(parser, "synth", "n_rows", 2000, int, bad),
-        seed=synth_seed,
-        missing_sensor_reading=_get(parser, "synth", "missing_sensor_reading",
-                                    0.828, float, bad),
-        missing_comment_1=_get(parser, "synth", "missing_comment_1", 0.429, float, bad),
-        missing_comment_2=_get(parser, "synth", "missing_comment_2", 0.480, float, bad),
-        missing_constellation=_get(parser, "synth", "missing_constellation",
-                                   0.121, float, bad),
-        missing_target=_get(parser, "synth", "missing_target", 0.080, float, bad),
-        share_type_gan=_get(parser, "synth", "share_type_gan", 0.801, float, bad),
-        share_clouds_clear=_get(parser, "synth", "share_clouds_clear", 0.594, float, bad),
-        share_constellation_orion=_get(parser, "synth", "share_constellation_orion",
-                                       0.410, float, bad),
-        share_evening=_get(parser, "synth", "share_evening", 0.827, float, bad),
-    )
-
+    ids = None
     if parser.has_option("models", "ids"):
-        ids = _get(parser, "models", "ids", (), _names, bad)
-        specs = tuple(_learner_spec(parser, model_id, seed, vocab_cap, svd_rank)
-                      for model_id in ids)
-    else:
-        specs = tuple(
-            _learner_spec(parser, mid, seed, vocab_cap, svd_rank, defaults)
-            for mid, defaults in _DEFAULT_ROSTER)
-
-    steps = _get(parser, "ensemble", "steps", (0.5, 0.25, 0.1, 0.05, 0.01),
-                 _floats, bad)
-    trend_fields = _get(parser, "report", "trend_fields", DEFAULT_TREND_FIELDS,
-                        _names, bad)
-    category_fields = _get(parser, "report", "category_fields",
-                           DEFAULT_CATEGORY_FIELDS, _names, bad)
-    predict_path = Path(_get(parser, "predict", "observations",
-                             str(observations), str, bad))
+        try:
+            ids = _parse(tuple(_DEFAULT_ROSTER), parser.get("models", "ids"))
+        except ValueError:  # reported below with the other bad values
+            ids = tuple(s.removeprefix("model.") for s in parser.sections()
+                        if s.startswith("model."))
+    defaults = _defaults(ids)
+    known_sections = {section for section, _ in defaults}
+    given: dict[tuple[str, str], object] = {}
+    bad: list[str] = []
+    for section in parser.sections():
+        if section not in known_sections:
+            raise ConfigError(f"unknown section: {section!r}")
+        for key in parser.options(section):
+            if (section, key) not in defaults:
+                raise ConfigError(f"unknown key: {section}.{key}")
+            try:
+                given[section, key] = _parse(defaults[section, key],
+                                             parser.get(section, key))
+            except ValueError:
+                bad.append(f"{section}.{key}")
+    for key in ("observations", "population"):
+        if ("data", key) not in given:
+            raise ConfigError(f"missing required key: data.{key}")
+    seed = (given.get(("cv", "seed"), defaults["cv", "seed"])
+            if seed_override is None else seed_override)
+    values = _defaults(ids, seed, given["data", "observations"]) | given
+    if seed_override is not None:
+        values["cv", "seed"] = values["synth", "seed"] = seed_override
+    if out_override:
+        values["output", "directory"] = Path(out_override)
+    if values["data", "strictness"] not in ("strict", "lenient"):
+        bad.append("data.strictness")
     if bad:
-        raise ConfigError(f"invalid value for: {', '.join(sorted(set(bad)))}")
+        raise ConfigError(f"invalid value for: {', '.join(sorted(bad))}")
 
-    if cv_k < 2:
-        raise ParameterError(f"k must be >= 2, got {cv_k}")
-    for step in steps:
+    config = _from_values(values)
+    if config.cv_k < 2:
+        raise ParameterError(f"k must be >= 2, got {config.cv_k}")
+    for step in config.step_schedule:
         if not 0.0 < step <= 1.0:
             raise ParameterError(f"step sizes must be in (0, 1], got {step}")
     if require_inputs:
-        for label, p in (("data.observations", observations),
-                         ("data.population", population)):
+        for label, p in (("data.observations", config.observations_path),
+                         ("data.population", config.population_path)):
             if not p.exists():
                 raise ConfigError(f"{label} does not exist: {p}")
-
-    return RunConfig(
-        observations_path=observations,
-        population_path=population,
-        output_dir=output_dir,
-        strictness=strictness,
-        feature_config=feature_config,
-        vocab_cap=vocab_cap,
-        svd_rank=svd_rank,
-        cv_k=cv_k,
-        seed=seed,
-        stratified=stratified,
-        specs=specs,
-        step_schedule=tuple(steps),
-        synth=synth,
-        trend_fields=tuple(trend_fields),
-        category_fields=tuple(category_fields),
-        predict_path=predict_path,
-    )
+    return config
 
 
 def render_config(config: RunConfig) -> str:
     """Deterministic echo of the effective configuration."""
-    lines = [
-        "[data]",
-        f"observations = {config.observations_path}",
-        f"population = {config.population_path}",
-        f"strictness = {config.strictness}",
-        "",
-        "[output]",
-        f"directory = {config.output_dir}",
-        "",
-        "[features]",
-        f"quantile_low = {config.feature_config.quantile_low!r}",
-        f"quantile_high = {config.feature_config.quantile_high!r}",
-        f"knn_k = {config.feature_config.knn_k}",
-        f"indicator_threshold = {config.feature_config.indicator_threshold!r}",
-        f"vocab_cap = {config.vocab_cap}",
-        f"svd_rank = {config.svd_rank}",
-        "",
-        "[cv]",
-        f"k = {config.cv_k}",
-        f"seed = {config.seed}",
-        f"stratified = {str(config.stratified).lower()}",
-        "",
-        "[models]",
-        f"ids = {', '.join(config.model_ids)}",
-    ]
-    for spec in config.specs:
-        p = spec.params
-        lines += [
-            "",
-            f"[model.{spec.model_id}]",
-            f"kind = {spec.kind}",
-            f"rounds = {p.n_rounds}",
-            f"learning_rate = {p.learning_rate!r}",
-            f"max_leaves = {p.max_leaves}",
-            f"min_samples_leaf = {p.min_samples_leaf}",
-            f"max_bins = {p.max_bins}",
-            f"l2 = {p.l2_regularization!r}",
-            f"trees = {p.n_trees}",
-            f"patience = {p.early_stopping_patience}",
-            f"seed = {p.seed}",
-            f"use_text = {str(spec.stack.use_text).lower()}",
-            f"use_neighbor = {str(spec.stack.use_neighbor).lower()}",
-        ]
-    lines += [
-        "",
-        "[ensemble]",
-        "steps = " + ", ".join(repr(s) for s in config.step_schedule),
-        "",
-        "[synth]",
-        f"n_rows = {config.synth.n_rows}",
-        f"seed = {config.synth.seed}",
-        f"missing_sensor_reading = {config.synth.missing_sensor_reading!r}",
-        f"missing_comment_1 = {config.synth.missing_comment_1!r}",
-        f"missing_comment_2 = {config.synth.missing_comment_2!r}",
-        f"missing_constellation = {config.synth.missing_constellation!r}",
-        f"missing_target = {config.synth.missing_target!r}",
-        f"share_type_gan = {config.synth.share_type_gan!r}",
-        f"share_clouds_clear = {config.synth.share_clouds_clear!r}",
-        f"share_constellation_orion = {config.synth.share_constellation_orion!r}",
-        f"share_evening = {config.synth.share_evening!r}",
-        "",
-        "[report]",
-        f"trend_fields = {', '.join(config.trend_fields)}",
-        f"category_fields = {', '.join(config.category_fields)}",
-        "",
-        "[predict]",
-        f"observations = {config.predict_path}",
-        "",
-    ]
-    return "\n".join(lines)
+    blocks = [[f"[{section}]"] + [f"{key} = {_format(value)}" for _, key, value in group]
+              for section, group in groupby(_entries(config), key=itemgetter(0))]
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"

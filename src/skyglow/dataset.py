@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -169,11 +170,25 @@ class ObservationTable:
         return tuple(getattr(rec, field) for rec in self._records)
 
 
-def _open_source(source: TextIO | str | Path):
-    """Return (stream, owns_handle). Streams are used as-is."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+def _open(target: TextIO | str | Path, mode: str):
+    if isinstance(target, (str, Path)):
+        return open(target, mode, encoding="utf-8", newline="")
+    return nullcontext(target)
+
+
+@contextmanager
+def csv_writer(dest: TextIO | str | Path) -> Iterator[Any]:
+    """A csv writer in the package's CSV dialect: utf-8, lines ended by
+    "\\n". A path is opened and closed here; a stream is left open."""
+    with _open(dest, "w") as stream:
+        yield csv.writer(stream, lineterminator="\n")
+
+
+@contextmanager
+def csv_reader(source: TextIO | str | Path) -> Iterator[Any]:
+    """A csv reader over a utf-8 path or an open stream; see csv_writer."""
+    with _open(source, "r") as stream:
+        yield csv.reader(stream)
 
 
 def _parse_float(cell: str, field: str, row_id: str) -> float:
@@ -225,9 +240,7 @@ def parse_observations(
     """
     if strictness not in ("strict", "lenient"):
         raise ParameterError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
-    stream, owns = _open_source(source)
-    try:
-        reader = csv.reader(stream)
+    with csv_reader(source) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -280,9 +293,6 @@ def parse_observations(
             seen_ids.add(row_id)
             records.append(record)
         return ObservationTable(records), diagnostics
-    finally:
-        if owns:
-            stream.close()
 
 
 def _format_cell(value: object) -> str:
@@ -297,15 +307,11 @@ def _format_cell(value: object) -> str:
 
 def write_observations(table: ObservationTable, dest: TextIO | str | Path) -> None:
     """Write the canonical 14-column CSV; missing values become empty cells."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_observations(table, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(OBSERVATION_COLUMNS)
-    for rec in table:
-        writer.writerow([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
-                         for c in OBSERVATION_COLUMNS])
+    with csv_writer(dest) as writer:
+        writer.writerow(OBSERVATION_COLUMNS)
+        for rec in table:
+            writer.writerow([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
+                             for c in OBSERVATION_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -356,9 +362,7 @@ def parse_population(source: TextIO | str | Path) -> PopulationTable:
     Requires a `Country Name` column and one column per year 2006-2020;
     other columns are ignored. Blank cells are skipped.
     """
-    stream, owns = _open_source(source)
-    try:
-        reader = csv.reader(stream)
+    with csv_reader(source) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -393,36 +397,24 @@ def parse_population(source: TextIO | str | Path) -> PopulationTable:
                         f"invalid population for ({country!r}, {year}): {cell!r}")
                 records.append(PopulationRecord(country, year, int(value)))
         return PopulationTable(records)
-    finally:
-        if owns:
-            stream.close()
 
 
 def write_population(table: PopulationTable, dest: TextIO | str | Path) -> None:
     """Write population records in long format (country, year, population)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_population(table, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["country", "year", "population"])
-    for rec in table:
-        writer.writerow([rec.country, rec.year, rec.population])
+    with csv_writer(dest) as writer:
+        writer.writerow(["country", "year", "population"])
+        for rec in table:
+            writer.writerow([rec.country, rec.year, rec.population])
 
 
 def read_population_long(source: TextIO | str | Path) -> PopulationTable:
     """Read back the long format produced by write_population."""
-    stream, owns = _open_source(source)
-    try:
-        reader = csv.reader(stream)
+    with csv_reader(source) as reader:
         header = next(reader, None)
         if header != ["country", "year", "population"]:
             raise SchemaError("expected header 'country,year,population'")
         records = [PopulationRecord(row[0], int(row[1]), int(row[2])) for row in reader]
         return PopulationTable(records)
-    finally:
-        if owns:
-            stream.close()
 
 
 def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationTable:
@@ -464,15 +456,11 @@ class MissingnessReport:
         raise UnknownFieldError(f"no such field in report: {field!r}")
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["field", "missing_count", "missing_fraction", "total_rows"])
-        for entry in self.fields:
-            writer.writerow([entry.field, entry.missing_count,
-                             repr(entry.missing_fraction), self.total_rows])
+        with csv_writer(dest) as writer:
+            writer.writerow(["field", "missing_count", "missing_fraction", "total_rows"])
+            for entry in self.fields:
+                writer.writerow([entry.field, entry.missing_count,
+                                 repr(entry.missing_fraction), self.total_rows])
 
 
 _REPORT_FIELDS = ("id", "time", "time_zone", "country", "latitude", "longitude",
@@ -515,14 +503,10 @@ class FrequencyTable:
         raise UnknownFieldError(f"no such category in table: {category!r}")
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["field", "category", "count", "fraction"])
-        for entry in self.entries:
-            writer.writerow([self.field, entry.category, entry.count, repr(entry.fraction)])
+        with csv_writer(dest) as writer:
+            writer.writerow(["field", "category", "count", "fraction"])
+            for entry in self.entries:
+                writer.writerow([self.field, entry.category, entry.count, repr(entry.fraction)])
 
 
 def category_distribution(table: ObservationTable, field: str) -> FrequencyTable:

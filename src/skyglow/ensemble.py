@@ -12,13 +12,13 @@ model, by construction rather than by luck.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
+from .dataset import csv_reader, csv_writer
 from .errors import DimensionError, ParameterError, SchemaError
 
 DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
@@ -81,29 +81,22 @@ class EnsembleWeights:
             raise ParameterError("weights must lie on the simplex")
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["model_id", "weight"])
-        for model_id, weight in zip(self.model_ids, self.weights):
-            writer.writerow([model_id, repr(float(weight))])
+        with csv_writer(dest) as writer:
+            writer.writerow(["model_id", "weight"])
+            for model_id, weight in zip(self.model_ids, self.weights):
+                writer.writerow([model_id, repr(float(weight))])
 
 
 def read_weights_csv(source: TextIO | str | Path,
                      objective: float = 0.0) -> EnsembleWeights:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_weights_csv(fh, objective)
-    reader = csv.reader(source)
-    if next(reader, None) != ["model_id", "weight"]:
-        raise SchemaError("not a weights file: expected header 'model_id,weight'")
-    ids, values = [], []
-    for row in reader:
-        ids.append(row[0])
-        values.append(float(row[1]))
-    return EnsembleWeights(tuple(ids), np.array(values), objective)
+    with csv_reader(source) as reader:
+        if next(reader, None) != ["model_id", "weight"]:
+            raise SchemaError("not a weights file: expected header 'model_id,weight'")
+        ids, values = [], []
+        for row in reader:
+            ids.append(row[0])
+            values.append(float(row[1]))
+        return EnsembleWeights(tuple(ids), np.array(values), objective)
 
 
 def _ascend(stacked: np.ndarray, truth: np.ndarray, start: np.ndarray,

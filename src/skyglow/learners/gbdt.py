@@ -282,6 +282,8 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
         diagnostics.append("single-class target: boosting skipped, prior-only model")
         return GbdtModel(n_classes, init_scores, (), params, feature_names,
                          (), None, tuple(diagnostics))
+    if params.n_rounds and X.shape[1] == 0:
+        raise ParameterError("cannot fit boosted trees with zero features")
 
     if validation is not None:
         Xv, yv = validation

@@ -93,6 +93,10 @@ def from_obj(hint, obj):
             raise ParseError(f"does not fit {hint}: {obj!r:.60}")
         hints = [args[0]] * len(obj) if varying else args
         return tuple(from_obj(h, v) for h, v in zip(hints, obj))
+    # JSON has no int/float distinction: an int fits a float field and is
+    # kept as it is, so a re-save writes the same bytes. A bool is no int.
+    if type(obj) is not hint and not (hint is float and type(obj) is int):
+        raise ParseError(f"does not fit {hint.__name__}: {obj!r:.60}")
     return obj
 
 

@@ -10,7 +10,6 @@ so emitted reports land within 1/n of the configured fractions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -23,6 +22,7 @@ from .dataset import (
     PopulationRecord,
     PopulationTable,
     POPULATION_YEARS,
+    csv_writer,
     write_observations,
 )
 from .errors import ParameterError
@@ -228,8 +228,7 @@ def write_population_census(table: PopulationTable, dest: str | Path) -> None:
     by_country: dict[str, dict[int, int]] = {}
     for rec in table:
         by_country.setdefault(rec.country, {})[rec.year] = rec.population
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(dest) as writer:
         writer.writerow(["Country Name", "Country Code", "Indicator Name"] + years)
         for i, (country, values) in enumerate(sorted(by_country.items())):
             writer.writerow([country, f"C{i:03d}", "Population, total"]

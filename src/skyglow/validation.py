@@ -10,14 +10,13 @@ and honest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import ObservationTable
+from .dataset import ObservationTable, csv_reader, csv_writer
 from .errors import (
     EmptyInputError,
     ParameterError,
@@ -96,28 +95,20 @@ class MetricsReport:
     per_fold_f1: tuple[float, ...] = ()
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["kind", "key", "value"])
-        writer.writerow(["metric", "micro_precision", repr(self.micro_precision)])
-        writer.writerow(["metric", "micro_recall", repr(self.micro_recall)])
-        writer.writerow(["metric", "micro_f1", repr(self.micro_f1)])
-        for i, f1 in enumerate(self.per_fold_f1):
-            writer.writerow(["fold_f1", i, repr(f1)])
+        with csv_writer(dest) as writer:
+            writer.writerow(["kind", "key", "value"])
+            writer.writerow(["metric", "micro_precision", repr(self.micro_precision)])
+            writer.writerow(["metric", "micro_recall", repr(self.micro_recall)])
+            writer.writerow(["metric", "micro_f1", repr(self.micro_f1)])
+            for i, f1 in enumerate(self.per_fold_f1):
+                writer.writerow(["fold_f1", i, repr(f1)])
 
     def write_confusion_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_confusion_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        n = self.confusion.shape[0]
-        writer.writerow(["true_class"] + [f"pred_{c}" for c in range(n)])
-        for c in range(n):
-            writer.writerow([c] + [int(v) for v in self.confusion[c]])
+        with csv_writer(dest) as writer:
+            n = self.confusion.shape[0]
+            writer.writerow(["true_class"] + [f"pred_{c}" for c in range(n)])
+            for c in range(n):
+                writer.writerow([c] + [int(v) for v in self.confusion[c]])
 
 
 def predicted_classes(probabilities: np.ndarray) -> np.ndarray:
@@ -190,14 +181,10 @@ class AnnualTrend:
     entries: tuple[tuple[int, float], ...]  # (year, mean), years ascending
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                self.write_csv(fh)
-            return
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["year", f"mean_{self.field}"])
-        for year, mean in self.entries:
-            writer.writerow([year, repr(mean)])
+        with csv_writer(dest) as writer:
+            writer.writerow(["year", f"mean_{self.field}"])
+            for year, mean in self.entries:
+                writer.writerow([year, repr(mean)])
 
 
 def annual_trend(table: ObservationTable, field: str) -> AnnualTrend:
@@ -332,37 +319,30 @@ def write_oof_csv(dest: TextIO | str | Path, row_ids: Sequence[str],
                   folds: np.ndarray, model_id: str,
                   probabilities: np.ndarray) -> None:
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_oof_csv(fh, row_ids, folds, model_id, probabilities)
-        return
     n_classes = probabilities.shape[1]
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["row_id", "fold", "model_id"]
-                    + [f"p_class_{c}" for c in range(n_classes)])
-    for i, row_id in enumerate(row_ids):
-        writer.writerow([row_id, int(folds[i]), model_id]
-                        + [repr(float(p)) for p in probabilities[i]])
+    with csv_writer(dest) as writer:
+        writer.writerow(["row_id", "fold", "model_id"]
+                        + [f"p_class_{c}" for c in range(n_classes)])
+        for i, row_id in enumerate(row_ids):
+            writer.writerow([row_id, int(folds[i]), model_id]
+                            + [repr(float(p)) for p in probabilities[i]])
 
 
 def read_oof_csv(source: TextIO | str | Path):
     """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_oof_csv(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or header[:3] != ["row_id", "fold", "model_id"]:
-        raise SchemaError("not an OOF prediction file: bad header")
-    n_classes = len(header) - 3
-    row_ids, folds, probs = [], [], []
-    model_id = None
-    for row in reader:
-        row_ids.append(row[0])
-        folds.append(int(row[1]))
-        if model_id is None:
-            model_id = row[2]
-        elif row[2] != model_id:
-            raise SchemaError("mixed model ids in one OOF file")
-        probs.append([float(v) for v in row[3:3 + n_classes]])
-    return tuple(row_ids), np.array(folds, dtype=np.int64), model_id, np.array(probs)
+    with csv_reader(source) as reader:
+        header = next(reader, None)
+        if header is None or header[:3] != ["row_id", "fold", "model_id"]:
+            raise SchemaError("not an OOF prediction file: bad header")
+        n_classes = len(header) - 3
+        row_ids, folds, probs = [], [], []
+        model_id = None
+        for row in reader:
+            row_ids.append(row[0])
+            folds.append(int(row[1]))
+            if model_id is None:
+                model_id = row[2]
+            elif row[2] != model_id:
+                raise SchemaError("mixed model ids in one OOF file")
+            probs.append([float(v) for v in row[3:3 + n_classes]])
+        return tuple(row_ids), np.array(folds, dtype=np.int64), model_id, np.array(probs)

@@ -45,6 +45,99 @@ def write_config(path, out_dir, extra="", n_rows=120):
     return str(path)
 
 
+# The echo of a config that sets only the two input paths.
+DEFAULT_ECHO = """\
+[data]
+observations = obs.csv
+population = pop.csv
+strictness = lenient
+
+[output]
+directory = skyglow_out
+
+[features]
+quantile_low = 0.01
+quantile_high = 0.99
+knn_k = 10
+indicator_threshold = 0.01
+vocab_cap = 20000
+svd_rank = 32
+
+[cv]
+k = 5
+seed = 0
+stratified = true
+
+[models]
+ids = gbdt_full, gbdt_plain, forest
+
+[model.gbdt_full]
+kind = gbdt
+rounds = 300
+learning_rate = 0.05
+max_leaves = 31
+min_samples_leaf = 20
+max_bins = 256
+l2 = 1.0
+trees = 300
+patience = 30
+seed = 0
+use_text = true
+use_neighbor = true
+
+[model.gbdt_plain]
+kind = gbdt
+rounds = 300
+learning_rate = 0.05
+max_leaves = 31
+min_samples_leaf = 20
+max_bins = 256
+l2 = 1.0
+trees = 300
+patience = 30
+seed = 0
+use_text = false
+use_neighbor = false
+
+[model.forest]
+kind = forest
+rounds = 300
+learning_rate = 0.05
+max_leaves = 31
+min_samples_leaf = 20
+max_bins = 256
+l2 = 1.0
+trees = 300
+patience = 30
+seed = 0
+use_text = true
+use_neighbor = true
+
+[ensemble]
+steps = 0.5, 0.25, 0.1, 0.05, 0.01
+
+[synth]
+n_rows = 2000
+seed = 0
+missing_sensor_reading = 0.828
+missing_comment_1 = 0.429
+missing_comment_2 = 0.48
+missing_constellation = 0.121
+missing_target = 0.08
+share_type_gan = 0.801
+share_clouds_clear = 0.594
+share_constellation_orion = 0.41
+share_evening = 0.827
+
+[report]
+trend_fields = limiting_magnitude, sensor_reading, elevation_m
+category_fields = sensor_type, clouds, constellation, time_of_day_category
+
+[predict]
+observations = obs.csv
+"""
+
+
 @pytest.fixture()
 def config(tmp_path):
     return write_config(tmp_path / "run.ini", tmp_path / "out")
@@ -127,6 +220,31 @@ def test_overrides_beat_file_values(tmp_path, config):
     assert loaded.output_dir == tmp_path / "elsewhere"
     assert loaded.seed == 99
     assert loaded.synth.seed == 99
+
+
+def test_default_echo_is_pinned(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[data]\nobservations = obs.csv\npopulation = pop.csv\n",
+                    encoding="utf-8")
+    assert render_config(load_config(path, require_inputs=False)) == DEFAULT_ECHO
+
+
+def test_misspelled_model_section_is_named(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[data]\nobservations = x\npopulation = y\n"
+                    "[model.gbdt_ful]\nrounds = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="model.gbdt_ful"):
+        load_config(path, require_inputs=False)
+
+
+def test_bad_values_are_reported_together(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[data]\nobservations = x\npopulation = y\n"
+                    "[model.forest]\ntrees = many\n[cv]\nk = few\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"invalid value for: cv\.k, model\.forest\.trees$"):
+        load_config(path, require_inputs=False)
 
 
 def test_render_config_round_trips(tmp_path, config):
@@ -255,18 +373,34 @@ def test_main_out_override(tmp_path, config):
     assert (elsewhere / "config_echo.ini").exists()
 
 
-def test_tampered_sidecar_fails_with_one_line(tmp_path, config, capsys):
+def _predict_with_tampered_forest(tmp_path, config, capsys, tamper):
+    """Run every stage before predict, let `tamper` edit the forest's
+    sidecar payload, then run predict; returns its stderr lines."""
     out = tmp_path / "out"
     for command in COMMANDS[:COMMANDS.index("predict")]:
         assert dispatch(command, config) == 0, command
     sidecar = out / "model_woods.json"
     payload = json.loads(sidecar.read_text(encoding="utf-8"))
-    del payload["params"]
+    tamper(payload)
     sidecar.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert main(["predict", "--config", config]) == 1
-    err = capsys.readouterr().err.splitlines()
+    assert not (out / ".skyglow.lock").exists()
+    return capsys.readouterr().err.splitlines()
+
+
+def test_tampered_sidecar_fails_with_one_line(tmp_path, config, capsys):
+    err = _predict_with_tampered_forest(
+        tmp_path, config, capsys, lambda payload: payload.pop("params"))
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:") and "ForestModel" in err[0]
     assert "params" in err[0]
-    assert not (out / ".skyglow.lock").exists()
+
+
+def test_sidecar_scalar_of_wrong_type_fails_with_one_line(tmp_path, config, capsys):
+    err = _predict_with_tampered_forest(
+        tmp_path, config, capsys,
+        lambda payload: payload.update(n_classes="eight"))
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:") and "ForestModel" in err[0]
+    assert "eight" in err[0]

@@ -160,6 +160,18 @@ def test_gbdt_single_class_prior_only():
     assert probs[:, 1].min() > 0.99
 
 
+def test_gbdt_zero_features_rejected_only_when_boosting():
+    X = np.zeros((10, 0))
+    y = np.arange(10) % 2
+    with pytest.raises(ParameterError, match="zero features"):
+        fit_gbdt(X, y, LearnerParams(n_rounds=1))
+    with pytest.raises(ParameterError, match="zero features"):
+        fit_forest(X, y, LearnerParams(n_trees=1))
+    # Prior-only models stay legal: no rounds, or a single-class target.
+    assert fit_gbdt(X, y, LearnerParams(n_rounds=0)).trees == ()
+    assert fit_gbdt(X, np.ones(10, dtype=int), n_classes=2).trees == ()
+
+
 def test_gbdt_early_stopping_truncates_to_best_round():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(120, 4))
