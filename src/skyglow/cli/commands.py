@@ -21,6 +21,7 @@ from ..dataset import (
     missingness_report,
     parse_observations,
     parse_population,
+    parsed_rows,
     read_population_long,
     write_observations,
     write_population,
@@ -279,15 +280,15 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def _read_cv_truth(out: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    with csv_reader(out / CV_TRUTH) as reader:
+    path = out / CV_TRUTH
+    with csv_reader(path) as reader:
         if next(reader, None) != ["row_id", "fold", "true_class"]:
             raise SchemaError("bad cv truth file header")
-        ids, folds, truth = [], [], []
-        for row in reader:
-            ids.append(row[0])
-            folds.append(int(row[1]))
-            truth.append(int(row[2]))
-    return ids, np.array(folds, dtype=np.int64), np.array(truth, dtype=np.int64)
+        rows = parsed_rows(path, reader, 3,
+                           lambda row: (row[0], int(row[1]), int(row[2])))
+    return ([row[0] for row in rows],
+            np.array([row[1] for row in rows], dtype=np.int64),
+            np.array([row[2] for row in rows], dtype=np.int64))
 
 
 def cmd_ensemble(config: RunConfig) -> None:
@@ -324,7 +325,10 @@ def cmd_predict(config: RunConfig) -> None:
     out = config.output_dir
     _require(out, TRAIN_MANIFEST, WEIGHTS, POPULATION_LONG)
     manifest = load_json(out / TRAIN_MANIFEST)
-    model_ids = manifest["model_ids"]
+    model_ids = manifest.get("model_ids") if isinstance(manifest, dict) else None
+    if not (isinstance(model_ids, list)
+            and all(isinstance(m, str) for m in model_ids)):
+        raise SchemaError(f"{TRAIN_MANIFEST}: 'model_ids' is not a list of model ids")
     _require(out, *[_stack_json(m) for m in model_ids])
     _require(out, *[_model_json(m) for m in model_ids])
     weights = read_weights_csv(out / WEIGHTS)

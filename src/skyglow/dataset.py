@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from statistics import median
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -189,6 +189,30 @@ def csv_reader(source: TextIO | str | Path) -> Iterator[Any]:
     """A csv reader over a utf-8 path or an open stream; see csv_writer."""
     with _open(source, "r") as stream:
         yield csv.reader(stream)
+
+
+def parsed_rows(source: TextIO | str | Path, reader,
+                width: int, parse: Callable[[list[str]], Any]) -> list[Any]:
+    """parse(row) for each row left in `reader`, which reads `source`.
+
+    A row without exactly `width` fields, or one whose fields `parse`
+    cannot convert (a ValueError), raises SchemaError naming the file and
+    line.
+    """
+    def error(message: str) -> SchemaError:
+        name = (source if isinstance(source, (str, Path))
+                else getattr(source, "name", "<stream>"))
+        return SchemaError(f"{name}, line {reader.line_num}: {message}")
+
+    parsed = []
+    for row in reader:
+        if len(row) != width:
+            raise error(f"expected {width} fields, got {len(row)}")
+        try:
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise error(str(exc)) from None
+    return parsed
 
 
 def _parse_float(cell: str, field: str, row_id: str) -> float:
@@ -413,8 +437,9 @@ def read_population_long(source: TextIO | str | Path) -> PopulationTable:
         header = next(reader, None)
         if header != ["country", "year", "population"]:
             raise SchemaError("expected header 'country,year,population'")
-        records = [PopulationRecord(row[0], int(row[1]), int(row[2])) for row in reader]
-        return PopulationTable(records)
+        return PopulationTable(parsed_rows(
+            source, reader, 3,
+            lambda row: PopulationRecord(row[0], int(row[1]), int(row[2]))))
 
 
 def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationTable:

@@ -18,7 +18,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import csv_reader, csv_writer
+from .dataset import csv_reader, csv_writer, parsed_rows
 from .errors import DimensionError, ParameterError, SchemaError
 
 DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
@@ -92,11 +92,9 @@ def read_weights_csv(source: TextIO | str | Path,
     with csv_reader(source) as reader:
         if next(reader, None) != ["model_id", "weight"]:
             raise SchemaError("not a weights file: expected header 'model_id,weight'")
-        ids, values = [], []
-        for row in reader:
-            ids.append(row[0])
-            values.append(float(row[1]))
-        return EnsembleWeights(tuple(ids), np.array(values), objective)
+        rows = parsed_rows(source, reader, 2, lambda row: (row[0], float(row[1])))
+    return EnsembleWeights(tuple(row[0] for row in rows),
+                           np.array([row[1] for row in rows]), objective)
 
 
 def _ascend(stacked: np.ndarray, truth: np.ndarray, start: np.ndarray,

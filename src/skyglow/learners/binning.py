@@ -40,6 +40,7 @@ class BinnedMatrix:
     n_bins: np.ndarray                # per feature, len(edges) + 1
     offsets: np.ndarray               # feature start in the flattened histogram
     total_bins: int
+    positions: np.ndarray             # codes + offsets: each cell's histogram entry
 
     @property
     def n_rows(self) -> int:
@@ -57,7 +58,7 @@ class BinnedMatrix:
         collects the weight (or count) of rows whose feature-j code is b.
         One bincount covers every feature at once.
         """
-        flat = (self.codes[rows] + self.offsets[None, :]).ravel()
+        flat = self.positions[rows].ravel()
         if weights is None:
             return np.bincount(flat, minlength=self.total_bins).astype(float)
         per_row = np.asarray(weights, dtype=float)[rows]
@@ -81,4 +82,20 @@ def bin_matrix(X: np.ndarray, max_bins: int) -> BinnedMatrix:
         codes[:, j] = bin_column(X[:, j], e)
     n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(n_bins)[:-1]])
-    return BinnedMatrix(codes, edges, n_bins, offsets, int(n_bins.sum()))
+    return BinnedMatrix(codes, edges, n_bins, offsets, int(n_bins.sum()),
+                        codes + offsets[None, :])
+
+
+def running_sums(hists: np.ndarray, offsets: np.ndarray,
+                 n_bins: np.ndarray) -> np.ndarray:
+    """Per-feature running sums of stacked flattened histograms.
+
+    `hists` holds one histogram per row (e.g. gradient, hessian and count,
+    or one class each) in the layout `offsets`/`n_bins` describe. Entry
+    [s, offsets[j] + b] of the result sums row s over bins 0..b of feature
+    j, i.e. the left side of a split of feature j after bin b.
+    """
+    total = np.cumsum(hists, axis=1)
+    base = np.concatenate(
+        [np.zeros((len(total), 1)), total[:, offsets[1:] - 1]], axis=1)
+    return total - np.repeat(base, n_bins, axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .binning import BinnedMatrix, bin_matrix
+from .binning import BinnedMatrix, bin_matrix, running_sums
 from .gbdt import _class_setup, _coerce_matrix, leaf_nodes
 from .params import LearnerParams
 
@@ -54,11 +54,7 @@ def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
         if counts[c]:
             hist[c] = np.bincount(flat[y_rows == c].ravel(), minlength=local_total)
 
-    running = np.cumsum(hist, axis=1)
-    # per-position left counts per class, reset at each feature boundary
-    base_rows = np.concatenate(
-        [np.zeros((n_classes, 1)), running[:, local_offsets[1:] - 1]], axis=1)
-    left = running - np.repeat(base_rows, local_bins, axis=1)
+    left = running_sums(hist, local_offsets, local_bins)
     right = counts[:, None] - left
 
     m = float(len(rows))

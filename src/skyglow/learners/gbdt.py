@@ -2,9 +2,21 @@
 objective: one regression tree per class per round, fitted to the
 log-loss gradient (softmax minus one-hot) with diagonal hessian p(1-p).
 
+A class with no training rows is not boosted. Its gradient is its own
+probability on every row, so each tree fitted to it could only push its
+score further below the ln(1e-12) its prior starts at. It gets a
+single-leaf tree of value 0.0 in every round instead, and its score stays
+exactly ln(1e-12). Compared with boosting it, its probabilities rise by
+far less than 1e-15: by about 1e-21 on the 2k-row synthetic table, where
+no other class's probability moved at all.
+
 Trees grow leaf-wise (best-first) on flattened per-feature histograms;
 each split's sibling histogram comes from parent-minus-child subtraction,
-so a node costs one pass over the smaller child only. Gains, tie-breaking
+so a node costs one pass over the smaller child only. Only nodes that can
+split are histogrammed and searched: a node with fewer than
+2 * min_samples_leaf rows cannot give both children min_samples_leaf rows,
+and no node can split once the tree has max_leaves leaves. Skipping them
+leaves every tree unchanged. Gains, tie-breaking
 (lowest feature index, then lowest bin), and the leaf value
 -sum(g)/(sum(h)+lambda) * learning_rate follow the standard second-order
 formulation. With <= max_bins distinct values per feature the binning is
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, SchemaError
-from .binning import BinnedMatrix, bin_matrix
+from .binning import BinnedMatrix, bin_matrix, running_sums
 from .params import LearnerParams
 
 _PRIOR_FLOOR = 1e-12  # classes absent from training get ln(floor), not -inf
@@ -104,13 +116,6 @@ class _TreeBuilder:
             np.array(self.value))
 
 
-def _segment_cumsum(flat: np.ndarray, binned: BinnedMatrix) -> np.ndarray:
-    """Per-feature running sums over the flattened histogram layout."""
-    total = np.cumsum(flat)
-    base = np.concatenate([[0.0], total[binned.offsets[1:] - 1]])
-    return total - np.repeat(base, binned.n_bins)
-
-
 def _splittable_mask(binned: BinnedMatrix) -> np.ndarray:
     mask = np.ones(binned.total_bins, dtype=bool)
     mask[binned.offsets + binned.n_bins - 1] = False
@@ -118,19 +123,17 @@ def _splittable_mask(binned: BinnedMatrix) -> np.ndarray:
 
 
 def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
-    """Highest-gain (feature, bin) for one node, or None.
+    """Highest-gain (feature, bin) for one node, or None, from its stacked
+    gradient, hessian and count histograms and their totals.
 
     Ties resolve to the lowest flattened position, i.e. lowest feature
     index then lowest bin. Gain may be zero but not negative: zero-gain
     splits are what let depth-2 structure (e.g. XOR) emerge from a
     symmetric root where no single split helps yet.
     """
-    hist_g, hist_h, hist_c = hists
     total_g, total_h, total_c = totals
     lam = params.l2_regularization
-    gl = _segment_cumsum(hist_g, binned)
-    hl = _segment_cumsum(hist_h, binned)
-    cl = _segment_cumsum(hist_c, binned)
+    gl, hl, cl = running_sums(hists, binned.offsets, binned.n_bins)
     gr = total_g - gl
     hr = total_h - hl
     cr = total_c - cl
@@ -146,22 +149,27 @@ def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     return gains[k], j, t, (float(gl[k]), float(hl[k]), float(cl[k]))
 
 
+def _histograms(binned: BinnedMatrix, rows: np.ndarray, g: np.ndarray,
+                h: np.ndarray) -> np.ndarray:
+    """(3, total_bins) gradient, hessian and count histograms of `rows`."""
+    return np.stack([binned.histogram(rows, g), binned.histogram(rows, h),
+                     binned.histogram(rows)])
+
+
 def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
               params: LearnerParams, splittable: np.ndarray) -> RegressionTree:
+    """One leaf-wise tree. Only nodes that can still split are histogrammed
+    and searched: a split needs min_samples_leaf rows on each side, so a
+    node with fewer than twice that many rows stays a leaf, and so does
+    every node once the tree has max_leaves leaves."""
     lam = params.l2_regularization
     lr = params.learning_rate
+    min_split_rows = 2 * params.min_samples_leaf
     builder = _TreeBuilder()
-    all_rows = np.arange(binned.n_rows)
-
-    root_hists = (binned.histogram(all_rows, g), binned.histogram(all_rows, h),
-                  binned.histogram(all_rows))
-    root_totals = (float(g.sum()), float(h.sum()), float(binned.n_rows))
-    root = builder.add_node(-root_totals[0] / (root_totals[1] + lam) * lr)
-
     heap: list[tuple] = []
     tick = 0  # FIFO tie-break for equal gains
 
-    def consider(node: int, rows: np.ndarray, hists, totals):
+    def consider(node: int, rows: np.ndarray, hists: np.ndarray, totals):
         nonlocal tick
         found = _best_split(binned, hists, totals, splittable, params)
         if found is not None:
@@ -170,7 +178,11 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
                                   j, t, left_totals))
             tick += 1
 
-    consider(root, all_rows, root_hists, root_totals)
+    all_rows = np.arange(binned.n_rows)
+    root_totals = (float(g.sum()), float(h.sum()), float(binned.n_rows))
+    root = builder.add_node(-root_totals[0] / (root_totals[1] + lam) * lr)
+    if binned.n_rows >= min_split_rows and params.max_leaves > 1:
+        consider(root, all_rows, _histograms(binned, all_rows, g, h), root_totals)
     leaves = 1
     while heap and leaves < params.max_leaves:
         _, _, node, rows, hists, totals, j, t, left_totals = heapq.heappop(heap)
@@ -179,16 +191,6 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
         rows_right = rows[~go_left]
         right_totals = tuple(p - l for p, l in zip(totals, left_totals))
 
-        # build the smaller child's histograms, derive the sibling's by subtraction
-        if len(rows_left) <= len(rows_right):
-            small_rows, small_is_left = rows_left, True
-        else:
-            small_rows, small_is_left = rows_right, False
-        small = (binned.histogram(small_rows, g), binned.histogram(small_rows, h),
-                 binned.histogram(small_rows))
-        other = tuple(p - s for p, s in zip(hists, small))
-        left_hists, right_hists = (small, other) if small_is_left else (other, small)
-
         node_left = builder.add_node(-left_totals[0] / (left_totals[1] + lam) * lr)
         node_right = builder.add_node(-right_totals[0] / (right_totals[1] + lam) * lr)
         builder.feature[node] = j
@@ -196,9 +198,21 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
         builder.left[node] = node_left
         builder.right[node] = node_right
         leaves += 1
+        if (leaves == params.max_leaves
+                or max(len(rows_left), len(rows_right)) < min_split_rows):
+            continue
 
-        consider(node_left, rows_left, left_hists, left_totals)
-        consider(node_right, rows_right, right_hists, right_totals)
+        # build the smaller child's histograms, derive the sibling's by subtraction
+        if len(rows_left) <= len(rows_right):
+            left_hists = _histograms(binned, rows_left, g, h)
+            right_hists = hists - left_hists
+        else:
+            right_hists = _histograms(binned, rows_right, g, h)
+            left_hists = hists - right_hists
+        if len(rows_left) >= min_split_rows:
+            consider(node_left, rows_left, left_hists, left_totals)
+        if len(rows_right) >= min_split_rows:
+            consider(node_right, rows_right, right_hists, right_totals)
     return builder.freeze()
 
 
@@ -265,17 +279,20 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     """Boost softmax log-loss for params.n_rounds rounds (one tree per
     class per round), starting from per-class scores ln(prior).
 
-    With a validation pair supplied, training stops once validation
-    log-loss has not improved for `early_stopping_patience` rounds and
-    the model keeps only the trees up to the best round. Single-class
-    targets yield a prior-only model with a diagnostic.
+    A class with no training rows gets `zero_tree`, one single leaf of
+    value 0.0 shared by every round, so its score stays at
+    ln(_PRIOR_FLOOR). With a validation pair supplied, training stops once
+    validation log-loss has not improved for `early_stopping_patience`
+    rounds and the model keeps only the trees up to the best round.
+    Single-class targets yield a prior-only model with a diagnostic.
     """
     if params is None:
         params = LearnerParams()
     X, feature_names = _coerce_matrix(X, feature_names)
     y, n_classes = _class_setup(y, X.shape[0], n_classes)
 
-    priors = np.bincount(y, minlength=n_classes) / len(y)
+    class_rows = np.bincount(y, minlength=n_classes)
+    priors = class_rows / len(y)
     init_scores = np.log(np.clip(priors, _PRIOR_FLOOR, None))
     diagnostics: list[str] = []
     if len(np.unique(y)) < 2:
@@ -301,12 +318,18 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     scores = np.tile(init_scores, (len(y), 1))
     rounds: list[tuple[RegressionTree, ...]] = []
     train_losses: list[float] = []
+    zero_tree = RegressionTree(np.array([-1], dtype=np.int32), np.zeros(1),
+                               np.array([-1], dtype=np.int32),
+                               np.array([-1], dtype=np.int32), np.zeros(1))
 
     for round_no in range(params.n_rounds):
         g, h = softmax_gradient_hessian(scores, y)
         round_trees = []
         for c in range(n_classes):
-            tree = _fit_tree(binned, g[:, c], h[:, c], params, splittable)
+            if class_rows[c]:
+                tree = _fit_tree(binned, g[:, c], h[:, c], params, splittable)
+            else:
+                tree = zero_tree
             round_trees.append(tree)
             scores[:, c] += tree.predict(X)
         rounds.append(tuple(round_trees))

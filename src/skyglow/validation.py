@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import ObservationTable, csv_reader, csv_writer
+from .dataset import ObservationTable, csv_reader, csv_writer, parsed_rows
 from .errors import (
     EmptyInputError,
     ParameterError,
@@ -334,15 +334,11 @@ def read_oof_csv(source: TextIO | str | Path):
         header = next(reader, None)
         if header is None or header[:3] != ["row_id", "fold", "model_id"]:
             raise SchemaError("not an OOF prediction file: bad header")
-        n_classes = len(header) - 3
-        row_ids, folds, probs = [], [], []
-        model_id = None
-        for row in reader:
-            row_ids.append(row[0])
-            folds.append(int(row[1]))
-            if model_id is None:
-                model_id = row[2]
-            elif row[2] != model_id:
-                raise SchemaError("mixed model ids in one OOF file")
-            probs.append([float(v) for v in row[3:3 + n_classes]])
-        return tuple(row_ids), np.array(folds, dtype=np.int64), model_id, np.array(probs)
+        rows = parsed_rows(source, reader, len(header), lambda row: (
+            row[0], int(row[1]), row[2], [float(v) for v in row[3:]]))
+    if len({row[2] for row in rows}) > 1:
+        raise SchemaError("mixed model ids in one OOF file")
+    return (tuple(row[0] for row in rows),
+            np.array([row[1] for row in rows], dtype=np.int64),
+            rows[0][2] if rows else None,
+            np.array([row[3] for row in rows]))

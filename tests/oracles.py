@@ -6,6 +6,7 @@ exhaustive search. If a test disagrees with the package, trust this file.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations
 
@@ -114,6 +115,127 @@ def exact_greedy_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
             if best is None or gain > best[0] + 1e-12:
                 best = (gain, j, float(thr))
     return best
+
+
+def _flat_histogram(binned, rows, weights=None):
+    flat = (binned.codes[rows] + binned.offsets[None, :]).ravel()
+    if weights is None:
+        return np.bincount(flat, minlength=binned.total_bins).astype(float)
+    return np.bincount(flat, weights=np.repeat(weights[rows], binned.n_features),
+                       minlength=binned.total_bins)
+
+
+def _segment_cumsum(flat, binned):
+    total = np.cumsum(flat)
+    base = np.concatenate([[0.0], total[binned.offsets[1:] - 1]])
+    return total - np.repeat(base, binned.n_bins)
+
+
+def _every_node_best_split(binned, hists, totals, splittable, params):
+    total_g, total_h, total_c = totals
+    lam = params.l2_regularization
+    gl, hl, cl = (_segment_cumsum(hist, binned) for hist in hists)
+    gr, hr, cr = total_g - gl, total_h - hl, total_c - cl
+    parent = total_g * total_g / (total_h + lam)
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    valid = (splittable & (cl >= params.min_samples_leaf)
+             & (cr >= params.min_samples_leaf))
+    gains[~valid] = -np.inf
+    k = int(np.argmax(gains))
+    if not gains[k] >= 0.0:
+        return None
+    j = int(np.searchsorted(binned.offsets, k, side="right") - 1)
+    return gains[k], j, k - int(binned.offsets[j]), (float(gl[k]), float(hl[k]),
+                                                     float(cl[k]))
+
+
+def every_node_tree(binned, g, h, params):
+    """Leaf-wise GBDT tree that histograms and searches every node, leaf cap
+    or not; returns the (feature, threshold, left, right, value) arrays."""
+    lam, lr = params.l2_regularization, params.learning_rate
+    splittable = np.ones(binned.total_bins, dtype=bool)
+    splittable[binned.offsets + binned.n_bins - 1] = False
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_node(totals):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(-totals[0] / (totals[1] + lam) * lr)
+        return len(feature) - 1
+
+    heap, tick = [], 0
+
+    def consider(node, rows, hists, totals):
+        nonlocal tick
+        found = _every_node_best_split(binned, hists, totals, splittable, params)
+        if found is not None:
+            gain, j, t, left_totals = found
+            heapq.heappush(heap, (-gain, tick, node, rows, hists, totals,
+                                  j, t, left_totals))
+            tick += 1
+
+    rows = np.arange(binned.n_rows)
+    totals = (float(g.sum()), float(h.sum()), float(binned.n_rows))
+    consider(add_node(totals), rows,
+             tuple(_flat_histogram(binned, rows, w) for w in (g, h, None)), totals)
+    leaves = 1
+    while heap and leaves < params.max_leaves:
+        _, _, node, rows, hists, totals, j, t, left_totals = heapq.heappop(heap)
+        go_left = binned.codes[rows, j] <= t
+        rows_left, rows_right = rows[go_left], rows[~go_left]
+        right_totals = tuple(p - q for p, q in zip(totals, left_totals))
+        small_rows = rows_left if len(rows_left) <= len(rows_right) else rows_right
+        small = tuple(_flat_histogram(binned, small_rows, w) for w in (g, h, None))
+        other = tuple(p - q for p, q in zip(hists, small))
+        left_hists, right_hists = ((small, other) if small_rows is rows_left
+                                   else (other, small))
+        node_left, node_right = add_node(left_totals), add_node(right_totals)
+        feature[node] = j
+        threshold[node] = float(binned.edges[j][t])
+        left[node], right[node] = node_left, node_right
+        leaves += 1
+        consider(node_left, rows_left, left_hists, left_totals)
+        consider(node_right, rows_right, right_hists, right_totals)
+    return (np.array(feature, dtype=np.int32), np.array(threshold),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+            np.array(value))
+
+
+def gini_split_oracle(binned, rows, y, counts, feats, min_leaf):
+    """The forest's Gini split search with its own per-feature running
+    class counts; same signature and result as forest._gini_split."""
+    n_classes = len(counts)
+    local_bins = binned.n_bins[feats]
+    local_offsets = np.concatenate([[0], np.cumsum(local_bins)[:-1]])
+    local_total = int(local_bins.sum())
+    hist = np.zeros((n_classes, local_total))
+    flat = binned.codes[rows][:, feats] + local_offsets[None, :]
+    y_rows = y[rows]
+    for c in range(n_classes):
+        if counts[c]:
+            hist[c] = np.bincount(flat[y_rows == c].ravel(), minlength=local_total)
+    running = np.cumsum(hist, axis=1)
+    base_rows = np.concatenate(
+        [np.zeros((n_classes, 1)), running[:, local_offsets[1:] - 1]], axis=1)
+    left = running - np.repeat(base_rows, local_bins, axis=1)
+    right = counts[:, None] - left
+    m = float(len(rows))
+    m_left = left.sum(axis=0)
+    m_right = m - m_left
+    splittable = np.ones(local_total, dtype=bool)
+    splittable[local_offsets + local_bins - 1] = False
+    valid = splittable & (m_left >= min_leaf) & (m_right >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = ((left * left).sum(axis=0) / m_left
+                 + (right * right).sum(axis=0) / m_right)
+    score[~valid] = -np.inf
+    k = int(np.argmax(score))
+    if not score[k] > float((counts.astype(float) ** 2).sum()) / m:
+        return None
+    local_j = int(np.searchsorted(local_offsets, k, side="right") - 1)
+    return int(feats[local_j]), k - int(local_offsets[local_j])
 
 
 def exact_greedy_gini(X: np.ndarray, y: np.ndarray, n_classes: int,

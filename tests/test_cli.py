@@ -373,20 +373,30 @@ def test_main_out_override(tmp_path, config):
     assert (elsewhere / "config_echo.ini").exists()
 
 
-def _predict_with_tampered_forest(tmp_path, config, capsys, tamper):
-    """Run every stage before predict, let `tamper` edit the forest's
-    sidecar payload, then run predict; returns its stderr lines."""
+def _run_with_tampered(tmp_path, config, capsys, command, name, edit):
+    """Run every stage before `command`, rewrite the artifact `name` as
+    edit(its text), then run `command`, which must fail and release the
+    lock; returns its stderr lines."""
     out = tmp_path / "out"
-    for command in COMMANDS[:COMMANDS.index("predict")]:
-        assert dispatch(command, config) == 0, command
-    sidecar = out / "model_woods.json"
-    payload = json.loads(sidecar.read_text(encoding="utf-8"))
-    tamper(payload)
-    sidecar.write_text(json.dumps(payload), encoding="utf-8")
+    for before in COMMANDS[:COMMANDS.index(command)]:
+        assert dispatch(before, config) == 0, before
+    artifact = out / name
+    artifact.write_text(edit(artifact.read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
-    assert main(["predict", "--config", config]) == 1
+    assert main([command, "--config", config]) == 1
     assert not (out / ".skyglow.lock").exists()
     return capsys.readouterr().err.splitlines()
+
+
+def _predict_with_tampered_forest(tmp_path, config, capsys, tamper):
+    """_run_with_tampered for predict, with `tamper` editing the forest's
+    sidecar payload."""
+    def edit(text):
+        payload = json.loads(text)
+        tamper(payload)
+        return json.dumps(payload)
+    return _run_with_tampered(tmp_path, config, capsys, "predict",
+                              "model_woods.json", edit)
 
 
 def test_tampered_sidecar_fails_with_one_line(tmp_path, config, capsys):
@@ -404,3 +414,36 @@ def test_sidecar_scalar_of_wrong_type_fails_with_one_line(tmp_path, config, caps
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:") and "ForestModel" in err[0]
     assert "eight" in err[0]
+
+
+def test_manifest_without_model_ids_fails_with_one_line(tmp_path, config, capsys):
+    err = _run_with_tampered(tmp_path, config, capsys, "predict",
+                             "train_manifest.json", lambda text: "{}")
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:") and "model_ids" in err[0]
+
+
+def test_truncated_weights_row_fails_with_one_line(tmp_path, config, capsys):
+    def truncate(text):
+        lines = text.splitlines()
+        assert lines[1].startswith("boost,")
+        lines[1] = "boost"
+        return "\n".join(lines) + "\n"
+    err = _run_with_tampered(tmp_path, config, capsys, "predict",
+                             "weights.csv", truncate)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert "weights.csv, line 2: expected 2 fields, got 1" in err[0]
+
+
+def test_non_numeric_cv_truth_fold_fails_with_one_line(tmp_path, config, capsys):
+    def corrupt(text):
+        lines = text.splitlines()
+        row_id, _, true_class = lines[3].split(",")
+        lines[3] = f"{row_id},two,{true_class}"
+        return "\n".join(lines) + "\n"
+    err = _run_with_tampered(tmp_path, config, capsys, "ensemble",
+                             "cv_truth.csv", corrupt)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert "cv_truth.csv, line 4:" in err[0] and "'two'" in err[0]

@@ -194,6 +194,14 @@ def test_population_long_round_trip():
     assert list(again) == list(pop)
 
 
+def test_population_long_bad_rows_name_the_line():
+    header = "country,year,population\n"
+    with pytest.raises(SchemaError, match="line 3: invalid literal"):
+        read_population_long(io.StringIO(header + "A,2010,100\nB,twenty,200\n"))
+    with pytest.raises(SchemaError, match="line 2: expected 3 fields, got 2"):
+        read_population_long(io.StringIO(header + "A,2010\n"))
+
+
 def test_join_population_match_and_median_fallback():
     pop = PopulationTable([PopulationRecord("Chile", 2014, 100),
                            PopulationRecord("Chile", 2015, 300),

@@ -16,7 +16,12 @@ from skyglow.learners.gbdt import (
     softmax_gradient_hessian,
 )
 
-from oracles import exact_greedy_gini, exact_greedy_split
+from oracles import (
+    every_node_tree,
+    exact_greedy_gini,
+    exact_greedy_split,
+    gini_split_oracle,
+)
 
 
 # --- binning ---
@@ -248,6 +253,69 @@ def test_gbdt_min_samples_leaf_respected():
             assert reached[leaves].min() >= 10
 
 
+def test_gbdt_tree_matches_every_node_oracle():
+    """Skipping the histograms and split search of nodes that cannot split
+    leaves every tree array unchanged, including trees stopped by the
+    leaf cap and nodes with fewer than 2 * min_samples_leaf rows."""
+    from skyglow.learners.gbdt import _fit_tree, _splittable_mask, leaf_nodes
+    rng = np.random.default_rng(43)
+    capped = small_leaves = 0
+    for case in range(80):
+        n = int(rng.integers(5, 300))
+        p = int(rng.integers(1, 6))
+        if case % 2:
+            X = rng.integers(0, int(rng.integers(2, 15)), size=(n, p)).astype(float)
+        else:
+            X = rng.normal(size=(n, p))
+        g = rng.normal(size=n)
+        h = rng.uniform(0.01, 0.25, size=n)
+        params = LearnerParams(min_samples_leaf=int(rng.integers(1, 31)),
+                               max_leaves=int(rng.integers(2, 32)),
+                               learning_rate=0.3,
+                               l2_regularization=float(rng.uniform(0.1, 2.0)))
+        binned = bin_matrix(X, int(rng.choice([8, 64, 256])))
+        tree = _fit_tree(binned, g, h, params, _splittable_mask(binned))
+        expect = every_node_tree(binned, g, h, params)
+        for name, want in zip(("feature", "threshold", "left", "right", "value"),
+                              expect):
+            got = getattr(tree, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (case, name)
+        capped += tree.n_leaves == params.max_leaves
+        leaf_rows = np.bincount(leaf_nodes(tree, X), minlength=len(tree.feature))
+        small_leaves += (leaf_rows[tree.feature < 0]
+                         < 2 * params.min_samples_leaf).any()
+    assert capped >= 10 and small_leaves >= 10
+
+
+def test_gbdt_absent_classes_get_zero_trees_and_floor_scores():
+    from skyglow.learners.gbdt import decision_scores_gbdt
+    from skyglow.serialize import learner_from_obj, learner_to_obj
+    import json
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(120, 3))
+    y = np.where(X[:, 0] > 0.3, 5, np.where(X[:, 1] > 0, 2, 3))
+    Xv = rng.normal(size=(40, 3))
+    yv = np.where(Xv[:, 0] > 0.3, 5, np.where(Xv[:, 1] > 0, 2, 3))
+    absent = [0, 1, 4, 6]
+    model = fit_gbdt(X, y, LearnerParams(n_rounds=6, min_samples_leaf=5),
+                     validation=(Xv, yv), n_classes=7)
+    assert model.n_rounds >= 1
+    for round_trees in model.trees:
+        for c in absent:
+            tree = round_trees[c]
+            assert tree.feature.tolist() == [-1] and tree.value.tolist() == [0.0]
+        assert all(round_trees[c].n_leaves > 1 for c in (2, 3, 5))
+    scores = decision_scores_gbdt(model, X)
+    assert (scores[:, absent] == np.log(1e-12)).all()
+    probs = predict_proba_gbdt(model, X)
+    assert (probs.argmax(axis=1) == y).mean() > 0.9
+
+    obj = learner_to_obj(model)
+    back = learner_from_obj(json.loads(json.dumps(obj)))
+    assert learner_to_obj(back) == obj
+    assert np.array_equal(predict_proba_gbdt(back, X), probs)
+
+
 # --- forest ---
 
 def test_forest_probabilities_shape_and_sum():
@@ -290,6 +358,24 @@ def test_forest_gini_split_matches_oracle():
             assert j == expect[1]
             assert np.array_equal(binned.codes[:, j] <= t_bin,
                                   X[:, expect[1]] <= expect[2])
+
+
+def test_forest_trees_match_oracle_gini_split_seed_for_seed(monkeypatch):
+    import skyglow.learners.forest as forest
+    rng = np.random.default_rng(53)
+    X = np.hstack([rng.normal(size=(150, 3)),
+                   rng.integers(0, 5, size=(150, 2)).astype(float)])
+    y = rng.integers(0, 4, size=150)
+    for seed in (1, 2, 3):
+        params = LearnerParams(n_trees=6, min_samples_leaf=2, seed=seed)
+        model = fit_forest(X, y, params, n_classes=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "_gini_split", gini_split_oracle)
+            expect = fit_forest(X, y, params, n_classes=5)
+        for got, want in zip(model.trees, expect.trees):
+            for name in ("feature", "threshold", "left", "right", "distribution"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert sum(len(tree.feature) for tree in model.trees) > 6 * 9
 
 
 def test_forest_deterministic_per_seed():

@@ -6,6 +6,7 @@ import pytest
 from skyglow.errors import (
     EmptyInputError,
     ParameterError,
+    SchemaError,
     UndefinedCorrelationError,
 )
 from skyglow.dataset import ObservationTable
@@ -204,3 +205,12 @@ def test_oof_csv_round_trip():
     assert rfolds.tolist() == folds.tolist()
     assert model_id == "gbdt_full"
     assert np.array_equal(rprobs, probs)  # repr round-trip is exact
+
+
+def test_oof_csv_short_row_names_the_line():
+    buf = io.StringIO()
+    write_oof_csv(buf, ["r0", "r1"], np.array([0, 1]), "m", np.full((2, 8), 0.125))
+    lines = buf.getvalue().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1])
+    with pytest.raises(SchemaError, match="line 3: expected 11 fields, got 10"):
+        read_oof_csv(io.StringIO("\n".join(lines) + "\n"))
