@@ -38,7 +38,6 @@ from ..errors import (
 from ..features import N_CLASSES, target_classes
 from ..features.pipeline import derived_numeric_columns
 from ..features.stack import StackSpec, apply_stack, fit_stack
-from ..learners import GbdtModel, predict_proba_forest, predict_proba_gbdt
 from ..serialize import (
     learner_from_obj,
     learner_to_obj,
@@ -50,16 +49,18 @@ from ..serialize import (
 from ..synth import write_synthetic_dataset
 from ..validation import (
     annual_trend,
-    classification_metrics,
-    fold_assignment,
+    fit_models,
+    fold_labels,
     micro_f1,
     pearson,
+    predict_proba,
     predicted_classes,
     run_cv,
     write_oof_csv,
     read_oof_csv,
 )
-from ..learners import fit_forest, fit_gbdt
+# bench/tracing.py patches these names here, so they stay importable
+from ..learners import fit_forest, fit_gbdt, predict_proba_forest  # noqa: F401
 from .config import RunConfig, load_config, render_config
 from .svg import bar_chart_svg, line_chart_svg, write_svg
 
@@ -134,20 +135,6 @@ def _load_clean_table(config: RunConfig) -> ObservationTable:
     return join_population(table, population)
 
 
-def _fold_labels_full(table: ObservationTable, k: int, seed: int,
-                      stratified: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fold labels aligned with the table: real folds on target rows,
-    -1 on rows without a target. Returns (labels, target_mask)."""
-    targets = target_classes(table)
-    keep = ~np.isnan(targets)
-    labels = np.full(len(table), -1, dtype=np.int64)
-    if keep.any():
-        assignment = fold_assignment(targets[keep].astype(np.int64), k, seed,
-                                     stratified)
-        labels[keep] = assignment.folds
-    return labels, keep
-
-
 def cmd_synth(config: RunConfig) -> None:
     config.observations_path.parent.mkdir(parents=True, exist_ok=True)
     config.population_path.parent.mkdir(parents=True, exist_ok=True)
@@ -202,8 +189,7 @@ def cmd_features(config: RunConfig) -> None:
     table = _load_clean_table(config)
     out = config.output_dir
     targets = target_classes(table)
-    labels, _ = _fold_labels_full(table, config.cv_k, config.seed,
-                                  config.stratified)
+    labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
     spec = StackSpec(use_text=True, use_neighbor=True,
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
@@ -251,30 +237,18 @@ def cmd_train(config: RunConfig) -> None:
     _require(out, FEATURES_CSV)
     table = _load_clean_table(config)
     targets = target_classes(table)
-    labels, keep = _fold_labels_full(table, config.cv_k, config.seed,
-                                     config.stratified)
+    keep = ~np.isnan(targets)
     if not keep.any():
         raise EmptyInputError("no rows with a target to train on")
-    y = targets[keep].astype(np.int64)
+    labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES}
-    stacks: dict[StackSpec, tuple] = {}
-    for spec in config.specs:
-        if spec.stack not in stacks:
-            stack, matrix = fit_stack(table, targets, keep, labels,
-                                      config.feature_config, spec.stack,
-                                      config.seed)
-            stacks[spec.stack] = (stack, matrix.values[keep], stack_to_obj(stack))
-        stack, X, stack_obj = stacks[spec.stack]
-        if spec.kind == "gbdt":
-            model = fit_gbdt(X, y, spec.params, n_classes=N_CLASSES,
-                             feature_names=stack.columns)
-        else:
-            model = fit_forest(X, y, spec.params, n_classes=N_CLASSES,
-                               feature_names=stack.columns)
-        save_json(out / _stack_json(spec.model_id), stack_obj)
+    for spec, stack, _, model in fit_models(
+            table, targets, keep, labels, config.feature_config, config.specs,
+            config.seed):
+        save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
-        _note(f"trained {spec.model_id} on {len(y)} rows, "
+        _note(f"trained {spec.model_id} on {int(keep.sum())} rows, "
               f"{len(stack.columns)} features")
     save_json(out / TRAIN_MANIFEST, manifest)
 
@@ -345,16 +319,15 @@ def cmd_predict(config: RunConfig) -> None:
     population = read_population_long(out / POPULATION_LONG)
     table = join_population(table, population)
 
+    applied = {}  # stack sidecar bytes -> features; equal stacks apply once
     matrices = []
     for model_id in model_ids:
-        stack = stack_from_obj(load_json(out / _stack_json(model_id)))
+        path = out / _stack_json(model_id)
+        key = path.read_bytes()
+        if key not in applied:
+            applied[key] = apply_stack(stack_from_obj(load_json(path)), table)
         learner = learner_from_obj(load_json(out / _model_json(model_id)))
-        matrix = apply_stack(stack, table)
-        if isinstance(learner, GbdtModel):
-            probs = predict_proba_gbdt(learner, matrix)
-        else:
-            probs = predict_proba_forest(learner, matrix)
-        matrices.append(probs)
+        matrices.append(predict_proba(learner, applied[key]))
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 

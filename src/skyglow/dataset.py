@@ -259,8 +259,8 @@ def parse_observations(
 
     Header must name exactly the canonical columns, in any order. Empty
     cells become missing values. Rows failing validation abort the parse in
-    strict mode and are dropped with a diagnostic in lenient mode.
-    Duplicate ids are an error in both modes.
+    strict mode and are dropped with a diagnostic in lenient mode; a
+    repeated id counts as such a row, so the first occurrence is kept.
     """
     if strictness not in ("strict", "lenient"):
         raise ParameterError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
@@ -285,31 +285,20 @@ def parse_observations(
         diagnostics: list[RowDiagnostic] = []
         seen_ids: set[str] = set()
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                problem = RowError(
-                    f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-                if strictness == "strict":
-                    raise problem
-                diagnostics.append(RowDiagnostic(line_no, "", str(problem)))
-                continue
-            row_id = row[attr_pos["id"]]
-            if row_id == "":
-                problem = RowError(f"line {line_no}: empty id")
-                if strictness == "strict":
-                    raise problem
-                diagnostics.append(RowDiagnostic(line_no, "", str(problem)))
-                continue
-            if row_id in seen_ids:
-                problem = DuplicateKeyError(
-                    f"duplicate id: {row_id!r} (line {line_no})")
-                if strictness == "strict":
-                    raise problem
-                diagnostics.append(RowDiagnostic(line_no, row_id, str(problem)))
-                continue
-            cells = {attr: row[pos] for attr, pos in attr_pos.items()}
+            row_id = ""
             try:
-                record = _build_record(row_id, cells)
-            except RowError as exc:
+                if len(row) != len(header):
+                    raise RowError(f"line {line_no}: expected {len(header)} "
+                                   f"cells, got {len(row)}")
+                row_id = row[attr_pos["id"]]
+                if row_id == "":
+                    raise RowError(f"line {line_no}: empty id")
+                if row_id in seen_ids:
+                    raise DuplicateKeyError(
+                        f"duplicate id: {row_id!r} (line {line_no})")
+                record = _build_record(
+                    row_id, {attr: row[pos] for attr, pos in attr_pos.items()})
+            except (RowError, DuplicateKeyError) as exc:
                 if strictness == "strict":
                     raise
                 diagnostics.append(RowDiagnostic(line_no, row_id, str(exc)))

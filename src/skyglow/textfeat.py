@@ -13,6 +13,7 @@ relative of a dense decomposition.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,8 @@ def tokenize(text: str | None) -> list[str]:
     """Lowercase, split on every non-alphanumeric run, drop 1-char tokens."""
     if text is None:
         return []
-    tokens = []
-    current = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return [t for t in tokens if len(t) >= 2]
+    # [^\W_] is exactly the str.isalnum() class
+    return [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) >= 2]
 
 
 @dataclass(frozen=True)

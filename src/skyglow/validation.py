@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .features import N_CLASSES, FeatureConfig, target_classes
-from .features.stack import StackSpec, fit_stack
+from .features.stack import StackModel, StackSpec, fit_stack
 from .learners import (
+    ForestModel,
+    GbdtModel,
     LearnerParams,
     fit_forest,
     fit_gbdt,
@@ -84,6 +86,18 @@ def fold_assignment(labels: np.ndarray, k: int, seed: int,
     if stratified:
         return stratified_folds(labels, k, seed)
     return random_folds(len(labels), k, seed)
+
+
+def fold_labels(targets: np.ndarray, k: int, seed: int,
+                stratified: bool = True) -> np.ndarray:
+    """Fold labels aligned with the table: folds dealt over the rows that
+    have a target, -1 on rows without one."""
+    keep = ~np.isnan(targets)
+    labels = np.full(len(targets), -1, dtype=np.int64)
+    if keep.any():
+        labels[keep] = fold_assignment(targets[keep].astype(np.int64), k, seed,
+                                       stratified).folds
+    return labels
 
 
 @dataclass(frozen=True)
@@ -243,13 +257,45 @@ class CvResult:
         raise ParameterError(f"no such model in CV result: {model_id!r}")
 
 
-def _fit_and_predict(spec: LearnerSpec, X_train, y_train, X_val, y_val):
-    if spec.kind == "gbdt":
-        model = fit_gbdt(X_train, y_train, spec.params,
-                         validation=(X_val, y_val), n_classes=N_CLASSES)
-        return predict_proba_gbdt(model, X_val), model.diagnostics
-    model = fit_forest(X_train, y_train, spec.params, n_classes=N_CLASSES)
-    return predict_proba_forest(model, X_val), model.diagnostics
+def fit_models(table: ObservationTable, targets: np.ndarray,
+               train_mask: np.ndarray, folds: np.ndarray,
+               feature_config: FeatureConfig, specs: Sequence[LearnerSpec],
+               seed: int, held_out: np.ndarray | None = None,
+               ) -> Iterator[tuple[LearnerSpec, StackModel, np.ndarray,
+                                   GbdtModel | ForestModel]]:
+    """Fit the roster on the `train_mask` rows of `table`: each distinct
+    feature stack once, when its first spec comes up, and each spec's
+    learner on its stack's matrix. GBDT early-stops on the `held_out` rows
+    when given; forests never do.
+
+    Yields (spec, stack, X, model) in roster order, where X is the stack's
+    feature matrix for ALL rows of `table`.
+    """
+    stacks = {}
+    y = targets[train_mask].astype(np.int64)
+    for spec in specs:
+        if spec.stack not in stacks:
+            stacks[spec.stack] = fit_stack(table, targets, train_mask, folds,
+                                           feature_config, spec.stack, seed)
+        stack, matrix = stacks[spec.stack]
+        X = matrix.values
+        if spec.kind == "gbdt":
+            validation = None if held_out is None else (
+                X[held_out], targets[held_out].astype(np.int64))
+            model = fit_gbdt(X[train_mask], y, spec.params,
+                             validation=validation, n_classes=N_CLASSES,
+                             feature_names=stack.columns)
+        else:
+            model = fit_forest(X[train_mask], y, spec.params,
+                               n_classes=N_CLASSES, feature_names=stack.columns)
+        yield spec, stack, X, model
+
+
+def predict_proba(model: GbdtModel | ForestModel, X) -> np.ndarray:
+    """Class probabilities from a fitted learner of either kind."""
+    if isinstance(model, GbdtModel):
+        return predict_proba_gbdt(model, X)
+    return predict_proba_forest(model, X)
 
 
 def run_cv(table: ObservationTable, feature_config: FeatureConfig,
@@ -257,9 +303,10 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
            stratified: bool = True) -> CvResult:
     """Cross-validate every learner spec with full OOF coverage.
 
-    Rows without a target are excluded up front. Specs sharing a feature
-    stack configuration share the per-fold fitted stack. GBDT models use
-    the held-out fold for early stopping.
+    Rows without a target are excluded up front. Each fold fits the roster
+    through `fit_models`, so specs sharing a feature stack configuration
+    share the fold's fitted stack, and GBDT models use the held-out fold
+    for early stopping.
     """
     if not specs:
         raise ParameterError("need at least one learner spec")
@@ -272,35 +319,22 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     if not keep.any():
         raise EmptyInputError("no rows with a target to cross-validate")
     cv_table = ObservationTable(rec for i, rec in enumerate(table) if keep[i])
-    y = targets[keep].astype(np.int64)
-    target_col = targets[keep]  # float view used for neighbor means
-
-    assignment = fold_assignment(y, k, seed, stratified)
-    folds = assignment.folds
-    stack_groups: list[StackSpec] = []
-    for spec in specs:
-        if spec.stack not in stack_groups:
-            stack_groups.append(spec.stack)
+    folds = fold_labels(targets, k, seed, stratified)[keep]
+    targets = targets[keep]
+    y = targets.astype(np.int64)
 
     n = len(y)
     oof = {spec.model_id: np.zeros((n, N_CLASSES)) for spec in specs}
     diagnostics: dict[str, list[str]] = {spec.model_id: [] for spec in specs}
 
     for fold in range(k):
-        train_mask = folds != fold
-        val_rows = np.nonzero(~train_mask)[0]
-        features = {}
-        for group in stack_groups:
-            _, matrix = fit_stack(cv_table, target_col, train_mask, folds,
-                                  feature_config, group,
-                                  seed=seed * 1000 + fold)
-            features[group] = matrix.values
-        for spec in specs:
-            X = features[spec.stack]
-            probs, diags = _fit_and_predict(
-                spec, X[train_mask], y[train_mask], X[val_rows], y[val_rows])
-            oof[spec.model_id][val_rows] = probs
-            diagnostics[spec.model_id].extend(f"fold {fold}: {d}" for d in diags)
+        held_out = folds == fold
+        for spec, _, X, model in fit_models(
+                cv_table, targets, ~held_out, folds, feature_config, specs,
+                seed * 1000 + fold, held_out):
+            oof[spec.model_id][held_out] = predict_proba(model, X[held_out])
+            diagnostics[spec.model_id].extend(
+                f"fold {fold}: {d}" for d in model.diagnostics)
 
     models = []
     for spec in specs:

@@ -13,6 +13,24 @@ from itertools import combinations
 import numpy as np
 
 
+def tokenize_oracle(text: str | None) -> list[str]:
+    """Character loop: lowercase, split on every non-alphanumeric run,
+    drop 1-char tokens."""
+    if text is None:
+        return []
+    tokens = []
+    current = []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return [t for t in tokens if len(t) >= 2]
+
+
 def brute_knn(points: np.ndarray, query_row: int, k: int,
               banned: set[int] = frozenset()) -> list[int]:
     """O(n^2)-style scan for the k nearest rows to `query_row`, excluding

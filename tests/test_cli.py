@@ -1,9 +1,14 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from skyglow import validation
+from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
@@ -14,6 +19,9 @@ from skyglow.errors import (
     LockError,
     ParameterError,
 )
+from skyglow.features import target_classes
+from skyglow.serialize import learner_to_obj, load_json, stack_to_obj
+from skyglow.validation import fit_models, fold_labels
 
 
 def write_config(path, out_dir, extra="", n_rows=120):
@@ -338,6 +346,59 @@ def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     assert len(lines) - 1 == 120
 
 
+def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
+    # three models over two distinct stacks (boost and woods share the
+    # default full stack), three folds
+    path = Path(write_config(tmp_path / "run.ini", tmp_path / "out", extra=(
+        "[model.plain]\n"
+        "kind = gbdt\n"
+        "rounds = 4\n"
+        "use_text = false\n"
+        "use_neighbor = false\n")))
+    path.write_text(path.read_text(encoding="utf-8")
+                    .replace("k = 2\n", "k = 3\n")
+                    .replace("ids = boost, woods", "ids = boost, plain, woods"),
+                    encoding="utf-8")
+    config = str(path)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(validation, "fit_stack")
+    count(commands, "apply_stack")
+    for command in COMMANDS[:COMMANDS.index("cv")]:
+        assert dispatch(command, config) == 0, command
+    for command, name, expected in (("cv", "fit_stack", 6),
+                                    ("train", "fit_stack", 2),
+                                    ("ensemble", "fit_stack", 0),
+                                    ("predict", "apply_stack", 2)):
+        calls.clear()
+        assert dispatch(command, config) == 0, command
+        assert calls[name] == expected, command
+
+    # the sidecars train saved are what fit_models returns on the target rows
+    run = load_config(config)
+    out = run.output_dir
+    table = commands._load_clean_table(run)
+    targets = target_classes(table)
+    keep = ~np.isnan(targets)
+    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
+    fitted = list(fit_models(table, targets, keep, folds, run.feature_config,
+                             run.specs, run.seed))
+    assert [spec.model_id for spec, *_ in fitted] == ["boost", "plain", "woods"]
+    for spec, stack, _, model in fitted:
+        assert load_json(out / f"model_{spec.model_id}.json") == \
+            learner_to_obj(model)
+        assert load_json(out / f"stack_{spec.model_id}.json") == \
+            stack_to_obj(stack)
+
+
 def test_report_svg_structure(tmp_path, config):
     out = tmp_path / "out"
     for command in COMMANDS:
@@ -434,6 +495,20 @@ def test_truncated_weights_row_fails_with_one_line(tmp_path, config, capsys):
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
     assert "weights.csv, line 2: expected 2 fields, got 1" in err[0]
+
+
+def test_nan_weight_fails_with_one_line(tmp_path, config, capsys):
+    def poison(text):
+        lines = text.splitlines()
+        assert lines[1].startswith("boost,")
+        lines[1] = "boost,nan"
+        return "\n".join(lines) + "\n"
+    err = _run_with_tampered(tmp_path, config, capsys, "predict",
+                             "weights.csv", poison)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert "finite and nonnegative" in err[0]
+    assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
 def test_non_numeric_cv_truth_fold_fails_with_one_line(tmp_path, config, capsys):

@@ -103,6 +103,29 @@ def test_wrong_cell_count_flagged_with_line_number():
     assert diags[0].line == 2
 
 
+ROW_PROBLEMS = [
+    ("1,2,3", RowError, (3, "", "line 3: expected 14 cells, got 3")),
+    (GOOD_ROW.replace("a1", ""), RowError, (4, "", "line 4: empty id")),
+    (GOOD_ROW, DuplicateKeyError, (5, "a1", "duplicate id: 'a1' (line 5)")),
+    (GOOD_ROW.replace("a1", "a2").replace("-33.4", "north"), RowError,
+     (6, "a2", "row 'a2': latitude is not numeric: 'north'")),
+]
+
+
+def test_row_problems_pinned_in_both_modes():
+    rows = [GOOD_ROW] + [row for row, _, _ in ROW_PROBLEMS]
+    table, diags = parse_observations(_csv(*rows), "lenient")
+    assert table.ids == ("a1",)
+    assert [(d.line, d.row_id, d.message) for d in diags] == [
+        expected for _, _, expected in ROW_PROBLEMS]
+    # strict mode: valid padding puts each problem row on its lenient line
+    for pad, (row, error, (_, _, message)) in enumerate(ROW_PROBLEMS):
+        padding = [GOOD_ROW.replace("a1", f"p{i}") for i in range(pad)]
+        with pytest.raises(error) as caught:
+            parse_observations(_csv(GOOD_ROW, *padding, row), "strict")
+        assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_round_trip_preserves_values():
     table, _ = parse_observations(_csv(GOOD_ROW))
     buf = io.StringIO()

@@ -128,6 +128,14 @@ def test_weights_simplex_validation():
         EnsembleWeights(("a", "b"), np.array([0.8, 0.1]), 0.5)
     with pytest.raises(ParameterError):
         EnsembleWeights(("a",), np.array([-1.0]), 0.5)
+    # NaN passes both `nan < 0` and `abs(nan - 1) > 1e-9` as False, so only
+    # a finiteness check stops it; [1.5, -0.5] sums to 1
+    mats = [np.full((3, 2), 0.5)] * 2
+    for bad in ([np.nan, 1.0], [1.0, np.nan], [1.5, -0.5], [np.inf, -np.inf]):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            EnsembleWeights(("a", "b"), np.array(bad), 0.5)
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            blend(mats, np.array(bad))
 
 
 def test_weights_csv_round_trip_exact():

@@ -12,7 +12,7 @@ from skyglow.textfeat import (
     transform_tfidf,
 )
 
-from oracles import dense_svd, tfidf_oracle
+from oracles import dense_svd, tfidf_oracle, tokenize_oracle
 
 
 def test_tokenize_basics():
@@ -21,6 +21,27 @@ def test_tokenize_basics():
     assert tokenize("") == []
     assert tokenize(None) == []
     assert tokenize("comma,separated\twords") == ["comma", "separated", "words"]
+
+
+# underscore, digits, a combining acute, Turkish dotted I (lowercases to two
+# code points), German sharp s, Greek final sigma, fullwidth digit, CJK,
+# superscript two (alphanumeric), non-breaking space and punctuation
+TOKEN_ALPHABET = "aZ_09\u0301\u0130\u00df\u03a3\u03c2\uff11\u6771\u00b2\u00a0 .,-'"
+
+
+def test_tokenize_matches_character_loop_oracle():
+    rng = np.random.default_rng(7)
+    text = "snake_case İstanbul Ａ1"
+    assert tokenize(text) == tokenize_oracle(text) == ["snake", "case",
+                                                        "stanbul", "ａ1"]
+    for _ in range(2000):
+        length = int(rng.integers(0, 24))
+        picks = rng.integers(0, len(TOKEN_ALPHABET), size=length)
+        text = "".join(TOKEN_ALPHABET[i] for i in picks)
+        assert tokenize(text) == tokenize_oracle(text), repr(text)
+    for _ in range(500):
+        text = "".join(chr(int(c)) for c in rng.integers(0, 0x3000, size=16))
+        assert tokenize(text) == tokenize_oracle(text), repr(text)
 
 
 def test_tfidf_matches_hand_oracle():
