@@ -19,6 +19,7 @@ from ..dataset import (
     csv_writer,
     join_population,
     missingness_report,
+    open_text,
     parse_observations,
     parse_population,
     parsed_rows,
@@ -210,6 +211,9 @@ def cmd_cv(config: RunConfig) -> None:
                     k=config.cv_k, seed=config.seed,
                     stratified=config.stratified)
 
+    for warning in result.warnings:
+        _note(warning)
+
     with csv_writer(out / CV_TRUTH) as writer:
         writer.writerow(["row_id", "fold", "true_class"])
         for i, row_id in enumerate(result.row_ids):
@@ -340,10 +344,16 @@ def cmd_predict(config: RunConfig) -> None:
     _note(f"predicted {len(table)} rows")
 
 
-def _read_simple_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _report_rows(path: Path, header: list[str], parse) -> tuple[list[str], list]:
+    """The header of the report input `path` and parse(row) for each of its
+    rows. The header must begin with `header`, and every row must have as
+    many fields as the header, or SchemaError names the file."""
     with csv_reader(path) as reader:
-        header = next(reader)
-        return header, list(reader)
+        found = next(reader, None)
+        if found is None or found[:len(header)] != header:
+            raise SchemaError(f"{path}: expected a header beginning "
+                              f"{','.join(header)}")
+        return found, parsed_rows(path, reader, len(found), parse)
 
 
 def cmd_report(config: RunConfig) -> None:
@@ -351,17 +361,21 @@ def cmd_report(config: RunConfig) -> None:
     _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS)
 
     # model comparison table: single models plus both ensembles
-    _, metric_rows = _read_simple_csv(out / ENSEMBLE_METRICS)
+    _, metric_rows = _report_rows(out / ENSEMBLE_METRICS,
+                                  ["model_id", "micro_f1", "weight"],
+                                  lambda row: (row, float(row[1])))
     with csv_writer(out / MODEL_COMPARISON) as writer:
         writer.writerow(["model_id", "micro_f1", "weight"])
-        writer.writerows(metric_rows)
-    comparison_bars = [(row[0], float(row[1])) for row in metric_rows]
+        writer.writerows(row for row, _ in metric_rows)
+    comparison_bars = [(row[0], f1) for row, f1 in metric_rows]
     write_svg(out / "model_comparison.svg",
               bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
                             "model", "micro-F1"))
 
-    _, missing_rows = _read_simple_csv(out / MISSINGNESS)
-    bars = [(row[0], float(row[2])) for row in missing_rows]
+    _, bars = _report_rows(
+        out / MISSINGNESS,
+        ["field", "missing_count", "missing_fraction", "total_rows"],
+        lambda row: (row[0], float(row[2])))
     write_svg(out / "missingness.svg",
               bar_chart_svg(bars, "Missing-value fraction by field",
                             "field", "fraction missing"))
@@ -370,30 +384,31 @@ def cmd_report(config: RunConfig) -> None:
         path = out / _category_csv(field)
         if not path.exists():
             continue
-        _, rows = _read_simple_csv(path)
+        _, bars = _report_rows(path, ["field", "category", "count", "fraction"],
+                               lambda row: (row[1], float(row[3])))
         write_svg(out / f"category_{field}.svg",
-                  bar_chart_svg([(r[1], float(r[3])) for r in rows],
-                                f"Distribution of {field}", field, "fraction"))
+                  bar_chart_svg(bars, f"Distribution of {field}", field,
+                                "fraction"))
 
     for field in config.trend_fields:
         path = out / _trend_csv(field)
         if not path.exists():
             continue
-        _, rows = _read_simple_csv(path)
-        if not rows:
+        _, points = _report_rows(path, ["year", f"mean_{field}"],
+                                 lambda row: (float(row[0]), float(row[1])))
+        if not points:
             continue
-        points = [(float(r[0]), float(r[1])) for r in rows]
         write_svg(out / f"trend_{field}.svg",
                   line_chart_svg([(field, points)], f"Annual mean of {field}",
                                  "year", f"mean {field}"))
 
-    header, summary_rows = _read_simple_csv(out / CV_SUMMARY)
+    header, summary_rows = _report_rows(
+        out / CV_SUMMARY, ["model_id", "micro_f1"],
+        lambda row: (row[0], [float(f1) for f1 in row[2:]]))
     fold_count = len(header) - 2
     if fold_count >= 2:
-        series = []
-        for row in summary_rows:
-            points = [(float(f), float(row[2 + f])) for f in range(fold_count)]
-            series.append((row[0], points))
+        series = [(model_id, [(float(f), f1) for f, f1 in enumerate(fold_f1)])
+                  for model_id, fold_f1 in summary_rows]
         write_svg(out / "per_fold_f1.svg",
                   line_chart_svg(series, "Per-fold micro-F1", "fold", "micro-F1"))
     _note("report bundle written")
@@ -434,7 +449,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
-        with open(out / CONFIG_ECHO, "w", encoding="utf-8", newline="") as fh:
+        with open_text(out / CONFIG_ECHO, "w") as fh:
             fh.write(render_config(config))
         _COMMAND_TABLE[command](config)
     finally:

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
+from ..dataset import open_text
 from ..errors import EmptyInputError
 
 WIDTH = 800
@@ -142,5 +143,5 @@ def bar_chart_svg(bars: Sequence[tuple[str, float]], title: str,
 
 
 def write_svg(path: str | Path, svg_text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_text(path, "w") as fh:
         fh.write(svg_text)

@@ -37,7 +37,6 @@ OBSERVATION_COLUMNS = (
     "comment_1", "comment_2", "limiting_magnitude",
 )
 _COLUMN_TO_ATTR = {c: ("sensor_type" if c == "type" else c) for c in OBSERVATION_COLUMNS}
-_ATTR_TO_COLUMN = {a: c for c, a in _COLUMN_TO_ATTR.items()}
 
 NUMERIC_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
                   "sensor_reading", "limiting_magnitude")
@@ -170,7 +169,10 @@ class ObservationTable:
         return tuple(getattr(rec, field) for rec in self._records)
 
 
-def _open(target: TextIO | str | Path, mode: str):
+def open_text(target: TextIO | str | Path, mode: str):
+    """A utf-8 text file at a path, opened with newline="" so no line ending
+    is translated, as a context manager; an open stream is passed through
+    and left open."""
     if isinstance(target, (str, Path)):
         return open(target, mode, encoding="utf-8", newline="")
     return nullcontext(target)
@@ -180,14 +182,14 @@ def _open(target: TextIO | str | Path, mode: str):
 def csv_writer(dest: TextIO | str | Path) -> Iterator[Any]:
     """A csv writer in the package's CSV dialect: utf-8, lines ended by
     "\\n". A path is opened and closed here; a stream is left open."""
-    with _open(dest, "w") as stream:
+    with open_text(dest, "w") as stream:
         yield csv.writer(stream, lineterminator="\n")
 
 
 @contextmanager
 def csv_reader(source: TextIO | str | Path) -> Iterator[Any]:
     """A csv reader over a utf-8 path or an open stream; see csv_writer."""
-    with _open(source, "r") as stream:
+    with open_text(source, "r") as stream:
         yield csv.reader(stream)
 
 
@@ -477,17 +479,12 @@ class MissingnessReport:
                                  repr(entry.missing_fraction), self.total_rows])
 
 
-_REPORT_FIELDS = ("id", "time", "time_zone", "country", "latitude", "longitude",
-                  "elevation_m", "sensor_type", "sensor_reading", "clouds",
-                  "constellation", "comment_1", "comment_2", "limiting_magnitude")
-
-
 def missingness_report(table: ObservationTable) -> MissingnessReport:
     """Exact per-field missing counts; fractions are count/total."""
     total = len(table)
     if total == 0:
         raise EmptyInputError("missingness report requires a nonempty table")
-    fields = list(_REPORT_FIELDS)
+    fields = list(_COLUMN_TO_ATTR.values())
     if table.has_population():
         fields.append("population")
     entries = []

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import csv_reader, csv_writer, parsed_rows
 from .errors import DimensionError, ParameterError, SchemaError
+from .validation import micro_f1, predicted_classes
 
 DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
 _MAX_SWEEPS = 200
@@ -58,20 +59,13 @@ def blend(matrices: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
 
 def mean_blend(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Uniform-weight blend; the baseline every optimized blend must beat."""
-    stacked = _stack(matrices)
-    return np.tensordot(np.full(len(stacked), 1.0 / len(stacked)), stacked, axes=1)
+    # an empty list gets no weights and fails in blend's own check
+    return blend(matrices, np.full(len(matrices), 1.0 / max(len(matrices), 1)))
 
 
 def _micro_f1_of_blend(stacked: np.ndarray, weights: np.ndarray,
                        truth: np.ndarray) -> float:
-    predicted = np.argmax(np.tensordot(weights, stacked, axes=1), axis=1)
-    tp = int((predicted == truth).sum())
-    n = len(truth)
-    precision = tp / n
-    recall = tp / n
-    if precision + recall == 0.0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return micro_f1(predicted_classes(np.tensordot(weights, stacked, axes=1)), truth)
 
 
 @dataclass(frozen=True)

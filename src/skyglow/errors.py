@@ -33,10 +33,6 @@ class UnknownFieldError(SkyglowError):
     """A field name is not one the operation supports."""
 
 
-class MissingTargetError(SkyglowError):
-    """The target value is absent where one is required."""
-
-
 class ParameterError(SkyglowError):
     """An argument is out of its documented range or otherwise invalid."""
 

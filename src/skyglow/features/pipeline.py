@@ -90,10 +90,7 @@ def target_classes(table: ObservationTable) -> np.ndarray:
 
 def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
     """Raw numeric fields plus time-derived columns, NaN-coded."""
-    cols = {name: table.numeric_column(name)
-            for name in ("time_zone", "latitude", "longitude", "elevation_m",
-                         "sensor_reading")}
-    cols["population"] = table.numeric_column("population")
+    cols = {name: table.numeric_column(name) for name in RAW_NUMERIC_FEATURES}
     n = len(table)
     time_cols = {name: np.full(n, np.nan) for name in TIME_NUMERIC_FEATURES}
     for i, rec in enumerate(table):

@@ -68,13 +68,23 @@ class StackModel:
     columns: tuple[str, ...]
 
 
-def _text_column_names(column: str, rank: int) -> list[str]:
-    return [f"{column}_svd_{i:02d}" for i in range(rank)]
-
-
 def _text_seed(seed: int, column_position: int) -> int:
     state = np.random.SeedSequence([seed, column_position]).generate_state(1)
     return int(state[0])
+
+
+def _transform(pipeline: FeaturePipelineModel,
+               text_models: tuple[tuple[str, TextFeatureModel], ...],
+               table: ObservationTable) -> FeatureMatrix:
+    """The blocks that need no targets: the pipeline block, then one SVD
+    block for each text model that has a rank."""
+    matrix = apply_feature_pipeline(pipeline, table)
+    for column, model in text_models:
+        if model.rank:
+            block = transform_text_features(model, list(table.text_column(column)))
+            matrix = matrix.with_columns(
+                [f"{column}_svd_{i:02d}" for i in range(model.rank)], block)
+    return matrix
 
 
 def fit_stack(table: ObservationTable, targets: np.ndarray,
@@ -97,20 +107,12 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
         rec for i, rec in enumerate(table) if train_mask[i])
 
     pipeline = fit_feature_pipeline(train_table, feature_config)
-    matrix = apply_feature_pipeline(pipeline, table)
-
-    text_models: list[tuple[str, TextFeatureModel]] = []
-    if spec.use_text:
-        for pos, column in enumerate(TEXT_COLUMNS):
-            model = fit_text_features(
-                list(train_table.text_column(column)),
-                cap=spec.vocab_cap, rank=spec.svd_rank,
-                seed=_text_seed(seed, pos))
-            text_models.append((column, model))
-            if model.rank:
-                block = transform_text_features(model, list(table.text_column(column)))
-                matrix = matrix.with_columns(
-                    _text_column_names(column, model.rank), block)
+    text_models = tuple(
+        (column, fit_text_features(list(train_table.text_column(column)),
+                                   cap=spec.vocab_cap, rank=spec.svd_rank,
+                                   seed=_text_seed(seed, pos)))
+        for pos, column in enumerate(TEXT_COLUMNS if spec.use_text else ()))
+    matrix = _transform(pipeline, text_models, table)
 
     neighbor_ref = None
     if spec.use_neighbor:
@@ -129,7 +131,7 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
             k=feature_config.knn_k,
             fallback=float(ref_values.mean()) if len(ref_values) else 0.0)
 
-    stack = StackModel(spec, feature_config, pipeline, tuple(text_models),
+    stack = StackModel(spec, feature_config, pipeline, text_models,
                        neighbor_ref, matrix.columns)
     return stack, matrix
 
@@ -137,11 +139,7 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
 def apply_stack(stack: StackModel, table: ObservationTable) -> FeatureMatrix:
     """Features for unseen rows: pipeline transform, text projection, and
     neighbor means against the stored training reference."""
-    matrix = apply_feature_pipeline(stack.pipeline, table)
-    for column, model in stack.text_models:
-        if model.rank:
-            block = transform_text_features(model, list(table.text_column(column)))
-            matrix = matrix.with_columns(_text_column_names(column, model.rank), block)
+    matrix = _transform(stack.pipeline, stack.text_models, table)
     if stack.neighbor is not None:
         n = len(table)
         means = np.full(n, stack.neighbor.fallback)

@@ -69,13 +69,19 @@ class BinnedMatrix:
         return slice(int(self.offsets[j]), int(self.offsets[j] + self.n_bins[j]))
 
 
-def bin_matrix(X: np.ndarray, max_bins: int) -> BinnedMatrix:
-    """Fit edges on X and encode it. Raises on non-finite input."""
+def check_matrix(X) -> np.ndarray:
+    """X as a float array; raises unless it is 2-D and finite."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ParameterError(f"feature matrix must be 2-D, got shape {X.shape}")
     if X.size and not np.isfinite(X).all():
         raise ParameterError("feature matrix contains non-finite values")
+    return X
+
+
+def bin_matrix(X: np.ndarray, max_bins: int) -> BinnedMatrix:
+    """Fit edges on X and encode it. Raises on non-finite input."""
+    X = check_matrix(X)
     edges = tuple(compute_bin_edges(X[:, j], max_bins) for j in range(X.shape[1]))
     codes = np.empty(X.shape, dtype=np.int32)
     for j, e in enumerate(edges):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .binning import BinnedMatrix, bin_matrix, running_sums
-from .gbdt import _class_setup, _coerce_matrix, leaf_nodes
+from .gbdt import _class_setup, _coerce_matrix, _TreeBuilder, leaf_nodes
 from .params import LearnerParams
 
 
@@ -78,22 +78,9 @@ def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
 def _grow_tree(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
                n_classes: int, n_candidates: int, min_leaf: int,
                rng: np.random.Generator) -> ClassificationTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    dist: list[np.ndarray] = []
-
-    def new_node(counts: np.ndarray, m: int) -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        dist.append(counts / m)
-        return len(feature) - 1
-
+    builder = _TreeBuilder()
     root_counts = np.bincount(y[rows], minlength=n_classes)
-    stack = [(new_node(root_counts, len(rows)), rows, root_counts)]
+    stack = [(builder.add_node(root_counts / len(rows)), rows, root_counts)]
     while stack:
         node, node_rows, counts = stack.pop()
         m = len(node_rows)
@@ -109,20 +96,15 @@ def _grow_tree(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
         rows_left = node_rows[go_left]
         rows_right = node_rows[~go_left]
         counts_left = np.bincount(y[rows_left], minlength=n_classes)
-        node_left = new_node(counts_left, len(rows_left))
-        node_right = new_node(counts - counts_left, len(rows_right))
-        feature[node] = j
-        threshold[node] = float(binned.edges[j][t])
-        left[node] = node_left
-        right[node] = node_right
+        counts_right = counts - counts_left
+        node_left, node_right = builder.split(
+            node, j, float(binned.edges[j][t]), counts_left / len(rows_left),
+            counts_right / len(rows_right))
         # push left last so it is grown first (preorder, deterministic)
-        stack.append((node_right, rows_right, counts - counts_left))
+        stack.append((node_right, rows_right, counts_right))
         stack.append((node_left, rows_left, counts_left))
 
-    return ClassificationTree(
-        np.array(feature, dtype=np.int32), np.array(threshold),
-        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
-        np.array(dist))
+    return builder.freeze(ClassificationTree)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, SchemaError
-from .binning import BinnedMatrix, bin_matrix, running_sums
+from .binning import BinnedMatrix, bin_matrix, check_matrix, running_sums
 from .params import LearnerParams
 
 _PRIOR_FLOOR = 1e-12  # classes absent from training get ln(floor), not -inf
@@ -90,30 +90,42 @@ class RegressionTree:
 
 
 class _TreeBuilder:
-    """Accumulates node arrays; leaf-wise growth driven by a max-heap."""
+    """Accumulates the node arrays of either tree kind. Every node starts
+    as a leaf holding its payload (a leaf value or a class distribution);
+    `split` turns a leaf into an internal node with two new leaves."""
 
     def __init__(self):
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.value: list[float] = []
+        self.payload: list = []
 
-    def add_node(self, value: float) -> int:
+    def add_node(self, payload) -> int:
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(value)
+        self.payload.append(payload)
         return len(self.feature) - 1
 
-    def freeze(self) -> RegressionTree:
-        return RegressionTree(
+    def split(self, node: int, feature: int, threshold: float,
+              left_payload, right_payload) -> tuple[int, int]:
+        left = self.add_node(left_payload)
+        right = self.add_node(right_payload)
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = left
+        self.right[node] = right
+        return left, right
+
+    def freeze(self, tree_class):
+        return tree_class(
             np.array(self.feature, dtype=np.int32),
             np.array(self.threshold),
             np.array(self.left, dtype=np.int32),
             np.array(self.right, dtype=np.int32),
-            np.array(self.value))
+            np.array(self.payload))
 
 
 def _splittable_mask(binned: BinnedMatrix) -> np.ndarray:
@@ -191,12 +203,10 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
         rows_right = rows[~go_left]
         right_totals = tuple(p - l for p, l in zip(totals, left_totals))
 
-        node_left = builder.add_node(-left_totals[0] / (left_totals[1] + lam) * lr)
-        node_right = builder.add_node(-right_totals[0] / (right_totals[1] + lam) * lr)
-        builder.feature[node] = j
-        builder.threshold[node] = float(binned.edges[j][t])
-        builder.left[node] = node_left
-        builder.right[node] = node_right
+        node_left, node_right = builder.split(
+            node, j, float(binned.edges[j][t]),
+            -left_totals[0] / (left_totals[1] + lam) * lr,
+            -right_totals[0] / (right_totals[1] + lam) * lr)
         leaves += 1
         if (leaves == params.max_leaves
                 or max(len(rows_left), len(rows_right)) < min_split_rows):
@@ -213,7 +223,7 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
             consider(node_left, rows_left, left_hists, left_totals)
         if len(rows_right) >= min_split_rows:
             consider(node_right, rows_right, right_hists, right_totals)
-    return builder.freeze()
+    return builder.freeze(RegressionTree)
 
 
 @dataclass(frozen=True)
@@ -240,11 +250,7 @@ def _coerce_matrix(X, feature_names):
         elif tuple(X.columns) != tuple(feature_names):
             raise SchemaError("feature columns do not match the model's feature list")
         X = X.values
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ParameterError(f"feature matrix must be 2-D, got shape {X.shape}")
-    if X.size and not np.isfinite(X).all():
-        raise ParameterError("feature matrix contains non-finite values")
+    X = check_matrix(X)
     if feature_names is not None and X.shape[1] != len(feature_names):
         raise SchemaError(
             f"matrix has {X.shape[1]} columns, model expects {len(feature_names)}")
@@ -318,9 +324,9 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     scores = np.tile(init_scores, (len(y), 1))
     rounds: list[tuple[RegressionTree, ...]] = []
     train_losses: list[float] = []
-    zero_tree = RegressionTree(np.array([-1], dtype=np.int32), np.zeros(1),
-                               np.array([-1], dtype=np.int32),
-                               np.array([-1], dtype=np.int32), np.zeros(1))
+    zero = _TreeBuilder()
+    zero.add_node(0.0)
+    zero_tree = zero.freeze(RegressionTree)
 
     for round_no in range(params.n_rounds):
         g, h = softmax_gradient_hessian(scores, y)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import open_text
 from .errors import ParseError
 from .features.stack import StackModel
 from .learners.forest import ForestModel
@@ -27,13 +28,13 @@ LEARNER_KINDS = {"gbdt": GbdtModel, "forest": ForestModel}
 
 
 def save_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_text(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def load_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, "r") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -249,6 +249,7 @@ class CvResult:
     k: int
     seed: int
     models: tuple[ModelOof, ...]
+    warnings: tuple[str, ...]  # from the fold assignment
 
     def model(self, model_id: str) -> ModelOof:
         for m in self.models:
@@ -319,9 +320,10 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     if not keep.any():
         raise EmptyInputError("no rows with a target to cross-validate")
     cv_table = ObservationTable(rec for i, rec in enumerate(table) if keep[i])
-    folds = fold_labels(targets, k, seed, stratified)[keep]
     targets = targets[keep]
     y = targets.astype(np.int64)
+    assignment = fold_assignment(y, k, seed, stratified)
+    folds = assignment.folds
 
     n = len(y)
     oof = {spec.model_id: np.zeros((n, N_CLASSES)) for spec in specs}
@@ -346,7 +348,8 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
                                          per_fold_f1=per_fold)
         models.append(ModelOof(spec.model_id, probs, metrics,
                                tuple(diagnostics[spec.model_id])))
-    return CvResult(cv_table.ids, y, folds, k, seed, tuple(models))
+    return CvResult(cv_table.ids, y, folds, k, seed, tuple(models),
+                    assignment.warnings)
 
 
 def write_oof_csv(dest: TextIO | str | Path, row_ids: Sequence[str],

@@ -12,6 +12,7 @@ from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
+from skyglow.dataset import write_observations
 from skyglow.errors import (
     ConfigError,
     DependencyError,
@@ -22,6 +23,8 @@ from skyglow.errors import (
 from skyglow.features import target_classes
 from skyglow.serialize import learner_to_obj, load_json, stack_to_obj
 from skyglow.validation import fit_models, fold_labels
+
+from helpers import grid_table
 
 
 def write_config(path, out_dir, extra="", n_rows=120):
@@ -522,3 +525,44 @@ def test_non_numeric_cv_truth_fold_fails_with_one_line(tmp_path, config, capsys)
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
     assert "cv_truth.csv, line 4:" in err[0] and "'two'" in err[0]
+
+
+def test_short_ensemble_metrics_row_fails_report_with_one_line(
+        tmp_path, config, capsys):
+    def truncate(text):
+        lines = text.splitlines()
+        assert lines[1].startswith("boost,")
+        lines[1] = "boost"
+        return "\n".join(lines) + "\n"
+    err = _run_with_tampered(tmp_path, config, capsys, "report",
+                             "ensemble_metrics.csv", truncate)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert "ensemble_metrics.csv, line 2: expected 3 fields, got 1" in err[0]
+
+
+def test_empty_cv_summary_fails_report_with_one_line(tmp_path, config, capsys):
+    err = _run_with_tampered(tmp_path, config, capsys, "report",
+                             "cv_summary.csv", lambda text: "")
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert "cv_summary.csv" in err[0] and "model_id,micro_f1" in err[0]
+
+
+def test_cv_notes_a_fold_count_above_the_smallest_class(tmp_path, capsys):
+    # grid_table ties the target to latitude, so its rarest class has
+    # fewer than ten of the 60 rows
+    path = Path(write_config(tmp_path / "run.ini", tmp_path / "out"))
+    path.write_text(path.read_text(encoding="utf-8").replace("k = 2\n", "k = 10\n"),
+                    encoding="utf-8")
+    config = str(path)
+    assert dispatch("synth", config) == 0
+    write_observations(grid_table(60), tmp_path / "out" / "obs.csv")
+    for command in ("ingest", "features"):
+        assert dispatch(command, config) == 0, command
+    capsys.readouterr()
+    assert main(["cv", "--config", config]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if "exceeds the smallest class count" in line]
+    assert len(notes) == 1
+    assert notes[0].startswith("skyglow: k=10 exceeds the smallest class count (")
