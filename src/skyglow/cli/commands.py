@@ -7,6 +7,7 @@ for a fixed config and seed. Diagnostics go to stderr only.
 from __future__ import annotations
 
 import os
+import socket
 import sys
 from pathlib import Path
 
@@ -170,8 +171,8 @@ def cmd_eda(config: RunConfig) -> None:
     for field in config.category_fields:
         category_distribution(table, field).write_csv(out / _category_csv(field))
 
-    target = table.numeric_column("limiting_magnitude")
     numeric = derived_numeric_columns(table)
+    target = numeric["limiting_magnitude"]
     with csv_writer(out / CORRELATIONS) as writer:
         writer.writerow(["field", "pearson_with_target", "complete_pairs", "note"])
         for field in CORRELATION_FIELDS:
@@ -414,6 +415,39 @@ def cmd_report(config: RunConfig) -> None:
     _note("report bundle written")
 
 
+def _holder_exited(holder: str) -> bool:
+    """Whether a lock's "PID HOST" names a process of this host that is no
+    longer running. A PID that cannot be checked counts as running."""
+    pid, _, host = holder.partition(" ")
+    if host != socket.gethostname() or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass
+    return False
+
+
+def _create_lock(lock_path: Path) -> int:
+    """Create the output-directory lock; dispatch writes its holder, "PID
+    HOST", into it. A lock whose holder exited on this host is cleared with
+    a note (two runs clearing one at the same moment can both proceed);
+    any other lock raises LockError naming its holder."""
+    while True:
+        try:
+            return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            holder = lock_path.read_text(encoding="utf-8", errors="replace").strip()
+            if not _holder_exited(holder):
+                raise LockError(f"output directory is locked by another run "
+                                f"(holder {holder!r}): {lock_path}") from None
+            lock_path.unlink(missing_ok=True)
+            _note(f"cleared the stale lock {lock_path} of process {holder}, "
+                  "which is no longer running")
+
+
 _COMMAND_TABLE = {
     "synth": cmd_synth,
     "ingest": cmd_ingest,
@@ -441,13 +475,9 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     lock_path = out / LOCK_FILE
+    fd = _create_lock(lock_path)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise LockError(
-            f"output directory is locked by another run: {lock_path}") from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
+        os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
         os.close(fd)
         with open_text(out / CONFIG_ECHO, "w") as fh:
             fh.write(render_config(config))

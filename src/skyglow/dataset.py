@@ -1,17 +1,20 @@
 """Observation and population tables.
 
 CSV parsing with per-cell missingness, range validation in strict or lenient
-mode, the population join with a median fallback, and the descriptive
-reports (missingness counts, category frequency tables). Tables are
-immutable after construction and safe for concurrent reads.
+mode, the population join with a median fallback, each table's column view
+(every label-free column, derived once), and the descriptive reports
+(missingness counts, category frequency tables). Tables are immutable after
+construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from itertools import compress
 from datetime import datetime
 from pathlib import Path
 from statistics import median
@@ -29,6 +32,7 @@ from .errors import (
     TimestampError,
     UnknownFieldError,
 )
+from .textfeat import tokenize
 
 # Canonical observation column order; `type` maps to the `sensor_type` attribute.
 OBSERVATION_COLUMNS = (
@@ -44,9 +48,12 @@ TEXT_FIELDS = ("country", "sensor_type", "clouds", "constellation",
                "comment_1", "comment_2")
 CATEGORICAL_REPORT_FIELDS = ("sensor_type", "clouds", "constellation",
                              "time_of_day_category")
+TIME_PARTS = ("year", "month", "day_of_year", "seconds_of_day", "epoch_time")
+COMMENT_FIELDS = ("comment_1", "comment_2")
 
 POPULATION_YEARS = tuple(range(2006, 2021))
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+_EPOCH = datetime(1970, 1, 1)
 
 # Local-time day-part boundaries, in seconds after midnight.
 _MORNING = 5 * 3600
@@ -84,6 +91,33 @@ def time_of_day_category(ts: datetime) -> str:
 
 
 @dataclass(frozen=True)
+class TimeFeatures:
+    year: int
+    month: int
+    day_of_year: int
+    seconds_of_day: int
+    category: str
+
+
+def decompose_time(ts: datetime) -> TimeFeatures:
+    """Split a local timestamp into calendar/clock features."""
+    seconds = ts.hour * 3600 + ts.minute * 60 + ts.second
+    return TimeFeatures(
+        year=ts.year,
+        month=ts.month,
+        day_of_year=ts.timetuple().tm_yday,
+        seconds_of_day=seconds,
+        category=time_of_day_category(ts),
+    )
+
+
+def epoch_seconds(ts: datetime, tz_offset_hours: float | None) -> float:
+    """Seconds since 1970-01-01 UTC; a missing offset is taken as UTC."""
+    offset = tz_offset_hours if tz_offset_hours is not None else 0.0
+    return (ts - _EPOCH).total_seconds() - offset * 3600.0
+
+
+@dataclass(frozen=True)
 class ObservationRecord:
     """One observation row; None marks a missing value."""
 
@@ -114,6 +148,67 @@ class RowDiagnostic:
     message: str
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnView:
+    """Every label-free column of a table, row-aligned with it:
+
+    - numeric: float64, NaN where missing: the raw numeric fields,
+      population and the TIME_PARTS;
+    - categorical: objects, None where missing: CATEGORICAL_REPORT_FIELDS;
+    - tokens: one `tokenize` list per row for each of COMMENT_FIELDS;
+    - missing: a boolean mask for every numeric and categorical column.
+
+    Every consumer of a table reads the same arrays, so each is read-only.
+    """
+
+    numeric: dict[str, np.ndarray]
+    categorical: dict[str, np.ndarray]
+    tokens: dict[str, np.ndarray]
+    missing: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        for part in (self.numeric, self.categorical, self.tokens, self.missing):
+            for column in part.values():
+                column.flags.writeable = False
+
+    def subset(self, rows: np.ndarray) -> "ColumnView":
+        """The view of the rows where the boolean mask `rows` is set."""
+        return ColumnView(*({name: column[rows] for name, column in part.items()}
+                            for part in (self.numeric, self.categorical,
+                                         self.tokens, self.missing)))
+
+
+def _column_view(records: Sequence[ObservationRecord]) -> ColumnView:
+    """Derive the column view in one pass: one `decompose_time` and one
+    `tokenize` per comment field for each row."""
+    n = len(records)
+    raw = NUMERIC_FIELDS + ("population",)
+    numeric = {name: np.full(n, np.nan) for name in raw + TIME_PARTS}
+    categorical = {name: np.full(n, None, dtype=object)
+                   for name in CATEGORICAL_REPORT_FIELDS}
+    tokens = {name: np.empty(n, dtype=object) for name in COMMENT_FIELDS}
+    for i, rec in enumerate(records):
+        for name in raw:
+            value = getattr(rec, name)
+            if value is not None:
+                numeric[name][i] = value
+        for name in ("sensor_type", "clouds", "constellation"):
+            categorical[name][i] = getattr(rec, name)
+        for name in COMMENT_FIELDS:
+            tokens[name][i] = tokenize(getattr(rec, name))
+        if rec.time is not None:
+            parts = decompose_time(rec.time)
+            numeric["year"][i] = parts.year
+            numeric["month"][i] = parts.month
+            numeric["day_of_year"][i] = parts.day_of_year
+            numeric["seconds_of_day"][i] = parts.seconds_of_day
+            numeric["epoch_time"][i] = epoch_seconds(rec.time, rec.time_zone)
+            categorical["time_of_day_category"][i] = parts.category
+    missing = {name: np.isnan(col) for name, col in numeric.items()}
+    missing.update((name, np.equal(col, None)) for name, col in categorical.items())
+    return ColumnView(numeric, categorical, tokens, missing)
+
+
 class ObservationTable:
     """Immutable sequence of observation records with unique ids."""
 
@@ -125,6 +220,7 @@ class ObservationTable:
                 raise DuplicateKeyError(f"duplicate id: {rec.id!r}")
             index[rec.id] = i
         self._index = index
+        self._view: ColumnView | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -152,16 +248,27 @@ class ObservationTable:
     def has_population(self) -> bool:
         return any(r.population is not None for r in self._records)
 
+    @property
+    def view(self) -> ColumnView:
+        """The column view, derived on first use and kept: the records
+        never change. Concurrent first uses may each derive it; the views
+        are equal."""
+        if self._view is None:
+            self._view = _column_view(self._records)
+        return self._view
+
+    def subset(self, rows: np.ndarray) -> "ObservationTable":
+        """The rows where the boolean mask `rows` is set, in order. Their
+        view is sliced from this table's, not derived again."""
+        sub = ObservationTable(compress(self._records, rows))
+        sub._view = self.view.subset(rows)
+        return sub
+
     def numeric_column(self, field: str) -> np.ndarray:
-        """Field values as float64, NaN where missing."""
+        """Field values as float64, NaN where missing (read-only)."""
         if field not in NUMERIC_FIELDS and field != "population":
             raise UnknownFieldError(f"not a numeric field: {field!r}")
-        out = np.full(len(self._records), np.nan)
-        for i, rec in enumerate(self._records):
-            v = getattr(rec, field)
-            if v is not None:
-                out[i] = v
-        return out
+        return self.view.numeric[field]
 
     def text_column(self, field: str) -> tuple[str | None, ...]:
         if field not in TEXT_FIELDS:
@@ -169,13 +276,31 @@ class ObservationTable:
         return tuple(getattr(rec, field) for rec in self._records)
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A new file beside `path`, moved over it when the block ends cleanly,
+    so a reader finds the whole old file or the whole new one; when the
+    block raises, the new file is removed and `path` is left as it was."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def open_text(target: TextIO | str | Path, mode: str):
     """A utf-8 text file at a path, opened with newline="" so no line ending
     is translated, as a context manager; an open stream is passed through
-    and left open."""
-    if isinstance(target, (str, Path)):
-        return open(target, mode, encoding="utf-8", newline="")
-    return nullcontext(target)
+    and left open. A path opened with mode "w" is written through a
+    temporary file and replaced whole (`_replacing`)."""
+    if not isinstance(target, (str, Path)):
+        return nullcontext(target)
+    if mode == "w":
+        return _replacing(Path(target))
+    return open(target, mode, encoding="utf-8", newline="")
 
 
 @contextmanager
@@ -525,10 +650,7 @@ def category_distribution(table: ObservationTable, field: str) -> FrequencyTable
     if field not in CATEGORICAL_REPORT_FIELDS:
         raise UnknownFieldError(
             f"field {field!r} is not categorical; expected one of {CATEGORICAL_REPORT_FIELDS}")
-    if field == "time_of_day_category":
-        values = [time_of_day_category(rec.time) for rec in table if rec.time is not None]
-    else:
-        values = [v for v in (getattr(rec, field) for rec in table) if v is not None]
+    values = table.view.categorical[field][~table.view.missing[field]]
     counts: dict[str, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1

@@ -9,12 +9,9 @@ from .pipeline import (
     FeatureMatrix,
     FeaturePipelineModel,
     NeighborIndex,
-    TimeFeatures,
     apply_feature_pipeline,
     bin_target,
     build_neighbor_index,
-    decompose_time,
-    epoch_seconds,
     fit_feature_pipeline,
     neighbor_points,
     target_classes,
@@ -23,8 +20,7 @@ from .pipeline import (
 __all__ = [
     "DEFAULT_CATEGORICAL_FEATURES", "DEFAULT_NUMERIC_FEATURES", "N_CLASSES",
     "FeatureConfig", "FeatureMatrix", "FeaturePipelineModel", "NeighborIndex",
-    "TimeFeatures", "apply_feature_pipeline", "bin_target",
-    "build_neighbor_index", "decompose_time", "epoch_seconds",
+    "apply_feature_pipeline", "bin_target", "build_neighbor_index",
     "fit_feature_pipeline", "neighbor_points", "target_classes",
     "neighbor_mean_features", "cross_neighbor_means",
 ]

@@ -14,7 +14,8 @@ reference row by (squared distance, position):
   whole reference. This covers ties and duplicate points.
 
 scipy.spatial is imported on first use: it costs about 0.25 s of start-up
-that the stages without neighbor features should not pay.
+that the stages without neighbor features should not pay (`textfeat` does
+the same for scipy.sparse).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Feature engineering: time decomposition, target binning, and the fitted
-clip/standardize/encode pipeline that turns observation tables into dense
-numeric matrices.
+"""Feature engineering: target binning, and the fitted clip/standardize/
+encode pipeline that turns the column view of an observation table
+(`ObservationTable.view`: time parts, numerics, categoricals, missing
+masks) into dense numeric matrices.
 
 All statistics (quantile clip bounds, means, population stds, medians,
 category maps) are fitted on a training table once and frozen; applying the
@@ -11,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..dataset import ObservationTable, time_of_day_category
+from ..dataset import CATEGORICAL_REPORT_FIELDS, TIME_PARTS, ObservationTable
 from ..errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -27,48 +27,13 @@ from .knn import _exact_knn, _kd_tree
 
 N_CLASSES = 8
 
-_EPOCH = datetime(1970, 1, 1)
-
-# Raw numeric observation fields usable as features.
-RAW_NUMERIC_FEATURES = ("time_zone", "latitude", "longitude", "elevation_m",
-                        "sensor_reading", "population")
-TIME_NUMERIC_FEATURES = ("year", "month", "day_of_year", "seconds_of_day",
-                         "epoch_time")
-CATEGORICAL_FEATURES = ("sensor_type", "clouds", "constellation",
-                        "time_of_day_category")
-
-DEFAULT_NUMERIC_FEATURES = RAW_NUMERIC_FEATURES + TIME_NUMERIC_FEATURES
-DEFAULT_CATEGORICAL_FEATURES = CATEGORICAL_FEATURES
+# Numeric and categorical columns of a table's view usable as features.
+DEFAULT_NUMERIC_FEATURES = ("time_zone", "latitude", "longitude", "elevation_m",
+                            "sensor_reading", "population") + TIME_PARTS
+DEFAULT_CATEGORICAL_FEATURES = CATEGORICAL_REPORT_FIELDS
 
 # Coordinates of the neighbor-query space, in order.
 NEIGHBOR_SPACE = ("latitude", "longitude", "epoch_time", "time_zone")
-
-
-@dataclass(frozen=True)
-class TimeFeatures:
-    year: int
-    month: int
-    day_of_year: int
-    seconds_of_day: int
-    category: str
-
-
-def decompose_time(ts: datetime) -> TimeFeatures:
-    """Split a local timestamp into calendar/clock features."""
-    seconds = ts.hour * 3600 + ts.minute * 60 + ts.second
-    return TimeFeatures(
-        year=ts.year,
-        month=ts.month,
-        day_of_year=ts.timetuple().tm_yday,
-        seconds_of_day=seconds,
-        category=time_of_day_category(ts),
-    )
-
-
-def epoch_seconds(ts: datetime, tz_offset_hours: float | None) -> float:
-    """Seconds since 1970-01-01 UTC; a missing offset is taken as UTC."""
-    offset = tz_offset_hours if tz_offset_hours is not None else 0.0
-    return (ts - _EPOCH).total_seconds() - offset * 3600.0
 
 
 def bin_target(limiting_magnitude: float) -> int:
@@ -81,39 +46,17 @@ def bin_target(limiting_magnitude: float) -> int:
 
 def target_classes(table: ObservationTable) -> np.ndarray:
     """Per-row class ids as float64; NaN where the target is missing."""
+    present = ~table.view.missing["limiting_magnitude"]
     out = np.full(len(table), np.nan)
-    for i, rec in enumerate(table):
-        if rec.limiting_magnitude is not None:
-            out[i] = bin_target(rec.limiting_magnitude)
+    out[present] = [bin_target(m) for m in
+                    table.view.numeric["limiting_magnitude"][present].tolist()]
     return out
 
 
 def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
-    """Raw numeric fields plus time-derived columns, NaN-coded."""
-    cols = {name: table.numeric_column(name) for name in RAW_NUMERIC_FEATURES}
-    n = len(table)
-    time_cols = {name: np.full(n, np.nan) for name in TIME_NUMERIC_FEATURES}
-    for i, rec in enumerate(table):
-        if rec.time is None:
-            continue
-        tf = decompose_time(rec.time)
-        time_cols["year"][i] = tf.year
-        time_cols["month"][i] = tf.month
-        time_cols["day_of_year"][i] = tf.day_of_year
-        time_cols["seconds_of_day"][i] = tf.seconds_of_day
-        time_cols["epoch_time"][i] = epoch_seconds(rec.time, rec.time_zone)
-    cols.update(time_cols)
-    return cols
-
-
-def derived_categorical_columns(table: ObservationTable) -> dict[str, tuple]:
-    """Categorical fields plus the derived day-part label, None-coded."""
-    cols = {name: table.text_column(name)
-            for name in ("sensor_type", "clouds", "constellation")}
-    cols["time_of_day_category"] = tuple(
-        time_of_day_category(rec.time) if rec.time is not None else None
-        for rec in table)
-    return cols
+    """Raw numeric fields, population and time parts, NaN-coded: the
+    numeric columns of the table's view."""
+    return table.view.numeric
 
 
 @dataclass(frozen=True)
@@ -239,8 +182,7 @@ def fit_feature_pipeline(table: ObservationTable,
     if len(table) == 0:
         raise EmptyInputError("cannot fit a feature pipeline on an empty table")
 
-    numeric_cols = derived_numeric_columns(table)
-    categorical_cols = derived_categorical_columns(table)
+    view = table.view
     n = len(table)
 
     fitted: list[NumericStats] = []
@@ -249,8 +191,7 @@ def fit_feature_pipeline(table: ObservationTable,
     indicator: list[str] = []
 
     for name in config.numeric_features:
-        col = numeric_cols[name]
-        present = col[~np.isnan(col)]
+        present = view.numeric[name][~view.missing[name]]
         missing_fraction = 1.0 - present.size / n
         if present.size == 0:
             excluded.append(name)
@@ -273,10 +214,9 @@ def fit_feature_pipeline(table: ObservationTable,
 
     maps: list[CategoryMap] = []
     for name in config.categorical_features:
-        col = categorical_cols[name]
-        present = [v for v in col if v is not None]
+        present = view.categorical[name][~view.missing[name]]
         missing_fraction = 1.0 - len(present) / n
-        if not present:
+        if len(present) == 0:
             excluded.append(name)
             diagnostics.append(f"column {name!r} excluded: all values missing")
             continue
@@ -298,29 +238,23 @@ def apply_feature_pipeline(model: FeaturePipelineModel,
     reserved code 0. The output has one row per table row and is fully
     finite.
     """
-    numeric_cols = derived_numeric_columns(table)
-    categorical_cols = derived_categorical_columns(table)
+    view = table.view
     n = len(table)
 
     blocks: list[np.ndarray] = []
     for stats in model.numeric:
-        col = numeric_cols[stats.column].copy()
-        missing = np.isnan(col)
-        col[missing] = stats.impute
+        col = np.where(view.missing[stats.column], stats.impute,
+                       view.numeric[stats.column])
         col = np.clip(col, stats.clip_low, stats.clip_high)
         if stats.constant:
             blocks.append(np.zeros(n))
         else:
             blocks.append((col - stats.mean) / stats.std)
     for cmap in model.categorical:
-        col = categorical_cols[cmap.column]
+        col = view.categorical[cmap.column]
         blocks.append(np.array([float(cmap.code(v)) for v in col]))
     for name in model.indicator_columns:
-        if name in numeric_cols:
-            missing = np.isnan(numeric_cols[name])
-        else:
-            missing = np.array([v is None for v in categorical_cols[name]])
-        blocks.append(missing.astype(float))
+        blocks.append(view.missing[name].astype(float))
 
     values = np.column_stack(blocks) if blocks else np.zeros((n, 0))
     return FeatureMatrix(table.ids, model.output_columns, values)
@@ -388,16 +322,14 @@ def neighbor_points(table: ObservationTable,
     A missing timezone offset contributes a raw 0 (UTC). Columns the
     pipeline excluded or flagged constant contribute a fixed coordinate.
     """
-    numeric_cols = derived_numeric_columns(table)
-    n = len(table)
-    usable = np.ones(n, dtype=bool)
-    for name in ("latitude", "longitude", "epoch_time"):
-        usable &= ~np.isnan(numeric_cols[name])
-    table_rows = np.nonzero(usable)[0]
+    view = table.view
+    missing = view.missing
+    table_rows = np.nonzero(
+        ~(missing["latitude"] | missing["longitude"] | missing["epoch_time"]))[0]
 
     coords = []
     for name in NEIGHBOR_SPACE:
-        col = numeric_cols[name][table_rows]
+        col = view.numeric[name][table_rows]
         if name == "time_zone":
             col = np.where(np.isnan(col), 0.0, col)
         stats = model.numeric_stats(name)

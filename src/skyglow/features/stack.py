@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import ObservationTable
+from ..dataset import COMMENT_FIELDS, ObservationTable
 from ..errors import ParameterError
 from ..textfeat import (
     DEFAULT_SVD_RANK,
@@ -34,7 +34,6 @@ from .pipeline import (
     neighbor_points,
 )
 
-TEXT_COLUMNS = ("comment_1", "comment_2")
 NEIGHBOR_FEATURES = ("neighbor_target_mean", "neighbor_count")
 
 
@@ -81,7 +80,7 @@ def _transform(pipeline: FeaturePipelineModel,
     matrix = apply_feature_pipeline(pipeline, table)
     for column, model in text_models:
         if model.rank:
-            block = transform_text_features(model, list(table.text_column(column)))
+            block = transform_text_features(model, table.view.tokens[column])
             matrix = matrix.with_columns(
                 [f"{column}_svd_{i:02d}" for i in range(model.rank)], block)
     return matrix
@@ -103,15 +102,14 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
         raise ParameterError(f"train mask must have shape ({n},)")
     if not train_mask.any():
         raise ParameterError("train mask selects no rows")
-    train_table = ObservationTable(
-        rec for i, rec in enumerate(table) if train_mask[i])
+    train_table = table.subset(train_mask)
 
     pipeline = fit_feature_pipeline(train_table, feature_config)
     text_models = tuple(
-        (column, fit_text_features(list(train_table.text_column(column)),
+        (column, fit_text_features(train_table.view.tokens[column],
                                    cap=spec.vocab_cap, rank=spec.svd_rank,
                                    seed=_text_seed(seed, pos)))
-        for pos, column in enumerate(TEXT_COLUMNS if spec.use_text else ()))
+        for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()))
     matrix = _transform(pipeline, text_models, table)
 
     neighbor_ref = None

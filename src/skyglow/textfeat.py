@@ -8,6 +8,11 @@ scheme (oversampling 8, power iterations with re-orthonormalization),
 seeded and deterministic; iterations continue past the fixed base count
 until the top singular values stabilize, which brings them within 1e-6
 relative of a dense decomposition.
+
+Documents arrive as token lists (`tokenize`); an observation table
+tokenizes its comments once, in its column view. scipy.sparse is imported
+on first use, so the stages that fit or apply no text features do not
+pay its start-up cost.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, EmptyInputError, ParameterError
 
@@ -49,14 +54,14 @@ class TfidfModel:
         return {tok: i for i, tok in enumerate(self.vocabulary)}
 
 
-def fit_tfidf(corpus: list[list[str]], cap: int = DEFAULT_VOCAB_CAP) -> TfidfModel:
+def fit_tfidf(corpus: Sequence[list[str]], cap: int = DEFAULT_VOCAB_CAP) -> TfidfModel:
     """Build the vocabulary (top `cap` tokens by document frequency, ties
     lexicographic) and per-token IDF weights.
 
     A corpus whose documents are all empty yields a degenerate model with
     an empty vocabulary rather than an error.
     """
-    if not corpus:
+    if len(corpus) == 0:
         raise EmptyInputError("cannot fit TF-IDF on an empty corpus")
     if cap < 1:
         raise ParameterError(f"vocabulary cap must be >= 1, got {cap}")
@@ -74,8 +79,11 @@ def fit_tfidf(corpus: list[list[str]], cap: int = DEFAULT_VOCAB_CAP) -> TfidfMod
     return TfidfModel(vocabulary, idf, n_docs, cap)
 
 
-def transform_tfidf(model: TfidfModel, corpus: list[list[str]]) -> sp.csr_matrix:
-    """Count x IDF per cell, each row L2-normalized (zero rows stay zero)."""
+def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]):
+    """Count x IDF per cell, each row L2-normalized (zero rows stay zero),
+    as a scipy.sparse CSR matrix."""
+    from scipy.sparse import csr_matrix
+
     index = model.token_index()
     data: list[float] = []
     indices: list[int] = []
@@ -94,7 +102,7 @@ def transform_tfidf(model: TfidfModel, corpus: list[list[str]]) -> sp.csr_matrix
         data.extend(weights.tolist())
         indices.extend(j for j, _ in row)
         indptr.append(len(indices))
-    return sp.csr_matrix(
+    return csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
         shape=(len(corpus), len(model.vocabulary)))
 
@@ -110,6 +118,11 @@ class SvdModel:
 def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(block)
     return q
+
+
+def _dense(matrix) -> np.ndarray:
+    """A product as an ndarray; a scipy.sparse one is densified."""
+    return np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
 
 
 def fit_truncated_svd(matrix, rank: int, seed: int) -> SvdModel:
@@ -133,10 +146,7 @@ def fit_truncated_svd(matrix, rank: int, seed: int) -> SvdModel:
     basis = _orthonormal_basis(matrix @ omega)
 
     def leading_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        small = q.T @ matrix
-        if sp.issparse(small):
-            small = small.toarray()
-        u_small, values, vt = np.linalg.svd(np.asarray(small), full_matrices=False)
+        u_small, values, vt = np.linalg.svd(_dense(q.T @ matrix), full_matrices=False)
         return values[:rank], vt[:rank]
 
     for _ in range(_BASE_POWER_ITERATIONS):
@@ -168,10 +178,7 @@ def transform_svd(model: SvdModel, matrix) -> np.ndarray:
         raise DimensionError(
             f"matrix has {matrix.shape[1]} columns, model expects "
             f"{model.components.shape[1]}")
-    projected = matrix @ model.components.T
-    if sp.issparse(projected):
-        projected = projected.toarray()
-    return np.asarray(projected)
+    return _dense(matrix @ model.components.T)
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,9 @@ class TextFeatureModel:
         return self.svd.rank if self.svd is not None else 0
 
 
-def fit_text_features(texts: list[str | None], cap: int = DEFAULT_VOCAB_CAP,
+def fit_text_features(corpus: Sequence[list[str]], cap: int = DEFAULT_VOCAB_CAP,
                       rank: int = DEFAULT_SVD_RANK, seed: int = 0) -> TextFeatureModel:
-    corpus = [tokenize(t) for t in texts]
+    """Fit on one token list per document."""
     tfidf = fit_tfidf(corpus, cap)
     if tfidf.degenerate:
         return TextFeatureModel(tfidf, None)
@@ -201,8 +208,8 @@ def fit_text_features(texts: list[str | None], cap: int = DEFAULT_VOCAB_CAP,
 
 
 def transform_text_features(model: TextFeatureModel,
-                            texts: list[str | None]) -> np.ndarray:
+                            corpus: Sequence[list[str]]) -> np.ndarray:
+    """Embed one token list per document."""
     if model.svd is None:
-        return np.zeros((len(texts), 0))
-    corpus = [tokenize(t) for t in texts]
+        return np.zeros((len(corpus), 0))
     return transform_svd(model.svd, transform_tfidf(model.tfidf, corpus))

@@ -130,6 +130,29 @@ def predicted_classes(probabilities: np.ndarray) -> np.ndarray:
     return np.argmax(probabilities, axis=1)
 
 
+def _checked_labels(predicted: np.ndarray,
+                    truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    predicted = np.asarray(predicted, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if predicted.shape != truth.shape or predicted.ndim != 1:
+        raise ParameterError(
+            f"prediction/truth shapes differ: {predicted.shape} vs {truth.shape}")
+    if len(predicted) == 0:
+        raise EmptyInputError("metrics need at least one prediction")
+    return predicted, truth
+
+
+def _micro_scores(tp: int, total: int) -> tuple[float, float, float]:
+    """Micro P, R and F1 from `tp` correct of `total` single-label
+    predictions: pooled false positives and false negatives both equal
+    total - tp."""
+    fp = fn = total - tp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def classification_metrics(predicted: np.ndarray, truth: np.ndarray,
                            n_classes: int | None = None,
                            per_fold_f1: tuple[float, ...] = ()) -> MetricsReport:
@@ -139,25 +162,14 @@ def classification_metrics(predicted: np.ndarray, truth: np.ndarray,
     pooled false negatives, so micro P = R = F1 = accuracy; the identity
     is checked, not assumed.
     """
-    predicted = np.asarray(predicted, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise ParameterError(
-            f"prediction/truth shapes differ: {predicted.shape} vs {truth.shape}")
-    if len(predicted) == 0:
-        raise EmptyInputError("metrics need at least one prediction")
+    predicted, truth = _checked_labels(predicted, truth)
     if n_classes is None:
         n_classes = int(max(predicted.max(), truth.max())) + 1
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predicted), 1)
 
     tp = int(np.trace(confusion))
-    fp = int(confusion.sum()) - tp  # column residuals pooled over classes
-    fn = int(confusion.sum()) - tp  # row residuals pooled over classes
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-
+    precision, recall, f1 = _micro_scores(tp, int(confusion.sum()))
     accuracy = tp / len(predicted)
     assert precision == recall == accuracy
     assert abs(f1 - accuracy) < 1e-12
@@ -165,7 +177,11 @@ def classification_metrics(predicted: np.ndarray, truth: np.ndarray,
 
 
 def micro_f1(predicted: np.ndarray, truth: np.ndarray) -> float:
-    return classification_metrics(predicted, truth).micro_f1
+    """`classification_metrics(...).micro_f1`, counting only the correct
+    predictions."""
+    predicted, truth = _checked_labels(predicted, truth)
+    return _micro_scores(int(np.count_nonzero(predicted == truth)),
+                         len(predicted))[2]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -205,15 +221,14 @@ def annual_trend(table: ObservationTable, field: str) -> AnnualTrend:
     """Mean of a numeric field per observation year, missing values
     dropped; years with no present values are absent from the output."""
     values = table.numeric_column(field)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for i, rec in enumerate(table):
-        if rec.time is None or np.isnan(values[i]):
-            continue
-        year = rec.time.year
-        sums[year] = sums.get(year, 0.0) + float(values[i])
-        counts[year] = counts.get(year, 0) + 1
-    entries = tuple((year, sums[year] / counts[year]) for year in sorted(sums))
+    years = table.view.numeric["year"]
+    present = ~(np.isnan(values) | np.isnan(years))
+    found, group = np.unique(years[present], return_inverse=True)
+    sums = np.zeros(len(found))
+    np.add.at(sums, group, values[present])  # in row order, as a running sum
+    counts = np.bincount(group, minlength=len(found))
+    entries = tuple((int(year), float(total) / int(count))
+                    for year, total, count in zip(found, sums, counts))
     return AnnualTrend(field, entries)
 
 
@@ -319,7 +334,7 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     keep = ~np.isnan(targets)
     if not keep.any():
         raise EmptyInputError("no rows with a target to cross-validate")
-    cv_table = ObservationTable(rec for i, rec in enumerate(table) if keep[i])
+    cv_table = table.subset(keep)
     targets = targets[keep]
     y = targets.astype(np.int64)
     assignment = fold_assignment(y, k, seed, stratified)

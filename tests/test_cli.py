@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import re
+import socket
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -7,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skyglow import validation
+from skyglow import dataset, textfeat, validation
 from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
@@ -20,7 +25,7 @@ from skyglow.errors import (
     LockError,
     ParameterError,
 )
-from skyglow.features import target_classes
+from skyglow.features import pipeline, target_classes
 from skyglow.serialize import learner_to_obj, load_json, stack_to_obj
 from skyglow.validation import fit_models, fold_labels
 
@@ -296,6 +301,26 @@ def test_lock_blocks_and_is_released(tmp_path, config):
     assert not lock.exists()
 
 
+def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".skyglow.lock"
+    host = socket.gethostname()
+    for holder in (f"{os.getpid()} {host}", "1 elsewhere.invalid"):
+        lock.write_text(holder, encoding="utf-8")
+        with pytest.raises(LockError, match=re.escape(holder)):
+            dispatch("synth", config)
+    # a lock written by a process that has exited since
+    subprocess.run([sys.executable, "-c",
+                    "import os, socket, sys; open(sys.argv[1], 'w').write("
+                    "f'{os.getpid()} {socket.gethostname()}')", str(lock)],
+                   check=True, timeout=60)
+    capsys.readouterr()
+    assert dispatch("synth", config) == 0
+    assert "cleared the stale lock" in capsys.readouterr().err
+    assert not lock.exists()
+
+
 def test_ingest_of_empty_table_fails(tmp_path, config):
     dispatch("synth", config)
     header = (tmp_path / "out" / "obs.csv").read_text(
@@ -373,17 +398,31 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    count(commands, "fit_stack")
     count(validation, "fit_stack")
     count(commands, "apply_stack")
-    for command in COMMANDS[:COMMANDS.index("cv")]:
+    # counted wherever they are looked up, so the bounds hold whichever
+    # module derives a table's columns
+    for module in (dataset, pipeline, textfeat):
+        for name in ("decompose_time", "tokenize"):
+            if hasattr(module, name):
+                count(module, name)
+    for command in COMMANDS[:COMMANDS.index("features")]:
         assert dispatch(command, config) == 0, command
-    for command, name, expected in (("cv", "fit_stack", 6),
+    # every stage below loads the 120 synthetic rows (predict scores the
+    # observations file itself)
+    rows = len(commands._load_clean_table(load_config(config)))
+    assert rows == 120
+    for command, name, expected in (("features", "fit_stack", 1),
+                                    ("cv", "fit_stack", 6),
                                     ("train", "fit_stack", 2),
                                     ("ensemble", "fit_stack", 0),
                                     ("predict", "apply_stack", 2)):
         calls.clear()
         assert dispatch(command, config) == 0, command
         assert calls[name] == expected, command
+        assert calls["decompose_time"] <= rows, command
+        assert calls["tokenize"] <= 2 * rows, command
 
     # the sidecars train saved are what fit_models returns on the target rows
     run = load_config(config)

@@ -1,6 +1,7 @@
 import io
 import math
 from datetime import datetime
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from skyglow.dataset import (
     PopulationRecord,
     PopulationTable,
     category_distribution,
+    csv_writer,
     join_population,
     missingness_report,
     parse_observations,
@@ -30,7 +32,7 @@ from skyglow.errors import (
     UnknownFieldError,
 )
 
-from helpers import obs
+from helpers import grid_table, obs
 
 HEADER = ",".join(OBSERVATION_COLUMNS)
 
@@ -314,3 +316,43 @@ def test_csv_outputs_end_with_newline(tmp_path):
     dest = tmp_path / "obs.csv"
     write_observations(table, dest)
     assert dest.read_bytes().endswith(b"\n")
+
+
+def test_subset_view_equals_a_fresh_derivation():
+    table = ObservationTable(list(grid_table(30)) + [
+        obs(id="no_time", time=None, clouds=None, comment_2="Dark, clear sky!"),
+        obs(id="no_lat", latitude=None, sensor_type=None)])
+    rows = np.arange(len(table)) % 3 != 1
+    sub = table.subset(rows)
+    fresh = ObservationTable(compress(table, rows))
+    assert sub == fresh
+    for part in ("numeric", "categorical", "tokens", "missing"):
+        got, want = getattr(sub.view, part), getattr(fresh.view, part)
+        assert list(got) == list(want)
+        for name, col in want.items():
+            assert not got[name].flags.writeable, name
+            if part == "numeric":
+                assert np.array_equal(got[name], col, equal_nan=True), name
+            else:
+                assert got[name].tolist() == col.tolist(), name
+    no_time = table.row_of("no_time")
+    assert table.view.categorical["time_of_day_category"][no_time] is None
+    assert table.view.missing["year"][no_time]
+    assert table.view.tokens["comment_2"][no_time] == ["dark", "clear", "sky"]
+
+
+def test_failed_write_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "artifact.csv"
+
+    def crash():
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with csv_writer(path) as writer:
+                writer.writerow(["half", "written"])
+                raise RuntimeError("crash mid-write")
+
+    crash()
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+    path.write_text("old,file\n", encoding="utf-8")
+    crash()
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "old,file\n"

@@ -4,7 +4,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from skyglow.dataset import ObservationTable
+from skyglow.dataset import ObservationTable, decompose_time, epoch_seconds
 from skyglow.errors import InsufficientDataError, ParameterError, UnknownFieldError
 from skyglow.features.pipeline import (
     FeatureConfig,
@@ -12,8 +12,6 @@ from skyglow.features.pipeline import (
     apply_feature_pipeline,
     bin_target,
     build_neighbor_index,
-    decompose_time,
-    epoch_seconds,
     fit_feature_pipeline,
     neighbor_points,
     target_classes,

@@ -237,11 +237,12 @@ def test_empty_and_exhausted_pools():
 
 
 def test_cli_import_leaves_kd_tree_unloaded():
-    # scipy.spatial takes ~0.25 s to import; stages that build no neighbor
-    # features must not pay for it
+    # scipy.spatial takes ~0.25 s to import, scipy.sparse more; stages that
+    # build no neighbor or text features must not pay for them
     src = Path(skyglow.__file__).resolve().parents[1]
-    code = "import sys, skyglow.cli.commands; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, skyglow.cli.commands; "
+            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse')])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"

@@ -33,6 +33,7 @@ from skyglow.serialize import (
 from skyglow.textfeat import (
     TextFeatureModel,
     fit_text_features,
+    tokenize,
     transform_text_features,
 )
 
@@ -82,12 +83,13 @@ def test_pipeline_round_trip_transforms_identically(tmp_path):
 
 
 def test_text_model_round_trip(tmp_path):
-    texts = ["dark sky many stars", "bright city glow", None,
-             "faint milky way", "dark transparent sky", "city lights haze"]
-    model = fit_text_features(texts, cap=16, rank=2, seed=5)
+    corpus = [tokenize(t) for t in [
+        "dark sky many stars", "bright city glow", None,
+        "faint milky way", "dark transparent sky", "city lights haze"]]
+    model = fit_text_features(corpus, cap=16, rank=2, seed=5)
     again = from_obj(TextFeatureModel, disk_round_trip(tmp_path, to_obj(model)))
-    assert np.array_equal(transform_text_features(model, texts),
-                          transform_text_features(again, texts))
+    assert np.array_equal(transform_text_features(model, corpus),
+                          transform_text_features(again, corpus))
 
 
 def test_stack_round_trip_applies_identically(tmp_path):

@@ -143,23 +143,26 @@ def test_svd_transform_dimension_check():
 def test_text_features_end_to_end_deterministic():
     texts = ["very dark sky", None, "clouds rolling in", "dark night",
              "sky watchers meeting", None]
-    m1 = fit_text_features(texts, cap=50, rank=3, seed=2)
-    m2 = fit_text_features(texts, cap=50, rank=3, seed=2)
-    a = transform_text_features(m1, texts)
-    b = transform_text_features(m2, texts)
+    corpus = [tokenize(t) for t in texts]
+    m1 = fit_text_features(corpus, cap=50, rank=3, seed=2)
+    m2 = fit_text_features(corpus, cap=50, rank=3, seed=2)
+    a = transform_text_features(m1, corpus)
+    b = transform_text_features(m2, corpus)
     assert np.array_equal(a, b)
     assert a.shape == (6, 3)
     assert np.isfinite(a).all()
 
 
 def test_text_features_rank_clipped_to_matrix():
-    texts = ["dark sky", "dark"]
-    model = fit_text_features(texts, cap=50, rank=32, seed=0)
-    emb = transform_text_features(model, texts)
+    corpus = [tokenize(t) for t in ["dark sky", "dark"]]
+    model = fit_text_features(corpus, cap=50, rank=32, seed=0)
+    emb = transform_text_features(model, corpus)
     assert emb.shape[1] == model.rank <= 2
 
 
 def test_text_features_all_missing_yields_no_columns():
-    model = fit_text_features([None, None, ""], cap=10, rank=4, seed=0)
-    emb = transform_text_features(model, [None, "new text", ""])
+    model = fit_text_features([tokenize(t) for t in [None, None, ""]],
+                              cap=10, rank=4, seed=0)
+    emb = transform_text_features(model, [tokenize(t) for t in
+                                          [None, "new text", ""]])
     assert emb.shape == (3, 0)
