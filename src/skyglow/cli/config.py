@@ -29,9 +29,8 @@ from ..validation import LearnerSpec
 
 DEFAULT_TREND_FIELDS = ("limiting_magnitude", "sensor_reading", "elevation_m")
 
-# [features] keys that FeatureConfig owns; its feature lists are not settable.
-_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig) if f.name not in
-                      ("numeric_features", "categorical_features"))
+# [features] keys that FeatureConfig owns.
+_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig))
 
 # [model.<id>] key -> LearnerParams field, in field order.
 _SHORT_PARAM_KEYS = {"n_rounds": "rounds", "l2_regularization": "l2",

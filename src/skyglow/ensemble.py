@@ -37,11 +37,13 @@ def _stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([np.asarray(m, dtype=float) for m in matrices])
 
 
-def _check_finite_nonnegative(weights: np.ndarray) -> None:
+def _check_simplex(weights: np.ndarray) -> None:
     # NaN fails every comparison, so the sum-to-1 test alone lets it through
     if not (np.isfinite(weights) & (weights >= 0)).all():
         raise ParameterError(
             f"weights must be finite and nonnegative, got {weights.tolist()!r}")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise ParameterError(f"weights must sum to 1, got {float(weights.sum())!r}")
 
 
 def blend(matrices: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -51,9 +53,7 @@ def blend(matrices: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     if weights.shape != (len(stacked),):
         raise DimensionError(
             f"{len(stacked)} matrices but {weights.shape} weights")
-    _check_finite_nonnegative(weights)
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ParameterError(f"weights must sum to 1, got {float(weights.sum())!r}")
+    _check_simplex(weights)
     return np.tensordot(weights, stacked, axes=1)
 
 
@@ -77,9 +77,7 @@ class EnsembleWeights:
     def __post_init__(self):
         if len(self.model_ids) != len(self.weights) or len(self.weights) < 1:
             raise ParameterError("one weight per model id required")
-        _check_finite_nonnegative(self.weights)
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ParameterError("weights must lie on the simplex")
+        _check_simplex(self.weights)
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
         with csv_writer(dest) as writer:

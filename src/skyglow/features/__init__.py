@@ -2,9 +2,9 @@
 
 from .neighbors import cross_neighbor_means, neighbor_mean_features
 from .pipeline import (
-    DEFAULT_CATEGORICAL_FEATURES,
-    DEFAULT_NUMERIC_FEATURES,
+    CATEGORICAL_FEATURES,
     N_CLASSES,
+    NUMERIC_FEATURES,
     FeatureConfig,
     FeatureMatrix,
     FeaturePipelineModel,
@@ -18,7 +18,7 @@ from .pipeline import (
 )
 
 __all__ = [
-    "DEFAULT_CATEGORICAL_FEATURES", "DEFAULT_NUMERIC_FEATURES", "N_CLASSES",
+    "CATEGORICAL_FEATURES", "N_CLASSES", "NUMERIC_FEATURES",
     "FeatureConfig", "FeatureMatrix", "FeaturePipelineModel", "NeighborIndex",
     "apply_feature_pipeline", "bin_target", "build_neighbor_index",
     "fit_feature_pipeline", "neighbor_points", "target_classes",

@@ -13,9 +13,15 @@ reference row by (squared distance, position):
   reach or tie the k-th. Otherwise the candidate count doubles, up to the
   whole reference. This covers ties and duplicate points.
 
-scipy.spatial is imported on first use: it costs about 0.25 s of start-up
-that the stages without neighbor features should not pay (`textfeat` does
-the same for scipy.sparse).
+Every neighbor query in the package goes through `_exact_knn`: the
+out-of-fold features of `fit_stack`, the prediction-time features of
+`apply_stack` (both via `neighbors.cross_neighbor_means`) and
+`NeighborIndex.query`. Each call builds one tree over its reference.
+
+scipy.spatial is imported on first use: it costs about 0.5 s of CPU at
+start-up (it also loads scipy.sparse, about 0.2 s on its own) that the
+stages without neighbor features should not pay (`textfeat` defers
+scipy.sparse the same way).
 """
 
 from __future__ import annotations
@@ -30,26 +36,16 @@ _SLACK = 8
 _MARGIN = 1e-9
 
 
-def _kd_tree(points: np.ndarray):
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
-
-
-def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int,
-               tree=None) -> np.ndarray:
+def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k nearest `ref` rows to each query, ranked by
-    (squared distance, position); shape (len(queries), min(k, len(ref))).
-
-    `tree` is a prebuilt `_kd_tree(ref)` for callers that query one
-    reference repeatedly.
-    """
+    (squared distance, position); shape (len(queries), min(k, len(ref)))."""
     m = len(ref)
     width = min(k, m)
     out = np.empty((len(queries), width), dtype=np.int64)
     if width == 0 or len(queries) == 0:
         return out
-    if tree is None:
-        tree = _kd_tree(ref)
+    from scipy.spatial import cKDTree
+    tree = cKDTree(ref)
     pending = np.arange(len(queries))
     wide = min(k + _SLACK, m)
     while len(pending):

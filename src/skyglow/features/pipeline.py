@@ -23,14 +23,14 @@ from ..errors import (
     ParameterError,
     UnknownFieldError,
 )
-from .knn import _exact_knn, _kd_tree
+from .knn import _exact_knn
 
 N_CLASSES = 8
 
-# Numeric and categorical columns of a table's view usable as features.
-DEFAULT_NUMERIC_FEATURES = ("time_zone", "latitude", "longitude", "elevation_m",
-                            "sensor_reading", "population") + TIME_PARTS
-DEFAULT_CATEGORICAL_FEATURES = CATEGORICAL_REPORT_FIELDS
+# The numeric and categorical columns of a table's view that the pipeline fits.
+NUMERIC_FEATURES = ("time_zone", "latitude", "longitude", "elevation_m",
+                    "sensor_reading", "population") + TIME_PARTS
+CATEGORICAL_FEATURES = CATEGORICAL_REPORT_FIELDS
 
 # Coordinates of the neighbor-query space, in order.
 NEIGHBOR_SPACE = ("latitude", "longitude", "epoch_time", "time_zone")
@@ -61,8 +61,6 @@ def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    numeric_features: tuple[str, ...] = DEFAULT_NUMERIC_FEATURES
-    categorical_features: tuple[str, ...] = DEFAULT_CATEGORICAL_FEATURES
     quantile_low: float = 0.01
     quantile_high: float = 0.99
     knn_k: int = 10
@@ -79,12 +77,6 @@ class FeatureConfig:
             raise ParameterError(
                 f"indicator_threshold must be in [0, 1], got "
                 f"{self.indicator_threshold}")
-        for name in self.numeric_features:
-            if name not in DEFAULT_NUMERIC_FEATURES:
-                raise UnknownFieldError(f"unknown numeric feature: {name!r}")
-        for name in self.categorical_features:
-            if name not in DEFAULT_CATEGORICAL_FEATURES:
-                raise UnknownFieldError(f"unknown categorical feature: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def fit_feature_pipeline(table: ObservationTable,
     diagnostics: list[str] = []
     indicator: list[str] = []
 
-    for name in config.numeric_features:
+    for name in NUMERIC_FEATURES:
         present = view.numeric[name][~view.missing[name]]
         missing_fraction = 1.0 - present.size / n
         if present.size == 0:
@@ -213,7 +205,7 @@ def fit_feature_pipeline(table: ObservationTable,
             indicator.append(name)
 
     maps: list[CategoryMap] = []
-    for name in config.categorical_features:
+    for name in CATEGORICAL_FEATURES:
         present = view.categorical[name][~view.missing[name]]
         missing_fraction = 1.0 - len(present) / n
         if len(present) == 0:
@@ -261,31 +253,27 @@ def apply_feature_pipeline(model: FeaturePipelineModel,
 
 
 class NeighborIndex:
-    """Exact nearest-neighbor index over the standardized 4-space
-    (latitude, longitude, epoch_time, time_zone).
+    """The usable rows of a table as points in the standardized 4-space
+    (latitude, longitude, epoch_time, time_zone), with optional fold labels.
 
-    Rows missing latitude, longitude, or time are left out of the index
-    (and diagnosed) but keep their position in the alignment, so queries
-    and features stay row-aligned with the source table. Search runs on a
-    k-d tree built on the first query and kept for later ones; candidates
-    are re-ranked with the brute-force arithmetic (`knn._exact_knn`), so
-    results match a pairwise-distance oracle exactly, with ties broken by
-    smaller row index.
+    Rows missing latitude, longitude, or time are left out of the points
+    but keep their position in the alignment, so queries and features stay
+    row-aligned with the source table. Every search goes through the one
+    exact kernel (`knn._exact_knn`, which `neighbors.cross_neighbor_means`
+    also uses), so results match a pairwise-distance oracle exactly, with
+    ties broken by smaller row index.
     """
 
     def __init__(self, points: np.ndarray, table_rows: np.ndarray, n_rows: int,
-                 fold_labels: np.ndarray | None,
-                 excluded_rows: tuple[int, ...]):
+                 fold_labels: np.ndarray | None):
         self.points = points
         self.table_rows = table_rows
         self.n_rows = n_rows
         self.fold_labels = fold_labels
-        self.excluded_rows = excluded_rows
         # position of each table row inside the index; -1 if absent
         pos = np.full(n_rows, -1, dtype=np.int64)
         pos[table_rows] = np.arange(len(table_rows))
         self._position = pos
-        self._tree = None
 
     def __len__(self) -> int:
         return len(self.table_rows)
@@ -305,13 +293,9 @@ class NeighborIndex:
         eligible[pos] = False
         if banned_rows is not None:
             eligible &= ~banned_rows[self.table_rows]
-        if self._tree is None:
-            self._tree = _kd_tree(self.points)
-        # widen by every ineligible row, so k eligible ones survive the filter
-        wide = k + int(np.count_nonzero(~eligible))
-        found = _exact_knn(self.points, self.points[pos:pos + 1], wide,
-                           tree=self._tree)[0]
-        return self.table_rows[found[eligible[found]][:k]]
+        pool = np.flatnonzero(eligible)
+        found = _exact_knn(self.points[pool], self.points[pos:pos + 1], k)[0]
+        return self.table_rows[pool[found]]
 
 
 def neighbor_points(table: ObservationTable,
@@ -353,7 +337,4 @@ def build_neighbor_index(table: ObservationTable, model: FeaturePipelineModel,
     if len(table_rows) < 2:
         raise InsufficientDataError(
             f"neighbor index needs at least 2 usable rows, found {len(table_rows)}")
-    usable = np.zeros(n, dtype=bool)
-    usable[table_rows] = True
-    excluded = tuple(int(i) for i in np.nonzero(~usable)[0])
-    return NeighborIndex(points, table_rows, n, fold_labels, excluded)
+    return NeighborIndex(points, table_rows, n, fold_labels)

@@ -5,7 +5,9 @@ One stack is fitted per (text, neighbor) configuration on training rows
 only; applying it to any table is pure. The neighbor-mean target feature
 is computed out-of-fold during fitting (a row's feature never sees its
 own fold's targets) and against the stored training reference at predict
-time, the usual target-encoding asymmetry.
+time, the usual target-encoding asymmetry; both go through the one
+kernel `cross_neighbor_means`, and a held-out fold gets the same features
+from either.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ class NeighborReference:
     points: np.ndarray   # (m, 4) standardized coordinates of training rows
     values: np.ndarray   # (m,) target classes of those rows
     k: int
-    fallback: float      # mean target over the reference
+    fallback: float      # mean target over every training row with one
 
 
 @dataclass(frozen=True)
 class StackModel:
     spec: StackSpec
-    feature_config: FeatureConfig
     pipeline: FeaturePipelineModel
     text_models: tuple[tuple[str, TextFeatureModel], ...]
     neighbor: NeighborReference | None
@@ -84,6 +85,12 @@ def _transform(pipeline: FeaturePipelineModel,
             matrix = matrix.with_columns(
                 [f"{column}_svd_{i:02d}" for i in range(model.rank)], block)
     return matrix
+
+
+def _with_neighbor_columns(matrix: FeatureMatrix, means: np.ndarray,
+                           counts: np.ndarray) -> FeatureMatrix:
+    return matrix.with_columns(
+        NEIGHBOR_FEATURES, np.column_stack([means, counts.astype(float)]))
 
 
 def fit_stack(table: ObservationTable, targets: np.ndarray,
@@ -116,21 +123,21 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     if spec.use_neighbor:
         index = build_neighbor_index(table, pipeline, fold_labels)
         means, counts = neighbor_mean_features(
-            index, targets, feature_config.knn_k, mode="out_of_fold",
-            neighbor_mask=train_mask)
-        matrix = matrix.with_columns(
-            NEIGHBOR_FEATURES, np.column_stack([means, counts.astype(float)]))
+            index, targets, feature_config.knn_k, neighbor_mask=train_mask)
+        matrix = _with_neighbor_columns(matrix, means, counts)
         in_reference = train_mask[index.table_rows] & ~np.isnan(
             targets[index.table_rows])
-        ref_values = targets[index.table_rows[in_reference]]
+        # the held-out rows' out-of-fold fallback: every training target,
+        # located or not
+        train_values = targets[train_mask & ~np.isnan(targets)]
         neighbor_ref = NeighborReference(
             points=index.points[in_reference],
-            values=ref_values,
+            values=targets[index.table_rows[in_reference]],
             k=feature_config.knn_k,
-            fallback=float(ref_values.mean()) if len(ref_values) else 0.0)
+            fallback=float(train_values.mean()) if len(train_values) else 0.0)
 
-    stack = StackModel(spec, feature_config, pipeline, text_models,
-                       neighbor_ref, matrix.columns)
+    stack = StackModel(spec, pipeline, text_models, neighbor_ref,
+                       matrix.columns)
     return stack, matrix
 
 
@@ -138,19 +145,14 @@ def apply_stack(stack: StackModel, table: ObservationTable) -> FeatureMatrix:
     """Features for unseen rows: pipeline transform, text projection, and
     neighbor means against the stored training reference."""
     matrix = _transform(stack.pipeline, stack.text_models, table)
-    if stack.neighbor is not None:
-        n = len(table)
-        means = np.full(n, stack.neighbor.fallback)
-        counts = np.zeros(n, dtype=np.int64)
+    ref = stack.neighbor
+    if ref is not None:
+        means = np.full(len(table), ref.fallback)
+        counts = np.zeros(len(table), dtype=np.int64)
         points, usable_rows = neighbor_points(table, stack.pipeline)
-        if len(usable_rows):
-            m, c = cross_neighbor_means(
-                stack.neighbor.points, stack.neighbor.values, points,
-                stack.neighbor.k, stack.neighbor.fallback)
-            means[usable_rows] = m
-            counts[usable_rows] = c
-        matrix = matrix.with_columns(
-            NEIGHBOR_FEATURES, np.column_stack([means, counts.astype(float)]))
+        means[usable_rows], counts[usable_rows] = cross_neighbor_means(
+            ref.points, ref.values, points, ref.k, ref.fallback)
+        matrix = _with_neighbor_columns(matrix, means, counts)
     if matrix.columns != stack.columns:
         raise ParameterError("applied stack columns diverge from the fitted stack")
     return matrix

@@ -123,7 +123,7 @@ def test_criterion_3_knn_oracle_and_leakage():
         n = int(rng.integers(5, 501))
         points = rng.normal(size=(n, 4))
         k = int(rng.integers(1, min(10, n - 1) + 1))
-        index = NeighborIndex(points, np.arange(n), n, None, ())
+        index = NeighborIndex(points, np.arange(n), n, None)
         order = np.arange(n)
         # exhaustive vectorized brute-force scan over every query row
         for i in range(n):
@@ -142,21 +142,18 @@ def test_criterion_3_knn_oracle_and_leakage():
     points = leak_rng.normal(size=(n, 4))
     values = leak_rng.normal(size=n)
     folds = leak_rng.integers(0, 4, size=n)
-    index = NeighborIndex(points, np.arange(n), n, folds, ())
-    base_means, base_counts = neighbor_mean_features(index, values, k=5,
-                                                     mode="out_of_fold")
+    index = NeighborIndex(points, np.arange(n), n, folds)
+    base_means, base_counts = neighbor_mean_features(index, values, k=5)
     leak_free = True
     for i in range(n):
         poked = values.copy()
         poked[i] += 1000.0
-        means, counts = neighbor_mean_features(index, poked, k=5,
-                                               mode="out_of_fold")
+        means, counts = neighbor_mean_features(index, poked, k=5)
         leak_free &= (means[i] == base_means[i] and counts[i] == base_counts[i])
     for fold in range(4):
         poked = values.copy()
         poked[folds == fold] -= 500.0
-        means, counts = neighbor_mean_features(index, poked, k=5,
-                                               mode="out_of_fold")
+        means, counts = neighbor_mean_features(index, poked, k=5)
         rows = folds == fold
         leak_free &= (np.array_equal(means[rows], base_means[rows])
                       and np.array_equal(counts[rows], base_counts[rows]))

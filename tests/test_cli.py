@@ -374,6 +374,23 @@ def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     assert len(lines) - 1 == 120
 
 
+def test_stages_without_neighbor_or_text_features_load_no_scipy(tmp_path,
+                                                                config):
+    # scipy.spatial (about 0.5 s of CPU to import, scipy.sparse included)
+    # and scipy.sparse load on first use; these stages use neither
+    for command in COMMANDS:
+        assert dispatch(command, config) == 0, command
+    src = Path(commands.__file__).resolve().parents[2]
+    code = ("import sys; from skyglow.cli.main import main\n"
+            "for command in ('ingest', 'eda', 'ensemble', 'report'):\n"
+            f"    assert main([command, '--config', {config!r}]) == 0, command\n"
+            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse')])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip().splitlines()[-1] == "[False, False]"
+
+
 def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     # three models over two distinct stacks (boost and woods share the
     # default full stack), three folds

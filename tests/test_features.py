@@ -231,3 +231,25 @@ def test_apply_stack_reproduces_non_neighbor_columns():
         if col.startswith("neighbor_"):
             continue  # OOF during fit vs reference lookup at apply time
         assert np.array_equal(applied.column(col), fitted.column(col)), col
+
+
+def test_apply_stack_neighbor_columns_equal_held_out_fit():
+    # r2 and r6 train without coordinates and carry class 7 among class-1
+    # rows, so the coordinate-less held-out row r9 sees whether the fallback
+    # counts them: the held-out fold's out-of-fold fallback does (1.6)
+    table = ObservationTable(
+        obs(id=f"r{i}", latitude=None if i in (2, 6, 9) else float(i),
+            longitude=float(2 * i),
+            limiting_magnitude=7.0 if i in (2, 6) else 1.0)
+        for i in range(40))
+    targets = target_classes(table)
+    folds = np.arange(len(table)) % 2
+    held_out = folds == 1
+    stack, fitted = fit_stack(table, targets, ~held_out, folds,
+                              FeatureConfig(knn_k=3),
+                              StackSpec(use_text=False), seed=0)
+    applied = apply_stack(stack, table.subset(held_out))
+    for col in ("neighbor_target_mean", "neighbor_count"):
+        assert np.array_equal(applied.column(col),
+                              fitted.column(col)[held_out]), col
+    assert applied.column("neighbor_target_mean")[9 // 2] == 1.6

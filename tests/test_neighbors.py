@@ -18,7 +18,7 @@ def make_index(points, fold_labels=None):
     n = len(points)
     return NeighborIndex(np.asarray(points, dtype=float), np.arange(n), n,
                          None if fold_labels is None
-                         else np.asarray(fold_labels), ())
+                         else np.asarray(fold_labels))
 
 
 def test_query_matches_brute_force():
@@ -54,24 +54,6 @@ def test_query_k_validation():
         index.query(0, 0)
 
 
-def test_neighbor_means_match_oracle_all_mode():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        n = int(rng.integers(6, 60))
-        points = rng.normal(size=(n, 3))
-        values = rng.normal(size=n)
-        values[rng.random(n) < 0.3] = np.nan
-        k = int(rng.integers(1, 6))
-        means, counts = neighbor_mean_features(make_index(points), values, k)
-        m0, c0 = neighbor_mean_oracle(points, values, k)
-        assert np.array_equal(counts, c0)
-        # true neighbor means are bit-identical; fallback rows (no usable
-        # neighbor) may differ by summation order only
-        real = counts > 0
-        assert np.array_equal(means[real], m0[real])
-        assert np.allclose(means[~real], m0[~real], atol=1e-12)
-
-
 def test_neighbor_means_match_oracle_out_of_fold():
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -82,7 +64,7 @@ def test_neighbor_means_match_oracle_out_of_fold():
         folds = rng.integers(0, 3, size=n)
         k = int(rng.integers(1, 5))
         means, counts = neighbor_mean_features(
-            make_index(points, folds), values, k, mode="out_of_fold")
+            make_index(points, folds), values, k)
         m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=folds)
         assert np.array_equal(counts, c0)
         real = counts > 0
@@ -95,8 +77,7 @@ def test_out_of_fold_never_uses_own_fold():
     points = np.array([[0.0], [0.01], [0.02], [10.0], [10.01], [10.02]])
     values = np.array([1000.0, 1000.0, 1000.0, 1.0, 2.0, 3.0])
     folds = np.array([0, 0, 0, 1, 1, 1])
-    means, _ = neighbor_mean_features(make_index(points, folds), values, 2,
-                                      mode="out_of_fold")
+    means, _ = neighbor_mean_features(make_index(points, folds), values, 2)
     assert means[0] == (1.0 + 2.0) / 2  # nearest two in the other fold
 
 
@@ -105,26 +86,29 @@ def test_perturbing_own_fold_leaves_feature_bit_identical():
     points = rng.normal(size=(50, 3))
     values = rng.normal(size=50)
     folds = rng.integers(0, 5, size=50)
-    base, _ = neighbor_mean_features(make_index(points, folds), values, 4,
-                                     mode="out_of_fold")
+    base, _ = neighbor_mean_features(make_index(points, folds), values, 4)
     poisoned = values.copy()
     poisoned[folds == 2] += 1e6
-    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4,
-                                      mode="out_of_fold")
+    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4)
     rows = folds == 2
     assert np.array_equal(base[rows], after[rows])
 
 
 def test_neighbor_mask_restricts_pool_and_fallback():
+    # rows 0-3 are located, row 4 has no coordinates; rows 2-3 are masked out
     points = np.array([[0.0], [0.1], [0.2], [0.3]])
-    values = np.array([10.0, 20.0, 30.0, 40.0])
-    mask = np.array([True, True, False, False])
-    means, counts = neighbor_mean_features(make_index(points), values, 2,
-                                           neighbor_mask=mask)
-    # row 2 may only see rows 0-1
-    assert means[2] == 15.0 and counts[2] == 2
-    # row 0 sees only row 1 (itself excluded, 2-3 masked out)
-    assert means[0] == 20.0 and counts[0] == 1
+    values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    folds = np.array([0, 1, 0, 1, 0])
+    mask = np.array([True, True, False, False, True])
+    index = NeighborIndex(points, np.arange(4), 5, folds)
+    means, counts = neighbor_mean_features(index, values, 2, neighbor_mask=mask)
+    # each located row sees only the one masked-in row of the other fold
+    # (row 2 would average rows 1 and 3 without the mask)
+    assert means[:4].tolist() == [20.0, 10.0, 20.0, 10.0]
+    assert counts[:4].tolist() == [1, 1, 1, 1]
+    # row 4 falls back to its fold's complement over masked-in rows only:
+    # row 1, not rows 1 and 3
+    assert means[4] == 20.0 and counts[4] == 0
 
 
 def test_fallback_is_fold_complement_mean():
@@ -134,7 +118,7 @@ def test_fallback_is_fold_complement_mean():
     values = np.array([5.0, 5.0, np.nan, 9.0])
     folds = np.array([0, 0, 1, 1])
     means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           1, mode="out_of_fold")
+                                           1)
     assert counts[0] == 0 and means[0] == 9.0  # fold-1 values: {nan, 9} -> 9
     # row 3's nearest out-of-fold neighbor is row 1 (value 5.0)
     assert counts[3] == 1 and means[3] == 5.0
@@ -145,7 +129,7 @@ def test_fallback_when_no_eligible_values():
     values = np.array([np.nan, np.nan, 7.0])
     folds = np.array([0, 1, 1])
     means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           2, mode="out_of_fold")
+                                           2)
     # row 2: other-fold pool = {row 0} with NaN value -> fallback =
     # complement mean over rows not in fold 1 = mean of {NaN dropped} = 0.0
     assert counts[2] == 0.0
@@ -191,15 +175,13 @@ def test_tie_heavy_grid_matches_oracle():
         folds = rng.integers(-1, 3, size=n)
         mask = rng.random(n) < 0.7
         k = trial % 12 + 1
-        index = make_index(points, folds)
-        for mode, labels in (("all", None), ("out_of_fold", folds)):
-            means, counts = neighbor_mean_features(index, values, k, mode=mode,
-                                                   neighbor_mask=mask)
-            m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=labels,
-                                          eligible=mask)
-            # integer values: every sum is exact, so means compare bitwise
-            assert np.array_equal(counts, c0)
-            assert np.array_equal(means, m0)
+        means, counts = neighbor_mean_features(make_index(points, folds),
+                                               values, k, neighbor_mask=mask)
+        m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=folds,
+                                      eligible=mask)
+        # integer values: every sum is exact, so means compare bitwise
+        assert np.array_equal(counts, c0)
+        assert np.array_equal(means, m0)
         ref, ref_values = points[mask], values[mask]
         queries = rng.integers(0, 3, size=(8, 2)).astype(float)
         means, counts = cross_neighbor_means(ref, ref_values, queries, k,
@@ -218,27 +200,27 @@ def test_empty_and_exhausted_pools():
     index = make_index(points, folds)
     # empty reference: every row gets the fallback and count 0
     nobody = np.zeros(5, dtype=bool)
-    for mode in ("all", "out_of_fold"):
-        means, counts = neighbor_mean_features(index, values, 3, mode=mode,
-                                               neighbor_mask=nobody)
-        assert counts.tolist() == [0] * 5 and means.tolist() == [0.0] * 5
+    means, counts = neighbor_mean_features(index, values, 3,
+                                           neighbor_mask=nobody)
+    assert counts.tolist() == [0] * 5 and means.tolist() == [0.0] * 5
     means, counts = cross_neighbor_means(np.empty((0, 1)), np.empty(0),
                                          points, 3, fallback=2.5)
     assert counts.tolist() == [0] * 5 and means.tolist() == [2.5] * 5
-    # k beyond the pool: every other row is a neighbor
+    # k beyond the pool: every row outside the fold is a neighbor
     means, counts = neighbor_mean_features(index, values, 10)
-    assert counts.tolist() == [4] * 5
-    assert means[0] == (2.0 + 3.0 + 4.0 + 5.0) / 4
+    assert counts.tolist() == [3, 3, 3, 3, 4]
+    assert means.tolist() == [4.0, 4.0, 8.0 / 3, 8.0 / 3, 2.5]
     # fold 0's complement has no member rows, so fold 0 falls back
-    means, counts = neighbor_mean_features(index, values, 2, mode="out_of_fold",
+    means, counts = neighbor_mean_features(index, values, 2,
                                            neighbor_mask=folds == 0)
     assert counts.tolist() == [0, 0, 2, 2, 2]
     assert means.tolist() == [0.0, 0.0, 1.5, 1.5, 1.5]
 
 
 def test_cli_import_leaves_kd_tree_unloaded():
-    # scipy.spatial takes ~0.25 s to import, scipy.sparse more; stages that
-    # build no neighbor or text features must not pay for them
+    # scipy.spatial takes about 0.5 s of CPU to import (it loads
+    # scipy.sparse, about 0.2 s on its own); stages that build no neighbor
+    # or text features must not pay for them
     src = Path(skyglow.__file__).resolve().parents[1]
     code = ("import sys, skyglow.cli.commands; "
             "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse')])")

@@ -174,13 +174,12 @@ def test_sidecar_keys_are_pinned():
     # the file format, and this test names the change.
     stack, gbdt, forest = fitted_learners()
     obj = stack_to_obj(stack)
-    assert sorted(obj) == ["columns", "feature_config", "neighbor", "pipeline",
-                           "spec", "text_models"]
+    assert sorted(obj) == ["columns", "neighbor", "pipeline", "spec",
+                           "text_models"]
     assert sorted(obj["spec"]) == ["svd_rank", "use_neighbor", "use_text",
                                    "vocab_cap"]
-    assert sorted(obj["feature_config"]) == [
-        "categorical_features", "indicator_threshold", "knn_k",
-        "numeric_features", "quantile_high", "quantile_low"]
+    assert sorted(obj["pipeline"]["config"]) == [
+        "indicator_threshold", "knn_k", "quantile_high", "quantile_low"]
     assert sorted(obj["pipeline"]) == ["categorical", "config", "diagnostics",
                                        "excluded", "indicator_columns",
                                        "numeric"]
@@ -220,7 +219,7 @@ def test_sidecar_keys_are_pinned():
 def test_every_sidecar_class_round_trips():
     stack, gbdt, forest = fitted_learners()
     text_model = stack.text_models[0][1]
-    values = [stack, stack.spec, stack.feature_config, stack.pipeline,
+    values = [stack, stack.spec, stack.pipeline.config, stack.pipeline,
               stack.pipeline.numeric[0], stack.pipeline.categorical[0],
               stack.neighbor, text_model, text_model.tfidf, text_model.svd,
               gbdt, gbdt.trees[0][0], gbdt.params, forest, forest.trees[0]]
