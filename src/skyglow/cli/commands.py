@@ -14,19 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import (
+    CATEGORY_HEADER,
+    MISSINGNESS_HEADER,
     ObservationTable,
     category_distribution,
-    csv_reader,
-    csv_writer,
     join_population,
     missingness_report,
     open_text,
     parse_observations,
     parse_population,
-    parsed_rows,
     read_population_long,
+    read_rows,
     write_observations,
     write_population,
+    write_rows,
 )
 from ..ensemble import blend, mean_blend, optimize_weights, read_weights_csv
 from ..errors import (
@@ -53,6 +54,7 @@ from ..validation import (
     annual_trend,
     fit_models,
     fold_labels,
+    labelled_rows,
     micro_f1,
     pearson,
     predict_proba,
@@ -83,6 +85,13 @@ PREDICTIONS = "predictions.csv"
 MODEL_COMPARISON = "model_comparison.csv"
 LOCK_FILE = ".skyglow.lock"
 CONFIG_ECHO = "config_echo.ini"
+
+# Headers of the artifacts a command writes and a later command reads;
+# cv_summary.csv has one fold_* column per fold after its leading columns.
+CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
+CV_SUMMARY_HEADER = ("model_id", "micro_f1")
+# ensemble_metrics.csv, and model_comparison.csv copied from it
+ENSEMBLE_METRICS_HEADER = ("model_id", "micro_f1", "weight")
 
 CORRELATION_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
                       "sensor_reading", "population", "year", "month",
@@ -156,10 +165,8 @@ def cmd_ingest(config: RunConfig) -> None:
     out = config.output_dir
     write_observations(table, out / CLEAN_OBSERVATIONS)
     write_population(population, out / POPULATION_LONG)
-    with csv_writer(out / INGEST_DIAGNOSTICS) as writer:
-        writer.writerow(["line", "row_id", "message"])
-        for diag in diagnostics:
-            writer.writerow([diag.line, diag.row_id, diag.message])
+    write_rows(out / INGEST_DIAGNOSTICS, ["line", "row_id", "message"],
+               ([diag.line, diag.row_id, diag.message] for diag in diagnostics))
     _note(f"ingested {len(table)} rows ({len(diagnostics)} dropped), "
           f"{len(population)} population records")
 
@@ -173,15 +180,16 @@ def cmd_eda(config: RunConfig) -> None:
 
     numeric = derived_numeric_columns(table)
     target = numeric["limiting_magnitude"]
-    with csv_writer(out / CORRELATIONS) as writer:
-        writer.writerow(["field", "pearson_with_target", "complete_pairs", "note"])
-        for field in CORRELATION_FIELDS:
-            column = numeric[field]
-            pairs = int((~(np.isnan(column) | np.isnan(target))).sum())
-            try:
-                writer.writerow([field, repr(pearson(column, target)), pairs, ""])
-            except UndefinedCorrelationError as exc:
-                writer.writerow([field, "", pairs, str(exc)])
+    rows = []
+    for field in CORRELATION_FIELDS:
+        column = numeric[field]
+        pairs = int((~(np.isnan(column) | np.isnan(target))).sum())
+        try:
+            rows.append([field, repr(pearson(column, target)), pairs, ""])
+        except UndefinedCorrelationError as exc:
+            rows.append([field, "", pairs, str(exc)])
+    write_rows(out / CORRELATIONS,
+               ["field", "pearson_with_target", "complete_pairs", "note"], rows)
     for field in config.trend_fields:
         annual_trend(table, field).write_csv(out / _trend_csv(field))
     _note(f"eda reports written for {len(table)} rows")
@@ -196,10 +204,9 @@ def cmd_features(config: RunConfig) -> None:
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
                               labels, config.feature_config, spec, config.seed)
-    with csv_writer(out / FEATURES_CSV) as writer:
-        writer.writerow(["row_id"] + list(matrix.columns))
-        for i, row_id in enumerate(matrix.row_ids):
-            writer.writerow([row_id] + [repr(float(v)) for v in matrix.values[i]])
+    write_rows(out / FEATURES_CSV, ["row_id"] + list(matrix.columns),
+               ([row_id] + [repr(float(v)) for v in matrix.values[i]]
+                for i, row_id in enumerate(matrix.row_ids)))
     save_json(out / FEATURES_SIDECAR, stack_to_obj(stack))
     _note(f"feature matrix {matrix.values.shape[0]}x{matrix.values.shape[1]} written")
 
@@ -215,10 +222,9 @@ def cmd_cv(config: RunConfig) -> None:
     for warning in result.warnings:
         _note(warning)
 
-    with csv_writer(out / CV_TRUTH) as writer:
-        writer.writerow(["row_id", "fold", "true_class"])
-        for i, row_id in enumerate(result.row_ids):
-            writer.writerow([row_id, int(result.folds[i]), int(result.truth[i])])
+    write_rows(out / CV_TRUTH, CV_TRUTH_HEADER,
+               ([row_id, int(result.folds[i]), int(result.truth[i])]
+                for i, row_id in enumerate(result.row_ids)))
 
     summary_rows = []
     for model in result.models:
@@ -231,40 +237,31 @@ def cmd_cv(config: RunConfig) -> None:
         for diag in model.diagnostics:
             _note(f"{model.model_id}: {diag}")
         _note(f"{model.model_id}: OOF micro-F1 {model.metrics.micro_f1:.4f}")
-    with csv_writer(out / CV_SUMMARY) as writer:
-        writer.writerow(["model_id", "micro_f1"]
-                        + [f"fold_{f}" for f in range(result.k)])
-        writer.writerows(summary_rows)
+    write_rows(out / CV_SUMMARY,
+               CV_SUMMARY_HEADER + tuple(f"fold_{f}" for f in range(result.k)),
+               summary_rows)
 
 
 def cmd_train(config: RunConfig) -> None:
     out = config.output_dir
     _require(out, FEATURES_CSV)
-    table = _load_clean_table(config)
-    targets = target_classes(table)
-    keep = ~np.isnan(targets)
-    if not keep.any():
-        raise EmptyInputError("no rows with a target to train on")
+    table, targets = labelled_rows(_load_clean_table(config))
     labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES}
     for spec, stack, _, model in fit_models(
-            table, targets, keep, labels, config.feature_config, config.specs,
-            config.seed):
+            table, targets, np.ones(len(table), dtype=bool), labels,
+            config.feature_config, config.specs, config.seed):
         save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
-        _note(f"trained {spec.model_id} on {int(keep.sum())} rows, "
+        _note(f"trained {spec.model_id} on {len(table)} rows, "
               f"{len(stack.columns)} features")
     save_json(out / TRAIN_MANIFEST, manifest)
 
 
 def _read_cv_truth(out: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    path = out / CV_TRUTH
-    with csv_reader(path) as reader:
-        if next(reader, None) != ["row_id", "fold", "true_class"]:
-            raise SchemaError("bad cv truth file header")
-        rows = parsed_rows(path, reader, 3,
-                           lambda row: (row[0], int(row[1]), int(row[2])))
+    _, rows = read_rows(out / CV_TRUTH, CV_TRUTH_HEADER,
+                        lambda row: (row[0], int(row[1]), int(row[2])))
     return ([row[0] for row in rows],
             np.array([row[1] for row in rows], dtype=np.int64),
             np.array([row[2] for row in rows], dtype=np.int64))
@@ -289,13 +286,12 @@ def cmd_ensemble(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     write_oof_csv(out / ENSEMBLE_OOF, ids, folds, "ensemble_opt", blended)
     mean_f1 = micro_f1(predicted_classes(mean_blend(matrices)), truth)
-    with csv_writer(out / ENSEMBLE_METRICS) as writer:
-        writer.writerow(["model_id", "micro_f1", "weight"])
-        for i, model_id in enumerate(config.model_ids):
-            single = micro_f1(predicted_classes(matrices[i]), truth)
-            writer.writerow([model_id, repr(single), repr(float(weights.weights[i]))])
-        writer.writerow(["ensemble_mean", repr(mean_f1), ""])
-        writer.writerow(["ensemble_opt", repr(weights.objective), ""])
+    write_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER, [
+        *([model_id, repr(micro_f1(predicted_classes(matrices[i]), truth)),
+           repr(float(weights.weights[i]))]
+          for i, model_id in enumerate(config.model_ids)),
+        ["ensemble_mean", repr(mean_f1), ""],
+        ["ensemble_opt", repr(weights.objective), ""]])
     _note(f"optimized ensemble micro-F1 {weights.objective:.4f} "
           f"(mean blend {mean_f1:.4f})")
 
@@ -336,25 +332,12 @@ def cmd_predict(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 
-    with csv_writer(out / PREDICTIONS) as writer:
-        writer.writerow(["row_id", "predicted_class"]
-                        + [f"p_class_{c}" for c in range(blended.shape[1])])
-        for i, row_id in enumerate(table.ids):
-            writer.writerow([row_id, int(classes[i])]
-                            + [repr(float(p)) for p in blended[i]])
+    write_rows(out / PREDICTIONS,
+               ["row_id", "predicted_class"]
+               + [f"p_class_{c}" for c in range(blended.shape[1])],
+               ([row_id, int(classes[i])] + [repr(float(p)) for p in blended[i]]
+                for i, row_id in enumerate(table.ids)))
     _note(f"predicted {len(table)} rows")
-
-
-def _report_rows(path: Path, header: list[str], parse) -> tuple[list[str], list]:
-    """The header of the report input `path` and parse(row) for each of its
-    rows. The header must begin with `header`, and every row must have as
-    many fields as the header, or SchemaError names the file."""
-    with csv_reader(path) as reader:
-        found = next(reader, None)
-        if found is None or found[:len(header)] != header:
-            raise SchemaError(f"{path}: expected a header beginning "
-                              f"{','.join(header)}")
-        return found, parsed_rows(path, reader, len(found), parse)
 
 
 def cmd_report(config: RunConfig) -> None:
@@ -362,21 +345,17 @@ def cmd_report(config: RunConfig) -> None:
     _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS)
 
     # model comparison table: single models plus both ensembles
-    _, metric_rows = _report_rows(out / ENSEMBLE_METRICS,
-                                  ["model_id", "micro_f1", "weight"],
-                                  lambda row: (row, float(row[1])))
-    with csv_writer(out / MODEL_COMPARISON) as writer:
-        writer.writerow(["model_id", "micro_f1", "weight"])
-        writer.writerows(row for row, _ in metric_rows)
+    _, metric_rows = read_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER,
+                               lambda row: (row, float(row[1])), leading=True)
+    write_rows(out / MODEL_COMPARISON, ENSEMBLE_METRICS_HEADER,
+               (row for row, _ in metric_rows))
     comparison_bars = [(row[0], f1) for row, f1 in metric_rows]
     write_svg(out / "model_comparison.svg",
               bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
                             "model", "micro-F1"))
 
-    _, bars = _report_rows(
-        out / MISSINGNESS,
-        ["field", "missing_count", "missing_fraction", "total_rows"],
-        lambda row: (row[0], float(row[2])))
+    _, bars = read_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
+                        lambda row: (row[0], float(row[2])), leading=True)
     write_svg(out / "missingness.svg",
               bar_chart_svg(bars, "Missing-value fraction by field",
                             "field", "fraction missing"))
@@ -385,8 +364,8 @@ def cmd_report(config: RunConfig) -> None:
         path = out / _category_csv(field)
         if not path.exists():
             continue
-        _, bars = _report_rows(path, ["field", "category", "count", "fraction"],
-                               lambda row: (row[1], float(row[3])))
+        _, bars = read_rows(path, CATEGORY_HEADER,
+                            lambda row: (row[1], float(row[3])), leading=True)
         write_svg(out / f"category_{field}.svg",
                   bar_chart_svg(bars, f"Distribution of {field}", field,
                                 "fraction"))
@@ -395,17 +374,18 @@ def cmd_report(config: RunConfig) -> None:
         path = out / _trend_csv(field)
         if not path.exists():
             continue
-        _, points = _report_rows(path, ["year", f"mean_{field}"],
-                                 lambda row: (float(row[0]), float(row[1])))
+        _, points = read_rows(path, ["year", f"mean_{field}"],
+                              lambda row: (float(row[0]), float(row[1])),
+                              leading=True)
         if not points:
             continue
         write_svg(out / f"trend_{field}.svg",
                   line_chart_svg([(field, points)], f"Annual mean of {field}",
                                  "year", f"mean {field}"))
 
-    header, summary_rows = _report_rows(
-        out / CV_SUMMARY, ["model_id", "micro_f1"],
-        lambda row: (row[0], [float(f1) for f1 in row[2:]]))
+    header, summary_rows = read_rows(
+        out / CV_SUMMARY, CV_SUMMARY_HEADER,
+        lambda row: (row[0], [float(f1) for f1 in row[2:]]), leading=True)
     fold_count = len(header) - 2
     if fold_count >= 2:
         series = [(model_id, [(float(f), f1) for f, f1 in enumerate(fold_f1)])

@@ -52,6 +52,12 @@ TIME_PARTS = ("year", "month", "day_of_year", "seconds_of_day", "epoch_time")
 COMMENT_FIELDS = ("comment_1", "comment_2")
 
 POPULATION_YEARS = tuple(range(2006, 2021))
+
+# Headers of the CSV artifacts this module writes and a later stage reads.
+POPULATION_LONG_HEADER = ("country", "year", "population")
+MISSINGNESS_HEADER = ("field", "missing_count", "missing_fraction", "total_rows")
+CATEGORY_HEADER = ("field", "category", "count", "fraction")
+
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
 
@@ -303,43 +309,57 @@ def open_text(target: TextIO | str | Path, mode: str):
     return open(target, mode, encoding="utf-8", newline="")
 
 
-@contextmanager
-def csv_writer(dest: TextIO | str | Path) -> Iterator[Any]:
-    """A csv writer in the package's CSV dialect: utf-8, lines ended by
-    "\\n". A path is opened and closed here; a stream is left open."""
+def write_rows(dest: TextIO | str | Path, header: Sequence[str],
+               rows: Iterable[Sequence[object]]) -> None:
+    """Write `header` and then each of `rows` as one CSV artifact in the
+    package's dialect: utf-8, lines ended by "\\n". A path is replaced whole
+    (`open_text`), so a failure while `rows` is consumed leaves it as it
+    was; a stream is left open."""
     with open_text(dest, "w") as stream:
-        yield csv.writer(stream, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @contextmanager
 def csv_reader(source: TextIO | str | Path) -> Iterator[Any]:
-    """A csv reader over a utf-8 path or an open stream; see csv_writer."""
+    """A csv reader over a utf-8 path or an open stream; see write_rows."""
     with open_text(source, "r") as stream:
         yield csv.reader(stream)
 
 
-def parsed_rows(source: TextIO | str | Path, reader,
-                width: int, parse: Callable[[list[str]], Any]) -> list[Any]:
-    """parse(row) for each row left in `reader`, which reads `source`.
+def read_rows(source: TextIO | str | Path, header: Sequence[str],
+              parse: Callable[[list[str]], Any],
+              leading: bool = False) -> tuple[list[str], list[Any]]:
+    """Read back a CSV artifact: its header and parse(row) for each row.
 
-    A row without exactly `width` fields, or one whose fields `parse`
-    cannot convert (a ValueError), raises SchemaError naming the file and
-    line.
+    The header must equal `header`, or with `leading` begin with it (for
+    artifacts with one column per class or fold). A row without as many
+    fields as the file's header, or one whose fields `parse` cannot
+    convert (a ValueError), raises SchemaError naming the file and line.
     """
-    def error(message: str) -> SchemaError:
-        name = (source if isinstance(source, (str, Path))
-                else getattr(source, "name", "<stream>"))
-        return SchemaError(f"{name}, line {reader.line_num}: {message}")
+    name = (source if isinstance(source, (str, Path))
+            else getattr(source, "name", "<stream>"))
+    expected = list(header)
+    with csv_reader(source) as reader:
+        found = next(reader, None)
+        if found is None or (found[:len(expected)] if leading
+                             else found) != expected:
+            raise SchemaError(f"{name}: expected a header "
+                              f"{'beginning' if leading else 'equal to'} "
+                              f"{','.join(expected)}")
+        def error(message: str) -> SchemaError:
+            return SchemaError(f"{name}, line {reader.line_num}: {message}")
 
-    parsed = []
-    for row in reader:
-        if len(row) != width:
-            raise error(f"expected {width} fields, got {len(row)}")
-        try:
-            parsed.append(parse(row))
-        except ValueError as exc:
-            raise error(str(exc)) from None
-    return parsed
+        parsed = []
+        for row in reader:
+            if len(row) != len(found):
+                raise error(f"expected {len(found)} fields, got {len(row)}")
+            try:
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise error(str(exc)) from None
+    return found, parsed
 
 
 def _parse_float(cell: str, field: str, row_id: str) -> float:
@@ -447,11 +467,9 @@ def _format_cell(value: object) -> str:
 
 def write_observations(table: ObservationTable, dest: TextIO | str | Path) -> None:
     """Write the canonical 14-column CSV; missing values become empty cells."""
-    with csv_writer(dest) as writer:
-        writer.writerow(OBSERVATION_COLUMNS)
-        for rec in table:
-            writer.writerow([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
-                             for c in OBSERVATION_COLUMNS])
+    write_rows(dest, OBSERVATION_COLUMNS,
+               ([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
+                 for c in OBSERVATION_COLUMNS] for rec in table))
 
 
 @dataclass(frozen=True)
@@ -541,21 +559,16 @@ def parse_population(source: TextIO | str | Path) -> PopulationTable:
 
 def write_population(table: PopulationTable, dest: TextIO | str | Path) -> None:
     """Write population records in long format (country, year, population)."""
-    with csv_writer(dest) as writer:
-        writer.writerow(["country", "year", "population"])
-        for rec in table:
-            writer.writerow([rec.country, rec.year, rec.population])
+    write_rows(dest, POPULATION_LONG_HEADER,
+               ([rec.country, rec.year, rec.population] for rec in table))
 
 
 def read_population_long(source: TextIO | str | Path) -> PopulationTable:
     """Read back the long format produced by write_population."""
-    with csv_reader(source) as reader:
-        header = next(reader, None)
-        if header != ["country", "year", "population"]:
-            raise SchemaError("expected header 'country,year,population'")
-        return PopulationTable(parsed_rows(
-            source, reader, 3,
-            lambda row: PopulationRecord(row[0], int(row[1]), int(row[2]))))
+    _, records = read_rows(
+        source, POPULATION_LONG_HEADER,
+        lambda row: PopulationRecord(row[0], int(row[1]), int(row[2])))
+    return PopulationTable(records)
 
 
 def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationTable:
@@ -597,11 +610,10 @@ class MissingnessReport:
         raise UnknownFieldError(f"no such field in report: {field!r}")
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            writer.writerow(["field", "missing_count", "missing_fraction", "total_rows"])
-            for entry in self.fields:
-                writer.writerow([entry.field, entry.missing_count,
-                                 repr(entry.missing_fraction), self.total_rows])
+        write_rows(dest, MISSINGNESS_HEADER,
+                   ([entry.field, entry.missing_count,
+                     repr(entry.missing_fraction), self.total_rows]
+                    for entry in self.fields))
 
 
 def missingness_report(table: ObservationTable) -> MissingnessReport:
@@ -639,10 +651,9 @@ class FrequencyTable:
         raise UnknownFieldError(f"no such category in table: {category!r}")
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            writer.writerow(["field", "category", "count", "fraction"])
-            for entry in self.entries:
-                writer.writerow([self.field, entry.category, entry.count, repr(entry.fraction)])
+        write_rows(dest, CATEGORY_HEADER,
+                   ([self.field, entry.category, entry.count, repr(entry.fraction)]
+                    for entry in self.entries))
 
 
 def category_distribution(table: ObservationTable, field: str) -> FrequencyTable:

@@ -18,12 +18,13 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import csv_reader, csv_writer, parsed_rows
-from .errors import DimensionError, ParameterError, SchemaError
+from .dataset import read_rows, write_rows
+from .errors import DimensionError, ParameterError
 from .validation import micro_f1, predicted_classes
 
 DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
 _MAX_SWEEPS = 200
+WEIGHTS_HEADER = ("model_id", "weight")
 
 
 def _stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -80,18 +81,15 @@ class EnsembleWeights:
         _check_simplex(self.weights)
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            writer.writerow(["model_id", "weight"])
-            for model_id, weight in zip(self.model_ids, self.weights):
-                writer.writerow([model_id, repr(float(weight))])
+        write_rows(dest, WEIGHTS_HEADER,
+                   ([model_id, repr(float(weight))]
+                    for model_id, weight in zip(self.model_ids, self.weights)))
 
 
 def read_weights_csv(source: TextIO | str | Path,
                      objective: float = 0.0) -> EnsembleWeights:
-    with csv_reader(source) as reader:
-        if next(reader, None) != ["model_id", "weight"]:
-            raise SchemaError("not a weights file: expected header 'model_id,weight'")
-        rows = parsed_rows(source, reader, 2, lambda row: (row[0], float(row[1])))
+    _, rows = read_rows(source, WEIGHTS_HEADER,
+                        lambda row: (row[0], float(row[1])))
     return EnsembleWeights(tuple(row[0] for row in rows),
                            np.array([row[1] for row in rows]), objective)
 

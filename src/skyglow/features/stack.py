@@ -73,18 +73,11 @@ def _text_seed(seed: int, column_position: int) -> int:
     return int(state[0])
 
 
-def _transform(pipeline: FeaturePipelineModel,
-               text_models: tuple[tuple[str, TextFeatureModel], ...],
-               table: ObservationTable) -> FeatureMatrix:
-    """The blocks that need no targets: the pipeline block, then one SVD
-    block for each text model that has a rank."""
-    matrix = apply_feature_pipeline(pipeline, table)
-    for column, model in text_models:
-        if model.rank:
-            block = transform_text_features(model, table.view.tokens[column])
-            matrix = matrix.with_columns(
-                [f"{column}_svd_{i:02d}" for i in range(model.rank)], block)
-    return matrix
+def _with_text_columns(matrix: FeatureMatrix, column: str,
+                       block: np.ndarray) -> FeatureMatrix:
+    """Append one comment column's SVD block, which may have no columns."""
+    return matrix.with_columns(
+        [f"{column}_svd_{i:02d}" for i in range(block.shape[1])], block)
 
 
 def _with_neighbor_columns(matrix: FeatureMatrix, means: np.ndarray,
@@ -101,7 +94,8 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     stack and the feature matrix for ALL rows of `table`.
 
     Rows outside `train_mask` get fully valid features but contribute
-    nothing to any fitted statistic and are never eligible as neighbors.
+    nothing to any fitted statistic. The neighbor pool is the training rows
+    with a target, so a row outside it is never a neighbor.
     """
     n = len(table)
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -112,31 +106,33 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     train_table = table.subset(train_mask)
 
     pipeline = fit_feature_pipeline(train_table, feature_config)
-    text_models = tuple(
-        (column, fit_text_features(train_table.view.tokens[column],
-                                   cap=spec.vocab_cap, rank=spec.svd_rank,
-                                   seed=_text_seed(seed, pos)))
-        for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()))
-    matrix = _transform(pipeline, text_models, table)
+    matrix = apply_feature_pipeline(pipeline, table)
+    text_models = []
+    for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()):
+        model, block = fit_text_features(
+            table.view.tokens[column], train_mask, cap=spec.vocab_cap,
+            rank=spec.svd_rank, seed=_text_seed(seed, pos))
+        text_models.append((column, model))
+        matrix = _with_text_columns(matrix, column, block)
 
     neighbor_ref = None
     if spec.use_neighbor:
+        pool = train_mask & ~np.isnan(targets)
         index = build_neighbor_index(table, pipeline, fold_labels)
         means, counts = neighbor_mean_features(
-            index, targets, feature_config.knn_k, neighbor_mask=train_mask)
+            index, targets, feature_config.knn_k, neighbor_mask=pool)
         matrix = _with_neighbor_columns(matrix, means, counts)
-        in_reference = train_mask[index.table_rows] & ~np.isnan(
-            targets[index.table_rows])
+        in_reference = pool[index.table_rows]
         # the held-out rows' out-of-fold fallback: every training target,
         # located or not
-        train_values = targets[train_mask & ~np.isnan(targets)]
+        train_values = targets[pool]
         neighbor_ref = NeighborReference(
             points=index.points[in_reference],
             values=targets[index.table_rows[in_reference]],
             k=feature_config.knn_k,
             fallback=float(train_values.mean()) if len(train_values) else 0.0)
 
-    stack = StackModel(spec, pipeline, text_models, neighbor_ref,
+    stack = StackModel(spec, pipeline, tuple(text_models), neighbor_ref,
                        matrix.columns)
     return stack, matrix
 
@@ -144,7 +140,10 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
 def apply_stack(stack: StackModel, table: ObservationTable) -> FeatureMatrix:
     """Features for unseen rows: pipeline transform, text projection, and
     neighbor means against the stored training reference."""
-    matrix = _transform(stack.pipeline, stack.text_models, table)
+    matrix = apply_feature_pipeline(stack.pipeline, table)
+    for column, model in stack.text_models:
+        matrix = _with_text_columns(matrix, column, transform_text_features(
+            model, table.view.tokens[column]))
     ref = stack.neighbor
     if ref is not None:
         means = np.full(len(table), ref.fallback)

@@ -22,8 +22,8 @@ from .dataset import (
     PopulationRecord,
     PopulationTable,
     POPULATION_YEARS,
-    csv_writer,
     write_observations,
+    write_rows,
 )
 from .errors import ParameterError
 
@@ -228,11 +228,10 @@ def write_population_census(table: PopulationTable, dest: str | Path) -> None:
     by_country: dict[str, dict[int, int]] = {}
     for rec in table:
         by_country.setdefault(rec.country, {})[rec.year] = rec.population
-    with csv_writer(dest) as writer:
-        writer.writerow(["Country Name", "Country Code", "Indicator Name"] + years)
-        for i, (country, values) in enumerate(sorted(by_country.items())):
-            writer.writerow([country, f"C{i:03d}", "Population, total"]
-                            + [str(values.get(int(y), "")) for y in years])
+    write_rows(dest, ["Country Name", "Country Code", "Indicator Name"] + years,
+               ([country, f"C{i:03d}", "Population, total"]
+                + [str(values.get(int(y), "")) for y in years]
+                for i, (country, values) in enumerate(sorted(by_country.items()))))
 
 
 def write_synthetic_dataset(observations_path: str | Path,

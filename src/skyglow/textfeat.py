@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -194,17 +195,29 @@ class TextFeatureModel:
         return self.svd.rank if self.svd is not None else 0
 
 
-def fit_text_features(corpus: Sequence[list[str]], cap: int = DEFAULT_VOCAB_CAP,
-                      rank: int = DEFAULT_SVD_RANK, seed: int = 0) -> TextFeatureModel:
-    """Fit on one token list per document."""
-    tfidf = fit_tfidf(corpus, cap)
+def fit_text_features(corpus: Sequence[list[str]], train_mask: np.ndarray,
+                      cap: int = DEFAULT_VOCAB_CAP, rank: int = DEFAULT_SVD_RANK,
+                      seed: int = 0) -> tuple[TextFeatureModel, np.ndarray]:
+    """Fit on the `train_mask` documents of `corpus`, one token list per
+    document, and embed every document of it.
+
+    The vocabulary and IDF come from the training documents; every
+    document is weighed once, and the SVD is fitted on the training rows of
+    that matrix. Returns the model and the (len(corpus), rank) embedding.
+    """
+    train_mask = np.asarray(train_mask, dtype=bool)
+    if train_mask.shape != (len(corpus),):
+        raise ParameterError(f"train mask must have shape ({len(corpus)},)")
+    tfidf = fit_tfidf(list(compress(corpus, train_mask)), cap)
     if tfidf.degenerate:
-        return TextFeatureModel(tfidf, None)
+        return TextFeatureModel(tfidf, None), np.zeros((len(corpus), 0))
     weighted = transform_tfidf(tfidf, corpus)
-    effective = min(rank, weighted.shape[0], weighted.shape[1])
+    train_rows = weighted[np.flatnonzero(train_mask)]
+    effective = min(rank, train_rows.shape[0], train_rows.shape[1])
     if effective < 1:
-        return TextFeatureModel(tfidf, None)
-    return TextFeatureModel(tfidf, fit_truncated_svd(weighted, effective, seed))
+        return TextFeatureModel(tfidf, None), np.zeros((len(corpus), 0))
+    svd = fit_truncated_svd(train_rows, effective, seed)
+    return TextFeatureModel(tfidf, svd), transform_svd(svd, weighted)
 
 
 def transform_text_features(model: TextFeatureModel,

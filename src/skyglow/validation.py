@@ -16,7 +16,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .dataset import ObservationTable, csv_reader, csv_writer, parsed_rows
+from .dataset import ObservationTable, read_rows, write_rows
 from .errors import (
     EmptyInputError,
     ParameterError,
@@ -34,6 +34,11 @@ from .learners import (
     predict_proba_forest,
     predict_proba_gbdt,
 )
+
+
+# The leading columns of an OOF prediction file; one p_class_* column per
+# class follows.
+OOF_HEADER = ("row_id", "fold", "model_id")
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,16 @@ class MetricsReport:
     per_fold_f1: tuple[float, ...] = ()
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            writer.writerow(["kind", "key", "value"])
-            writer.writerow(["metric", "micro_precision", repr(self.micro_precision)])
-            writer.writerow(["metric", "micro_recall", repr(self.micro_recall)])
-            writer.writerow(["metric", "micro_f1", repr(self.micro_f1)])
-            for i, f1 in enumerate(self.per_fold_f1):
-                writer.writerow(["fold_f1", i, repr(f1)])
+        write_rows(dest, ["kind", "key", "value"], [
+            ["metric", "micro_precision", repr(self.micro_precision)],
+            ["metric", "micro_recall", repr(self.micro_recall)],
+            ["metric", "micro_f1", repr(self.micro_f1)],
+            *(["fold_f1", i, repr(f1)] for i, f1 in enumerate(self.per_fold_f1))])
 
     def write_confusion_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            n = self.confusion.shape[0]
-            writer.writerow(["true_class"] + [f"pred_{c}" for c in range(n)])
-            for c in range(n):
-                writer.writerow([c] + [int(v) for v in self.confusion[c]])
+        n = self.confusion.shape[0]
+        write_rows(dest, ["true_class"] + [f"pred_{c}" for c in range(n)],
+                   ([c] + [int(v) for v in self.confusion[c]] for c in range(n)))
 
 
 def predicted_classes(probabilities: np.ndarray) -> np.ndarray:
@@ -211,10 +212,8 @@ class AnnualTrend:
     entries: tuple[tuple[int, float], ...]  # (year, mean), years ascending
 
     def write_csv(self, dest: TextIO | str | Path) -> None:
-        with csv_writer(dest) as writer:
-            writer.writerow(["year", f"mean_{self.field}"])
-            for year, mean in self.entries:
-                writer.writerow([year, repr(mean)])
+        write_rows(dest, ["year", f"mean_{self.field}"],
+                   ([year, repr(mean)] for year, mean in self.entries))
 
 
 def annual_trend(table: ObservationTable, field: str) -> AnnualTrend:
@@ -271,6 +270,16 @@ class CvResult:
             if m.model_id == model_id:
                 return m
         raise ParameterError(f"no such model in CV result: {model_id!r}")
+
+
+def labelled_rows(table: ObservationTable) -> tuple[ObservationTable, np.ndarray]:
+    """The rows of `table` that have a target, and their target classes;
+    `cv` and `train` fit on these alone."""
+    targets = target_classes(table)
+    keep = ~np.isnan(targets)
+    if not keep.any():
+        raise EmptyInputError("no rows with a target to fit on")
+    return table.subset(keep), targets[keep]
 
 
 def fit_models(table: ObservationTable, targets: np.ndarray,
@@ -330,12 +339,7 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     if len(set(ids)) != len(ids):
         raise ParameterError(f"duplicate model ids: {ids}")
 
-    targets = target_classes(table)
-    keep = ~np.isnan(targets)
-    if not keep.any():
-        raise EmptyInputError("no rows with a target to cross-validate")
-    cv_table = table.subset(keep)
-    targets = targets[keep]
+    cv_table, targets = labelled_rows(table)
     y = targets.astype(np.int64)
     assignment = fold_assignment(y, k, seed, stratified)
     folds = assignment.folds
@@ -372,22 +376,16 @@ def write_oof_csv(dest: TextIO | str | Path, row_ids: Sequence[str],
                   probabilities: np.ndarray) -> None:
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
     n_classes = probabilities.shape[1]
-    with csv_writer(dest) as writer:
-        writer.writerow(["row_id", "fold", "model_id"]
-                        + [f"p_class_{c}" for c in range(n_classes)])
-        for i, row_id in enumerate(row_ids):
-            writer.writerow([row_id, int(folds[i]), model_id]
-                            + [repr(float(p)) for p in probabilities[i]])
+    write_rows(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
+               ([row_id, int(folds[i]), model_id]
+                + [repr(float(p)) for p in probabilities[i]]
+                for i, row_id in enumerate(row_ids)))
 
 
 def read_oof_csv(source: TextIO | str | Path):
     """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
-    with csv_reader(source) as reader:
-        header = next(reader, None)
-        if header is None or header[:3] != ["row_id", "fold", "model_id"]:
-            raise SchemaError("not an OOF prediction file: bad header")
-        rows = parsed_rows(source, reader, len(header), lambda row: (
-            row[0], int(row[1]), row[2], [float(v) for v in row[3:]]))
+    _, rows = read_rows(source, OOF_HEADER, lambda row: (
+        row[0], int(row[1]), row[2], [float(v) for v in row[3:]]), leading=True)
     if len({row[2] for row in rows}) > 1:
         raise SchemaError("mixed model ids in one OOF file")
     return (tuple(row[0] for row in rows),

@@ -18,12 +18,14 @@ from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
 from skyglow.dataset import write_observations
+from skyglow.ensemble import read_weights_csv
 from skyglow.errors import (
     ConfigError,
     DependencyError,
     EmptyInputError,
     LockError,
     ParameterError,
+    SchemaError,
 )
 from skyglow.features import pipeline, target_classes
 from skyglow.serialize import learner_to_obj, load_json, stack_to_obj
@@ -595,6 +597,32 @@ def test_short_ensemble_metrics_row_fails_report_with_one_line(
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
     assert "ensemble_metrics.csv, line 2: expected 3 fields, got 1" in err[0]
+
+
+def test_artifact_readers_check_the_header_width(tmp_path):
+    # a fixed-header artifact rejects an extra column; an OOF file's
+    # header carries one p_class_* column per class
+    fixed = [
+        (dataset.read_population_long, "population_long.csv",
+         "country,year,population", "A,2010,100"),
+        (read_weights_csv, "weights.csv", "model_id,weight", "m,1.0"),
+        (lambda path: commands._read_cv_truth(path.parent), "cv_truth.csv",
+         "row_id,fold,true_class", "r0,0,1"),
+    ]
+    for read, name, header, row in fixed:
+        path = tmp_path / name
+        path.write_text(f"{header},extra\n{row},x\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"{name}: expected a header "
+                                              f"equal to {header}$"):
+            read(path)
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        read(path)
+    path = tmp_path / "oof_m.csv"
+    path.write_text("row_id,fold,model_id,p_class_0,p_class_1\n"
+                    "r0,0,m,0.25,0.75\n", encoding="utf-8")
+    row_ids, _, model_id, probs = validation.read_oof_csv(path)
+    assert row_ids == ("r0",) and model_id == "m"
+    assert probs.tolist() == [[0.25, 0.75]]
 
 
 def test_empty_cv_summary_fails_report_with_one_line(tmp_path, config, capsys):

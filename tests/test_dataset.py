@@ -12,7 +12,6 @@ from skyglow.dataset import (
     PopulationRecord,
     PopulationTable,
     category_distribution,
-    csv_writer,
     join_population,
     missingness_report,
     parse_observations,
@@ -22,6 +21,7 @@ from skyglow.dataset import (
     time_of_day_category,
     write_observations,
     write_population,
+    write_rows,
 )
 from skyglow.errors import (
     DuplicateKeyError,
@@ -344,11 +344,13 @@ def test_subset_view_equals_a_fresh_derivation():
 def test_failed_write_leaves_the_target_as_it_was(tmp_path):
     path = tmp_path / "artifact.csv"
 
+    def rows():
+        yield ["half", "written"]
+        raise RuntimeError("crash mid-write")
+
     def crash():
         with pytest.raises(RuntimeError, match="mid-write"):
-            with csv_writer(path) as writer:
-                writer.writerow(["half", "written"])
-                raise RuntimeError("crash mid-write")
+            write_rows(path, ["a", "b"], rows())
 
     crash()
     assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file

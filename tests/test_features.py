@@ -253,3 +253,50 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
         assert np.array_equal(applied.column(col),
                               fitted.column(col)[held_out]), col
     assert applied.column("neighbor_target_mean")[9 // 2] == 1.6
+
+
+@pytest.mark.parametrize("queried_label", [-1, 1])
+def test_neighbor_pool_is_the_training_rows_with_a_target(queried_label):
+    # every fifth row has no target (fold label -1) yet sits in the train
+    # mask, as in the features stage; it must take no neighbor slot
+    table = ObservationTable(
+        obs(id=f"r{i}", latitude=float(i), longitude=float(2 * i),
+            limiting_magnitude=None if i % 5 == 0 else float(i % 7))
+        for i in range(40))
+    targets = target_classes(table)
+    folds = np.where(np.isnan(targets), -1, np.arange(len(table)) % 2)
+    queried = folds == queried_label
+    train = np.ones(len(table), dtype=bool) if queried_label == -1 else ~queried
+    stack, fitted = fit_stack(table, targets, train, folds,
+                              FeatureConfig(knn_k=3),
+                              StackSpec(use_text=False), seed=0)
+    applied = apply_stack(stack, table.subset(queried))
+    for col in ("neighbor_target_mean", "neighbor_count"):
+        assert np.array_equal(applied.column(col),
+                              fitted.column(col)[queried]), col
+    # no neighbor slot goes to a target-less row
+    counted = train if queried_label == -1 else queried
+    assert (fitted.column("neighbor_count")[counted] == 3).all()
+
+
+def test_fit_stack_weighs_each_document_once(monkeypatch):
+    from skyglow import textfeat
+
+    weighed = []
+    transform_tfidf = textfeat.transform_tfidf
+
+    def counting(model, corpus):
+        weighed.append(len(corpus))
+        return transform_tfidf(model, corpus)
+
+    monkeypatch.setattr(textfeat, "transform_tfidf", counting)
+    table = ObservationTable(
+        obs(id=f"r{i}", latitude=float(i), comment_1=f"sky note {i % 7}",
+            comment_2=("clear", "hazy", "bright")[i % 3] + " sky")
+        for i in range(30))
+    train = np.arange(len(table)) < 20
+    stack, _ = fit_stack(table, target_classes(table), train,
+                         np.where(train, np.arange(len(table)) % 2, -1),
+                         FeatureConfig(), StackSpec(svd_rank=2), seed=0)
+    assert all(model.rank for _, model in stack.text_models)
+    assert sum(weighed) == 2 * len(table)

@@ -86,7 +86,8 @@ def test_text_model_round_trip(tmp_path):
     corpus = [tokenize(t) for t in [
         "dark sky many stars", "bright city glow", None,
         "faint milky way", "dark transparent sky", "city lights haze"]]
-    model = fit_text_features(corpus, cap=16, rank=2, seed=5)
+    model, _ = fit_text_features(corpus, np.ones(len(corpus), dtype=bool),
+                                 cap=16, rank=2, seed=5)
     again = from_obj(TextFeatureModel, disk_round_trip(tmp_path, to_obj(model)))
     assert np.array_equal(transform_text_features(model, corpus),
                           transform_text_features(again, corpus))
