@@ -346,7 +346,7 @@ def cmd_report(config: RunConfig) -> None:
 
     # model comparison table: single models plus both ensembles
     _, metric_rows = read_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER,
-                               lambda row: (row, float(row[1])), leading=True)
+                               lambda row: (row, float(row[1])))
     write_rows(out / MODEL_COMPARISON, ENSEMBLE_METRICS_HEADER,
                (row for row, _ in metric_rows))
     comparison_bars = [(row[0], f1) for row, f1 in metric_rows]

@@ -4,7 +4,7 @@ CSV parsing with per-cell missingness, range validation in strict or lenient
 mode, the population join with a median fallback, each table's column view
 (every label-free column, derived once), and the descriptive reports
 (missingness counts, category frequency tables). Tables are immutable after
-construction and safe for concurrent reads.
+construction.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import compress
 from datetime import datetime
 from pathlib import Path
 from statistics import median
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,12 +220,11 @@ class ObservationTable:
 
     def __init__(self, records: Iterable[ObservationRecord]):
         self._records = tuple(records)
-        index: dict[str, int] = {}
-        for i, rec in enumerate(self._records):
-            if rec.id in index:
+        seen: set[str] = set()
+        for rec in self._records:
+            if rec.id in seen:
                 raise DuplicateKeyError(f"duplicate id: {rec.id!r}")
-            index[rec.id] = i
-        self._index = index
+            seen.add(rec.id)
         self._view: ColumnView | None = None
 
     def __len__(self) -> int:
@@ -248,17 +247,13 @@ class ObservationTable:
     def ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self._records)
 
-    def row_of(self, record_id: str) -> int:
-        return self._index[record_id]
-
     def has_population(self) -> bool:
         return any(r.population is not None for r in self._records)
 
     @property
     def view(self) -> ColumnView:
         """The column view, derived on first use and kept: the records
-        never change. Concurrent first uses may each derive it; the views
-        are equal."""
+        never change."""
         if self._view is None:
             self._view = _column_view(self._records)
         return self._view
@@ -276,14 +271,9 @@ class ObservationTable:
             raise UnknownFieldError(f"not a numeric field: {field!r}")
         return self.view.numeric[field]
 
-    def text_column(self, field: str) -> tuple[str | None, ...]:
-        if field not in TEXT_FIELDS:
-            raise UnknownFieldError(f"not a text field: {field!r}")
-        return tuple(getattr(rec, field) for rec in self._records)
-
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
+def _replacing(path: Path) -> Iterator[IO[str]]:
     """A new file beside `path`, moved over it when the block ends cleanly,
     so a reader finds the whole old file or the whole new one; when the
     block raises, the new file is removed and `path` is left as it was."""
@@ -297,24 +287,21 @@ def _replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def open_text(target: TextIO | str | Path, mode: str):
-    """A utf-8 text file at a path, opened with newline="" so no line ending
-    is translated, as a context manager; an open stream is passed through
-    and left open. A path opened with mode "w" is written through a
-    temporary file and replaced whole (`_replacing`)."""
-    if not isinstance(target, (str, Path)):
-        return nullcontext(target)
+def open_text(path: str | Path, mode: str):
+    """The utf-8 text file at `path`, opened with newline="" so no line
+    ending is translated, as a context manager. Mode "w" writes through a
+    temporary file that replaces `path` whole (`_replacing`)."""
     if mode == "w":
-        return _replacing(Path(target))
-    return open(target, mode, encoding="utf-8", newline="")
+        return _replacing(Path(path))
+    return open(path, mode, encoding="utf-8", newline="")
 
 
-def write_rows(dest: TextIO | str | Path, header: Sequence[str],
+def write_rows(dest: str | Path, header: Sequence[str],
                rows: Iterable[Sequence[object]]) -> None:
     """Write `header` and then each of `rows` as one CSV artifact in the
-    package's dialect: utf-8, lines ended by "\\n". A path is replaced whole
-    (`open_text`), so a failure while `rows` is consumed leaves it as it
-    was; a stream is left open."""
+    package's dialect: utf-8, lines ended by "\\n". The file is replaced
+    whole (`open_text`), so a failure while `rows` is consumed leaves it as
+    it was."""
     with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -322,13 +309,13 @@ def write_rows(dest: TextIO | str | Path, header: Sequence[str],
 
 
 @contextmanager
-def csv_reader(source: TextIO | str | Path) -> Iterator[Any]:
-    """A csv reader over a utf-8 path or an open stream; see write_rows."""
+def csv_reader(source: str | Path) -> Iterator[Any]:
+    """A csv reader over the utf-8 file at `source`; see write_rows."""
     with open_text(source, "r") as stream:
         yield csv.reader(stream)
 
 
-def read_rows(source: TextIO | str | Path, header: Sequence[str],
+def read_rows(source: str | Path, header: Sequence[str],
               parse: Callable[[list[str]], Any],
               leading: bool = False) -> tuple[list[str], list[Any]]:
     """Read back a CSV artifact: its header and parse(row) for each row.
@@ -338,18 +325,16 @@ def read_rows(source: TextIO | str | Path, header: Sequence[str],
     fields as the file's header, or one whose fields `parse` cannot
     convert (a ValueError), raises SchemaError naming the file and line.
     """
-    name = (source if isinstance(source, (str, Path))
-            else getattr(source, "name", "<stream>"))
     expected = list(header)
     with csv_reader(source) as reader:
         found = next(reader, None)
         if found is None or (found[:len(expected)] if leading
                              else found) != expected:
-            raise SchemaError(f"{name}: expected a header "
+            raise SchemaError(f"{source}: expected a header "
                               f"{'beginning' if leading else 'equal to'} "
                               f"{','.join(expected)}")
         def error(message: str) -> SchemaError:
-            return SchemaError(f"{name}, line {reader.line_num}: {message}")
+            return SchemaError(f"{source}, line {reader.line_num}: {message}")
 
         parsed = []
         for row in reader:
@@ -399,7 +384,7 @@ def _build_record(row_id: str, cells: dict[str, str]) -> ObservationRecord:
 
 
 def parse_observations(
-    source: TextIO | str | Path,
+    source: str | Path,
     strictness: str = "lenient",
 ) -> tuple[ObservationTable, list[RowDiagnostic]]:
     """Parse the observation CSV.
@@ -465,7 +450,7 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
-def write_observations(table: ObservationTable, dest: TextIO | str | Path) -> None:
+def write_observations(table: ObservationTable, dest: str | Path) -> None:
     """Write the canonical 14-column CSV; missing values become empty cells."""
     write_rows(dest, OBSERVATION_COLUMNS,
                ([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
@@ -514,7 +499,7 @@ class PopulationTable:
         return float(median(rec.population for rec in self._records))
 
 
-def parse_population(source: TextIO | str | Path) -> PopulationTable:
+def parse_population(source: str | Path) -> PopulationTable:
     """Parse the wide-format census CSV into long-format records.
 
     Requires a `Country Name` column and one column per year 2006-2020;
@@ -557,13 +542,13 @@ def parse_population(source: TextIO | str | Path) -> PopulationTable:
         return PopulationTable(records)
 
 
-def write_population(table: PopulationTable, dest: TextIO | str | Path) -> None:
+def write_population(table: PopulationTable, dest: str | Path) -> None:
     """Write population records in long format (country, year, population)."""
     write_rows(dest, POPULATION_LONG_HEADER,
                ([rec.country, rec.year, rec.population] for rec in table))
 
 
-def read_population_long(source: TextIO | str | Path) -> PopulationTable:
+def read_population_long(source: str | Path) -> PopulationTable:
     """Read back the long format produced by write_population."""
     _, records = read_rows(
         source, POPULATION_LONG_HEADER,
@@ -609,7 +594,7 @@ class MissingnessReport:
                 return entry.missing_fraction
         raise UnknownFieldError(f"no such field in report: {field!r}")
 
-    def write_csv(self, dest: TextIO | str | Path) -> None:
+    def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, MISSINGNESS_HEADER,
                    ([entry.field, entry.missing_count,
                      repr(entry.missing_fraction), self.total_rows]
@@ -650,7 +635,7 @@ class FrequencyTable:
                 return entry.fraction
         raise UnknownFieldError(f"no such category in table: {category!r}")
 
-    def write_csv(self, dest: TextIO | str | Path) -> None:
+    def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, CATEGORY_HEADER,
                    ([self.field, entry.category, entry.count, repr(entry.fraction)]
                     for entry in self.entries))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -80,18 +80,19 @@ class EnsembleWeights:
             raise ParameterError("one weight per model id required")
         _check_simplex(self.weights)
 
-    def write_csv(self, dest: TextIO | str | Path) -> None:
+    def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, WEIGHTS_HEADER,
                    ([model_id, repr(float(weight))]
                     for model_id, weight in zip(self.model_ids, self.weights)))
 
 
-def read_weights_csv(source: TextIO | str | Path,
-                     objective: float = 0.0) -> EnsembleWeights:
+def read_weights_csv(source: str | Path) -> EnsembleWeights:
+    """The weights of write_csv; the file holds no objective, so it reads
+    back as 0.0."""
     _, rows = read_rows(source, WEIGHTS_HEADER,
                         lambda row: (row[0], float(row[1])))
     return EnsembleWeights(tuple(row[0] for row in rows),
-                           np.array([row[1] for row in rows]), objective)
+                           np.array([row[1] for row in rows]), 0.0)
 
 
 def _ascend(stacked: np.ndarray, truth: np.ndarray, start: np.ndarray,

@@ -13,10 +13,10 @@ reference row by (squared distance, position):
   reach or tie the k-th. Otherwise the candidate count doubles, up to the
   whole reference. This covers ties and duplicate points.
 
-Every neighbor query in the package goes through `_exact_knn`: the
-out-of-fold features of `fit_stack`, the prediction-time features of
-`apply_stack` (both via `neighbors.cross_neighbor_means`) and
-`NeighborIndex.query`. Each call builds one tree over its reference.
+Every neighbor query in the package goes through `_exact_knn`, via
+`neighbors.cross_neighbor_means`: the out-of-fold features of `fit_stack`
+and the prediction-time features of `apply_stack`. Each call builds one
+tree over its reference.
 
 scipy.spatial is imported on first use: it costs about 0.5 s of CPU at
 start-up (it also loads scipy.sparse, about 0.2 s on its own) that the
@@ -27,6 +27,8 @@ scipy.sparse the same way).
 from __future__ import annotations
 
 import numpy as np
+
+from ..errors import ParameterError
 
 # Extra candidates per query beyond k; most queries then need one pass.
 _SLACK = 8
@@ -39,6 +41,8 @@ _MARGIN = 1e-9
 def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k nearest `ref` rows to each query, ranked by
     (squared distance, position); shape (len(queries), min(k, len(ref)))."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     m = len(ref)
     width = min(k, m)
     out = np.empty((len(queries), width), dtype=np.int64)

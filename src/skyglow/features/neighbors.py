@@ -10,10 +10,10 @@ results equal an exhaustive scan bit for bit).
 fold label, the reference is the member rows outside that fold and the
 queries are the fold's own rows, so a row's feature never reads any target
 inside its own fold (the fallback mean is restricted the same way). This
-is what makes target-derived features safe to train on. An optional
-neighbor mask further limits which rows may serve as neighbors
-(cross-validation restricts the pool to training rows); masked rows still
-receive features of their own.
+is what makes target-derived features safe to train on. A neighbor mask
+further limits which rows may serve as neighbors (fitting restricts the
+pool to the training rows with a target); masked rows still receive
+features of their own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .pipeline import NeighborIndex
 
 
 def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
-                           neighbor_mask: np.ndarray | None = None,
+                           neighbor_mask: np.ndarray,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold mean of `values` over each row's k nearest neighbors.
 
@@ -36,23 +36,18 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
     neighbor values get count 0 and their fold-complement mean: the mean
     of the eligible present values outside the row's fold (0.0 if none).
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if index.fold_labels is None:
-        raise ParameterError("neighbor features require an index built with fold labels")
+    n = len(index.fold_labels)
     values = np.asarray(values, dtype=float)
-    if values.shape != (index.n_rows,):
+    if values.shape != (n,):
+        raise ParameterError(f"values must have shape ({n},), got {values.shape}")
+    neighbor_mask = np.asarray(neighbor_mask, dtype=bool)
+    if neighbor_mask.shape != (n,):
         raise ParameterError(
-            f"values must have shape ({index.n_rows},), got {values.shape}")
-    neighbor_mask = (np.ones(index.n_rows, dtype=bool) if neighbor_mask is None
-                     else np.asarray(neighbor_mask, dtype=bool))
-    if neighbor_mask.shape != (index.n_rows,):
-        raise ParameterError(
-            f"neighbor mask must have shape ({index.n_rows},), got {neighbor_mask.shape}")
+            f"neighbor mask must have shape ({n},), got {neighbor_mask.shape}")
 
     eligible_values = ~np.isnan(values) & neighbor_mask
-    means = np.empty(index.n_rows)
-    counts = np.zeros(index.n_rows, dtype=np.int64)
+    means = np.empty(n)
+    counts = np.zeros(n, dtype=np.int64)
     rows = index.table_rows
     row_labels = index.fold_labels[rows]
     member = neighbor_mask[rows]
@@ -77,8 +72,6 @@ def cross_neighbor_means(ref_points: np.ndarray, ref_values: np.ndarray,
     `fallback` and count 0. Missing reference values still take their
     neighbor slot.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     if ref_points.shape[1] != query_points.shape[1]:
         raise ParameterError("reference and query dimensionality differ")
     neighbors = _exact_knn(ref_points, query_points, k)

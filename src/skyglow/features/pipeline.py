@@ -23,7 +23,6 @@ from ..errors import (
     ParameterError,
     UnknownFieldError,
 )
-from .knn import _exact_knn
 
 N_CLASSES = 8
 
@@ -252,50 +251,20 @@ def apply_feature_pipeline(model: FeaturePipelineModel,
     return FeatureMatrix(table.ids, model.output_columns, values)
 
 
+@dataclass(frozen=True)
 class NeighborIndex:
     """The usable rows of a table as points in the standardized 4-space
-    (latitude, longitude, epoch_time, time_zone), with optional fold labels.
+    (latitude, longitude, epoch_time, time_zone), with the fold label of
+    every table row.
 
-    Rows missing latitude, longitude, or time are left out of the points
-    but keep their position in the alignment, so queries and features stay
-    row-aligned with the source table. Every search goes through the one
-    exact kernel (`knn._exact_knn`, which `neighbors.cross_neighbor_means`
-    also uses), so results match a pairwise-distance oracle exactly, with
-    ties broken by smaller row index.
+    Rows missing latitude, longitude, or time are left out of the points;
+    `table_rows` maps each point back to its table row, so features stay
+    row-aligned with the source table.
     """
 
-    def __init__(self, points: np.ndarray, table_rows: np.ndarray, n_rows: int,
-                 fold_labels: np.ndarray | None):
-        self.points = points
-        self.table_rows = table_rows
-        self.n_rows = n_rows
-        self.fold_labels = fold_labels
-        # position of each table row inside the index; -1 if absent
-        pos = np.full(n_rows, -1, dtype=np.int64)
-        pos[table_rows] = np.arange(len(table_rows))
-        self._position = pos
-
-    def __len__(self) -> int:
-        return len(self.table_rows)
-
-    def query(self, row: int, k: int, banned_rows: np.ndarray | None = None) -> np.ndarray:
-        """Table-row indices of the k nearest eligible neighbors of `row`.
-
-        The row itself is always excluded; `banned_rows` is an optional
-        boolean mask over table rows. Absent rows return an empty result.
-        """
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        pos = self._position[row]
-        if pos < 0:
-            return np.empty(0, dtype=np.int64)
-        eligible = np.ones(len(self.table_rows), dtype=bool)
-        eligible[pos] = False
-        if banned_rows is not None:
-            eligible &= ~banned_rows[self.table_rows]
-        pool = np.flatnonzero(eligible)
-        found = _exact_knn(self.points[pool], self.points[pos:pos + 1], k)[0]
-        return self.table_rows[pool[found]]
+    points: np.ndarray       # (len(table_rows), 4)
+    table_rows: np.ndarray   # table row of each point, ascending
+    fold_labels: np.ndarray  # (n_rows,), one per table row
 
 
 def neighbor_points(table: ObservationTable,
@@ -325,16 +294,15 @@ def neighbor_points(table: ObservationTable,
 
 
 def build_neighbor_index(table: ObservationTable, model: FeaturePipelineModel,
-                         fold_labels: np.ndarray | None = None) -> NeighborIndex:
+                         fold_labels: np.ndarray) -> NeighborIndex:
     """Index every usable row of `table` in the standardized 4-space."""
     n = len(table)
-    if fold_labels is not None:
-        fold_labels = np.asarray(fold_labels, dtype=np.int64)
-        if fold_labels.shape != (n,):
-            raise ParameterError(
-                f"fold labels must have shape ({n},), got {fold_labels.shape}")
+    fold_labels = np.asarray(fold_labels, dtype=np.int64)
+    if fold_labels.shape != (n,):
+        raise ParameterError(
+            f"fold labels must have shape ({n},), got {fold_labels.shape}")
     points, table_rows = neighbor_points(table, model)
     if len(table_rows) < 2:
         raise InsufficientDataError(
             f"neighbor index needs at least 2 usable rows, found {len(table_rows)}")
-    return NeighborIndex(points, table_rows, n, fold_labels)
+    return NeighborIndex(points, table_rows, fold_labels)

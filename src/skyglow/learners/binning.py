@@ -65,9 +65,6 @@ class BinnedMatrix:
         return np.bincount(flat, weights=np.repeat(per_row, self.n_features),
                            minlength=self.total_bins)
 
-    def feature_slice(self, j: int) -> slice:
-        return slice(int(self.offsets[j]), int(self.offsets[j] + self.n_bins[j]))
-
 
 def check_matrix(X) -> np.ndarray:
     """X as a float array; raises unless it is 2-D and finite."""

@@ -81,10 +81,6 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray      # leaf payout, already scaled by the learning rate
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[leaf_nodes(self, X)]
 
@@ -236,10 +232,6 @@ class GbdtModel:
     train_losses: tuple[float, ...]
     validation_losses: tuple[float, ...] | None
     diagnostics: tuple[str, ...]
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.trees)
 
 
 def _coerce_matrix(X, feature_names):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,9 +44,6 @@ OOF_HEADER = ("row_id", "fold", "model_id")
 @dataclass(frozen=True)
 class FoldAssignment:
     folds: np.ndarray
-    k: int
-    seed: int
-    stratified: bool
     warnings: tuple[str, ...]
 
 
@@ -71,7 +68,7 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
         warnings.append(
             f"k={k} exceeds the smallest class count ({smallest}); "
             "some folds will lack that class")
-    return FoldAssignment(folds, k, seed, True, tuple(warnings))
+    return FoldAssignment(folds, tuple(warnings))
 
 
 def random_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
@@ -83,7 +80,7 @@ def random_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
     rng = np.random.default_rng(seed)
     folds = np.empty(n_rows, dtype=np.int64)
     folds[rng.permutation(n_rows)] = np.arange(n_rows) % k
-    return FoldAssignment(folds, k, seed, False, ())
+    return FoldAssignment(folds, ())
 
 
 def fold_assignment(labels: np.ndarray, k: int, seed: int,
@@ -113,14 +110,14 @@ class MetricsReport:
     confusion: np.ndarray          # [true, predicted]
     per_fold_f1: tuple[float, ...] = ()
 
-    def write_csv(self, dest: TextIO | str | Path) -> None:
+    def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, ["kind", "key", "value"], [
             ["metric", "micro_precision", repr(self.micro_precision)],
             ["metric", "micro_recall", repr(self.micro_recall)],
             ["metric", "micro_f1", repr(self.micro_f1)],
             *(["fold_f1", i, repr(f1)] for i, f1 in enumerate(self.per_fold_f1))])
 
-    def write_confusion_csv(self, dest: TextIO | str | Path) -> None:
+    def write_confusion_csv(self, dest: str | Path) -> None:
         n = self.confusion.shape[0]
         write_rows(dest, ["true_class"] + [f"pred_{c}" for c in range(n)],
                    ([c] + [int(v) for v in self.confusion[c]] for c in range(n)))
@@ -211,7 +208,7 @@ class AnnualTrend:
     field: str
     entries: tuple[tuple[int, float], ...]  # (year, mean), years ascending
 
-    def write_csv(self, dest: TextIO | str | Path) -> None:
+    def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, ["year", f"mean_{self.field}"],
                    ([year, repr(mean)] for year, mean in self.entries))
 
@@ -261,15 +258,8 @@ class CvResult:
     truth: np.ndarray
     folds: np.ndarray
     k: int
-    seed: int
     models: tuple[ModelOof, ...]
     warnings: tuple[str, ...]  # from the fold assignment
-
-    def model(self, model_id: str) -> ModelOof:
-        for m in self.models:
-            if m.model_id == model_id:
-                return m
-        raise ParameterError(f"no such model in CV result: {model_id!r}")
 
 
 def labelled_rows(table: ObservationTable) -> tuple[ObservationTable, np.ndarray]:
@@ -367,11 +357,11 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
                                          per_fold_f1=per_fold)
         models.append(ModelOof(spec.model_id, probs, metrics,
                                tuple(diagnostics[spec.model_id])))
-    return CvResult(cv_table.ids, y, folds, k, seed, tuple(models),
+    return CvResult(cv_table.ids, y, folds, k, tuple(models),
                     assignment.warnings)
 
 
-def write_oof_csv(dest: TextIO | str | Path, row_ids: Sequence[str],
+def write_oof_csv(dest: str | Path, row_ids: Sequence[str],
                   folds: np.ndarray, model_id: str,
                   probabilities: np.ndarray) -> None:
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
@@ -382,7 +372,7 @@ def write_oof_csv(dest: TextIO | str | Path, row_ids: Sequence[str],
                 for i, row_id in enumerate(row_ids)))
 
 
-def read_oof_csv(source: TextIO | str | Path):
+def read_oof_csv(source: str | Path):
     """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
     _, rows = read_rows(source, OOF_HEADER, lambda row: (
         row[0], int(row[1]), row[2], [float(v) for v in row[3:]]), leading=True)

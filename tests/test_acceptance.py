@@ -14,6 +14,7 @@ import pytest
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.dataset import join_population
 from skyglow.ensemble import mean_blend, optimize_weights
+from skyglow.features.knn import _exact_knn
 from skyglow.features.pipeline import (
     FeatureConfig,
     NeighborIndex,
@@ -115,6 +116,14 @@ def test_criterion_2_svd_oracle():
              f"r=1..10; {elapsed:.1f}s < 30s")
 
 
+def _nearest_others(points: np.ndarray, i: int, k: int) -> list[int]:
+    """The k nearest rows to row i among the others: the exact kernel
+    over `points` without row i, whose positions at or after i shift up
+    by one to become rows."""
+    found = _exact_knn(np.delete(points, i, 0), points[i:i + 1], k)[0]
+    return (found + (found >= i)).tolist()
+
+
 def test_criterion_3_knn_oracle_and_leakage():
     start = time.perf_counter()
     rng = np.random.default_rng(30)
@@ -123,18 +132,17 @@ def test_criterion_3_knn_oracle_and_leakage():
         n = int(rng.integers(5, 501))
         points = rng.normal(size=(n, 4))
         k = int(rng.integers(1, min(10, n - 1) + 1))
-        index = NeighborIndex(points, np.arange(n), n, None)
         order = np.arange(n)
         # exhaustive vectorized brute-force scan over every query row
         for i in range(n):
             d2 = ((points - points[i]) ** 2).sum(axis=1)
             ranked = np.lexsort((order, d2))
             expected = [j for j in ranked if j != i][:k]
-            if index.query(i, k).tolist() != expected:
+            if _nearest_others(points, i, k) != expected:
                 mismatches += 1
         # independent pure-python oracle on a sample of rows
         for i in rng.choice(n, size=min(4, n), replace=False):
-            if index.query(int(i), k).tolist() != brute_knn(points, int(i), k):
+            if _nearest_others(points, int(i), k) != brute_knn(points, int(i), k):
                 mismatches += 1
 
     leak_rng = np.random.default_rng(31)
@@ -142,18 +150,19 @@ def test_criterion_3_knn_oracle_and_leakage():
     points = leak_rng.normal(size=(n, 4))
     values = leak_rng.normal(size=n)
     folds = leak_rng.integers(0, 4, size=n)
-    index = NeighborIndex(points, np.arange(n), n, folds)
-    base_means, base_counts = neighbor_mean_features(index, values, k=5)
+    index = NeighborIndex(points, np.arange(n), folds)
+    everyone = np.ones(n, dtype=bool)
+    base_means, base_counts = neighbor_mean_features(index, values, 5, everyone)
     leak_free = True
     for i in range(n):
         poked = values.copy()
         poked[i] += 1000.0
-        means, counts = neighbor_mean_features(index, poked, k=5)
+        means, counts = neighbor_mean_features(index, poked, 5, everyone)
         leak_free &= (means[i] == base_means[i] and counts[i] == base_counts[i])
     for fold in range(4):
         poked = values.copy()
         poked[folds == fold] -= 500.0
-        means, counts = neighbor_mean_features(index, poked, k=5)
+        means, counts = neighbor_mean_features(index, poked, 5, everyone)
         rows = folds == fold
         leak_free &= (np.array_equal(means[rows], base_means[rows])
                       and np.array_equal(counts[rows], base_counts[rows]))
@@ -248,7 +257,7 @@ def test_criterion_6_cv_analogue(synth_table):
     scores = {}
     for k in (5, 10):
         result = run_cv(synth_table, FeatureConfig(), [spec], k=k, seed=7)
-        scores[k] = result.model("gbdt_full").metrics.micro_f1
+        scores[k] = result.models[0].metrics.micro_f1
     spread = abs(scores[5] - scores[10])
     elapsed = time.perf_counter() - start
     ok = (scores[5] >= 0.95 and scores[10] >= 0.95 and spread <= 0.03

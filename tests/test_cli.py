@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
+from skyglow.cli.svg import escape
 from skyglow.dataset import write_observations
 from skyglow.ensemble import read_weights_csv
 from skyglow.errors import (
@@ -480,6 +482,12 @@ def test_report_svg_structure(tmp_path, config):
     assert polylines == 1
 
 
+def test_svg_escape_matches_the_standard_library():
+    for text in ("", "plain", "&<>\"'", "a&lt;b", "<&>&&<<>>\"'\"'",
+                 "Tom's \"dark\" sky & <Orion>", "&amp;&#38;>"):
+        assert escape(text) == sax_escape(text), text
+
+
 # --- entry point ---
 
 def test_main_success_and_failure_exit_codes(tmp_path, config, capsys):
@@ -597,6 +605,20 @@ def test_short_ensemble_metrics_row_fails_report_with_one_line(
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
     assert "ensemble_metrics.csv, line 2: expected 3 fields, got 1" in err[0]
+
+
+def test_extra_ensemble_metrics_column_fails_report_with_one_line(
+        tmp_path, config, capsys):
+    # model_comparison.csv copies each row whole under a 3-column header
+    def widen(text):
+        return "".join(line + ",x\n" for line in text.splitlines())
+    err = _run_with_tampered(tmp_path, config, capsys, "report",
+                             "ensemble_metrics.csv", widen)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert ("ensemble_metrics.csv: expected a header equal to "
+            "model_id,micro_f1,weight") in err[0]
+    assert not (tmp_path / "out" / "model_comparison.csv").exists()
 
 
 def test_artifact_readers_check_the_header_width(tmp_path):

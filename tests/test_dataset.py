@@ -1,4 +1,3 @@
-import io
 import math
 from datetime import datetime
 from itertools import compress
@@ -37,16 +36,24 @@ from helpers import grid_table, obs
 HEADER = ",".join(OBSERVATION_COLUMNS)
 
 
-def _csv(*rows):
-    return io.StringIO("\n".join([HEADER, *rows]) + "\n")
+def _file(tmp_path, text):
+    """`text` written to one input file in `tmp_path`; each call replaces
+    the last one's."""
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _csv(tmp_path, *rows):
+    return _file(tmp_path, "\n".join([HEADER, *rows]) + "\n")
 
 
 GOOD_ROW = ("a1,2014-02-21 18:12:00,-5,Chile,-33.4,-70.6,520,GAN,,clear,"
             "Orion,dark site,no moon,5.2")
 
 
-def test_parse_good_row():
-    table, diags = parse_observations(_csv(GOOD_ROW), "strict")
+def test_parse_good_row(tmp_path):
+    table, diags = parse_observations(_csv(tmp_path, GOOD_ROW), "strict")
     assert diags == []
     rec = table.records[0]
     assert rec.id == "a1"
@@ -58,49 +65,50 @@ def test_parse_good_row():
     assert rec.population is None
 
 
-def test_header_must_match_schema():
-    bad = io.StringIO("id,when\n1,2\n")
+def test_header_must_match_schema(tmp_path):
+    bad = _file(tmp_path, "id,when\n1,2\n")
     with pytest.raises(SchemaError):
         parse_observations(bad)
 
 
-def test_missing_file_header_only_is_empty_table():
-    table, diags = parse_observations(_csv())
+def test_missing_file_header_only_is_empty_table(tmp_path):
+    table, diags = parse_observations(_csv(tmp_path))
     assert len(table) == 0 and diags == []
 
 
-def test_bad_numeric_strict_vs_lenient():
+def test_bad_numeric_strict_vs_lenient(tmp_path):
     row = GOOD_ROW.replace("-33.4", "not-a-number")
     with pytest.raises(RowError):
-        parse_observations(_csv(row), "strict")
-    table, diags = parse_observations(_csv(row, GOOD_ROW.replace("a1", "a2")),
-                                      "lenient")
+        parse_observations(_csv(tmp_path, row), "strict")
+    table, diags = parse_observations(
+        _csv(tmp_path, row, GOOD_ROW.replace("a1", "a2")), "lenient")
     assert len(table) == 1
     assert len(diags) == 1 and "latitude" in diags[0].message
 
 
-def test_bad_timestamp_reported():
+def test_bad_timestamp_reported(tmp_path):
     row = GOOD_ROW.replace("2014-02-21 18:12:00", "21/02/2014")
-    table, diags = parse_observations(_csv(row), "lenient")
+    table, diags = parse_observations(_csv(tmp_path, row), "lenient")
     assert len(table) == 0
     assert "timestamp" in diags[0].message.lower()
 
 
-def test_duplicate_id_rejected():
+def test_duplicate_id_rejected(tmp_path):
     with pytest.raises(DuplicateKeyError):
-        parse_observations(_csv(GOOD_ROW, GOOD_ROW), "strict")
-    table, diags = parse_observations(_csv(GOOD_ROW, GOOD_ROW), "lenient")
+        parse_observations(_csv(tmp_path, GOOD_ROW, GOOD_ROW), "strict")
+    table, diags = parse_observations(_csv(tmp_path, GOOD_ROW, GOOD_ROW),
+                                      "lenient")
     assert len(table) == 1 and len(diags) == 1
 
 
-def test_missing_id_is_row_error():
+def test_missing_id_is_row_error(tmp_path):
     row = GOOD_ROW.replace("a1", "")
-    _, diags = parse_observations(_csv(row), "lenient")
+    _, diags = parse_observations(_csv(tmp_path, row), "lenient")
     assert len(diags) == 1
 
 
-def test_wrong_cell_count_flagged_with_line_number():
-    bad = io.StringIO(HEADER + "\n1,2,3\n")
+def test_wrong_cell_count_flagged_with_line_number(tmp_path):
+    bad = _file(tmp_path, HEADER + "\n1,2,3\n")
     _, diags = parse_observations(bad, "lenient")
     assert diags[0].line == 2
 
@@ -114,9 +122,9 @@ ROW_PROBLEMS = [
 ]
 
 
-def test_row_problems_pinned_in_both_modes():
+def test_row_problems_pinned_in_both_modes(tmp_path):
     rows = [GOOD_ROW] + [row for row, _, _ in ROW_PROBLEMS]
-    table, diags = parse_observations(_csv(*rows), "lenient")
+    table, diags = parse_observations(_csv(tmp_path, *rows), "lenient")
     assert table.ids == ("a1",)
     assert [(d.line, d.row_id, d.message) for d in diags] == [
         expected for _, _, expected in ROW_PROBLEMS]
@@ -124,23 +132,24 @@ def test_row_problems_pinned_in_both_modes():
     for pad, (row, error, (_, _, message)) in enumerate(ROW_PROBLEMS):
         padding = [GOOD_ROW.replace("a1", f"p{i}") for i in range(pad)]
         with pytest.raises(error) as caught:
-            parse_observations(_csv(GOOD_ROW, *padding, row), "strict")
+            parse_observations(_csv(tmp_path, GOOD_ROW, *padding, row),
+                               "strict")
         assert type(caught.value) is error and str(caught.value) == message
 
 
-def test_round_trip_preserves_values():
-    table, _ = parse_observations(_csv(GOOD_ROW))
-    buf = io.StringIO()
-    write_observations(table, buf)
-    again, _ = parse_observations(io.StringIO(buf.getvalue()), "strict")
+def test_round_trip_preserves_values(tmp_path):
+    table, _ = parse_observations(_csv(tmp_path, GOOD_ROW))
+    path = tmp_path / "observations.csv"
+    write_observations(table, path)
+    again, _ = parse_observations(path, "strict")
     assert again.records == table.records
 
 
-def test_round_trip_float_exact():
+def test_round_trip_float_exact(tmp_path):
     rec = obs(latitude=0.1 + 0.2)  # 0.30000000000000004
-    buf = io.StringIO()
-    write_observations(ObservationTable([rec]), buf)
-    again, _ = parse_observations(io.StringIO(buf.getvalue()))
+    path = tmp_path / "observations.csv"
+    write_observations(ObservationTable([rec]), path)
+    again, _ = parse_observations(path)
     assert again.records[0].latitude == rec.latitude
 
 
@@ -180,9 +189,10 @@ def test_numeric_column_nan_for_missing():
         table.numeric_column("no_such_field")
 
 
-def test_text_column_none_for_missing():
-    table = ObservationTable([obs(comment_1=None), obs(id="r1", comment_1="hi")])
-    assert table.text_column("comment_1") == (None, "hi")
+def test_text_column_none_for_missing(tmp_path):
+    row = GOOD_ROW.replace("dark site", "").replace("a1", "r0")
+    table, _ = parse_observations(_csv(tmp_path, row, GOOD_ROW), "strict")
+    assert [rec.comment_1 for rec in table] == [None, "dark site"]
 
 
 # --- population ---
@@ -195,36 +205,36 @@ POP_WIDE = (
     "Norway,NOR,x,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5\n")
 
 
-def test_parse_population_wide():
-    pop = parse_population(io.StringIO(POP_WIDE))
+def test_parse_population_wide(tmp_path):
+    pop = parse_population(_file(tmp_path, POP_WIDE))
     assert len(pop) == 30
     assert pop.get("Chile", 2014) == 24
     assert pop.get("Norway", 2020) == 5
     assert pop.get("Atlantis", 2014) is None
 
 
-def test_population_duplicate_country_year():
+def test_population_duplicate_country_year(tmp_path):
     row = "A,1,i," + ",".join(["7"] * 15)
-    dup = io.StringIO(POP_HEADER + "\n" + row + "\n" + row + "\n")
+    dup = _file(tmp_path, POP_HEADER + "\n" + row + "\n" + row + "\n")
     with pytest.raises(DuplicateKeyError):
         parse_population(dup)
 
 
-def test_population_long_round_trip():
+def test_population_long_round_trip(tmp_path):
     pop = PopulationTable([PopulationRecord("A", 2010, 100),
                            PopulationRecord("B", 2011, 200)])
-    buf = io.StringIO()
-    write_population(pop, buf)
-    again = read_population_long(io.StringIO(buf.getvalue()))
+    path = tmp_path / "population_long.csv"
+    write_population(pop, path)
+    again = read_population_long(path)
     assert list(again) == list(pop)
 
 
-def test_population_long_bad_rows_name_the_line():
+def test_population_long_bad_rows_name_the_line(tmp_path):
     header = "country,year,population\n"
     with pytest.raises(SchemaError, match="line 3: invalid literal"):
-        read_population_long(io.StringIO(header + "A,2010,100\nB,twenty,200\n"))
+        read_population_long(_file(tmp_path, header + "A,2010,100\nB,twenty,200\n"))
     with pytest.raises(SchemaError, match="line 2: expected 3 fields, got 2"):
-        read_population_long(io.StringIO(header + "A,2010\n"))
+        read_population_long(_file(tmp_path, header + "A,2010\n"))
 
 
 def test_join_population_match_and_median_fallback():
@@ -335,7 +345,7 @@ def test_subset_view_equals_a_fresh_derivation():
                 assert np.array_equal(got[name], col, equal_nan=True), name
             else:
                 assert got[name].tolist() == col.tolist(), name
-    no_time = table.row_of("no_time")
+    no_time = table.ids.index("no_time")
     assert table.view.categorical["time_of_day_category"][no_time] is None
     assert table.view.missing["year"][no_time]
     assert table.view.tokens["comment_2"][no_time] == ["dark", "clear", "sky"]

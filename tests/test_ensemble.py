@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -138,12 +136,12 @@ def test_weights_simplex_validation():
             blend(mats, np.array(bad))
 
 
-def test_weights_csv_round_trip_exact():
+def test_weights_csv_round_trip_exact(tmp_path):
     w = EnsembleWeights(("gbdt_full", "forest"),
                         np.array([1.0 / 3.0, 2.0 / 3.0]), 0.875)
-    buf = io.StringIO()
-    w.write_csv(buf)
-    again = read_weights_csv(io.StringIO(buf.getvalue()), objective=0.875)
+    path = tmp_path / "weights.csv"
+    w.write_csv(path)
+    again = read_weights_csv(path)
     assert again.model_ids == w.model_ids
     assert np.array_equal(again.weights, w.weights)
 

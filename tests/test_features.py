@@ -6,6 +6,7 @@ import pytest
 
 from skyglow.dataset import ObservationTable, decompose_time, epoch_seconds
 from skyglow.errors import InsufficientDataError, ParameterError, UnknownFieldError
+from skyglow.features.neighbors import neighbor_mean_features
 from skyglow.features.pipeline import (
     FeatureConfig,
     N_CLASSES,
@@ -75,7 +76,7 @@ def test_pipeline_quantile_clipping():
     assert stats.clip_high < 1e9
     matrix = apply_feature_pipeline(model, table)
     col = matrix.column("elevation_m")
-    assert col.max() == col[table.row_of("wild")]
+    assert col.max() == col[table.ids.index("wild")]
     raw_hi = (stats.clip_high - stats.mean) / stats.std
     assert abs(col.max() - raw_hi) < 1e-12
 
@@ -163,17 +164,19 @@ def test_neighbor_points_skip_unlocatable_rows():
         obs(id="d", latitude=11.0),
     ])
     model = fit_feature_pipeline(table)
-    index = build_neighbor_index(table, model)
+    index = build_neighbor_index(table, model, [0, 1, 0, 1])
     assert list(index.table_rows) == [0, 3]
-    assert index.query(1, k=1).size == 0  # absent row: no neighbors
-    assert index.query(0, k=5).tolist() == [3]
+    means, counts = neighbor_mean_features(
+        index, np.array([1.0, 2.0, 3.0, 4.0]), 5, np.ones(4, dtype=bool))
+    assert counts.tolist() == [1, 0, 0, 1]  # absent rows: no neighbors
+    assert means[0] == 4.0 and means[3] == 1.0  # rows 0 and 3 pair up
 
 
 def test_neighbor_index_needs_two_rows():
     table = ObservationTable([obs(id="a"), obs(id="b", latitude=None)])
     model = fit_feature_pipeline(table)
     with pytest.raises(InsufficientDataError):
-        build_neighbor_index(table, model)
+        build_neighbor_index(table, model, [0, 1])
 
 
 # --- feature stack ---

@@ -8,17 +8,28 @@ import pytest
 
 import skyglow
 from skyglow.errors import ParameterError
+from skyglow.features.knn import _exact_knn
 from skyglow.features.neighbors import cross_neighbor_means, neighbor_mean_features
 from skyglow.features.pipeline import NeighborIndex
 
 from oracles import brute_knn, neighbor_mean_oracle
 
 
-def make_index(points, fold_labels=None):
-    n = len(points)
-    return NeighborIndex(np.asarray(points, dtype=float), np.arange(n), n,
-                         None if fold_labels is None
-                         else np.asarray(fold_labels))
+def make_index(points, fold_labels):
+    return NeighborIndex(np.asarray(points, dtype=float), np.arange(len(points)),
+                         np.asarray(fold_labels))
+
+
+def everyone(n):
+    return np.ones(n, dtype=bool)
+
+
+def nearest_others(points, row, k, banned=()):
+    """The k nearest neighbors of `row` among the other rows outside
+    `banned`: `_exact_knn` over a reference without them, mapped back to
+    rows."""
+    keep = np.setdiff1d(np.arange(len(points)), [row, *banned])
+    return keep[_exact_knn(points[keep], points[row:row + 1], k)[0]].tolist()
 
 
 def test_query_matches_brute_force():
@@ -28,30 +39,31 @@ def test_query_matches_brute_force():
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, 8))
         points = rng.normal(size=(n, d))
-        index = make_index(points)
         row = int(rng.integers(n))
-        assert index.query(row, k).tolist() == brute_knn(points, row, k)
+        assert nearest_others(points, row, k) == brute_knn(points, row, k)
 
 
 def test_query_tie_break_prefers_smaller_row():
     # rows 1 and 3 are identical; both at distance 1 from row 0
     points = np.array([[0.0], [1.0], [5.0], [1.0]])
-    index = make_index(points)
-    assert index.query(0, 2).tolist() == [1, 3]
+    assert nearest_others(points, 0, 2) == [1, 3]
+    assert _exact_knn(points, points[:1], 3).tolist() == [[0, 1, 3]]
 
 
 def test_query_excludes_self_and_banned():
     points = np.array([[0.0], [0.1], [0.2], [0.3]])
-    index = make_index(points)
-    assert 0 not in index.query(0, 3).tolist()
-    banned = np.array([False, True, False, False])
-    assert index.query(0, 3, banned_rows=banned).tolist() == [2, 3]
+    assert 0 not in nearest_others(points, 0, 3)
+    # k beyond the reference: every row left in it, nearest first
+    assert nearest_others(points, 0, 3, banned=[1]) == [2, 3]
+    assert _exact_knn(points, points[3:], 10).tolist() == [[3, 2, 1, 0]]
 
 
 def test_query_k_validation():
-    index = make_index(np.zeros((3, 1)))
     with pytest.raises(ParameterError):
-        index.query(0, 0)
+        _exact_knn(np.zeros((3, 1)), np.zeros((1, 1)), 0)
+    with pytest.raises(ParameterError):
+        cross_neighbor_means(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 1)),
+                             0, fallback=0.0)
 
 
 def test_neighbor_means_match_oracle_out_of_fold():
@@ -64,7 +76,7 @@ def test_neighbor_means_match_oracle_out_of_fold():
         folds = rng.integers(0, 3, size=n)
         k = int(rng.integers(1, 5))
         means, counts = neighbor_mean_features(
-            make_index(points, folds), values, k)
+            make_index(points, folds), values, k, everyone(n))
         m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=folds)
         assert np.array_equal(counts, c0)
         real = counts > 0
@@ -77,7 +89,8 @@ def test_out_of_fold_never_uses_own_fold():
     points = np.array([[0.0], [0.01], [0.02], [10.0], [10.01], [10.02]])
     values = np.array([1000.0, 1000.0, 1000.0, 1.0, 2.0, 3.0])
     folds = np.array([0, 0, 0, 1, 1, 1])
-    means, _ = neighbor_mean_features(make_index(points, folds), values, 2)
+    means, _ = neighbor_mean_features(make_index(points, folds), values, 2,
+                                      everyone(6))
     assert means[0] == (1.0 + 2.0) / 2  # nearest two in the other fold
 
 
@@ -86,10 +99,12 @@ def test_perturbing_own_fold_leaves_feature_bit_identical():
     points = rng.normal(size=(50, 3))
     values = rng.normal(size=50)
     folds = rng.integers(0, 5, size=50)
-    base, _ = neighbor_mean_features(make_index(points, folds), values, 4)
+    base, _ = neighbor_mean_features(make_index(points, folds), values, 4,
+                                     everyone(50))
     poisoned = values.copy()
     poisoned[folds == 2] += 1e6
-    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4)
+    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4,
+                                      everyone(50))
     rows = folds == 2
     assert np.array_equal(base[rows], after[rows])
 
@@ -100,7 +115,7 @@ def test_neighbor_mask_restricts_pool_and_fallback():
     values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     folds = np.array([0, 1, 0, 1, 0])
     mask = np.array([True, True, False, False, True])
-    index = NeighborIndex(points, np.arange(4), 5, folds)
+    index = NeighborIndex(points, np.arange(4), folds)
     means, counts = neighbor_mean_features(index, values, 2, neighbor_mask=mask)
     # each located row sees only the one masked-in row of the other fold
     # (row 2 would average rows 1 and 3 without the mask)
@@ -118,7 +133,7 @@ def test_fallback_is_fold_complement_mean():
     values = np.array([5.0, 5.0, np.nan, 9.0])
     folds = np.array([0, 0, 1, 1])
     means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           1)
+                                           1, everyone(4))
     assert counts[0] == 0 and means[0] == 9.0  # fold-1 values: {nan, 9} -> 9
     # row 3's nearest out-of-fold neighbor is row 1 (value 5.0)
     assert counts[3] == 1 and means[3] == 5.0
@@ -129,7 +144,7 @@ def test_fallback_when_no_eligible_values():
     values = np.array([np.nan, np.nan, 7.0])
     folds = np.array([0, 1, 1])
     means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           2)
+                                           2, everyone(3))
     # row 2: other-fold pool = {row 0} with NaN value -> fallback =
     # complement mean over rows not in fold 1 = mean of {NaN dropped} = 0.0
     assert counts[2] == 0.0
@@ -207,7 +222,7 @@ def test_empty_and_exhausted_pools():
                                          points, 3, fallback=2.5)
     assert counts.tolist() == [0] * 5 and means.tolist() == [2.5] * 5
     # k beyond the pool: every row outside the fold is a neighbor
-    means, counts = neighbor_mean_features(index, values, 10)
+    means, counts = neighbor_mean_features(index, values, 10, everyone(5))
     assert counts.tolist() == [3, 3, 3, 3, 4]
     assert means.tolist() == [4.0, 4.0, 8.0 / 3, 8.0 / 3, 2.5]
     # fold 0's complement has no member rows, so fold 0 falls back

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -168,9 +166,7 @@ def test_run_cv_oof_coverage_and_metrics():
         # every row got a real prediction (rows sum to 1)
         assert np.allclose(model.probabilities.sum(axis=1), 1.0)
         assert len(model.metrics.per_fold_f1) == 4
-    assert result.model("g") is result.models[0]
-    with pytest.raises(ParameterError):
-        result.model("nope")
+    assert [model.model_id for model in result.models] == ["g", "f"]
 
 
 def test_run_cv_rejects_duplicate_ids_and_empty():
@@ -193,24 +189,25 @@ def test_learner_spec_validation():
         LearnerSpec("", "gbdt", SMALL_PARAMS, PLAIN)
 
 
-def test_oof_csv_round_trip():
+def test_oof_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     probs = rng.dirichlet(np.ones(8), size=6)
     folds = np.array([0, 1, 0, 1, 2, 2])
     ids = [f"r{i}" for i in range(6)]
-    buf = io.StringIO()
-    write_oof_csv(buf, ids, folds, "gbdt_full", probs)
-    rid, rfolds, model_id, rprobs = read_oof_csv(io.StringIO(buf.getvalue()))
+    path = tmp_path / "oof.csv"
+    write_oof_csv(path, ids, folds, "gbdt_full", probs)
+    rid, rfolds, model_id, rprobs = read_oof_csv(path)
     assert list(rid) == ids
     assert rfolds.tolist() == folds.tolist()
     assert model_id == "gbdt_full"
     assert np.array_equal(rprobs, probs)  # repr round-trip is exact
 
 
-def test_oof_csv_short_row_names_the_line():
-    buf = io.StringIO()
-    write_oof_csv(buf, ["r0", "r1"], np.array([0, 1]), "m", np.full((2, 8), 0.125))
-    lines = buf.getvalue().splitlines()
+def test_oof_csv_short_row_names_the_line(tmp_path):
+    path = tmp_path / "oof.csv"
+    write_oof_csv(path, ["r0", "r1"], np.array([0, 1]), "m", np.full((2, 8), 0.125))
+    lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = ",".join(lines[2].split(",")[:-1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 3: expected 11 fields, got 10"):
-        read_oof_csv(io.StringIO("\n".join(lines) + "\n"))
+        read_oof_csv(path)
