@@ -2,9 +2,10 @@
 
 One kernel, `cross_neighbor_means`, computes every neighbor mean: the mean
 of a reference value column over each query point's k nearest reference
-points (`knn._exact_knn`: a k-d tree proposes candidates, which are
-re-ranked by (squared distance, row) with the brute-force arithmetic, so
-results equal an exhaustive scan bit for bit).
+points (`knn._exact_knn`: a matrix product with an explicit rounding
+bound picks the candidates, which are re-ranked by (squared distance, row)
+with the brute-force arithmetic, so results equal an exhaustive scan bit
+for bit).
 
 `neighbor_mean_features` is its out-of-fold use during fitting: for each
 fold label, the reference is the member rows outside that fold and the

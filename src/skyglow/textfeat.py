@@ -10,9 +10,9 @@ until the top singular values stabilize, which brings them within 1e-6
 relative of a dense decomposition.
 
 Documents arrive as token lists (`tokenize`); an observation table
-tokenizes its comments once, in its column view. scipy.sparse is imported
-on first use, so the stages that fit or apply no text features do not
-pay its start-up cost.
+tokenizes its comments once, in its column view. The TF-IDF matrix is a
+small compressed-sparse-row matrix (`CsrMatrix`) whose products add each
+stored entry in stored order, the order of the classic CSR/CSC kernels.
 """
 
 from __future__ import annotations
@@ -80,11 +80,73 @@ def fit_tfidf(corpus: Sequence[list[str]], cap: int = DEFAULT_VOCAB_CAP) -> Tfid
     return TfidfModel(vocabulary, idf, n_docs, cap)
 
 
-def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]):
-    """Count x IDF per cell, each row L2-normalized (zero rows stay zero),
-    as a scipy.sparse CSR matrix."""
-    from scipy.sparse import csr_matrix
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A float matrix in compressed sparse row form: row i stores
+    `data[indptr[i]:indptr[i + 1]]` at columns `indices[...]`.
 
+    Every product is a sum over stored entries: the contribution of each
+    entry to each output cell is added in stored order, starting from
+    0.0, with one `np.bincount` over the flattened output cells. That is
+    the order of the classic CSR (`A @ X`) and CSC (`A.T @ Y`) kernels, so
+    products are reproducible bit for bit; a dense BLAS product is not.
+    """
+
+    indptr: np.ndarray   # (n_rows + 1,), nondecreasing, indptr[0] == 0
+    indices: np.ndarray  # (nnz,) column of each stored entry
+    data: np.ndarray     # (nnz,) value of each stored entry
+    shape: tuple[int, int]
+
+    # `ndarray @ CsrMatrix` defers to `__rmatmul__`
+    __array_ufunc__ = None
+
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self._entry_rows(), self.indices), self.data)
+        return out
+
+    def __getitem__(self, rows) -> "CsrMatrix":
+        """The given rows, in the given order (an integer index array)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrMatrix(indptr, self.indices[take], self.data[take],
+                         (len(rows), self.shape[1]))
+
+    @property
+    def T(self) -> "CsrMatrix":
+        """The transpose; a stable sort by column keeps each new row's
+        entries in their old stored order."""
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return CsrMatrix(indptr, self._entry_rows()[order], self.data[order],
+                         (self.shape[1], self.shape[0]))
+
+    def __matmul__(self, other) -> np.ndarray:
+        other = np.asarray(other)
+        if other.ndim != 2 or other.shape[0] != self.shape[1]:
+            raise DimensionError(
+                f"cannot multiply a {self.shape[0]}x{self.shape[1]} matrix "
+                f"by one of shape {other.shape}")
+        width = other.shape[1]
+        cells = self._entry_rows()[:, None] * width + np.arange(width)
+        sums = np.bincount(cells.ravel(),
+                           weights=(self.data[:, None] * other[self.indices]).ravel(),
+                           minlength=self.shape[0] * width)
+        return sums.reshape(self.shape[0], width)
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        return (self.T @ np.asarray(other).T).T
+
+
+def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]) -> CsrMatrix:
+    """Count x IDF per cell, each row L2-normalized (zero rows stay zero)."""
     index = model.token_index()
     data: list[float] = []
     indices: list[int] = []
@@ -103,9 +165,9 @@ def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]):
         data.extend(weights.tolist())
         indices.extend(j for j, _ in row)
         indptr.append(len(indices))
-    return csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(corpus), len(model.vocabulary)))
+    return CsrMatrix(np.array(indptr, dtype=np.int64),
+                     np.array(indices, dtype=np.int64), np.array(data, dtype=float),
+                     (len(corpus), len(model.vocabulary)))
 
 
 @dataclass(frozen=True)
@@ -121,13 +183,8 @@ def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dense(matrix) -> np.ndarray:
-    """A product as an ndarray; a scipy.sparse one is densified."""
-    return np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
-
-
 def fit_truncated_svd(matrix, rank: int, seed: int) -> SvdModel:
-    """Top-`rank` singular triplets of a (sparse or dense) matrix.
+    """Top-`rank` singular triplets of a `CsrMatrix` or an ndarray.
 
     Randomized range finder with oversampling 8; power iterations are
     re-orthonormalized with QR each step and continue after the fixed base
@@ -147,7 +204,7 @@ def fit_truncated_svd(matrix, rank: int, seed: int) -> SvdModel:
     basis = _orthonormal_basis(matrix @ omega)
 
     def leading_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_small, values, vt = np.linalg.svd(_dense(q.T @ matrix), full_matrices=False)
+        u_small, values, vt = np.linalg.svd(q.T @ matrix, full_matrices=False)
         return values[:rank], vt[:rank]
 
     for _ in range(_BASE_POWER_ITERATIONS):
@@ -179,7 +236,7 @@ def transform_svd(model: SvdModel, matrix) -> np.ndarray:
         raise DimensionError(
             f"matrix has {matrix.shape[1]} columns, model expects "
             f"{model.components.shape[1]}")
-    return _dense(matrix @ model.components.T)
+    return matrix @ model.components.T
 
 
 @dataclass(frozen=True)

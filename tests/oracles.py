@@ -87,6 +87,32 @@ def dense_svd(matrix: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     return s[:rank], vt[:rank]
 
 
+def csr_entries(indptr, indices, data):
+    """The stored entries of a CSR triple as (row, column, value), in
+    stored order."""
+    return [(i, int(indices[jj]), float(data[jj]))
+            for i in range(len(indptr) - 1)
+            for jj in range(indptr[i], indptr[i + 1])]
+
+
+def csr_products_oracle(indptr, indices, data, shape, x, y):
+    """(A, A @ x, A.T @ y) for the CSR matrix A, each output cell
+    accumulated from 0.0 over the stored entries in stored order."""
+    n_rows, n_cols = shape
+    dense = [[0.0] * n_cols for _ in range(n_rows)]
+    ax = [[0.0] * x.shape[1] for _ in range(n_rows)]
+    aty = [[0.0] * y.shape[1] for _ in range(n_cols)]
+    for i, j, value in csr_entries(indptr, indices, data):
+        dense[i][j] += value
+        for t in range(x.shape[1]):
+            ax[i][t] += value * float(x[j, t])
+        for t in range(y.shape[1]):
+            aty[j][t] += value * float(y[i, t])
+    return (np.array(dense).reshape(shape),
+            np.array(ax).reshape(n_rows, x.shape[1]),
+            np.array(aty).reshape(n_cols, y.shape[1]))
+
+
 def tfidf_oracle(documents: list[str], tokenize) -> tuple[list[str], np.ndarray]:
     """Dict-arithmetic TF-IDF: idf = ln((1+N)/(1+df)) + 1, raw counts,
     L2-normalized rows. Vocabulary = every token, sorted."""

@@ -342,6 +342,11 @@ def test_config_echo_written(tmp_path, config):
 
 # --- full pipeline ---
 
+def digests(out):
+    return {p.name: hashlib.md5(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.is_file()}
+
+
 def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     out = tmp_path / "out"
     for command in COMMANDS:
@@ -362,14 +367,10 @@ def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
         assert (out / name).exists(), name
     assert not (out / ".skyglow.lock").exists()
 
-    def digests():
-        return {p.name: hashlib.md5(p.read_bytes()).hexdigest()
-                for p in sorted(out.iterdir()) if p.is_file()}
-
-    before = digests()
+    before = digests(out)
     for command in COMMANDS:
         assert dispatch(command, config) == 0, command
-    assert digests() == before
+    assert digests(out) == before
 
     # predictions cover every input row with a probability per class (0-7)
     lines = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
@@ -378,21 +379,49 @@ def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     assert len(lines) - 1 == 120
 
 
-def test_stages_without_neighbor_or_text_features_load_no_scipy(tmp_path,
-                                                                config):
-    # scipy.spatial (about 0.5 s of CPU to import, scipy.sparse included)
-    # and scipy.sparse load on first use; these stages use neither
-    for command in COMMANDS:
+# Installed before skyglow is imported: any import of scipy or a submodule
+# of it raises, so a stage that still needs scipy fails.
+SCIPY_BLOCKER = """\
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_every_stage_runs_without_scipy(tmp_path, config):
+    out = tmp_path / "out"
+    assert dispatch("synth", config) == 0
+    inputs = {p.name for p in out.iterdir()}
+    for command in COMMANDS[1:]:
         assert dispatch(command, config) == 0, command
+
+    unblocked = digests(out)
+    for path in out.iterdir():
+        if path.name not in inputs:
+            path.unlink()
     src = Path(commands.__file__).resolve().parents[2]
-    code = ("import sys; from skyglow.cli.main import main\n"
-            "for command in ('ingest', 'eda', 'ensemble', 'report'):\n"
-            f"    assert main([command, '--config', {config!r}]) == 0, command\n"
-            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse')])")
+    code = (SCIPY_BLOCKER
+            + "from skyglow.cli.main import main\n"
+            + f"for command in {COMMANDS[1:]!r}:\n"
+            + f"    assert main([command, '--config', {config!r}]) == 0, command\n"
+            + "try:\n"
+            + "    import scipy\n"
+            + "except ImportError:\n"
+            + "    print('scipy blocked')\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True, timeout=120,
+                            text=True, timeout=300,
                             env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip().splitlines()[-1] == "[False, False]"
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "scipy blocked"
+    assert digests(out) == unblocked
 
 
 def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):

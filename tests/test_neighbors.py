@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import skyglow
 from skyglow.errors import ParameterError
+from skyglow.features import knn
 from skyglow.features.knn import _exact_knn
 from skyglow.features.neighbors import cross_neighbor_means, neighbor_mean_features
 from skyglow.features.pipeline import NeighborIndex
@@ -56,6 +51,53 @@ def test_query_excludes_self_and_banned():
     # k beyond the reference: every row left in it, nearest first
     assert nearest_others(points, 0, 3, banned=[1]) == [2, 3]
     assert _exact_knn(points, points[3:], 10).tolist() == [[3, 2, 1, 0]]
+
+
+def scan_knn(ref, queries, k):
+    """Every reference row ranked by (squared distance, position) for each
+    query, through the loop oracle."""
+    return [brute_knn(np.vstack([ref, q]), len(ref), k) for q in queries]
+
+
+def adversarial_cases():
+    """(name, reference, queries, k) cases for the distance bound."""
+    rng = np.random.default_rng(23)
+    for spread in (1e-3, 1e-8):
+        far = 1e6 + spread * rng.normal(size=(60, 3))
+        near = 1e6 + spread * rng.normal(size=(12, 3))
+        yield f"offset 1e6, spread {spread}", far, np.vstack([far[::7], near]), 5
+    # integer points repeated many times: ties straddle every k-th slot
+    grid = rng.integers(0, 3, size=(45, 2)).astype(float)
+    cells = np.array([[a, b] for a in range(-1, 4) for b in range(-1, 4)], float)
+    for k in (1, 2, 4, 5, 9, 16):
+        yield f"duplicates, k = {k}", grid, cells / 2, k
+    points = rng.normal(size=(30, 4))
+    points[10:20] = points[:10]
+    yield "queries equal to reference rows", points, points[::3], 6
+    yield "k = m", points, points[:5] + 0.1, 30
+    yield "k > m", points, points[:5] - 0.1, 40
+    yield "k = 1", points, rng.normal(size=(9, 4)), 1
+    yield "one reference row", points[:1], rng.normal(size=(4, 4)), 3
+    yield "zero queries", points, np.empty((0, 4)), 3
+
+
+@pytest.mark.parametrize("block_cells", [knn._BLOCK_CELLS, 7])
+def test_exact_knn_matches_scan_on_adversarial_points(monkeypatch, block_cells):
+    # 7 cells per block splits the queries into many blocks, and into
+    # single-query blocks once the reference outgrows a block
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", block_cells)
+    for name, ref, queries, k in adversarial_cases():
+        found = _exact_knn(ref, queries, k)
+        assert found.shape == (len(queries), min(k, len(ref))), name
+        assert found.tolist() == scan_knn(ref, queries, k), name
+
+
+def test_exact_knn_rejects_non_finite_points():
+    points = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
+    with pytest.raises(ParameterError):
+        _exact_knn(points, np.zeros((1, 2)), 2)
+    with pytest.raises(ParameterError):
+        _exact_knn(np.zeros((3, 2)), points[1:2] * np.inf, 2)
 
 
 def test_query_k_validation():
@@ -230,16 +272,3 @@ def test_empty_and_exhausted_pools():
                                            neighbor_mask=folds == 0)
     assert counts.tolist() == [0, 0, 2, 2, 2]
     assert means.tolist() == [0.0, 0.0, 1.5, 1.5, 1.5]
-
-
-def test_cli_import_leaves_kd_tree_unloaded():
-    # scipy.spatial takes about 0.5 s of CPU to import (it loads
-    # scipy.sparse, about 0.2 s on its own); stages that build no neighbor
-    # or text features must not pay for them
-    src = Path(skyglow.__file__).resolve().parents[1]
-    code = ("import sys, skyglow.cli.commands; "
-            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.sparse')])")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True, timeout=60,
-                            env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "[False, False]"

@@ -3,6 +3,7 @@ import pytest
 
 from skyglow.errors import DimensionError, ParameterError
 from skyglow.textfeat import (
+    CsrMatrix,
     fit_text_features,
     fit_tfidf,
     fit_truncated_svd,
@@ -12,7 +13,13 @@ from skyglow.textfeat import (
     transform_tfidf,
 )
 
-from oracles import dense_svd, tfidf_oracle, tokenize_oracle
+from oracles import (
+    csr_entries,
+    csr_products_oracle,
+    dense_svd,
+    tfidf_oracle,
+    tokenize_oracle,
+)
 
 
 def test_tokenize_basics():
@@ -92,6 +99,46 @@ def test_tfidf_degenerate_empty_corpus():
     model = fit_tfidf([[], []])
     assert model.degenerate
     assert transform_tfidf(model, [[], []]).shape == (2, 0)
+
+
+def csr_cases():
+    """TF-IDF matrices with empty rows, an all-empty one and an (n, 0) one."""
+    rng = np.random.default_rng(17)
+    words = [f"w{i}" for i in range(40)]
+    corpus = [[words[j] for j in rng.integers(0, 40, size=int(rng.integers(0, 9)))]
+              for _ in range(50)]
+    model = fit_tfidf(corpus)
+    yield transform_tfidf(model, corpus)
+    yield transform_tfidf(model, [[], ["unseen"], []])
+    yield transform_tfidf(fit_tfidf([[], []]), [[], [], []])
+
+
+def test_csr_products_match_stored_order_loop():
+    rng = np.random.default_rng(3)
+    for matrix in csr_cases():
+        n_rows, n_cols = matrix.shape
+        x = rng.normal(size=(n_cols, 5))
+        y = rng.normal(size=(n_rows, 4))
+        dense, ax, aty = csr_products_oracle(matrix.indptr, matrix.indices,
+                                             matrix.data, matrix.shape, x, y)
+        assert np.array_equal(matrix.toarray(), dense)
+        assert np.array_equal(matrix @ x, ax)
+        assert np.array_equal(matrix.T @ y, aty)
+        assert np.array_equal(y.T @ matrix, aty.T)
+        rows = rng.integers(0, n_rows, size=2 * n_rows)
+        picked = matrix[rows]
+        assert picked.shape == (len(rows), n_cols)
+        assert csr_entries(picked.indptr, picked.indices, picked.data) == [
+            (new, j, value) for new, old in enumerate(rows)
+            for i, j, value in csr_entries(matrix.indptr, matrix.indices,
+                                           matrix.data) if i == old]
+        assert matrix[np.arange(0)].shape == (0, n_cols)
+
+
+def test_csr_product_shape_check():
+    matrix = CsrMatrix(np.array([0, 1]), np.array([1]), np.array([2.0]), (1, 3))
+    with pytest.raises(DimensionError):
+        matrix @ np.ones((2, 2))
 
 
 def test_svd_singular_values_match_dense_oracle():
