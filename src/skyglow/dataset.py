@@ -5,6 +5,12 @@ mode, the population join with a median fallback, each table's column view
 (every label-free column, derived once), and the descriptive reports
 (missingness counts, category frequency tables). Tables are immutable after
 construction.
+
+An observation table stores its rows by column, one tuple per
+ObservationRecord field. Parsing appends each valid row's values to the
+columns, the join adds the population columns and shares the others, and
+the view, reports and writer read the columns; records are built only when
+a caller asks for them.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import compress
 from datetime import datetime
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from statistics import median
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
@@ -66,6 +73,10 @@ _MORNING = 5 * 3600
 _AFTERNOON = 12 * 3600
 _EVENING = 17 * 3600
 _NIGHT = 22 * 3600
+# Day part of each interval between the boundaries, for searchsorted.
+_DAY_PART_STARTS = np.array([_MORNING, _AFTERNOON, _EVENING, _NIGHT])
+_DAY_PARTS = np.array(["night", "morning", "afternoon", "evening", "night"],
+                      dtype=object)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -147,6 +158,9 @@ class ObservationRecord:
     population_matched: bool | None = None
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(ObservationRecord))
+
+
 @dataclass(frozen=True)
 class RowDiagnostic:
     line: int
@@ -184,86 +198,118 @@ class ColumnView:
                                          self.tokens, self.missing)))
 
 
-def _column_view(records: Sequence[ObservationRecord]) -> ColumnView:
-    """Derive the column view in one pass: one `decompose_time` and one
-    `tokenize` per comment field for each row."""
-    n = len(records)
-    raw = NUMERIC_FIELDS + ("population",)
-    numeric = {name: np.full(n, np.nan) for name in raw + TIME_PARTS}
-    categorical = {name: np.full(n, None, dtype=object)
-                   for name in CATEGORICAL_REPORT_FIELDS}
-    tokens = {name: np.empty(n, dtype=object) for name in COMMENT_FIELDS}
-    for i, rec in enumerate(records):
-        for name in raw:
-            value = getattr(rec, name)
-            if value is not None:
-                numeric[name][i] = value
-        for name in ("sensor_type", "clouds", "constellation"):
-            categorical[name][i] = getattr(rec, name)
-        for name in COMMENT_FIELDS:
-            tokens[name][i] = tokenize(getattr(rec, name))
-        if rec.time is not None:
-            parts = decompose_time(rec.time)
-            numeric["year"][i] = parts.year
-            numeric["month"][i] = parts.month
-            numeric["day_of_year"][i] = parts.day_of_year
-            numeric["seconds_of_day"][i] = parts.seconds_of_day
-            numeric["epoch_time"][i] = epoch_seconds(rec.time, rec.time_zone)
-            categorical["time_of_day_category"][i] = parts.category
+def _objects(values: Iterable[object], n: int) -> np.ndarray:
+    """A 1-d object array holding each of `values` as one element."""
+    return np.fromiter(values, dtype=object, count=n)
+
+
+def _column_view(columns: dict[str, tuple]) -> ColumnView:
+    """Derive the column view from a table's columns: each numeric and
+    categorical column converts whole, the time parts come from datetime64
+    arithmetic (the array form of `decompose_time` and `epoch_seconds`),
+    and each comment is tokenized once."""
+    n = len(columns["id"])
+    numeric = {name: np.array(columns[name], dtype=float)
+               for name in NUMERIC_FIELDS + ("population",)}
+    categorical = {name: _objects(columns[name], n)
+                   for name in ("sensor_type", "clouds", "constellation")}
+    tokens = {name: _objects(map(tokenize, columns[name]), n)
+              for name in COMMENT_FIELDS}
+
+    # Whole seconds, as parse_timestamp leaves them (a sub-second part is
+    # dropped); a missing time is NaT.
+    times = np.array(columns["time"], dtype="datetime64[s]")
+    present = ~np.isnat(times)
+    stamps = times[present]
+    years = stamps.astype("datetime64[Y]")
+    days = stamps.astype("datetime64[D]")
+    seconds = (stamps - days).astype(np.int64)
+    zones = numeric["time_zone"][present]
+    parts = {
+        "year": years.astype(np.int64) + 1970,
+        "month": stamps.astype("datetime64[M]").astype(np.int64) % 12 + 1,
+        "day_of_year": (days - years).astype(np.int64) + 1,
+        "seconds_of_day": seconds,
+        # a missing offset is taken as UTC
+        "epoch_time": (stamps.astype(np.int64)
+                       - np.where(np.isnan(zones), 0.0, zones) * 3600.0),
+    }
+    for name, values in parts.items():
+        numeric[name] = np.full(n, np.nan)
+        numeric[name][present] = values
+    categorical["time_of_day_category"] = np.full(n, None, dtype=object)
+    categorical["time_of_day_category"][present] = _DAY_PARTS[
+        np.searchsorted(_DAY_PART_STARTS, seconds, side="right")]
+
     missing = {name: np.isnan(col) for name, col in numeric.items()}
     missing.update((name, np.equal(col, None)) for name, col in categorical.items())
     return ColumnView(numeric, categorical, tokens, missing)
 
 
 class ObservationTable:
-    """Immutable sequence of observation records with unique ids."""
+    """Immutable table of observations with unique ids, stored by column:
+    one tuple per ObservationRecord field, row-aligned. Records are built
+    only when asked for (`records`, iteration, `table[i]`)."""
 
     def __init__(self, records: Iterable[ObservationRecord]):
-        self._records = tuple(records)
-        seen: set[str] = set()
-        for rec in self._records:
-            if rec.id in seen:
-                raise DuplicateKeyError(f"duplicate id: {rec.id!r}")
-            seen.add(rec.id)
+        rows = tuple(records)
+        self._columns = {name: tuple(map(attrgetter(name), rows))
+                         for name in _RECORD_FIELDS}
         self._view: ColumnView | None = None
+        seen: set[str] = set()
+        for row_id in self._columns["id"]:
+            if row_id in seen:
+                raise DuplicateKeyError(f"duplicate id: {row_id!r}")
+            seen.add(row_id)
+
+    @classmethod
+    def _from_columns(cls, columns: dict[str, tuple],
+                      view: ColumnView | None = None) -> "ObservationTable":
+        """A table over `columns` (every _RECORD_FIELDS name, in order), whose
+        ids the caller has already checked to be unique."""
+        table = cls.__new__(cls)
+        table._columns = columns
+        table._view = view
+        return table
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._columns["id"])
 
     def __iter__(self) -> Iterator[ObservationRecord]:
-        return iter(self._records)
+        return map(ObservationRecord, *self._columns.values())
 
     def __getitem__(self, i: int) -> ObservationRecord:
-        return self._records[i]
+        return ObservationRecord(*(column[i] for column in self._columns.values()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ObservationTable) and self._records == other._records
+        return isinstance(other, ObservationTable) and self._columns == other._columns
 
     @property
     def records(self) -> tuple[ObservationRecord, ...]:
-        return self._records
+        return tuple(self)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self._records)
+        return self._columns["id"]
 
     def has_population(self) -> bool:
-        return any(r.population is not None for r in self._records)
+        return any(value is not None for value in self._columns["population"])
 
     @property
     def view(self) -> ColumnView:
-        """The column view, derived on first use and kept: the records
+        """The column view, derived on first use and kept: the columns
         never change."""
         if self._view is None:
-            self._view = _column_view(self._records)
+            self._view = _column_view(self._columns)
         return self._view
 
     def subset(self, rows: np.ndarray) -> "ObservationTable":
         """The rows where the boolean mask `rows` is set, in order. Their
         view is sliced from this table's, not derived again."""
-        sub = ObservationTable(compress(self._records, rows))
-        sub._view = self.view.subset(rows)
-        return sub
+        return ObservationTable._from_columns(
+            {name: tuple(compress(column, rows))
+             for name, column in self._columns.items()},
+            self.view.subset(rows))
 
     def numeric_column(self, field: str) -> np.ndarray:
         """Field values as float64, NaN where missing (read-only)."""
@@ -357,30 +403,40 @@ def _parse_float(cell: str, field: str, row_id: str) -> float:
     return value
 
 
-def _build_record(row_id: str, cells: dict[str, str]) -> ObservationRecord:
-    values: dict[str, object] = {"id": row_id}
-    for field in NUMERIC_FIELDS:
-        cell = cells[field]
-        values[field] = _parse_float(cell, field, row_id) if cell != "" else None
-    cell = cells["time"]
+# Positions in a row's cells once they are put in _RECORD_FIELDS order.
+_NUMERIC_SLOTS = tuple((_RECORD_FIELDS.index(f), f) for f in NUMERIC_FIELDS)
+_TEXT_SLOTS = tuple(_RECORD_FIELDS.index(f) for f in TEXT_FIELDS)
+_TIME_SLOT = _RECORD_FIELDS.index("time")
+_LATITUDE_SLOT = _RECORD_FIELDS.index("latitude")
+_LONGITUDE_SLOT = _RECORD_FIELDS.index("longitude")
+
+
+def _parse_cells(row_id: str, cells: Sequence[str]) -> list[object]:
+    """The values of one row's cells, given in _RECORD_FIELDS order; raises
+    RowError naming the row for the first cell that fails validation."""
+    values: list[object] = list(cells)
+    for slot, field in _NUMERIC_SLOTS:
+        cell = cells[slot]
+        values[slot] = _parse_float(cell, field, row_id) if cell != "" else None
+    cell = cells[_TIME_SLOT]
     if cell != "":
         try:
-            values["time"] = parse_timestamp(cell)
+            values[_TIME_SLOT] = parse_timestamp(cell)
         except TimestampError as exc:
             raise RowError(f"row {row_id!r}: {exc}") from None
     else:
-        values["time"] = None
-    for field in TEXT_FIELDS:
-        cell = cells[field]
-        values[field] = cell if cell != "" else None
+        values[_TIME_SLOT] = None
+    for slot in _TEXT_SLOTS:
+        if cells[slot] == "":
+            values[slot] = None
 
-    lat = values["latitude"]
+    lat = values[_LATITUDE_SLOT]
     if lat is not None and not -90.0 <= lat <= 90.0:
         raise RowError(f"row {row_id!r}: latitude out of range [-90, 90]: {lat}")
-    lon = values["longitude"]
+    lon = values[_LONGITUDE_SLOT]
     if lon is not None and not -180.0 <= lon <= 180.0:
         raise RowError(f"row {row_id!r}: longitude out of range [-180, 180]: {lon}")
-    return ObservationRecord(**values)  # type: ignore[arg-type]
+    return values
 
 
 def parse_observations(
@@ -393,6 +449,7 @@ def parse_observations(
     cells become missing values. Rows failing validation abort the parse in
     strict mode and are dropped with a diagnostic in lenient mode; a
     repeated id counts as such a row, so the first occurrence is kept.
+    Each kept row's values are appended to the table's columns.
     """
     if strictness not in ("strict", "lenient"):
         raise ParameterError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
@@ -411,9 +468,11 @@ def parse_observations(
         for col in OBSERVATION_COLUMNS:
             if col not in seen_cols:
                 raise SchemaError(f"missing column: {col!r}")
-        attr_pos = {_COLUMN_TO_ATTR[col]: i for i, col in enumerate(header)}
+        # OBSERVATION_COLUMNS is in _RECORD_FIELDS order
+        in_field_order = itemgetter(*(header.index(c) for c in OBSERVATION_COLUMNS))
+        id_pos = header.index("id")
 
-        records: list[ObservationRecord] = []
+        columns: list[list[object]] = [[] for _ in OBSERVATION_COLUMNS]
         diagnostics: list[RowDiagnostic] = []
         seen_ids: set[str] = set()
         for line_no, row in enumerate(reader, start=2):
@@ -422,22 +481,26 @@ def parse_observations(
                 if len(row) != len(header):
                     raise RowError(f"line {line_no}: expected {len(header)} "
                                    f"cells, got {len(row)}")
-                row_id = row[attr_pos["id"]]
+                row_id = row[id_pos]
                 if row_id == "":
                     raise RowError(f"line {line_no}: empty id")
                 if row_id in seen_ids:
                     raise DuplicateKeyError(
                         f"duplicate id: {row_id!r} (line {line_no})")
-                record = _build_record(
-                    row_id, {attr: row[pos] for attr, pos in attr_pos.items()})
+                values = _parse_cells(row_id, in_field_order(row))
             except (RowError, DuplicateKeyError) as exc:
                 if strictness == "strict":
                     raise
                 diagnostics.append(RowDiagnostic(line_no, row_id, str(exc)))
                 continue
             seen_ids.add(row_id)
-            records.append(record)
-        return ObservationTable(records), diagnostics
+            for column, value in zip(columns, values):
+                column.append(value)
+    unjoined = (None,) * len(seen_ids)
+    table = ObservationTable._from_columns(
+        {**dict(zip(_RECORD_FIELDS, map(tuple, columns))),
+         "population": unjoined, "population_matched": unjoined})
+    return table, diagnostics
 
 
 def _format_cell(value: object) -> str:
@@ -453,8 +516,8 @@ def _format_cell(value: object) -> str:
 def write_observations(table: ObservationTable, dest: str | Path) -> None:
     """Write the canonical 14-column CSV; missing values become empty cells."""
     write_rows(dest, OBSERVATION_COLUMNS,
-               ([_format_cell(getattr(rec, _COLUMN_TO_ATTR[c]))
-                 for c in OBSERVATION_COLUMNS] for rec in table))
+               zip(*(map(_format_cell, table._columns[_COLUMN_TO_ATTR[c]])
+                     for c in OBSERVATION_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -564,16 +627,13 @@ def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationT
     recomputes the field, so the operation is idempotent.
     """
     fallback = pop.median_population()
-    joined = []
-    for rec in obs:
-        value: int | None = None
-        if rec.country is not None and rec.time is not None:
-            value = pop.get(rec.country, rec.time.year)
-        if value is None:
-            joined.append(replace(rec, population=fallback, population_matched=False))
-        else:
-            joined.append(replace(rec, population=float(value), population_matched=True))
-    return ObservationTable(joined)
+    found = [None if country is None or time is None else pop.get(country, time.year)
+             for country, time in zip(obs._columns["country"], obs._columns["time"])]
+    columns = dict(obs._columns)
+    columns["population"] = tuple(fallback if value is None else float(value)
+                                  for value in found)
+    columns["population_matched"] = tuple(value is not None for value in found)
+    return ObservationTable._from_columns(columns)
 
 
 @dataclass(frozen=True)
@@ -606,12 +666,12 @@ def missingness_report(table: ObservationTable) -> MissingnessReport:
     total = len(table)
     if total == 0:
         raise EmptyInputError("missingness report requires a nonempty table")
-    fields = list(_COLUMN_TO_ATTR.values())
+    names = list(_COLUMN_TO_ATTR.values())
     if table.has_population():
-        fields.append("population")
+        names.append("population")
     entries = []
-    for field in fields:
-        count = sum(1 for rec in table if getattr(rec, field) is None)
+    for field in names:
+        count = table._columns[field].count(None)
         entries.append(FieldMissingness(field, count, count / total))
     return MissingnessReport(total, tuple(entries))
 

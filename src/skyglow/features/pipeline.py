@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,13 +96,11 @@ class CategoryMap:
     categories: tuple[str, ...]  # index i maps category -> code i + 1; 0 reserved
     missing_fraction: float
 
-    def code(self, value: str | None) -> int:
-        if value is None:
-            return 0
-        try:
-            return self.categories.index(value) + 1
-        except ValueError:
-            return 0
+    def codes(self, values: Iterable[str | None]) -> np.ndarray:
+        """The code of each value as a float; missing and unseen values
+        take the reserved 0."""
+        lookup = {category: i + 1 for i, category in enumerate(self.categories)}
+        return np.array([float(lookup.get(value, 0)) for value in values])
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,7 @@ def apply_feature_pipeline(model: FeaturePipelineModel,
         else:
             blocks.append((col - stats.mean) / stats.std)
     for cmap in model.categorical:
-        col = view.categorical[cmap.column]
-        blocks.append(np.array([float(cmap.code(v)) for v in col]))
+        blocks.append(cmap.codes(view.categorical[cmap.column]))
     for name in model.indicator_columns:
         blocks.append(view.missing[name].astype(float))
 

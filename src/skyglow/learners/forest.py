@@ -46,13 +46,11 @@ def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
     local_offsets = np.concatenate([[0], np.cumsum(local_bins)[:-1]])
     local_total = int(local_bins.sum())
 
-    hist = np.zeros((n_classes, local_total))
-    codes = binned.codes[rows][:, feats]
-    y_rows = y[rows]
-    flat = codes + local_offsets[None, :]
-    for c in range(n_classes):
-        if counts[c]:
-            hist[c] = np.bincount(flat[y_rows == c].ravel(), minlength=local_total)
+    # cell (class, flat bin) of every candidate code, counted in one pass
+    cells = (binned.codes[rows[:, None], feats] + local_offsets[None, :]
+             + (y[rows] * local_total)[:, None])
+    hist = np.bincount(cells.ravel(), minlength=n_classes * local_total
+                       ).reshape(n_classes, local_total)
 
     left = running_sums(hist, local_offsets, local_bins)
     right = counts[:, None] - left

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -146,28 +146,36 @@ class CsrMatrix:
 
 
 def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]) -> CsrMatrix:
-    """Count x IDF per cell, each row L2-normalized (zero rows stay zero)."""
+    """Count x IDF per cell, each row L2-normalized (zero rows stay zero).
+
+    Every row is weighed at once. Each row's squared norm is one numpy sum
+    over its weights in column order, the order a per-row `.sum()` adds
+    them in; rows of equal length share one `.sum(axis=1)`.
+    """
+    width = len(model.vocabulary)
+    n_docs = len(corpus)
     index = model.token_index()
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for doc in corpus:
-        counts: dict[int, int] = {}
-        for tok in doc:
-            j = index.get(tok)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        row = sorted(counts.items())
-        weights = np.array([c * model.idf[j] for j, c in row])
-        norm = math.sqrt(float((weights ** 2).sum())) if len(row) else 0.0
-        if norm > 0.0:
-            weights = weights / norm
-        data.extend(weights.tolist())
-        indices.extend(j for j, _ in row)
-        indptr.append(len(indices))
-    return CsrMatrix(np.array(indptr, dtype=np.int64),
-                     np.array(indices, dtype=np.int64), np.array(data, dtype=float),
-                     (len(corpus), len(model.vocabulary)))
+    terms = np.fromiter(map(index.get, chain.from_iterable(corpus), repeat(-1)),
+                        dtype=np.int64)
+    docs = np.repeat(np.arange(n_docs, dtype=np.int64),
+                     np.fromiter(map(len, corpus), dtype=np.int64, count=n_docs))
+    known = terms >= 0
+    # sorted by document, then term
+    keys, counts = np.unique(docs[known] * width + terms[known], return_counts=True)
+    rows, indices = np.divmod(keys, width)
+    weights = counts * model.idf[indices]
+
+    lengths = np.bincount(rows, minlength=n_docs)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    squares = weights ** 2
+    norms = np.zeros(n_docs)
+    for length in np.unique(lengths[lengths > 0]):
+        group = np.flatnonzero(lengths == length)
+        cells = indptr[group][:, None] + np.arange(length)
+        norms[group] = np.sqrt(squares[cells].sum(axis=1))
+    entry_norms = np.repeat(norms, lengths)
+    data = weights / np.where(entry_norms > 0.0, entry_norms, 1.0)
+    return CsrMatrix(indptr, indices, data, (n_docs, width))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -134,6 +135,50 @@ def tfidf_oracle(documents: list[str], tokenize) -> tuple[list[str], np.ndarray]
         if norm > 0:
             rows[i] /= norm
     return vocab, rows
+
+
+def transform_tfidf_oracle(model, corpus):
+    """One document at a time: count its vocabulary tokens, weigh each
+    (term, count) pair in term order by count x IDF, and divide by the
+    row's norm, math.sqrt of numpy's sum of the squared weights. Returns
+    the CSR triple (indptr, indices, data) as arrays."""
+    index = model.token_index()
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    for doc in corpus:
+        counts: dict[int, int] = {}
+        for tok in doc:
+            j = index.get(tok)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        row = sorted(counts.items())
+        weights = np.array([c * model.idf[j] for j, c in row])
+        norm = math.sqrt(float((weights ** 2).sum())) if len(row) else 0.0
+        if norm > 0.0:
+            weights = weights / norm
+        data.extend(weights.tolist())
+        indices.extend(j for j, _ in row)
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=float))
+
+
+def join_population_oracle(records, pop):
+    """Record by record: the population of (country, year of time), or the
+    median over all (country, year) pairs, flagged unmatched, when either
+    is missing or the pair is not in `pop`."""
+    fallback = pop.median_population()
+    joined = []
+    for rec in records:
+        value = None
+        if rec.country is not None and rec.time is not None:
+            value = pop.get(rec.country, rec.time.year)
+        if value is None:
+            joined.append(replace(rec, population=fallback, population_matched=False))
+        else:
+            joined.append(replace(rec, population=float(value), population_matched=True))
+    return joined
 
 
 def exact_greedy_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,

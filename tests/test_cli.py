@@ -424,6 +424,20 @@ def test_every_stage_runs_without_scipy(tmp_path, config):
     assert digests(out) == unblocked
 
 
+def test_module_entry_point_runs_once_without_warning(tmp_path, config):
+    # `python -m skyglow.cli.main` must not find the module already imported
+    # by its package, which runpy reports and which runs its code twice
+    src = Path(commands.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "skyglow.cli.main", "synth",
+         "--config", config],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr, result.stderr
+    assert result.stderr.startswith("skyglow: wrote 120 synthetic observations")
+
+
 def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     # three models over two distinct stacks (boost and woods share the
     # default full stack), three folds

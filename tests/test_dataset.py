@@ -11,6 +11,8 @@ from skyglow.dataset import (
     PopulationRecord,
     PopulationTable,
     category_distribution,
+    decompose_time,
+    epoch_seconds,
     join_population,
     missingness_report,
     parse_observations,
@@ -32,6 +34,7 @@ from skyglow.errors import (
 )
 
 from helpers import grid_table, obs
+from oracles import join_population_oracle
 
 HEADER = ",".join(OBSERVATION_COLUMNS)
 
@@ -349,6 +352,114 @@ def test_subset_view_equals_a_fresh_derivation():
     assert table.view.categorical["time_of_day_category"][no_time] is None
     assert table.view.missing["year"][no_time]
     assert table.view.tokens["comment_2"][no_time] == ["dark", "clear", "sky"]
+
+
+# Calendar and clock edges: before 1970, 29 February, 31 December of a
+# leap and a common year, the first and last second of a day, each day-part
+# boundary, the year 1000 and the last second of 9999. (format_timestamp
+# writes a year below 1000 unpadded, which parse_timestamp rejects.)
+EDGE_TIMES = (
+    datetime(1000, 1, 1), datetime(1900, 2, 28, 23, 59, 59),
+    datetime(1969, 12, 31, 23, 59, 59), datetime(1970, 1, 1),
+    datetime(1960, 2, 29, 4, 59, 59), datetime(2016, 2, 29, 5, 0, 0),
+    datetime(2015, 12, 31, 11, 59, 59), datetime(2016, 12, 31, 12, 0, 0),
+    datetime(2014, 6, 15, 16, 59, 59), datetime(2014, 6, 15, 17, 0, 0),
+    datetime(2014, 6, 15, 21, 59, 59), datetime(2014, 6, 15, 22, 0, 0),
+    datetime(2000, 3, 1, 23, 59, 59), datetime(9999, 12, 31, 23, 59, 59),
+)
+EDGE_ZONES = (None, -9.5, 5.75, 0.0, -12.0, 14.0, 0.1)
+
+
+def edge_records():
+    """One row per edge time, cycling through missing, negative and
+    fractional zones, plus a row with every field missing and one with
+    every field present."""
+    rows = [obs(id=f"t{i}", time=ts, time_zone=EDGE_ZONES[i % len(EDGE_ZONES)],
+                comment_1="Dark, clear sky!" if i % 2 else None,
+                comment_2=f"note {i} x" if i % 3 else None)
+            for i, ts in enumerate(EDGE_TIMES)]
+    rows.append(obs(id="bare", **{field: None for field in (
+        "time", "time_zone", "country", "latitude", "longitude", "elevation_m",
+        "sensor_type", "sensor_reading", "clouds", "constellation", "comment_1",
+        "comment_2", "limiting_magnitude")}))
+    rows.append(obs(id="full", sensor_reading=0.1 + 0.2, latitude=-90.0,
+                    longitude=180.0, comment_2="İstanbul ＡＢ tokens"))
+    return rows
+
+
+def test_view_time_parts_equal_the_per_timestamp_definitions():
+    table = ObservationTable(edge_records())
+    view = table.view
+    for i, rec in enumerate(table):
+        if rec.time is None:
+            for name in ("year", "month", "day_of_year", "seconds_of_day",
+                         "epoch_time"):
+                assert math.isnan(view.numeric[name][i]) and view.missing[name][i]
+            assert view.categorical["time_of_day_category"][i] is None
+            continue
+        parts = decompose_time(rec.time)
+        assert view.numeric["year"][i] == parts.year, rec.time
+        assert view.numeric["month"][i] == parts.month, rec.time
+        assert view.numeric["day_of_year"][i] == parts.day_of_year, rec.time
+        assert view.numeric["seconds_of_day"][i] == parts.seconds_of_day, rec.time
+        assert view.categorical["time_of_day_category"][i] == parts.category, rec.time
+        epoch = epoch_seconds(rec.time, rec.time_zone)
+        assert view.numeric["epoch_time"][i].tobytes() == np.float64(epoch).tobytes()
+    assert view.numeric["day_of_year"][table.ids.index("t7")] == 366
+
+
+def assert_views_bit_identical(got, want):
+    for part in ("numeric", "categorical", "tokens", "missing"):
+        got_part, want_part = getattr(got, part), getattr(want, part)
+        assert list(got_part) == list(want_part), part
+        for name, col in want_part.items():
+            assert got_part[name].dtype == col.dtype, name
+            if part == "numeric":
+                assert got_part[name].tobytes() == col.tobytes(), name
+            else:
+                assert got_part[name].tolist() == col.tolist(), name
+
+
+def test_parsed_table_equals_the_same_records_built_directly(tmp_path):
+    records = edge_records()
+    built = ObservationTable(records)
+    path = tmp_path / "observations.csv"
+    write_observations(built, path)
+    parsed, diagnostics = parse_observations(path, "strict")
+    assert diagnostics == []
+    assert parsed == built and parsed.records == tuple(records)
+    assert [parsed[i] for i in range(-1, len(parsed))] == [records[-1]] + records
+    assert_views_bit_identical(parsed.view, built.view)
+    bare = parsed.ids.index("bare")
+    for name, mask in parsed.view.missing.items():
+        assert mask[bare], name
+    assert parsed.view.tokens["comment_2"][bare] == []
+
+
+def test_join_population_equals_the_per_record_join():
+    pop = PopulationTable([PopulationRecord("Chile", 2014, 100),
+                           PopulationRecord("Chile", 2015, 300),
+                           PopulationRecord("Peru", 2014, 900),
+                           PopulationRecord("Peru", 1969, 7)])
+    records = edge_records() + [
+        obs(id="m", country="Chile", time=datetime(2014, 5, 1)),
+        obs(id="y", country="Chile", time=datetime(2016, 5, 1)),  # no such year
+        obs(id="p", country="Peru", time=datetime(1969, 12, 31, 23, 59, 59)),
+        obs(id="n", country=None, time=datetime(2014, 5, 1)),
+        obs(id="j", country="Peru", time=datetime(2014, 1, 1),
+            population=5.0, population_matched=False),  # joined before
+    ]
+    table = ObservationTable(records)
+    joined = join_population(table, pop)
+    expected = join_population_oracle(records, pop)
+    assert joined.records == tuple(expected)
+    assert joined == ObservationTable(expected)
+    assert [joined[i].population for i in range(-5, 0)] == [100.0, 200.0, 7.0,
+                                                            200.0, 900.0]
+    assert join_population(joined, pop) == joined
+    assert table.records == tuple(records)  # the input table is unchanged
+    assert_views_bit_identical(joined.view, ObservationTable(expected).view)
+    assert missingness_report(joined).fraction("population") == 0.0
 
 
 def test_failed_write_leaves_the_target_as_it_was(tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     dense_svd,
     tfidf_oracle,
     tokenize_oracle,
+    transform_tfidf_oracle,
 )
 
 
@@ -99,6 +100,36 @@ def test_tfidf_degenerate_empty_corpus():
     model = fit_tfidf([[], []])
     assert model.degenerate
     assert transform_tfidf(model, [[], []]).shape == (2, 0)
+
+
+def test_tfidf_weights_bit_equal_to_per_document_loop():
+    """Rows with 1, 7, 8, 9 and 40+ distinct terms sit on both sides of the
+    8-element blocks of numpy's pairwise summation, which a row's norm
+    must follow; empty, repeated and out-of-vocabulary tokens ride along."""
+    rng = np.random.default_rng(29)
+    words = [f"t{i:03d}" for i in range(300)]
+
+    def document(distinct):
+        terms = rng.choice(len(words), size=distinct, replace=False)
+        repeats = rng.integers(1, 4, size=distinct)
+        doc = [words[j] for j, r in zip(terms, repeats) for _ in range(r)]
+        doc += ["oov"] * int(rng.integers(0, 3))
+        return [doc[k] for k in rng.permutation(len(doc))]
+
+    sizes = [0, 1, 7, 8, 9, 15, 16, 17, 40, 41, 64, 127, 128, 129, 200, 300]
+    corpus = [document(size) for size in sizes for _ in range(3)]
+    corpus += [[], ["oov", "oov"], ["t000"] * 9]
+    for cap in (len(words), 100, 7, 1):
+        model = fit_tfidf(corpus[::2], cap=cap)
+        assert len(model.vocabulary) == min(cap, len(words))
+        for docs in (corpus, corpus[::-1], [], [[]], [["oov"]]):
+            got = transform_tfidf(model, docs)
+            indptr, indices, data = transform_tfidf_oracle(model, docs)
+            assert got.shape == (len(docs), len(model.vocabulary))
+            assert got.indptr.dtype == got.indices.dtype == np.int64
+            assert np.array_equal(got.indptr, indptr)
+            assert np.array_equal(got.indices, indices)
+            assert got.data.tobytes() == data.tobytes()
 
 
 def csr_cases():
