@@ -40,7 +40,7 @@ from ..errors import (
 )
 from ..features import N_CLASSES, target_classes
 from ..features.pipeline import derived_numeric_columns
-from ..features.stack import StackSpec, apply_stack, fit_stack
+from ..features.stack import StackModel, StackSpec, apply_stack, fit_stack
 from ..serialize import (
     learner_from_obj,
     learner_to_obj,
@@ -138,6 +138,12 @@ def _note(message: str) -> None:
     print(f"skyglow: {message}", file=sys.stderr)
 
 
+def _note_diagnostics(stack: StackModel, label: str) -> None:
+    """Report what a fitted stack's feature pipeline excluded or zeroed."""
+    for diagnostic in stack.pipeline.diagnostics:
+        _note(f"{label}: {diagnostic}")
+
+
 def _load_clean_table(config: RunConfig) -> ObservationTable:
     out = config.output_dir
     _require(out, CLEAN_OBSERVATIONS, POPULATION_LONG)
@@ -204,11 +210,12 @@ def cmd_features(config: RunConfig) -> None:
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
                               labels, config.feature_config, spec, config.seed)
-    write_rows(out / FEATURES_CSV, ["row_id"] + list(matrix.columns),
-               ([row_id] + [repr(float(v)) for v in matrix.values[i]]
-                for i, row_id in enumerate(matrix.row_ids)))
+    _note_diagnostics(stack, "features")
+    write_rows(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
+               ([row_id] + [repr(float(v)) for v in matrix[i]]
+                for i, row_id in enumerate(table.ids)))
     save_json(out / FEATURES_SIDECAR, stack_to_obj(stack))
-    _note(f"feature matrix {matrix.values.shape[0]}x{matrix.values.shape[1]} written")
+    _note(f"feature matrix {matrix.shape[0]}x{matrix.shape[1]} written")
 
 
 def cmd_cv(config: RunConfig) -> None:
@@ -249,9 +256,13 @@ def cmd_train(config: RunConfig) -> None:
     labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES}
+    reported = set()
     for spec, stack, _, model in fit_models(
             table, targets, np.ones(len(table), dtype=bool), labels,
             config.feature_config, config.specs, config.seed):
+        if spec.stack not in reported:
+            reported.add(spec.stack)
+            _note_diagnostics(stack, spec.model_id)
         save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
         _note(f"trained {spec.model_id} on {len(table)} rows, "
@@ -273,9 +284,12 @@ def cmd_ensemble(config: RunConfig) -> None:
     ids, folds, truth = _read_cv_truth(out)
     matrices = []
     for model_id in config.model_ids:
-        row_ids, _, file_model_id, probs = read_oof_csv(out / _oof_csv(model_id))
-        if file_model_id != model_id or list(row_ids) != ids:
-            raise SchemaError(f"OOF file for {model_id!r} does not match cv_truth")
+        path = out / _oof_csv(model_id)
+        row_ids, oof_folds, file_model_id, probs = read_oof_csv(path)
+        if (file_model_id != model_id or list(row_ids) != ids
+                or not np.array_equal(oof_folds, folds)):
+            raise SchemaError(f"{path}: model id, row ids or folds differ "
+                              f"from {CV_TRUTH}")
         matrices.append(probs)
 
     weights = optimize_weights(matrices, truth, model_ids=config.model_ids,
@@ -320,15 +334,21 @@ def cmd_predict(config: RunConfig) -> None:
     population = read_population_long(out / POPULATION_LONG)
     table = join_population(table, population)
 
-    applied = {}  # stack sidecar bytes -> features; equal stacks apply once
+    applied = {}  # sidecar bytes -> (stack, features): equal stacks apply once
     matrices = []
     for model_id in model_ids:
         path = out / _stack_json(model_id)
         key = path.read_bytes()
         if key not in applied:
-            applied[key] = apply_stack(stack_from_obj(load_json(path)), table)
+            stack = stack_from_obj(load_json(path))
+            applied[key] = stack, apply_stack(stack, table)
+        stack, X = applied[key]
         learner = learner_from_obj(load_json(out / _model_json(model_id)))
-        matrices.append(predict_proba(learner, applied[key]))
+        if learner.feature_names != stack.columns:
+            raise SchemaError(
+                f"{_model_json(model_id)}: feature_names differ from the "
+                f"columns of {_stack_json(model_id)}")
+        matrices.append(predict_proba(learner, X))
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 

@@ -65,7 +65,6 @@ POPULATION_LONG_HEADER = ("country", "year", "population")
 MISSINGNESS_HEADER = ("field", "missing_count", "missing_fraction", "total_rows")
 CATEGORY_HEADER = ("field", "category", "count", "fraction")
 
-TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
 
 # Local-time day-part boundaries, in seconds after midnight.
@@ -92,7 +91,9 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime(TIME_FORMAT)
+    """The inverse of `parse_timestamp`: `YYYY-MM-DD HH:MM:SS`, with the
+    year zero-padded to four digits (`%Y` leaves years below 1000 short)."""
+    return f"{ts.year:04d}-{ts:%m-%d %H:%M:%S}"
 
 
 def time_of_day_category(ts: datetime) -> str:
@@ -548,10 +549,6 @@ class PopulationTable:
     def __iter__(self) -> Iterator[PopulationRecord]:
         return iter(self._records)
 
-    @property
-    def records(self) -> tuple[PopulationRecord, ...]:
-        return self._records
-
     def get(self, country: str, year: int) -> int | None:
         return self._lookup.get((country, year))
 
@@ -648,12 +645,6 @@ class MissingnessReport:
     total_rows: int
     fields: tuple[FieldMissingness, ...]
 
-    def fraction(self, field: str) -> float:
-        for entry in self.fields:
-            if entry.field == field:
-                return entry.missing_fraction
-        raise UnknownFieldError(f"no such field in report: {field!r}")
-
     def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, MISSINGNESS_HEADER,
                    ([entry.field, entry.missing_count,
@@ -688,12 +679,6 @@ class FrequencyTable:
     field: str
     total_present: int
     entries: tuple[CategoryCount, ...]
-
-    def fraction(self, category: str) -> float:
-        for entry in self.entries:
-            if entry.category == category:
-                return entry.fraction
-        raise UnknownFieldError(f"no such category in table: {category!r}")
 
     def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, CATEGORY_HEADER,

@@ -6,7 +6,6 @@ from .pipeline import (
     N_CLASSES,
     NUMERIC_FEATURES,
     FeatureConfig,
-    FeatureMatrix,
     FeaturePipelineModel,
     NeighborIndex,
     apply_feature_pipeline,
@@ -19,7 +18,7 @@ from .pipeline import (
 
 __all__ = [
     "CATEGORICAL_FEATURES", "N_CLASSES", "NUMERIC_FEATURES",
-    "FeatureConfig", "FeatureMatrix", "FeaturePipelineModel", "NeighborIndex",
+    "FeatureConfig", "FeaturePipelineModel", "NeighborIndex",
     "apply_feature_pipeline", "bin_target", "build_neighbor_index",
     "fit_feature_pipeline", "neighbor_points", "target_classes",
     "neighbor_mean_features", "cross_neighbor_means",

@@ -1,18 +1,19 @@
 """Feature engineering: target binning, and the fitted clip/standardize/
 encode pipeline that turns the column view of an observation table
 (`ObservationTable.view`: time parts, numerics, categoricals, missing
-masks) into dense numeric matrices.
+masks) into a dense float array.
 
 All statistics (quantile clip bounds, means, population stds, medians,
 category maps) are fitted on a training table once and frozen; applying the
-pipeline is pure and never produces non-finite values.
+pipeline is pure and never produces non-finite values. The array carries no
+names: its columns are `FeaturePipelineModel.output_columns`, in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -129,35 +130,6 @@ class FeaturePipelineModel:
         return tuple(names)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    row_ids: tuple[str, ...]
-    columns: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.row_ids), len(self.columns)):
-            raise ParameterError(
-                f"matrix shape {self.values.shape} does not match "
-                f"{len(self.row_ids)} rows x {len(self.columns)} columns")
-        if self.values.size and not np.isfinite(self.values).all():
-            raise ParameterError("feature matrix contains non-finite values")
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.columns.index(name)
-        except ValueError:
-            raise UnknownFieldError(f"no such feature column: {name!r}") from None
-        return self.values[:, j]
-
-    def with_columns(self, names: Sequence[str], block: np.ndarray) -> "FeatureMatrix":
-        """A new matrix with extra columns appended on the right."""
-        if block.ndim == 1:
-            block = block[:, None]
-        return FeatureMatrix(self.row_ids, self.columns + tuple(names),
-                             np.hstack([self.values, block]))
-
-
 def fit_feature_pipeline(table: ObservationTable,
                          config: FeatureConfig | None = None) -> FeaturePipelineModel:
     """Fit clip bounds, post-clip moments, medians, and category maps.
@@ -220,12 +192,12 @@ def fit_feature_pipeline(table: ObservationTable,
 
 
 def apply_feature_pipeline(model: FeaturePipelineModel,
-                           table: ObservationTable) -> FeatureMatrix:
+                           table: ObservationTable) -> np.ndarray:
     """Impute, clip, and z-score numerics; code categoricals; add indicators.
 
     Constant columns emit 0. Unseen and missing categories map to the
-    reserved code 0. The output has one row per table row and is fully
-    finite.
+    reserved code 0. The output is a float array with one row per table row
+    and one column per name in `model.output_columns`, fully finite.
     """
     view = table.view
     n = len(table)
@@ -244,8 +216,7 @@ def apply_feature_pipeline(model: FeaturePipelineModel,
     for name in model.indicator_columns:
         blocks.append(view.missing[name].astype(float))
 
-    values = np.column_stack(blocks) if blocks else np.zeros((n, 0))
-    return FeatureMatrix(table.ids, model.output_columns, values)
+    return np.column_stack(blocks) if blocks else np.zeros((n, 0))
 
 
 @dataclass(frozen=True)

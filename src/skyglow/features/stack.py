@@ -1,5 +1,6 @@
 """Assembly of the full per-model feature stack: pipeline output plus
-text-SVD blocks plus the neighbor-mean target feature.
+text-SVD blocks plus the neighbor-mean target feature, as one float array.
+Its column names are kept once, on the fitted `StackModel.columns`.
 
 One stack is fitted per (text, neighbor) configuration on training rows
 only; applying it to any table is pure. The neighbor-mean target feature
@@ -28,7 +29,6 @@ from ..textfeat import (
 from .neighbors import cross_neighbor_means, neighbor_mean_features
 from .pipeline import (
     FeatureConfig,
-    FeatureMatrix,
     FeaturePipelineModel,
     apply_feature_pipeline,
     build_neighbor_index,
@@ -73,25 +73,32 @@ def _text_seed(seed: int, column_position: int) -> int:
     return int(state[0])
 
 
-def _with_text_columns(matrix: FeatureMatrix, column: str,
-                       block: np.ndarray) -> FeatureMatrix:
-    """Append one comment column's SVD block, which may have no columns."""
-    return matrix.with_columns(
-        [f"{column}_svd_{i:02d}" for i in range(block.shape[1])], block)
-
-
-def _with_neighbor_columns(matrix: FeatureMatrix, means: np.ndarray,
-                           counts: np.ndarray) -> FeatureMatrix:
-    return matrix.with_columns(
-        NEIGHBOR_FEATURES, np.column_stack([means, counts.astype(float)]))
+def _assemble(pipeline: FeaturePipelineModel, table: ObservationTable,
+              text_blocks: list[tuple[str, np.ndarray]],
+              neighbor: tuple[np.ndarray, np.ndarray] | None,
+              ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The stack's column names and its matrix for `table`: one hstack of
+    the pipeline output, each comment column's SVD block (which may have
+    no columns) and the neighbor (means, counts)."""
+    columns = list(pipeline.output_columns)
+    blocks = [apply_feature_pipeline(pipeline, table)]
+    for column, block in text_blocks:
+        columns.extend(f"{column}_svd_{i:02d}" for i in range(block.shape[1]))
+        blocks.append(block)
+    if neighbor is not None:
+        means, counts = neighbor
+        columns.extend(NEIGHBOR_FEATURES)
+        blocks.extend([means[:, None], counts[:, None]])
+    return tuple(columns), np.hstack(blocks)
 
 
 def fit_stack(table: ObservationTable, targets: np.ndarray,
               train_mask: np.ndarray, fold_labels: np.ndarray,
               feature_config: FeatureConfig, spec: StackSpec,
-              seed: int) -> tuple[StackModel, FeatureMatrix]:
+              seed: int) -> tuple[StackModel, np.ndarray]:
     """Fit every block on the masked training rows; return the fitted
-    stack and the feature matrix for ALL rows of `table`.
+    stack and the feature matrix for ALL rows of `table`, whose columns
+    are `stack.columns`.
 
     Rows outside `train_mask` get fully valid features but contribute
     nothing to any fitted statistic. The neighbor pool is the training rows
@@ -106,22 +113,20 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     train_table = table.subset(train_mask)
 
     pipeline = fit_feature_pipeline(train_table, feature_config)
-    matrix = apply_feature_pipeline(pipeline, table)
-    text_models = []
+    text_models, text_blocks = [], []
     for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()):
         model, block = fit_text_features(
             table.view.tokens[column], train_mask, cap=spec.vocab_cap,
             rank=spec.svd_rank, seed=_text_seed(seed, pos))
         text_models.append((column, model))
-        matrix = _with_text_columns(matrix, column, block)
+        text_blocks.append((column, block))
 
-    neighbor_ref = None
+    neighbor = neighbor_ref = None
     if spec.use_neighbor:
         pool = train_mask & ~np.isnan(targets)
         index = build_neighbor_index(table, pipeline, fold_labels)
-        means, counts = neighbor_mean_features(
+        neighbor = neighbor_mean_features(
             index, targets, feature_config.knn_k, neighbor_mask=pool)
-        matrix = _with_neighbor_columns(matrix, means, counts)
         in_reference = pool[index.table_rows]
         # the held-out rows' out-of-fold fallback: every training target,
         # located or not
@@ -132,18 +137,19 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
             k=feature_config.knn_k,
             fallback=float(train_values.mean()) if len(train_values) else 0.0)
 
+    columns, matrix = _assemble(pipeline, table, text_blocks, neighbor)
     stack = StackModel(spec, pipeline, tuple(text_models), neighbor_ref,
-                       matrix.columns)
+                       columns)
     return stack, matrix
 
 
-def apply_stack(stack: StackModel, table: ObservationTable) -> FeatureMatrix:
+def apply_stack(stack: StackModel, table: ObservationTable) -> np.ndarray:
     """Features for unseen rows: pipeline transform, text projection, and
-    neighbor means against the stored training reference."""
-    matrix = apply_feature_pipeline(stack.pipeline, table)
-    for column, model in stack.text_models:
-        matrix = _with_text_columns(matrix, column, transform_text_features(
-            model, table.view.tokens[column]))
+    neighbor means against the stored training reference. The columns are
+    `stack.columns`; a stack whose blocks rebuild other names is rejected."""
+    text_blocks = [(column, transform_text_features(
+        model, table.view.tokens[column])) for column, model in stack.text_models]
+    neighbor = None
     ref = stack.neighbor
     if ref is not None:
         means = np.full(len(table), ref.fallback)
@@ -151,7 +157,8 @@ def apply_stack(stack: StackModel, table: ObservationTable) -> FeatureMatrix:
         points, usable_rows = neighbor_points(table, stack.pipeline)
         means[usable_rows], counts[usable_rows] = cross_neighbor_means(
             ref.points, ref.values, points, ref.k, ref.fallback)
-        matrix = _with_neighbor_columns(matrix, means, counts)
-    if matrix.columns != stack.columns:
+        neighbor = (means, counts)
+    columns, matrix = _assemble(stack.pipeline, table, text_blocks, neighbor)
+    if columns != stack.columns:
         raise ParameterError("applied stack columns diverge from the fitted stack")
     return matrix

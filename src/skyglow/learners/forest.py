@@ -120,7 +120,7 @@ def fit_forest(X, y, params: LearnerParams | None = None,
     """Grow params.n_trees independent trees on bootstrap resamples."""
     if params is None:
         params = LearnerParams()
-    X, feature_names = _coerce_matrix(X, feature_names)
+    X = _coerce_matrix(X, feature_names)
     y, n_classes = _class_setup(y, X.shape[0], n_classes)
     binned = bin_matrix(X, params.max_bins)
     n = len(y)
@@ -139,7 +139,7 @@ def fit_forest(X, y, params: LearnerParams | None = None,
 
 def predict_proba_forest(model: ForestModel, X) -> np.ndarray:
     """Mean of per-tree leaf class distributions; rows sum to 1."""
-    X, _ = _coerce_matrix(X, model.feature_names)
+    X = _coerce_matrix(X, model.feature_names)
     total = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
         total += tree.predict_proba(X)

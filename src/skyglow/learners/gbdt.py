@@ -235,18 +235,14 @@ class GbdtModel:
 
 
 def _coerce_matrix(X, feature_names):
-    """Accept a plain ndarray or anything exposing .values/.columns."""
-    if hasattr(X, "values") and hasattr(X, "columns"):
-        if feature_names is None:
-            feature_names = tuple(X.columns)
-        elif tuple(X.columns) != tuple(feature_names):
-            raise SchemaError("feature columns do not match the model's feature list")
-        X = X.values
+    """X as a checked float array (`check_matrix`) with one column per
+    feature name when names are given. The names are only stored: the
+    caller keeps a matrix's columns in the order they name."""
     X = check_matrix(X)
     if feature_names is not None and X.shape[1] != len(feature_names):
         raise SchemaError(
             f"matrix has {X.shape[1]} columns, model expects {len(feature_names)}")
-    return X, feature_names
+    return X
 
 
 def _class_setup(y, n_rows, n_classes):
@@ -286,7 +282,7 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     """
     if params is None:
         params = LearnerParams()
-    X, feature_names = _coerce_matrix(X, feature_names)
+    X = _coerce_matrix(X, feature_names)
     y, n_classes = _class_setup(y, X.shape[0], n_classes)
 
     class_rows = np.bincount(y, minlength=n_classes)
@@ -302,7 +298,7 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
 
     if validation is not None:
         Xv, yv = validation
-        Xv, _ = _coerce_matrix(Xv, feature_names)
+        Xv = _coerce_matrix(Xv, feature_names)
         yv, _ = _class_setup(yv, Xv.shape[0], n_classes)
         val_scores = np.tile(init_scores, (len(yv), 1))
         val_losses: list[float] = []
@@ -356,7 +352,7 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
 
 
 def decision_scores_gbdt(model: GbdtModel, X) -> np.ndarray:
-    X, _ = _coerce_matrix(X, model.feature_names)
+    X = _coerce_matrix(X, model.feature_names)
     scores = np.tile(model.init_scores, (len(X), 1))
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):

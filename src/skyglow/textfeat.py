@@ -249,15 +249,12 @@ def transform_svd(model: SvdModel, matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TextFeatureModel:
-    """TF-IDF + SVD for one comment column; rank clamps to what the
-    training corpus can support and drops to 0 when no tokens survive."""
+    """TF-IDF + SVD for one comment column; the SVD rank clamps to what the
+    training corpus can support, and `svd` is None (no columns) when no
+    tokens survive."""
 
     tfidf: TfidfModel
     svd: SvdModel | None
-
-    @property
-    def rank(self) -> int:
-        return self.svd.rank if self.svd is not None else 0
 
 
 def fit_text_features(corpus: Sequence[list[str]], train_mask: np.ndarray,

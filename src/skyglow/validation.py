@@ -292,8 +292,7 @@ def fit_models(table: ObservationTable, targets: np.ndarray,
         if spec.stack not in stacks:
             stacks[spec.stack] = fit_stack(table, targets, train_mask, folds,
                                            feature_config, spec.stack, seed)
-        stack, matrix = stacks[spec.stack]
-        X = matrix.values
+        stack, X = stacks[spec.stack]
         if spec.kind == "gbdt":
             validation = None if held_out is None else (
                 X[held_out], targets[held_out].astype(np.int64))

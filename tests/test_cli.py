@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -438,9 +439,9 @@ def test_module_entry_point_runs_once_without_warning(tmp_path, config):
     assert result.stderr.startswith("skyglow: wrote 120 synthetic observations")
 
 
-def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
-    # three models over two distinct stacks (boost and woods share the
-    # default full stack), three folds
+def _three_model_config(tmp_path):
+    """The test config plus `plain`, a GBDT without text or neighbor
+    features: three models over two distinct stacks."""
     path = Path(write_config(tmp_path / "run.ini", tmp_path / "out", extra=(
         "[model.plain]\n"
         "kind = gbdt\n"
@@ -448,8 +449,16 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
         "use_text = false\n"
         "use_neighbor = false\n")))
     path.write_text(path.read_text(encoding="utf-8")
-                    .replace("k = 2\n", "k = 3\n")
                     .replace("ids = boost, woods", "ids = boost, plain, woods"),
+                    encoding="utf-8")
+    return path
+
+
+def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
+    # three models over two distinct stacks (boost and woods share the
+    # default full stack), three folds
+    path = _three_model_config(tmp_path)
+    path.write_text(path.read_text(encoding="utf-8").replace("k = 2\n", "k = 3\n"),
                     encoding="utf-8")
     config = str(path)
     calls = Counter()
@@ -503,6 +512,94 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
             learner_to_obj(model)
         assert load_json(out / f"stack_{spec.model_id}.json") == \
             stack_to_obj(stack)
+
+
+def test_feature_names_equal_the_stack_sidecar_columns(tmp_path):
+    config = str(_three_model_config(tmp_path))
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("train") + 1]:
+        assert dispatch(command, config) == 0, command
+    header = (out / "features.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.split(",")[1:] == load_json(out / "features_stack.json")["columns"]
+    widths = set()
+    for model_id in ("boost", "plain", "woods"):
+        columns = load_json(out / f"stack_{model_id}.json")["columns"]
+        assert load_json(out / f"model_{model_id}.json")["feature_names"] == columns
+        widths.add(len(columns))
+    assert len(widths) == 2
+
+
+def test_swapped_stack_sidecars_fail_predict_with_one_line(tmp_path, capsys):
+    config = str(_three_model_config(tmp_path))
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("predict")]:
+        assert dispatch(command, config) == 0, command
+    boost, plain = out / "stack_boost.json", out / "stack_plain.json"
+    boost_text = boost.read_text(encoding="utf-8")
+    boost.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8")
+    plain.write_text(boost_text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == ("skyglow: error: model_boost.json: feature_names differ "
+                      "from the columns of stack_boost.json")
+    assert not (out / "predictions.csv").exists()
+    assert not (out / ".skyglow.lock").exists()
+
+
+def test_features_and_train_note_each_stack_diagnostic_once(tmp_path, capsys):
+    path = _three_model_config(tmp_path)
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "n_rows = 120\n", "n_rows = 120\nmissing_sensor_reading = 1.0\n"),
+        encoding="utf-8")
+    config = str(path)
+    for command in ("synth", "ingest"):
+        assert dispatch(command, config) == 0, command
+    for command, labels in (("features", ["features"]),
+                            ("train", ["boost", "plain"])):
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if "sensor_reading" in line]
+        assert notes == [f"skyglow: {label}: column 'sensor_reading' excluded: "
+                         "all values missing" for label in labels], command
+
+
+def test_ingest_then_eda_keep_a_year_below_1000(tmp_path, config):
+    out = tmp_path / "out"
+    assert dispatch("synth", config) == 0
+    observations = out / "obs.csv"
+    lines = observations.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "0999-06-15 21:30:00"
+    lines[1] = ",".join(cells)
+    observations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in ("ingest", "eda"):
+        assert dispatch(command, config) == 0, command
+    clean = (out / "observations_clean.csv").read_text(encoding="utf-8")
+    assert f"{cells[0]},0999-06-15 21:30:00," in clean
+
+
+def test_ensemble_rejects_oof_folds_that_differ_from_cv_truth(
+        tmp_path, config, capsys):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("cv") + 1]:
+        assert dispatch(command, config) == 0, command
+    # the same rows cross-validated at another seed fall in other folds
+    other = tmp_path / "other"
+    shutil.copytree(out, other)
+    assert dispatch("cv", config, out_override=str(other), seed_override=8) == 0
+    assert ((other / "cv_truth.csv").read_bytes()
+            != (out / "cv_truth.csv").read_bytes())
+    shutil.copyfile(other / "oof_boost.csv", out / "oof_boost.csv")
+    capsys.readouterr()
+    assert main(["ensemble", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == (f"skyglow: error: {out / 'oof_boost.csv'}: model id, row "
+                      "ids or folds differ from cv_truth.csv")
+    assert not (out / "weights.csv").exists()
 
 
 def test_report_svg_structure(tmp_path, config):

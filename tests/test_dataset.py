@@ -13,6 +13,7 @@ from skyglow.dataset import (
     category_distribution,
     decompose_time,
     epoch_seconds,
+    format_timestamp,
     join_population,
     missingness_report,
     parse_observations,
@@ -161,6 +162,20 @@ def test_parse_timestamp_truncates_microseconds():
     assert ts == datetime(2014, 2, 21, 18, 12, 0)
 
 
+@pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+def test_timestamp_round_trip_pads_the_year(tmp_path, year):
+    ts = datetime(year, 6, 15, 21, 30)
+    text = format_timestamp(ts)
+    assert text == f"{year:04d}-06-15 21:30:00"
+    if year >= 1000:
+        assert text == ts.strftime("%Y-%m-%d %H:%M:%S")
+    assert parse_timestamp(text) == ts
+    path = tmp_path / "observations.csv"
+    write_observations(ObservationTable([obs(time=ts)]), path)
+    again, diags = parse_observations(path, "strict")
+    assert diags == [] and again.records[0].time == ts
+
+
 def test_parse_timestamp_rejects_timezone_aware():
     with pytest.raises(TimestampError):
         parse_timestamp("2014-02-21 18:12:00+02:00")
@@ -281,9 +296,10 @@ def test_missingness_fractions_exact():
         obs(id="d", sensor_reading=2.0, comment_1="y"),
     ])
     report = missingness_report(table)
-    assert report.fraction("sensor_reading") == 0.5
-    assert report.fraction("comment_1") == 0.5
-    assert report.fraction("latitude") == 0.0
+    fractions = {e.field: e.missing_fraction for e in report.fields}
+    assert fractions["sensor_reading"] == 0.5
+    assert fractions["comment_1"] == 0.5
+    assert fractions["latitude"] == 0.0
     with pytest.raises(EmptyInputError):
         missingness_report(ObservationTable([]))
 
@@ -305,7 +321,7 @@ def test_category_distribution_order_and_ties():
     # counts: clear 2, hazy 2, overcast 1; tie clear/hazy -> lexicographic
     assert [(e.category, e.count) for e in freq.entries] == [
         ("clear", 2), ("hazy", 2), ("overcast", 1)]
-    assert freq.fraction("clear") == 0.4
+    assert {e.category: e.fraction for e in freq.entries}["clear"] == 0.4
 
 
 def test_category_distribution_derived_time_of_day():
@@ -316,7 +332,7 @@ def test_category_distribution_derived_time_of_day():
     ])
     freq = category_distribution(table, "time_of_day_category")
     assert freq.total_present == 2
-    assert freq.fraction("evening") == 0.5
+    assert {e.category: e.fraction for e in freq.entries}["evening"] == 0.5
 
 
 def test_category_distribution_unknown_field():
@@ -356,8 +372,7 @@ def test_subset_view_equals_a_fresh_derivation():
 
 # Calendar and clock edges: before 1970, 29 February, 31 December of a
 # leap and a common year, the first and last second of a day, each day-part
-# boundary, the year 1000 and the last second of 9999. (format_timestamp
-# writes a year below 1000 unpadded, which parse_timestamp rejects.)
+# boundary, the year 1000 and the last second of 9999.
 EDGE_TIMES = (
     datetime(1000, 1, 1), datetime(1900, 2, 28, 23, 59, 59),
     datetime(1969, 12, 31, 23, 59, 59), datetime(1970, 1, 1),
@@ -459,7 +474,8 @@ def test_join_population_equals_the_per_record_join():
     assert join_population(joined, pop) == joined
     assert table.records == tuple(records)  # the input table is unchanged
     assert_views_bit_identical(joined.view, ObservationTable(expected).view)
-    assert missingness_report(joined).fraction("population") == 0.0
+    assert {e.field: e.missing_fraction for e in
+            missingness_report(joined).fields}["population"] == 0.0
 
 
 def test_failed_write_leaves_the_target_as_it_was(tmp_path):

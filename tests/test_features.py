@@ -59,10 +59,10 @@ def test_pipeline_standardizes_train_columns():
     table = grid_table(200, seed=1)
     model = fit_feature_pipeline(table)
     matrix = apply_feature_pipeline(model, table)
-    lat = matrix.column("latitude")
+    lat = matrix[:, model.output_columns.index("latitude")]
     assert abs(lat.mean()) < 1e-9
     assert abs(lat.std() - 1.0) < 1e-6
-    assert np.isfinite(matrix.values).all()
+    assert np.isfinite(matrix).all()
 
 
 def test_pipeline_quantile_clipping():
@@ -75,7 +75,7 @@ def test_pipeline_quantile_clipping():
     stats = model.numeric_stats("elevation_m")
     assert stats.clip_high < 1e9
     matrix = apply_feature_pipeline(model, table)
-    col = matrix.column("elevation_m")
+    col = matrix[:, model.output_columns.index("elevation_m")]
     assert col.max() == col[table.ids.index("wild")]
     raw_hi = (stats.clip_high - stats.mean) / stats.std
     assert abs(col.max() - raw_hi) < 1e-12
@@ -89,11 +89,12 @@ def test_pipeline_median_impute_and_indicator():
     stats = model.numeric_stats("sensor_reading")
     assert stats.impute == 4.5  # median of 0..9
     matrix = apply_feature_pipeline(model, table)
-    assert "sensor_reading_missing" in matrix.columns
-    flag = matrix.column("sensor_reading_missing")
+    columns = model.output_columns
+    assert "sensor_reading_missing" in columns
+    flag = matrix[:, columns.index("sensor_reading_missing")]
     assert flag[:10].sum() == 0 and flag[10:].sum() == 10
     # imputed rows all sit at the standardized median
-    imputed = matrix.column("sensor_reading")[10:]
+    imputed = matrix[10:, columns.index("sensor_reading")]
     assert np.allclose(imputed, imputed[0])
 
 
@@ -103,14 +104,15 @@ def test_pipeline_rare_missingness_gets_no_indicator():
     model = fit_feature_pipeline(ObservationTable(recs),
                                  FeatureConfig(indicator_threshold=0.01))
     matrix = apply_feature_pipeline(model, ObservationTable(recs))
-    assert "sensor_reading_missing" not in matrix.columns
+    assert matrix.shape[1] == len(model.output_columns)
+    assert "sensor_reading_missing" not in model.output_columns
 
 
 def test_pipeline_constant_column_zeroed():
     table = ObservationTable([obs(id=f"r{i}", elevation_m=5.0) for i in range(8)])
     model = fit_feature_pipeline(table)
     matrix = apply_feature_pipeline(model, table)
-    assert (matrix.column("elevation_m") == 0.0).all()
+    assert (matrix[:, model.output_columns.index("elevation_m")] == 0.0).all()
     assert any("constant" in d for d in model.diagnostics)
 
 
@@ -119,7 +121,8 @@ def test_pipeline_all_missing_column_excluded():
                               for i in range(8)])
     model = fit_feature_pipeline(table)
     matrix = apply_feature_pipeline(model, table)
-    assert "sensor_reading" not in matrix.columns
+    assert matrix.shape[1] == len(model.output_columns)
+    assert "sensor_reading" not in model.output_columns
     assert model.numeric_stats("sensor_reading") is None
     assert any("sensor_reading" in d for d in model.diagnostics)
     with pytest.raises(UnknownFieldError):
@@ -135,10 +138,10 @@ def test_categorical_codes_and_unseen():
                              obs(id="y", clouds="clear"),
                              obs(id="z", clouds=None)])
     matrix = apply_feature_pipeline(model, test)
-    col = matrix.column("clouds")
+    col = matrix[:, model.output_columns.index("clouds")]
     # categories sorted: clear=1, overcast=2; unseen and missing -> 0
     assert col.tolist() == [0.0, 1.0, 0.0]
-    assert "clouds_missing" in matrix.columns
+    assert "clouds_missing" in model.output_columns
 
 
 def test_apply_columns_stable_across_tables():
@@ -146,7 +149,7 @@ def test_apply_columns_stable_across_tables():
     model = fit_feature_pipeline(table)
     a = apply_feature_pipeline(model, table)
     b = apply_feature_pipeline(model, grid_table(30, seed=3))
-    assert a.columns == b.columns == model.output_columns
+    assert a.shape[1] == b.shape[1] == len(model.output_columns)
 
 
 def test_feature_config_validation():
@@ -188,11 +191,10 @@ def test_fit_stack_matrix_covers_all_rows():
     folds = np.arange(len(table)) % 4
     stack, matrix = fit_stack(table, targets, mask, folds, FeatureConfig(),
                               StackSpec(svd_rank=4), seed=0)
-    assert matrix.values.shape[0] == len(table)
-    assert matrix.columns == stack.columns
-    assert "neighbor_target_mean" in matrix.columns
-    assert any(c.startswith("comment_1_svd_") for c in matrix.columns)
-    assert np.isfinite(matrix.values).all()
+    assert matrix.shape == (len(table), len(stack.columns))
+    assert "neighbor_target_mean" in stack.columns
+    assert any(c.startswith("comment_1_svd_") for c in stack.columns)
+    assert np.isfinite(matrix).all()
 
 
 def test_stack_without_text_or_neighbors():
@@ -203,8 +205,9 @@ def test_stack_without_text_or_neighbors():
     stack, matrix = fit_stack(table, targets, mask, folds, FeatureConfig(),
                               StackSpec(use_text=False, use_neighbor=False),
                               seed=0)
-    assert "neighbor_target_mean" not in matrix.columns
-    assert not any("svd" in c for c in matrix.columns)
+    assert matrix.shape[1] == len(stack.columns)
+    assert "neighbor_target_mean" not in stack.columns
+    assert not any("svd" in c for c in stack.columns)
 
 
 def test_stack_fitted_on_masked_rows_only():
@@ -229,11 +232,11 @@ def test_apply_stack_reproduces_non_neighbor_columns():
     stack, fitted = fit_stack(table, targets, mask, folds, FeatureConfig(),
                               StackSpec(svd_rank=3), seed=1)
     applied = apply_stack(stack, table)
-    assert applied.columns == fitted.columns
-    for col in fitted.columns:
+    assert applied.shape == fitted.shape
+    for j, col in enumerate(stack.columns):
         if col.startswith("neighbor_"):
             continue  # OOF during fit vs reference lookup at apply time
-        assert np.array_equal(applied.column(col), fitted.column(col)), col
+        assert np.array_equal(applied[:, j], fitted[:, j]), col
 
 
 def test_apply_stack_neighbor_columns_equal_held_out_fit():
@@ -253,9 +256,9 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
                               StackSpec(use_text=False), seed=0)
     applied = apply_stack(stack, table.subset(held_out))
     for col in ("neighbor_target_mean", "neighbor_count"):
-        assert np.array_equal(applied.column(col),
-                              fitted.column(col)[held_out]), col
-    assert applied.column("neighbor_target_mean")[9 // 2] == 1.6
+        j = stack.columns.index(col)
+        assert np.array_equal(applied[:, j], fitted[held_out, j]), col
+    assert applied[9 // 2, stack.columns.index("neighbor_target_mean")] == 1.6
 
 
 @pytest.mark.parametrize("queried_label", [-1, 1])
@@ -275,11 +278,11 @@ def test_neighbor_pool_is_the_training_rows_with_a_target(queried_label):
                               StackSpec(use_text=False), seed=0)
     applied = apply_stack(stack, table.subset(queried))
     for col in ("neighbor_target_mean", "neighbor_count"):
-        assert np.array_equal(applied.column(col),
-                              fitted.column(col)[queried]), col
+        j = stack.columns.index(col)
+        assert np.array_equal(applied[:, j], fitted[queried, j]), col
     # no neighbor slot goes to a target-less row
     counted = train if queried_label == -1 else queried
-    assert (fitted.column("neighbor_count")[counted] == 3).all()
+    assert (fitted[counted, stack.columns.index("neighbor_count")] == 3).all()
 
 
 def test_fit_stack_weighs_each_document_once(monkeypatch):
@@ -301,5 +304,6 @@ def test_fit_stack_weighs_each_document_once(monkeypatch):
     stack, _ = fit_stack(table, target_classes(table), train,
                          np.where(train, np.arange(len(table)) % 2, -1),
                          FeatureConfig(), StackSpec(svd_rank=2), seed=0)
-    assert all(model.rank for _, model in stack.text_models)
+    assert all(model.svd is not None and model.svd.rank
+               for _, model in stack.text_models)
     assert sum(weighed) == 2 * len(table)

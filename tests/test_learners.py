@@ -215,19 +215,23 @@ def test_gbdt_label_validation():
         fit_gbdt(X, np.array([0, 1]))  # length mismatch
 
 
-def test_gbdt_feature_name_checking():
-    class Named:
-        def __init__(self, values, columns):
-            self.values = values
-            self.columns = columns
-
+def test_gbdt_stores_the_given_feature_names():
     X = np.random.default_rng(1).normal(size=(30, 2))
     y = (X[:, 0] > 0).astype(int)
-    model = fit_gbdt(Named(X, ("a", "b")), y,
-                     LearnerParams(n_rounds=2, min_samples_leaf=2))
+    model = fit_gbdt(X, y, LearnerParams(n_rounds=2, min_samples_leaf=2),
+                     feature_names=("a", "b"))
     assert model.feature_names == ("a", "b")
-    with pytest.raises(SchemaError):
-        predict_proba_gbdt(model, Named(X, ("a", "c")))
+
+
+def test_gbdt_matrix_width_must_match_the_feature_names():
+    X = np.random.default_rng(1).normal(size=(30, 2))
+    y = (X[:, 0] > 0).astype(int)
+    params = LearnerParams(n_rounds=2, min_samples_leaf=2)
+    with pytest.raises(SchemaError, match="matrix has 2 columns, model expects 3"):
+        fit_gbdt(X, y, params, feature_names=("a", "b", "c"))
+    model = fit_gbdt(X, y, params, feature_names=("a", "b"))
+    with pytest.raises(SchemaError, match="matrix has 1 columns, model expects 2"):
+        predict_proba_gbdt(model, X[:, :1])
 
 
 def test_gbdt_min_samples_leaf_respected():

@@ -78,8 +78,8 @@ def test_pipeline_round_trip_transforms_identically(tmp_path):
     assert again == model
     first = apply_feature_pipeline(model, table)
     second = apply_feature_pipeline(again, table)
-    assert first.columns == second.columns
-    assert np.array_equal(first.values, second.values)
+    assert again.output_columns == model.output_columns
+    assert np.array_equal(first, second)
 
 
 def test_text_model_round_trip(tmp_path):
@@ -99,30 +99,29 @@ def test_stack_round_trip_applies_identically(tmp_path):
     assert again.columns == stack.columns
     applied = apply_stack(again, table)
     fresh = apply_stack(stack, table)
-    assert applied.columns == fresh.columns
-    assert np.array_equal(applied.values, fresh.values)
+    assert np.array_equal(applied, fresh)
 
 
 def test_gbdt_round_trip_predicts_identically(tmp_path):
     _, stack, matrix = fitted_stack()
-    y = np.arange(matrix.values.shape[0]) % 3
+    y = np.arange(matrix.shape[0]) % 3
     params = LearnerParams(n_rounds=12, learning_rate=0.3, seed=2)
-    model = fit_gbdt(matrix.values, y, params)
+    model = fit_gbdt(matrix, y, params)
     again = learner_from_obj(disk_round_trip(tmp_path, learner_to_obj(model)))
-    assert np.array_equal(predict_proba_gbdt(model, matrix.values),
-                          predict_proba_gbdt(again, matrix.values))
+    assert np.array_equal(predict_proba_gbdt(model, matrix),
+                          predict_proba_gbdt(again, matrix))
     assert again.params == model.params
     assert again.train_losses == model.train_losses
 
 
 def test_forest_round_trip_predicts_identically(tmp_path):
     _, stack, matrix = fitted_stack()
-    y = np.arange(matrix.values.shape[0]) % 3
+    y = np.arange(matrix.shape[0]) % 3
     params = LearnerParams(n_rounds=15, seed=4)
-    model = fit_forest(matrix.values, y, params)
+    model = fit_forest(matrix, y, params)
     again = learner_from_obj(disk_round_trip(tmp_path, learner_to_obj(model)))
-    assert np.array_equal(predict_proba_forest(model, matrix.values),
-                          predict_proba_forest(again, matrix.values))
+    assert np.array_equal(predict_proba_forest(model, matrix),
+                          predict_proba_forest(again, matrix))
 
 
 def test_learner_kind_dispatch(tmp_path):
@@ -162,10 +161,10 @@ def test_identical_payloads_produce_identical_bytes(tmp_path):
 
 def fitted_learners():
     _, stack, matrix = fitted_stack()
-    y = np.arange(matrix.values.shape[0]) % 3
-    gbdt = fit_gbdt(matrix.values, y, LearnerParams(n_rounds=3, seed=2),
+    y = np.arange(matrix.shape[0]) % 3
+    gbdt = fit_gbdt(matrix, y, LearnerParams(n_rounds=3, seed=2),
                     feature_names=stack.columns)
-    forest = fit_forest(matrix.values, y, LearnerParams(n_trees=3, seed=4),
+    forest = fit_forest(matrix, y, LearnerParams(n_trees=3, seed=4),
                         feature_names=stack.columns)
     return stack, gbdt, forest
 

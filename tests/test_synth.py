@@ -25,7 +25,8 @@ TABLE = generate_observations(CONFIG)
 
 
 def missing_fraction(field):
-    return missingness_report(TABLE).fraction(field)
+    return {e.field: e.missing_fraction
+            for e in missingness_report(TABLE).fields}[field]
 
 
 def test_missingness_hits_configured_rates():
@@ -69,7 +70,8 @@ def test_dominant_category_shares():
         ("clouds", "clear", CONFIG.share_clouds_clear),
     ]:
         table = category_distribution(TABLE, field)
-        assert abs(table.fraction(label) - share) <= 1.0 / n
+        fraction = {e.category: e.fraction for e in table.entries}[label]
+        assert abs(fraction - share) <= 1.0 / n
 
 
 def test_constellation_share_is_over_present_rows():

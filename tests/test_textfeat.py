@@ -238,7 +238,7 @@ def test_text_features_rank_clipped_to_matrix():
     model, _ = fit_text_features(corpus, np.ones(2, dtype=bool), cap=50,
                                  rank=32, seed=0)
     emb = transform_text_features(model, corpus)
-    assert emb.shape[1] == model.rank <= 2
+    assert emb.shape[1] == model.svd.rank <= 2
 
 
 def test_text_features_all_missing_yields_no_columns():
