@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import (
-    CATEGORY_HEADER,
-    MISSINGNESS_HEADER,
     ObservationTable,
     category_distribution,
     join_population,
@@ -92,6 +90,12 @@ CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
 CV_SUMMARY_HEADER = ("model_id", "micro_f1")
 # ensemble_metrics.csv, and model_comparison.csv copied from it
 ENSEMBLE_METRICS_HEADER = ("model_id", "micro_f1", "weight")
+# The EDA reports. A missingness.csv row is a missingness_report row and the
+# table's row count; a category_<field>.csv row is the field and a
+# category_distribution row; a trend_<field>.csv row is an annual_trend row,
+# under _trend_header(field).
+MISSINGNESS_HEADER = ("field", "missing_count", "missing_fraction", "total_rows")
+CATEGORY_HEADER = ("field", "category", "count", "fraction")
 
 CORRELATION_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
                       "sensor_reading", "population", "year", "month",
@@ -104,6 +108,10 @@ def _category_csv(field: str) -> str:
 
 def _trend_csv(field: str) -> str:
     return f"trend_{field}.csv"
+
+
+def _trend_header(field: str) -> tuple[str, str]:
+    return ("year", f"mean_{field}")
 
 
 def _oof_csv(model_id: str) -> str:
@@ -180,9 +188,11 @@ def cmd_ingest(config: RunConfig) -> None:
 def cmd_eda(config: RunConfig) -> None:
     table = _load_clean_table(config)
     out = config.output_dir
-    missingness_report(table).write_csv(out / MISSINGNESS)
+    write_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
+               (row + (len(table),) for row in missingness_report(table)))
     for field in config.category_fields:
-        category_distribution(table, field).write_csv(out / _category_csv(field))
+        write_rows(out / _category_csv(field), CATEGORY_HEADER,
+                   ((field,) + row for row in category_distribution(table, field)))
 
     numeric = derived_numeric_columns(table)
     target = numeric["limiting_magnitude"]
@@ -191,13 +201,14 @@ def cmd_eda(config: RunConfig) -> None:
         column = numeric[field]
         pairs = int((~(np.isnan(column) | np.isnan(target))).sum())
         try:
-            rows.append([field, repr(pearson(column, target)), pairs, ""])
+            rows.append([field, pearson(column, target), pairs, ""])
         except UndefinedCorrelationError as exc:
             rows.append([field, "", pairs, str(exc)])
     write_rows(out / CORRELATIONS,
                ["field", "pearson_with_target", "complete_pairs", "note"], rows)
     for field in config.trend_fields:
-        annual_trend(table, field).write_csv(out / _trend_csv(field))
+        write_rows(out / _trend_csv(field), _trend_header(field),
+                   annual_trend(table, field))
     _note(f"eda reports written for {len(table)} rows")
 
 
@@ -212,8 +223,7 @@ def cmd_features(config: RunConfig) -> None:
                               labels, config.feature_config, spec, config.seed)
     _note_diagnostics(stack, "features")
     write_rows(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
-               ([row_id] + [repr(float(v)) for v in matrix[i]]
-                for i, row_id in enumerate(table.ids)))
+               ([row_id] + row.tolist() for row_id, row in zip(table.ids, matrix)))
     save_json(out / FEATURES_SIDECAR, stack_to_obj(stack))
     _note(f"feature matrix {matrix.shape[0]}x{matrix.shape[1]} written")
 
@@ -239,8 +249,8 @@ def cmd_cv(config: RunConfig) -> None:
                       result.folds, model.model_id, model.probabilities)
         model.metrics.write_csv(out / _metrics_csv(model.model_id))
         model.metrics.write_confusion_csv(out / _confusion_csv(model.model_id))
-        summary_rows.append([model.model_id, repr(model.metrics.micro_f1)]
-                            + [repr(f) for f in model.metrics.per_fold_f1])
+        summary_rows.append([model.model_id, model.metrics.micro_f1,
+                             *model.metrics.per_fold_f1])
         for diag in model.diagnostics:
             _note(f"{model.model_id}: {diag}")
         _note(f"{model.model_id}: OOF micro-F1 {model.metrics.micro_f1:.4f}")
@@ -301,11 +311,11 @@ def cmd_ensemble(config: RunConfig) -> None:
     write_oof_csv(out / ENSEMBLE_OOF, ids, folds, "ensemble_opt", blended)
     mean_f1 = micro_f1(predicted_classes(mean_blend(matrices)), truth)
     write_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER, [
-        *([model_id, repr(micro_f1(predicted_classes(matrices[i]), truth)),
-           repr(float(weights.weights[i]))]
-          for i, model_id in enumerate(config.model_ids)),
-        ["ensemble_mean", repr(mean_f1), ""],
-        ["ensemble_opt", repr(weights.objective), ""]])
+        *([model_id, micro_f1(predicted_classes(matrix), truth), weight]
+          for model_id, matrix, weight in zip(config.model_ids, matrices,
+                                              weights.weights.tolist())),
+        ["ensemble_mean", mean_f1, ""],
+        ["ensemble_opt", weights.objective, ""]])
     _note(f"optimized ensemble micro-F1 {weights.objective:.4f} "
           f"(mean blend {mean_f1:.4f})")
 
@@ -355,8 +365,8 @@ def cmd_predict(config: RunConfig) -> None:
     write_rows(out / PREDICTIONS,
                ["row_id", "predicted_class"]
                + [f"p_class_{c}" for c in range(blended.shape[1])],
-               ([row_id, int(classes[i])] + [repr(float(p)) for p in blended[i]]
-                for i, row_id in enumerate(table.ids)))
+               ([row_id, predicted] + row.tolist() for row_id, predicted, row
+                in zip(table.ids, classes.tolist(), blended)))
     _note(f"predicted {len(table)} rows")
 
 
@@ -375,7 +385,7 @@ def cmd_report(config: RunConfig) -> None:
                             "model", "micro-F1"))
 
     _, bars = read_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
-                        lambda row: (row[0], float(row[2])), leading=True)
+                        lambda row: (row[0], float(row[2])))
     write_svg(out / "missingness.svg",
               bar_chart_svg(bars, "Missing-value fraction by field",
                             "field", "fraction missing"))
@@ -385,7 +395,7 @@ def cmd_report(config: RunConfig) -> None:
         if not path.exists():
             continue
         _, bars = read_rows(path, CATEGORY_HEADER,
-                            lambda row: (row[1], float(row[3])), leading=True)
+                            lambda row: (row[1], float(row[3])))
         write_svg(out / f"category_{field}.svg",
                   bar_chart_svg(bars, f"Distribution of {field}", field,
                                 "fraction"))
@@ -394,9 +404,8 @@ def cmd_report(config: RunConfig) -> None:
         path = out / _trend_csv(field)
         if not path.exists():
             continue
-        _, points = read_rows(path, ["year", f"mean_{field}"],
-                              lambda row: (float(row[0]), float(row[1])),
-                              leading=True)
+        _, points = read_rows(path, _trend_header(field),
+                              lambda row: (float(row[0]), float(row[1])))
         if not points:
             continue
         write_svg(out / f"trend_{field}.svg",

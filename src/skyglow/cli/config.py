@@ -220,6 +220,10 @@ def load_config(path: str | Path, out_override: str | None = None,
         except ValueError:  # reported below with the other bad values
             ids = tuple(s.removeprefix("model.") for s in parser.sections()
                         if s.startswith("model."))
+        repeated = sorted({model_id for model_id in ids if ids.count(model_id) > 1})
+        if repeated:
+            raise ConfigError(f"models.ids lists a model id more than once: "
+                              f"{', '.join(repeated)}")
     defaults = _defaults(ids)
     known_sections = {section for section, _ in defaults}
     given: dict[tuple[str, str], object] = {}

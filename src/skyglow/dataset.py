@@ -3,7 +3,8 @@
 CSV parsing with per-cell missingness, range validation in strict or lenient
 mode, the population join with a median fallback, each table's column view
 (every label-free column, derived once), and the descriptive reports
-(missingness counts, category frequency tables). Tables are immutable after
+(missing counts per field, category shares), which return plain rows whose
+file layout the command layer owns. Tables are immutable after
 construction.
 
 An observation table stores its rows by column, one tuple per
@@ -60,10 +61,9 @@ COMMENT_FIELDS = ("comment_1", "comment_2")
 
 POPULATION_YEARS = tuple(range(2006, 2021))
 
-# Headers of the CSV artifacts this module writes and a later stage reads.
+# Header of the long census file that write_population writes and
+# read_population_long reads.
 POPULATION_LONG_HEADER = ("country", "year", "population")
-MISSINGNESS_HEADER = ("field", "missing_count", "missing_fraction", "total_rows")
-CATEGORY_HEADER = ("field", "category", "count", "fraction")
 
 _EPOCH = datetime(1970, 1, 1)
 
@@ -348,7 +348,13 @@ def write_rows(dest: str | Path, header: Sequence[str],
     """Write `header` and then each of `rows` as one CSV artifact in the
     package's dialect: utf-8, lines ended by "\\n". The file is replaced
     whole (`open_text`), so a failure while `rows` is consumed leaves it as
-    it was."""
+    it was.
+
+    This is the one place a cell is formatted: a Python float is written as
+    its repr, the shortest text that reads back to the same float; None is
+    written as an empty cell; any other value (a str, an int) as its str.
+    Callers pass Python floats, as `ndarray.tolist()` gives them, not
+    numpy scalars."""
     with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -504,21 +510,13 @@ def parse_observations(
     return table, diagnostics
 
 
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, datetime):
-        return format_timestamp(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_observations(table: ObservationTable, dest: str | Path) -> None:
     """Write the canonical 14-column CSV; missing values become empty cells."""
+    columns = {**table._columns, "time": [
+        None if ts is None else format_timestamp(ts)
+        for ts in table._columns["time"]]}
     write_rows(dest, OBSERVATION_COLUMNS,
-               zip(*(map(_format_cell, table._columns[_COLUMN_TO_ATTR[c]])
-                     for c in OBSERVATION_COLUMNS)))
+               zip(*(columns[_COLUMN_TO_ATTR[c]] for c in OBSERVATION_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -633,61 +631,25 @@ def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationT
     return ObservationTable._from_columns(columns)
 
 
-@dataclass(frozen=True)
-class FieldMissingness:
-    field: str
-    missing_count: int
-    missing_fraction: float
-
-
-@dataclass(frozen=True)
-class MissingnessReport:
-    total_rows: int
-    fields: tuple[FieldMissingness, ...]
-
-    def write_csv(self, dest: str | Path) -> None:
-        write_rows(dest, MISSINGNESS_HEADER,
-                   ([entry.field, entry.missing_count,
-                     repr(entry.missing_fraction), self.total_rows]
-                    for entry in self.fields))
-
-
-def missingness_report(table: ObservationTable) -> MissingnessReport:
-    """Exact per-field missing counts; fractions are count/total."""
+def missingness_report(table: ObservationTable) -> list[tuple[str, int, float]]:
+    """Exact missing count per field, as (field, missing_count,
+    missing_fraction) rows in column order, with population last once the
+    table is joined; each fraction is count/total."""
     total = len(table)
     if total == 0:
         raise EmptyInputError("missingness report requires a nonempty table")
     names = list(_COLUMN_TO_ATTR.values())
     if table.has_population():
         names.append("population")
-    entries = []
-    for field in names:
-        count = table._columns[field].count(None)
-        entries.append(FieldMissingness(field, count, count / total))
-    return MissingnessReport(total, tuple(entries))
+    counts = {field: table._columns[field].count(None) for field in names}
+    return [(field, count, count / total) for field, count in counts.items()]
 
 
-@dataclass(frozen=True)
-class CategoryCount:
-    category: str
-    count: int
-    fraction: float
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    field: str
-    total_present: int
-    entries: tuple[CategoryCount, ...]
-
-    def write_csv(self, dest: str | Path) -> None:
-        write_rows(dest, CATEGORY_HEADER,
-                   ([self.field, entry.category, entry.count, repr(entry.fraction)]
-                    for entry in self.entries))
-
-
-def category_distribution(table: ObservationTable, field: str) -> FrequencyTable:
-    """Counts over present values, descending; ties break lexicographically."""
+def category_distribution(table: ObservationTable,
+                          field: str) -> list[tuple[str, int, float]]:
+    """(category, count, fraction) rows over the present values of `field`,
+    counts descending and ties broken lexicographically; each fraction is
+    count/present."""
     if field not in CATEGORICAL_REPORT_FIELDS:
         raise UnknownFieldError(
             f"field {field!r} is not categorical; expected one of {CATEGORICAL_REPORT_FIELDS}")
@@ -697,5 +659,4 @@ def category_distribution(table: ObservationTable, field: str) -> FrequencyTable
         counts[v] = counts.get(v, 0) + 1
     total = len(values)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = tuple(CategoryCount(cat, n, n / total) for cat, n in ordered)
-    return FrequencyTable(field, total, entries)
+    return [(cat, n, n / total) for cat, n in ordered]

@@ -82,8 +82,7 @@ class EnsembleWeights:
 
     def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, WEIGHTS_HEADER,
-                   ([model_id, repr(float(weight))]
-                    for model_id, weight in zip(self.model_ids, self.weights)))
+                   zip(self.model_ids, self.weights.tolist()))
 
 
 def read_weights_csv(source: str | Path) -> EnsembleWeights:

@@ -1,6 +1,6 @@
 """Stratified K-fold orchestration, out-of-fold predictions, the micro-F1
 metric family, and the small descriptive analyses (Pearson correlation,
-annual trends).
+annual trends as plain (year, mean) rows).
 
 The CV protocol: per fold, every fitted object (feature pipeline, text
 models, neighbor features, learner) sees only the k-1 training folds; the
@@ -112,10 +112,10 @@ class MetricsReport:
 
     def write_csv(self, dest: str | Path) -> None:
         write_rows(dest, ["kind", "key", "value"], [
-            ["metric", "micro_precision", repr(self.micro_precision)],
-            ["metric", "micro_recall", repr(self.micro_recall)],
-            ["metric", "micro_f1", repr(self.micro_f1)],
-            *(["fold_f1", i, repr(f1)] for i, f1 in enumerate(self.per_fold_f1))])
+            ["metric", "micro_precision", self.micro_precision],
+            ["metric", "micro_recall", self.micro_recall],
+            ["metric", "micro_f1", self.micro_f1],
+            *(["fold_f1", i, f1] for i, f1 in enumerate(self.per_fold_f1))])
 
     def write_confusion_csv(self, dest: str | Path) -> None:
         n = self.confusion.shape[0]
@@ -203,19 +203,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float((dx * dy).mean() / (sx * sy))
 
 
-@dataclass(frozen=True)
-class AnnualTrend:
-    field: str
-    entries: tuple[tuple[int, float], ...]  # (year, mean), years ascending
-
-    def write_csv(self, dest: str | Path) -> None:
-        write_rows(dest, ["year", f"mean_{self.field}"],
-                   ([year, repr(mean)] for year, mean in self.entries))
-
-
-def annual_trend(table: ObservationTable, field: str) -> AnnualTrend:
-    """Mean of a numeric field per observation year, missing values
-    dropped; years with no present values are absent from the output."""
+def annual_trend(table: ObservationTable, field: str) -> list[tuple[int, float]]:
+    """(year, mean) rows, years ascending: the mean of a numeric field per
+    observation year, missing values dropped; years with no present values
+    are absent."""
     values = table.numeric_column(field)
     years = table.view.numeric["year"]
     present = ~(np.isnan(values) | np.isnan(years))
@@ -223,9 +214,8 @@ def annual_trend(table: ObservationTable, field: str) -> AnnualTrend:
     sums = np.zeros(len(found))
     np.add.at(sums, group, values[present])  # in row order, as a running sum
     counts = np.bincount(group, minlength=len(found))
-    entries = tuple((int(year), float(total) / int(count))
-                    for year, total, count in zip(found, sums, counts))
-    return AnnualTrend(field, entries)
+    return [(int(year), float(total) / int(count))
+            for year, total, count in zip(found, sums, counts)]
 
 
 @dataclass(frozen=True)
@@ -366,9 +356,9 @@ def write_oof_csv(dest: str | Path, row_ids: Sequence[str],
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
     n_classes = probabilities.shape[1]
     write_rows(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
-               ([row_id, int(folds[i]), model_id]
-                + [repr(float(p)) for p in probabilities[i]]
-                for i, row_id in enumerate(row_ids)))
+               ([row_id, fold, model_id] + row.tolist()
+                for row_id, fold, row in zip(row_ids, folds.tolist(),
+                                             probabilities)))
 
 
 def read_oof_csv(source: str | Path):

@@ -276,6 +276,26 @@ def test_render_config_round_trips(tmp_path, config):
     assert again == loaded
 
 
+def test_repeated_model_id_fails_before_anything_is_fitted(tmp_path, config,
+                                                           capsys):
+    out = tmp_path / "out"
+    for command in ("synth", "ingest", "features"):
+        assert dispatch(command, config) == 0, command
+    path = Path(config)
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "ids = boost, woods", "ids = boost, woods, boost"), encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match="models.ids lists a model id more than once: boost$"):
+        load_config(config)
+    capsys.readouterr()
+    assert main(["train", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:") and err[0].endswith(": boost")
+    assert not list(out.glob("model_*.json"))
+    assert not (out / "train_manifest.json").exists()
+
+
 # --- dispatch plumbing ---
 
 def test_unknown_command_rejected(config):
@@ -759,6 +779,22 @@ def test_extra_ensemble_metrics_column_fails_report_with_one_line(
     assert ("ensemble_metrics.csv: expected a header equal to "
             "model_id,micro_f1,weight") in err[0]
     assert not (tmp_path / "out" / "model_comparison.csv").exists()
+
+
+@pytest.mark.parametrize("name, header", [
+    ("missingness.csv", "field,missing_count,missing_fraction,total_rows"),
+    ("category_clouds.csv", "field,category,count,fraction"),
+    ("trend_limiting_magnitude.csv", "year,mean_limiting_magnitude"),
+])
+def test_extra_eda_column_fails_report_with_one_line(tmp_path, config, capsys,
+                                                     name, header):
+    # an EDA report has a fixed layout, so its whole header is checked
+    def widen(text):
+        return "".join(line + ",x\n" for line in text.splitlines())
+    err = _run_with_tampered(tmp_path, config, capsys, "report", name, widen)
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error:")
+    assert f"{name}: expected a header equal to {header}" in err[0]
 
 
 def test_artifact_readers_check_the_header_width(tmp_path):

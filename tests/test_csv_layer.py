@@ -1,11 +1,17 @@
 """Every CSV artifact is written by `dataset.write_rows` and read back by
 `dataset.read_rows` (or, for the outside inputs, `dataset.csv_reader`).
-This test keeps CSV reading and writing from growing back elsewhere: no
+These tests keep CSV reading and writing from growing back elsewhere: no
 module of the package but `dataset.py` touches `csv.reader` or
-`csv.writer`."""
+`csv.writer`. They also pin the cell contract that `write_rows` owns, and
+keep per-site float formatting out: no module of the package calls
+`repr`."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from skyglow.dataset import read_rows, write_rows
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skyglow"
 
@@ -21,10 +27,56 @@ def _csv_uses(tree: ast.AST) -> list[str]:
     return uses
 
 
-def test_csv_reader_and_writer_only_in_dataset():
+def _repr_calls(tree: ast.AST) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "repr"]
+
+
+def _scan(find) -> dict[str, list[str]]:
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        uses = _csv_uses(ast.parse(path.read_text(encoding="utf-8")))
+        uses = find(ast.parse(path.read_text(encoding="utf-8")))
         if uses:
             found[str(path.relative_to(PACKAGE))] = uses
+    return found
+
+
+def test_csv_reader_and_writer_only_in_dataset():
+    found = _scan(_csv_uses)
     assert set(found) == {"dataset.py"}, found
+
+
+def test_no_module_calls_repr():
+    assert _scan(_repr_calls) == {}
+
+
+def test_repr_scan_finds_every_call():
+    source = ("x = repr(1.0)\n"
+              "y = f'{x!r}'\n"
+              "def f(v):\n"
+              "    return [repr(float(v))]\n"
+              "z = obj.repr(2)\n")
+    assert _repr_calls(ast.parse(source)) == ["line 1", "line 4"]
+
+
+FLOATS = [0.1, 1 / 3, 0.1 + 0.2, 5e-324, -0.0, 1e16,
+          *np.array([0.1, 1 / 3, -2.5e-8, 1e300, -0.0]).tolist()]
+INTS = [0, 7, -3, 10**20, *np.array([2, -5], dtype=np.int64).tolist()]
+
+
+def test_write_rows_formats_every_cell(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_rows(path, ["kind", "value"],
+               [["float", v] for v in FLOATS] + [["int", v] for v in INTS]
+               + [["none", None]])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == (["kind,value"] + [f"float,{v!r}" for v in FLOATS]
+                     + [f"int,{v}" for v in INTS] + ["none,"])
+
+    _, cells = read_rows(path, ["kind", "value"], lambda row: row[1])
+    floats = [float(cell) for cell in cells[:len(FLOATS)]]
+    # equal bit for bit, so -0.0 keeps its sign
+    assert [v.hex() for v in floats] == [v.hex() for v in FLOATS]
+    assert [int(cell) for cell in cells[len(FLOATS):-1]] == INTS
+    assert cells[-1] == ""

@@ -296,7 +296,7 @@ def test_missingness_fractions_exact():
         obs(id="d", sensor_reading=2.0, comment_1="y"),
     ])
     report = missingness_report(table)
-    fractions = {e.field: e.missing_fraction for e in report.fields}
+    fractions = {field: fraction for field, _, fraction in report}
     assert fractions["sensor_reading"] == 0.5
     assert fractions["comment_1"] == 0.5
     assert fractions["latitude"] == 0.0
@@ -306,7 +306,7 @@ def test_missingness_fractions_exact():
 
 def test_missingness_includes_population_after_join():
     table = join_population(ObservationTable([obs()]), PopulationTable([]))
-    fields = [e.field for e in missingness_report(table).fields]
+    fields = [field for field, _, _ in missingness_report(table)]
     assert "population" in fields
 
 
@@ -317,11 +317,11 @@ def test_category_distribution_order_and_ties():
                                "hazy", None])
     ])
     freq = category_distribution(table, "clouds")
-    assert freq.total_present == 5
+    assert sum(count for _, count, _ in freq) == 5
     # counts: clear 2, hazy 2, overcast 1; tie clear/hazy -> lexicographic
-    assert [(e.category, e.count) for e in freq.entries] == [
+    assert [(category, count) for category, count, _ in freq] == [
         ("clear", 2), ("hazy", 2), ("overcast", 1)]
-    assert {e.category: e.fraction for e in freq.entries}["clear"] == 0.4
+    assert {category: fraction for category, _, fraction in freq}["clear"] == 0.4
 
 
 def test_category_distribution_derived_time_of_day():
@@ -331,8 +331,8 @@ def test_category_distribution_derived_time_of_day():
         obs(id="x", time=None),
     ])
     freq = category_distribution(table, "time_of_day_category")
-    assert freq.total_present == 2
-    assert {e.category: e.fraction for e in freq.entries}["evening"] == 0.5
+    assert sum(count for _, count, _ in freq) == 2
+    assert {category: fraction for category, _, fraction in freq}["evening"] == 0.5
 
 
 def test_category_distribution_unknown_field():
@@ -474,8 +474,8 @@ def test_join_population_equals_the_per_record_join():
     assert join_population(joined, pop) == joined
     assert table.records == tuple(records)  # the input table is unchanged
     assert_views_bit_identical(joined.view, ObservationTable(expected).view)
-    assert {e.field: e.missing_fraction for e in
-            missingness_report(joined).fields}["population"] == 0.0
+    assert {field: fraction for field, _, fraction in
+            missingness_report(joined)}["population"] == 0.0
 
 
 def test_failed_write_leaves_the_target_as_it_was(tmp_path):

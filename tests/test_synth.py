@@ -25,8 +25,8 @@ TABLE = generate_observations(CONFIG)
 
 
 def missing_fraction(field):
-    return {e.field: e.missing_fraction
-            for e in missingness_report(TABLE).fields}[field]
+    return {name: fraction
+            for name, _, fraction in missingness_report(TABLE)}[field]
 
 
 def test_missingness_hits_configured_rates():
@@ -70,7 +70,8 @@ def test_dominant_category_shares():
         ("clouds", "clear", CONFIG.share_clouds_clear),
     ]:
         table = category_distribution(TABLE, field)
-        fraction = {e.category: e.fraction for e in table.entries}[label]
+        fraction = {category: fraction
+                    for category, _, fraction in table}[label]
         assert abs(fraction - share) <= 1.0 / n
 
 

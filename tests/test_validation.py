@@ -144,7 +144,7 @@ def test_annual_trend_means():
         obs(id="d", time=datetime(2013, 1, 1), limiting_magnitude=None),
     ])
     trend = annual_trend(table, "limiting_magnitude")
-    assert trend.entries == ((2012, 5.0), (2014, 3.0))
+    assert trend == [(2012, 5.0), (2014, 3.0)]
 
 
 SMALL_PARAMS = LearnerParams(n_rounds=10, learning_rate=0.3,
