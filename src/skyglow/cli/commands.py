@@ -7,7 +7,7 @@ for a fixed config and seed. Diagnostics go to stderr only.
 from __future__ import annotations
 
 import os
-import socket
+import platform
 import sys
 from pathlib import Path
 
@@ -371,24 +371,25 @@ def cmd_predict(config: RunConfig) -> None:
 
 
 def cmd_report(config: RunConfig) -> None:
+    """Write the report bundle. Every input is read and every chart drawn
+    before the first file is written, so a malformed input fails the stage
+    and leaves the output directory as it was."""
     out = config.output_dir
     _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS)
 
     # model comparison table: single models plus both ensembles
     _, metric_rows = read_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER,
                                lambda row: (row, float(row[1])))
-    write_rows(out / MODEL_COMPARISON, ENSEMBLE_METRICS_HEADER,
-               (row for row, _ in metric_rows))
     comparison_bars = [(row[0], f1) for row, f1 in metric_rows]
-    write_svg(out / "model_comparison.svg",
-              bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
-                            "model", "micro-F1"))
+    charts = [("model_comparison.svg",
+               bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
+                             "model", "micro-F1"))]
 
     _, bars = read_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
                         lambda row: (row[0], float(row[2])))
-    write_svg(out / "missingness.svg",
-              bar_chart_svg(bars, "Missing-value fraction by field",
-                            "field", "fraction missing"))
+    charts.append(("missingness.svg",
+                   bar_chart_svg(bars, "Missing-value fraction by field",
+                                 "field", "fraction missing")))
 
     for field in config.category_fields:
         path = out / _category_csv(field)
@@ -396,9 +397,9 @@ def cmd_report(config: RunConfig) -> None:
             continue
         _, bars = read_rows(path, CATEGORY_HEADER,
                             lambda row: (row[1], float(row[3])))
-        write_svg(out / f"category_{field}.svg",
-                  bar_chart_svg(bars, f"Distribution of {field}", field,
-                                "fraction"))
+        charts.append((f"category_{field}.svg",
+                       bar_chart_svg(bars, f"Distribution of {field}", field,
+                                     "fraction")))
 
     for field in config.trend_fields:
         path = out / _trend_csv(field)
@@ -408,9 +409,9 @@ def cmd_report(config: RunConfig) -> None:
                               lambda row: (float(row[0]), float(row[1])))
         if not points:
             continue
-        write_svg(out / f"trend_{field}.svg",
-                  line_chart_svg([(field, points)], f"Annual mean of {field}",
-                                 "year", f"mean {field}"))
+        charts.append((f"trend_{field}.svg",
+                       line_chart_svg([(field, points)], f"Annual mean of {field}",
+                                      "year", f"mean {field}")))
 
     header, summary_rows = read_rows(
         out / CV_SUMMARY, CV_SUMMARY_HEADER,
@@ -419,8 +420,14 @@ def cmd_report(config: RunConfig) -> None:
     if fold_count >= 2:
         series = [(model_id, [(float(f), f1) for f, f1 in enumerate(fold_f1)])
                   for model_id, fold_f1 in summary_rows]
-        write_svg(out / "per_fold_f1.svg",
-                  line_chart_svg(series, "Per-fold micro-F1", "fold", "micro-F1"))
+        charts.append(("per_fold_f1.svg",
+                       line_chart_svg(series, "Per-fold micro-F1", "fold",
+                                      "micro-F1")))
+
+    write_rows(out / MODEL_COMPARISON, ENSEMBLE_METRICS_HEADER,
+               (row for row, _ in metric_rows))
+    for name, svg_text in charts:
+        write_svg(out / name, svg_text)
     _note("report bundle written")
 
 
@@ -428,7 +435,7 @@ def _holder_exited(holder: str) -> bool:
     """Whether a lock's "PID HOST" names a process of this host that is no
     longer running. A PID that cannot be checked counts as running."""
     pid, _, host = holder.partition(" ")
-    if host != socket.gethostname() or not pid.isdigit():
+    if host != platform.node() or not pid.isdigit():
         return False
     try:
         os.kill(int(pid), 0)
@@ -486,7 +493,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     lock_path = out / LOCK_FILE
     fd = _create_lock(lock_path)
     try:
-        os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
+        os.write(fd, f"{os.getpid()} {platform.node()}".encode())
         os.close(fd)
         with open_text(out / CONFIG_ECHO, "w") as fh:
             fh.write(render_config(config))

@@ -25,7 +25,6 @@ from itertools import compress
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from statistics import median
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -554,7 +553,11 @@ class PopulationTable:
         """Median over all (country, year) pairs; 0.0 for an empty table."""
         if not self._records:
             return 0.0
-        return float(median(rec.population for rec in self._records))
+        ranked = sorted(rec.population for rec in self._records)
+        mid = len(ranked) // 2
+        if len(ranked) % 2:
+            return float(ranked[mid])
+        return (ranked[mid - 1] + ranked[mid]) / 2
 
 
 def parse_population(source: str | Path) -> PopulationTable:

@@ -6,6 +6,13 @@ exact greedy search. Wider columns get quantile-spaced edges. A value
 equal to an edge falls in the lower bin, matching searchsorted's 'left'
 side, and the stored raw thresholds reproduce the same partition at
 predict time via `x <= threshold`.
+
+`bin_matrix` also stores the count histogram of every row, which is what
+a GBDT tree's root asks for. Returning a copy of it is exact: a count is
+the same integer however it is made. A weighted histogram of every row in
+order is a bincount over `positions` itself, with no gather of rows; it
+adds each bin's weights in the same row order as a gather of every row
+would, so the sums are bit-equal.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ class BinnedMatrix:
     offsets: np.ndarray               # feature start in the flattened histogram
     total_bins: int
     positions: np.ndarray             # codes + offsets: each cell's histogram entry
+    counts: np.ndarray                # count histogram of every row
 
     @property
     def n_rows(self) -> int:
@@ -56,14 +64,27 @@ class BinnedMatrix:
         `weights` is aligned with the full matrix (one entry per stored
         row); only `weights[rows]` is accumulated. Entry offsets[j] + b
         collects the weight (or count) of rows whose feature-j code is b.
-        One bincount covers every feature at once.
+        One bincount covers every feature at once. When `rows` is every
+        row in order, the counts are a copy of the stored `counts` and the
+        weights are accumulated over `positions` without a gather.
         """
-        flat = self.positions[rows].ravel()
-        if weights is None:
-            return np.bincount(flat, minlength=self.total_bins).astype(float)
-        per_row = np.asarray(weights, dtype=float)[rows]
+        if len(rows) == self.n_rows and _is_every_row(rows):
+            if weights is None:
+                return self.counts.copy()
+            flat = self.positions.ravel()
+            per_row = np.asarray(weights, dtype=float)
+        else:
+            flat = self.positions[rows].ravel()
+            if weights is None:
+                return np.bincount(flat, minlength=self.total_bins).astype(float)
+            per_row = np.asarray(weights, dtype=float)[rows]
         return np.bincount(flat, weights=np.repeat(per_row, self.n_features),
                            minlength=self.total_bins)
+
+
+def _is_every_row(rows: np.ndarray) -> bool:
+    """True when `rows` is 0, 1, ..., len(rows) - 1."""
+    return bool(len(rows) == 0 or (rows[0] == 0 and (np.diff(rows) == 1).all()))
 
 
 def check_matrix(X) -> np.ndarray:
@@ -85,20 +106,7 @@ def bin_matrix(X: np.ndarray, max_bins: int) -> BinnedMatrix:
         codes[:, j] = bin_column(X[:, j], e)
     n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(n_bins)[:-1]])
-    return BinnedMatrix(codes, edges, n_bins, offsets, int(n_bins.sum()),
-                        codes + offsets[None, :])
-
-
-def running_sums(hists: np.ndarray, offsets: np.ndarray,
-                 n_bins: np.ndarray) -> np.ndarray:
-    """Per-feature running sums of stacked flattened histograms.
-
-    `hists` holds one histogram per row (e.g. gradient, hessian and count,
-    or one class each) in the layout `offsets`/`n_bins` describe. Entry
-    [s, offsets[j] + b] of the result sums row s over bins 0..b of feature
-    j, i.e. the left side of a split of feature j after bin b.
-    """
-    total = np.cumsum(hists, axis=1)
-    base = np.concatenate(
-        [np.zeros((len(total), 1)), total[:, offsets[1:] - 1]], axis=1)
-    return total - np.repeat(base, n_bins, axis=1)
+    positions = codes + offsets[None, :]
+    total_bins = int(n_bins.sum())
+    counts = np.bincount(positions.ravel(), minlength=total_bins).astype(float)
+    return BinnedMatrix(codes, edges, n_bins, offsets, total_bins, positions, counts)

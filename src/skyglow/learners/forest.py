@@ -6,6 +6,14 @@ candidate features drawn fresh at every node. Nodes stop at purity, at
 min_samples_leaf, or when no candidate split strictly improves the
 criterion. Leaves store the full class distribution of their bootstrap
 rows; prediction averages leaf distributions across trees.
+
+Split search visits only occupied bins. An empty bin has the same left
+and right class counts as the occupied bin before it in its feature, so
+the same score, and loses the tie to that lower position; with no
+occupied bin before it, its left side is empty and the split invalid.
+Class counts are integers, so the running sums over the occupied bins
+are exact whatever bins they skip. GBDT cannot do the same: its gradient
+sums are floats (see gbdt).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .binning import BinnedMatrix, bin_matrix, running_sums
+from .binning import BinnedMatrix, bin_matrix
 from .gbdt import _class_setup, _coerce_matrix, _TreeBuilder, leaf_nodes
 from .params import LearnerParams
 
@@ -40,6 +48,11 @@ def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
     Maximizes sum_c left_c^2/m_left + sum_c right_c^2/m_right, which is
     equivalent to minimizing the weighted Gini impurity of the children.
     Requires a strict improvement over the parent's sum_c c^2/m.
+
+    Only occupied bins are candidates (see the module docstring). A
+    feature's last occupied bin leaves the right side empty, so with
+    min_leaf >= 1 the size check also rules out splitting past a
+    feature's last bin.
     """
     n_classes = len(counts)
     local_bins = binned.n_bins[feats]
@@ -52,25 +65,28 @@ def _gini_split(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,
     hist = np.bincount(cells.ravel(), minlength=n_classes * local_total
                        ).reshape(n_classes, local_total)
 
-    left = running_sums(hist, local_offsets, local_bins)
+    # Each candidate feature sorts all m rows, so a running sum over the
+    # occupied columns restarts at a multiple of `counts` with every
+    # feature. The sums and scores use integers up to the division.
+    occupied = np.flatnonzero(hist.sum(axis=0))
+    local_j = np.searchsorted(local_offsets, occupied, side="right") - 1
+    left = np.cumsum(hist[:, occupied], axis=1) - counts[:, None] * local_j
     right = counts[:, None] - left
 
-    m = float(len(rows))
+    m = len(rows)
     m_left = left.sum(axis=0)
     m_right = m - m_left
-    splittable = np.ones(local_total, dtype=bool)
-    splittable[local_offsets + local_bins - 1] = False
-    valid = splittable & (m_left >= min_leaf) & (m_right >= min_leaf)
+    valid = (m_left >= min_leaf) & (m_right >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = ((left * left).sum(axis=0) / m_left
                  + (right * right).sum(axis=0) / m_right)
     score[~valid] = -np.inf
-    k = int(np.argmax(score))
+    i = int(np.argmax(score))
     parent = float((counts.astype(float) ** 2).sum()) / m
-    if not score[k] > parent:
+    if not score[i] > parent:
         return None
-    local_j = int(np.searchsorted(local_offsets, k, side="right") - 1)
-    return int(feats[local_j]), k - int(local_offsets[local_j])
+    return (int(feats[local_j[i]]),
+            int(occupied[i]) - int(local_offsets[local_j[i]]))
 
 
 def _grow_tree(binned: BinnedMatrix, rows: np.ndarray, y: np.ndarray,

@@ -21,6 +21,19 @@ leaves every tree unchanged. Gains, tie-breaking
 -sum(g)/(sum(h)+lambda) * learning_rate follow the standard second-order
 formulation. With <= max_bins distinct values per feature the binning is
 lossless, making the histogram split identical to exact greedy search.
+
+Split search computes gains only at the feasible positions: bins that are
+not a feature's last and leave min_samples_leaf rows on both sides. Each
+gain is the same expression of the same running sums, and the argmax over
+the feasible positions in order is the lowest-position maximum, as over
+the full array with the rest masked. Empty bins are not skipped. The
+running sums are one cumulative sum over the whole flattened histogram,
+so their bits depend on every entry before them, and a sibling histogram
+made by subtraction can hold a rounding residue in a bin no row falls in.
+
+Trees are traversed by partition: each internal node splits the row
+indices that reach it (`leaf_nodes`), so a row meets the same comparisons
+as on its own descent.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, SchemaError
-from .binning import BinnedMatrix, bin_matrix, check_matrix, running_sums
+from .binning import BinnedMatrix, bin_matrix, check_matrix
 from .params import LearnerParams
 
 _PRIOR_FLOOR = 1e-12  # classes absent from training get ln(floor), not -inf
@@ -61,16 +74,26 @@ def softmax_gradient_hessian(scores: np.ndarray,
 
 def leaf_nodes(tree, X: np.ndarray) -> np.ndarray:
     """Index of the leaf each row of X reaches in `tree`, which has the
-    node arrays feature, threshold, left and right."""
+    node arrays feature, threshold, left and right.
+
+    Walks the internal nodes depth-first, each carrying the indices of its
+    rows: a node gathers its feature over its rows, compares once and
+    hands each child its share. Every row meets the same comparisons as on
+    a row-by-row descent, so the leaf indices are the same."""
     nodes = np.zeros(len(X), dtype=np.int32)
-    while True:
-        feat = tree.feature[nodes]
-        active = np.nonzero(feat >= 0)[0]
-        if active.size == 0:
-            return nodes
-        at = nodes[active]
-        go_left = X[active, feat[active]] <= tree.threshold[at]
-        nodes[active] = np.where(go_left, tree.left[at], tree.right[at])
+    if tree.feature[0] < 0:  # a single-leaf tree
+        return nodes
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        node, rows = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            nodes[rows] = node
+            continue
+        go_left = X[rows, f] <= tree.threshold[node]
+        stack.append((tree.right[node], rows[~go_left]))
+        stack.append((tree.left[node], rows[go_left]))
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -130,6 +153,21 @@ def _splittable_mask(binned: BinnedMatrix) -> np.ndarray:
     return mask
 
 
+def running_sums(hists: np.ndarray, offsets: np.ndarray,
+                 n_bins: np.ndarray) -> np.ndarray:
+    """Per-feature running sums of stacked flattened histograms.
+
+    `hists` holds one histogram per row (gradient, hessian and count) in
+    the layout `offsets`/`n_bins` describe. Entry [s, offsets[j] + b] of
+    the result sums row s over bins 0..b of feature j, i.e. the left side
+    of a split of feature j after bin b.
+    """
+    total = np.cumsum(hists, axis=1)
+    base = np.concatenate(
+        [np.zeros((len(total), 1)), total[:, offsets[1:] - 1]], axis=1)
+    return total - np.repeat(base, n_bins, axis=1)
+
+
 def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     """Highest-gain (feature, bin) for one node, or None, from its stacked
     gradient, hessian and count histograms and their totals.
@@ -142,19 +180,24 @@ def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     total_g, total_h, total_c = totals
     lam = params.l2_regularization
     gl, hl, cl = running_sums(hists, binned.offsets, binned.n_bins)
+    valid = (splittable & (cl >= params.min_samples_leaf)
+             & (total_c - cl >= params.min_samples_leaf))
+    feasible = np.flatnonzero(valid)
+    if feasible.size == 0:
+        return None
+    gl = gl[feasible]
+    hl = hl[feasible]
     gr = total_g - gl
     hr = total_h - hl
-    cr = total_c - cl
     parent = total_g * total_g / (total_h + lam)
     gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-    valid = splittable & (cl >= params.min_samples_leaf) & (cr >= params.min_samples_leaf)
-    gains[~valid] = -np.inf
-    k = int(np.argmax(gains))
-    if not gains[k] >= 0.0:  # also rejects the all-invalid -inf case
+    i = int(np.argmax(gains))
+    if not gains[i] >= 0.0:
         return None
+    k = int(feasible[i])
     j = int(np.searchsorted(binned.offsets, k, side="right") - 1)
     t = k - int(binned.offsets[j])
-    return gains[k], j, t, (float(gl[k]), float(hl[k]), float(cl[k]))
+    return gains[i], j, t, (float(gl[i]), float(hl[i]), float(cl[k]))
 
 
 def _histograms(binned: BinnedMatrix, rows: np.ndarray, g: np.ndarray,

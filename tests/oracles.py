@@ -238,6 +238,11 @@ def _every_node_best_split(binned, hists, totals, splittable, params):
                                                      float(cl[k]))
 
 
+# The GBDT split search over every flattened position, invalid ones masked
+# to -inf; same signature and result as gbdt._best_split.
+full_array_best_split = _every_node_best_split
+
+
 def every_node_tree(binned, g, h, params):
     """Leaf-wise GBDT tree that histograms and searches every node, leaf cap
     or not; returns the (feature, threshold, left, right, value) arrays."""
@@ -290,6 +295,20 @@ def every_node_tree(binned, g, h, params):
     return (np.array(feature, dtype=np.int32), np.array(threshold),
             np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
             np.array(value))
+
+
+def level_wise_leaf_nodes(tree, X):
+    """Leaf index of every row of X, advancing all rows one tree level per
+    pass over the whole array."""
+    nodes = np.zeros(len(X), dtype=np.int32)
+    while True:
+        feat = tree.feature[nodes]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            return nodes
+        at = nodes[active]
+        go_left = X[active, feat[active]] <= tree.threshold[at]
+        nodes[active] = np.where(go_left, tree.left[at], tree.right[at])
 
 
 def gini_split_oracle(binned, rows, y, counts, feats, min_leaf):

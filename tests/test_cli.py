@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import socket
@@ -344,6 +345,11 @@ def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
     assert dispatch("synth", config) == 0
     assert "cleared the stale lock" in capsys.readouterr().err
     assert not lock.exists()
+
+
+def test_lock_host_is_the_socket_host_name():
+    # the lock names its host by platform.node(), which needs no socket import
+    assert platform.node() == socket.gethostname()
 
 
 def test_ingest_of_empty_table_fails(tmp_path, config):
@@ -795,6 +801,44 @@ def test_extra_eda_column_fails_report_with_one_line(tmp_path, config, capsys,
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
     assert f"{name}: expected a header equal to {header}" in err[0]
+
+
+def _snapshot(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()
+            if path.is_file()}
+
+
+def test_report_writes_nothing_when_a_later_input_is_malformed(
+        tmp_path, config, capsys):
+    # the trend file is read after the model comparison and the category
+    # charts, so each of those must wait until every input has been checked
+    out = tmp_path / "out"
+    trend = out / "trend_limiting_magnitude.csv"
+
+    def widen(text):
+        return "".join(line + ",x\n" for line in text.splitlines())
+
+    for command in COMMANDS[:COMMANDS.index("report")]:
+        assert dispatch(command, config) == 0, command
+    good = trend.read_text(encoding="utf-8")
+    trend.write_text(widen(good), encoding="utf-8")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert _snapshot(out) == before
+
+    # an earlier report's bundle is left as it was
+    trend.write_text(good, encoding="utf-8")
+    assert dispatch("report", config) == 0
+    trend.write_text(widen(good), encoding="utf-8")
+    before = _snapshot(out)
+    assert {"model_comparison.csv", "model_comparison.svg",
+            "trend_limiting_magnitude.svg"} <= set(before)
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert _snapshot(out) == before
 
 
 def test_artifact_readers_check_the_header_width(tmp_path):

@@ -272,6 +272,17 @@ def test_join_population_match_and_median_fallback():
     assert nocountry.population == 300.0 and nocountry.population_matched is False
 
 
+def test_median_population_is_the_statistics_median():
+    import statistics
+    for pops in ([7], [5, 1], [3, 9, 4], [1, 2, 3, 10**12 + 1],
+                 [2**53 + 1, 2**53 + 4], [0, 0, 8, 8]):
+        pop = PopulationTable(PopulationRecord(f"C{i}", 2000, v)
+                              for i, v in enumerate(pops))
+        got = pop.median_population()
+        assert type(got) is float and got == float(statistics.median(pops))
+    assert PopulationTable([]).median_population() == 0.0
+
+
 def test_join_population_idempotent():
     pop = PopulationTable([PopulationRecord("Chile", 2014, 100)])
     table = ObservationTable([obs(country="Chile", time=datetime(2014, 5, 1))])

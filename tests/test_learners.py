@@ -20,7 +20,9 @@ from oracles import (
     every_node_tree,
     exact_greedy_gini,
     exact_greedy_split,
+    full_array_best_split,
     gini_split_oracle,
+    level_wise_leaf_nodes,
 )
 
 
@@ -69,6 +71,35 @@ def test_histogram_accumulates_subset_weights():
     assert hist[left].tolist() == [101.0, 1000.0]
     counts = binned.histogram(rows)
     assert counts[left].tolist() == [2.0, 1.0]
+
+
+def test_full_row_histogram_equals_a_fresh_bincount():
+    rng = np.random.default_rng(61)
+    n = 300
+    X = np.hstack([rng.normal(size=(n, 3)),
+                   rng.integers(0, 4, size=(n, 2)).astype(float)])
+    binned = bin_matrix(X, 32)
+    w = rng.normal(size=n)
+    every = np.arange(n)
+
+    def fresh(rows, weights=None):
+        flat = (binned.codes[rows] + binned.offsets[None, :]).ravel()
+        if weights is None:
+            return np.bincount(flat, minlength=binned.total_bins).astype(float)
+        return np.bincount(flat, weights=np.repeat(weights[rows], binned.n_features),
+                           minlength=binned.total_bins)
+
+    counts = binned.histogram(every)
+    assert counts.dtype == float and np.array_equal(counts, fresh(every))
+    assert np.array_equal(binned.histogram(every, w), fresh(every, w))
+    # full-length row sets other than every row in order
+    for rows in (np.sort(rng.integers(0, n, size=n)), rng.permutation(n)):
+        assert np.array_equal(binned.histogram(rows), fresh(rows))
+        assert np.array_equal(binned.histogram(rows, w), fresh(rows, w))
+    # the caller owns the returned array
+    counts[:] = -1.0
+    assert np.array_equal(binned.histogram(every), fresh(every))
+    assert np.array_equal(binned.counts, fresh(every))
 
 
 # --- gbdt internals ---
@@ -123,6 +154,96 @@ def test_gbdt_first_split_matches_exact_greedy():
             # the chosen bin must induce the same partition
             assert np.array_equal(binned.codes[:, j] <= t_bin,
                                   X[:, expect[1]] <= expect[2])
+
+
+def test_best_split_matches_full_array_search():
+    """Searching only the feasible positions picks the same split, with the
+    same gain and left totals bit for bit, as the full-array search: on
+    direct and subtracted histograms, with empty bins, with sibling
+    histograms whose empty bins hold a rounding residue, and with ties
+    between duplicated columns (whose running sums are exact only when
+    every partial sum is, hence small integer gradients and dyadic
+    hessians there)."""
+    from skyglow.learners.gbdt import _best_split, _splittable_mask
+    rng = np.random.default_rng(67)
+    residues = ties = empty = 0
+    for case in range(60):
+        n = int(rng.integers(30, 250))
+        p = int(rng.integers(1, 4))
+        if case % 2:
+            half = rng.integers(0, int(rng.integers(2, 9)), size=(n, p)).astype(float)
+            X = np.hstack([half, half])  # each split has a tied twin
+            g = rng.integers(-3, 4, size=n).astype(float)
+            h = rng.choice([0.125, 0.25], size=n)
+        else:
+            X = rng.normal(size=(n, p))
+            g = rng.normal(size=n)
+            h = rng.uniform(0.01, 0.25, size=n)
+        params = LearnerParams(min_samples_leaf=int(rng.integers(1, 8)),
+                               l2_regularization=float(rng.uniform(0.1, 2.0)))
+        binned = bin_matrix(X, int(rng.choice([8, 64, 256])))
+        splittable = _splittable_mask(binned)
+
+        def hists(rows):
+            return np.stack([binned.histogram(rows, g), binned.histogram(rows, h),
+                             binned.histogram(rows)])
+
+        # two levels of parent-minus-child subtraction, as in a tree
+        root = np.arange(n)
+        a = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        b = np.setdiff1d(root, a)
+        b_hists = hists(root) - hists(a)
+        b1 = np.sort(rng.choice(b, size=int(rng.integers(0, len(b) + 1)),
+                                replace=False))
+        b2 = np.setdiff1d(b, b1)
+        b2_hists = b_hists - hists(b1)
+        for rows, node_hists in ((root, hists(root)), (a, hists(a)), (b, b_hists),
+                                 (b1, hists(b1)), (b2, b2_hists)):
+            totals = (float(g[rows].sum()), float(h[rows].sum()), float(len(rows)))
+            got = _best_split(binned, node_hists, totals, splittable, params)
+            want = full_array_best_split(binned, tuple(node_hists), totals,
+                                         splittable, params)
+            assert got == want, case
+            empty += (node_hists[2] == 0).any()
+            if case % 2 and got is not None:
+                assert got[1] < p  # the lower of two tied features
+                ties += 1
+        residues += ((b2_hists[2] == 0) & (b2_hists[0] != 0)).any()
+    assert residues >= 5 and ties >= 20 and empty >= 50
+
+
+def test_partition_traversal_matches_level_wise_oracle():
+    from skyglow.learners.gbdt import leaf_nodes
+    rng = np.random.default_rng(71)
+    n = 200
+    X = np.hstack([rng.normal(size=(n, 3)),
+                   rng.integers(0, 5, size=(n, 2)).astype(float)])
+    y = rng.integers(0, 4, size=n)
+    gbdt = fit_gbdt(X, y, LearnerParams(n_rounds=4, min_samples_leaf=3,
+                                        max_leaves=12), n_classes=6)
+    forest = fit_forest(X, y, LearnerParams(n_trees=5, min_samples_leaf=2))
+    trees = [tree for round_trees in gbdt.trees for tree in round_trees]
+    trees += list(forest.trees)
+    assert any(len(tree.feature) == 1 for tree in trees)  # classes 4 and 5
+    assert max(len(tree.feature) for tree in trees) > 15
+
+    # a matrix whose values sit on the trees' thresholds
+    on_threshold = X[rng.permutation(n)]
+    for j in range(X.shape[1]):
+        cuts = np.concatenate([tree.threshold[tree.feature == j] for tree in trees])
+        if cuts.size:
+            on_threshold[:, j] = rng.choice(cuts, size=n)
+    hits = sum(int((on_threshold[:, tree.feature[0]] == tree.threshold[0]).sum())
+               for tree in trees if tree.feature[0] >= 0)
+    assert hits > 100
+
+    for tree in trees:
+        for M in (X, on_threshold, X[:0], rng.normal(size=(30, 5)) * 3):
+            got = leaf_nodes(tree, M)
+            want = level_wise_leaf_nodes(tree, M)
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert predict_proba_gbdt(gbdt, X[:0]).shape == (0, 6)
+    assert predict_proba_forest(forest, X[:0]).shape == (0, 4)
 
 
 def test_gbdt_train_loss_nonincreasing():
@@ -362,6 +483,30 @@ def test_forest_gini_split_matches_oracle():
             assert j == expect[1]
             assert np.array_equal(binned.codes[:, j] <= t_bin,
                                   X[:, expect[1]] <= expect[2])
+
+    # small bootstrap nodes of a wide binning leave most bins empty, and
+    # duplicated columns tie: the same (feature, bin) as the oracle's
+    # search over every bin
+    empty_share = []
+    ties = 0
+    for _ in range(80):
+        n = 400
+        base = rng.normal(size=(n, 2))
+        X = np.hstack([base, base, rng.integers(0, 3, size=(n, 1)).astype(float)])
+        y = rng.integers(0, 3, size=n)
+        binned = bin_matrix(X, 256)
+        rows = np.sort(rng.integers(0, n, size=int(rng.integers(4, 60))))
+        counts = np.bincount(y[rows], minlength=3)
+        feats = np.sort(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
+        min_leaf = int(rng.integers(1, 4))
+        found = _gini_split(binned, rows, y, counts, feats, min_leaf)
+        assert found == gini_split_oracle(binned, rows, y, counts, feats, min_leaf)
+        occupied = np.unique(binned.positions[rows][:, feats])
+        empty_share.append(1 - occupied.size / binned.n_bins[feats].sum())
+        if found is not None and found[0] < 4 and found[0] ^ 2 in feats:
+            assert found[0] < 2  # columns 0, 1 tie with their twins 2, 3
+            ties += 1
+    assert np.median(empty_share) > 0.8 and ties >= 5
 
 
 def test_forest_trees_match_oracle_gini_split_seed_for_seed(monkeypatch):
