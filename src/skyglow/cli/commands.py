@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 import platform
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from ..dataset import (
     parse_population,
     read_population_long,
     read_rows,
+    unfinished_files,
     write_observations,
     write_population,
     write_rows,
@@ -75,6 +78,7 @@ FEATURES_CSV = "features.csv"
 FEATURES_SIDECAR = "features_stack.json"
 CV_SUMMARY = "cv_summary.csv"
 CV_TRUTH = "cv_truth.csv"
+CV_ROUNDS = "cv_rounds.csv"
 TRAIN_MANIFEST = "train_manifest.json"
 WEIGHTS = "weights.csv"
 ENSEMBLE_METRICS = "ensemble_metrics.csv"
@@ -88,6 +92,8 @@ CONFIG_ECHO = "config_echo.ini"
 # cv_summary.csv has one fold_* column per fold after its leading columns.
 CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
 CV_SUMMARY_HEADER = ("model_id", "micro_f1")
+# one row per GBDT model per fold: the rounds that fold's model kept
+CV_ROUNDS_HEADER = ("model_id", "fold", "rounds")
 # ensemble_metrics.csv, and model_comparison.csv copied from it
 ENSEMBLE_METRICS_HEADER = ("model_id", "micro_f1", "weight")
 # The EDA reports. A missingness.csv row is a missingness_report row and the
@@ -257,26 +263,72 @@ def cmd_cv(config: RunConfig) -> None:
     write_rows(out / CV_SUMMARY,
                CV_SUMMARY_HEADER + tuple(f"fold_{f}" for f in range(result.k)),
                summary_rows)
+    write_rows(out / CV_ROUNDS, CV_ROUNDS_HEADER,
+               ([model.model_id, fold, kept] for model in result.models
+                for fold, kept in enumerate(model.rounds)))
+
+
+def _refit_rounds(config: RunConfig) -> dict[str, int]:
+    """Rounds `train` boosts each GBDT model for: the upper median of the
+    rounds its fold models kept in `cv`, read from cv_rounds.csv. Fails
+    unless every GBDT model of the roster has exactly one row for each
+    fold of the configured k, each within its configured rounds; otherwise
+    `cv` ran under another config."""
+    path = config.output_dir / CV_ROUNDS
+    _, rows = read_rows(path, CV_ROUNDS_HEADER,
+                        lambda row: (row[0], int(row[1]), int(row[2])))
+    kept: dict[str, list[tuple[int, int]]] = {}
+    for model_id, fold, count in rows:
+        kept.setdefault(model_id, []).append((fold, count))
+    refit = {}
+    for spec in config.specs:
+        if spec.kind != "gbdt":
+            continue
+        folds = sorted(fold for fold, _ in kept.get(spec.model_id, ()))
+        if folds != list(range(config.cv_k)):
+            raise SchemaError(
+                f"{path}: {spec.model_id} has rows for folds {folds}, "
+                f"not 0-{config.cv_k - 1}; run cv with this config first")
+        counts = sorted(count for _, count in kept[spec.model_id])
+        for count in counts:
+            if not 0 <= count <= spec.params.n_rounds:
+                raise SchemaError(
+                    f"{path}: {spec.model_id} kept {count} rounds in a fold but "
+                    f"is configured for {spec.params.n_rounds}; run cv with this "
+                    "config first")
+        refit[spec.model_id] = counts[len(counts) // 2]
+    return refit
 
 
 def cmd_train(config: RunConfig) -> None:
+    """Fit every model on all labelled rows, each GBDT model for the rounds
+    `_refit_rounds` reads from `cv`. The manifest is removed before the
+    first sidecar is written and written last, so a run that stops part way
+    leaves no manifest and `predict` refuses the mixed sidecars."""
     out = config.output_dir
-    _require(out, FEATURES_CSV)
+    _require(out, FEATURES_CSV, CV_ROUNDS)
+    rounds = _refit_rounds(config)
+    specs = [replace(spec, params=replace(spec.params, n_rounds=rounds[spec.model_id]))
+             if spec.model_id in rounds else spec for spec in config.specs]
     table, targets = labelled_rows(_load_clean_table(config))
     labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
 
-    manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES}
+    manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES,
+                "rounds": rounds}
+    (out / TRAIN_MANIFEST).unlink(missing_ok=True)
     reported = set()
-    for spec, stack, _, model in fit_models(
+    for configured, (spec, stack, _, model) in zip(config.specs, fit_models(
             table, targets, np.ones(len(table), dtype=bool), labels,
-            config.feature_config, config.specs, config.seed):
+            config.feature_config, specs, config.seed)):
         if spec.stack not in reported:
             reported.add(spec.stack)
             _note_diagnostics(stack, spec.model_id)
         save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
+        boosted = (f", {spec.params.n_rounds} of {configured.params.n_rounds} "
+                   "rounds" if spec.kind == "gbdt" else "")
         _note(f"trained {spec.model_id} on {len(table)} rows, "
-              f"{len(stack.columns)} features")
+              f"{len(stack.columns)} features{boosted}")
     save_json(out / TRAIN_MANIFEST, manifest)
 
 
@@ -431,12 +483,26 @@ def cmd_report(config: RunConfig) -> None:
     _note("report bundle written")
 
 
-def _holder_exited(holder: str) -> bool:
-    """Whether a lock's "PID HOST" names a process of this host that is no
-    longer running. A PID that cannot be checked counts as running."""
+def _boot_time() -> float | None:
+    """When this host booted, on the time.time() clock; None where the
+    platform has no boot-time clock."""
+    try:
+        return time.time() - time.clock_gettime(time.CLOCK_BOOTTIME)
+    except (AttributeError, OSError):
+        return None
+
+
+def _holder_exited(holder: str, written: float) -> bool:
+    """Whether a lock's "PID HOST", written at mtime `written`, names a
+    process of this host that is no longer running: one that has exited,
+    or one of an earlier boot, whose PID a new process may have reused. A
+    PID that cannot be checked counts as running."""
     pid, _, host = holder.partition(" ")
     if host != platform.node() or not pid.isdigit():
         return False
+    boot = _boot_time()
+    if boot is not None and written < boot:
+        return True
     try:
         os.kill(int(pid), 0)
     except ProcessLookupError:
@@ -448,20 +514,29 @@ def _holder_exited(holder: str) -> bool:
 
 def _create_lock(lock_path: Path) -> int:
     """Create the output-directory lock; dispatch writes its holder, "PID
-    HOST", into it. A lock whose holder exited on this host is cleared with
-    a note (two runs clearing one at the same moment can both proceed);
-    any other lock raises LockError naming its holder."""
+    HOST", into it. A lock whose holder is no longer running on this host
+    is cleared with a note (two runs clearing one at the same moment can
+    both proceed), and so are the temporary files that holder left
+    unfinished; any other lock raises LockError naming its holder."""
     while True:
         try:
             return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            holder = lock_path.read_text(encoding="utf-8", errors="replace").strip()
-            if not _holder_exited(holder):
+            try:
+                holder = lock_path.read_text(encoding="utf-8",
+                                             errors="replace").strip()
+                written = lock_path.stat().st_mtime
+            except FileNotFoundError:  # released meanwhile
+                continue
+            if not _holder_exited(holder, written):
                 raise LockError(f"output directory is locked by another run "
                                 f"(holder {holder!r}): {lock_path}") from None
             lock_path.unlink(missing_ok=True)
             _note(f"cleared the stale lock {lock_path} of process {holder}, "
                   "which is no longer running")
+            for temp in unfinished_files(lock_path.parent, int(holder.split()[0])):
+                temp.unlink(missing_ok=True)
+                _note(f"removed {temp.name}, which that process left unfinished")
 
 
 _COMMAND_TABLE = {

@@ -322,7 +322,9 @@ class ObservationTable:
 def _replacing(path: Path) -> Iterator[IO[str]]:
     """A new file beside `path`, moved over it when the block ends cleanly,
     so a reader finds the whole old file or the whole new one; when the
-    block raises, the new file is removed and `path` is left as it was."""
+    block raises, the new file is removed and `path` is left as it was.
+    A process killed inside the block leaves the new file behind
+    (`unfinished_files`)."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="") as stream:
@@ -331,6 +333,12 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def unfinished_files(directory: Path, pid: int) -> list[Path]:
+    """The new files that process `pid` left in `directory` when it was
+    killed before `_replacing` moved them into place."""
+    return sorted(directory.glob(f".*.{pid}.tmp"))
 
 
 def open_text(path: str | Path, mode: str):

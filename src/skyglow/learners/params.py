@@ -14,7 +14,10 @@ class LearnerParams:
     `n_rounds`, `learning_rate`, `max_leaves`, `min_samples_leaf`,
     `max_bins`, and `l2_regularization` drive the boosted trees;
     `n_trees` drives the forest; `early_stopping_patience` applies only
-    when a validation split is supplied to fit_gbdt.
+    when a validation split is supplied to fit_gbdt. In the CLI, that is
+    `cv`, which early-stops each fold's GBDT on the held-out fold; `train`
+    has no validation rows and boosts the upper median of the round counts
+    the fold models kept (`cv_rounds.csv`), so `n_rounds` caps it.
     """
 
     n_rounds: int = 300

@@ -3,9 +3,12 @@ metric family, and the small descriptive analyses (Pearson correlation,
 annual trends as plain (year, mean) rows).
 
 The CV protocol: per fold, every fitted object (feature pipeline, text
-models, neighbor features, learner) sees only the k-1 training folds; the
-held-out fold is predicted by that fold's model, so OOF coverage is total
-and honest.
+models, neighbor features, learner) sees only the k-1 training folds, and
+the held-out fold is predicted by that fold's model, so OOF coverage is
+total. One exception remains: GBDT early-stops on the held-out fold
+itself, so the round count each fold keeps is chosen on the rows it then
+scores, and the OOF metrics of a GBDT that stopped early lean optimistic.
+An inner split of each fold's training rows would remove that bias.
 """
 
 from __future__ import annotations
@@ -240,6 +243,7 @@ class ModelOof:
     probabilities: np.ndarray   # (n_rows, n_classes), OOF
     metrics: MetricsReport
     diagnostics: tuple[str, ...]
+    rounds: tuple[int, ...] = ()  # GBDT: rounds each fold's model kept
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,8 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     Rows without a target are excluded up front. Each fold fits the roster
     through `fit_models`, so specs sharing a feature stack configuration
     share the fold's fitted stack, and GBDT models use the held-out fold
-    for early stopping.
+    for early stopping. Each GBDT model's `rounds` holds the number of
+    rounds its model kept in each fold, in fold order.
     """
     if not specs:
         raise ParameterError("need at least one learner spec")
@@ -326,6 +331,7 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     n = len(y)
     oof = {spec.model_id: np.zeros((n, N_CLASSES)) for spec in specs}
     diagnostics: dict[str, list[str]] = {spec.model_id: [] for spec in specs}
+    rounds: dict[str, list[int]] = {spec.model_id: [] for spec in specs}
 
     for fold in range(k):
         held_out = folds == fold
@@ -335,6 +341,8 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
             oof[spec.model_id][held_out] = predict_proba(model, X[held_out])
             diagnostics[spec.model_id].extend(
                 f"fold {fold}: {d}" for d in model.diagnostics)
+            if isinstance(model, GbdtModel):
+                rounds[spec.model_id].append(len(model.trees))
 
     models = []
     for spec in specs:
@@ -345,7 +353,8 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
         metrics = classification_metrics(pred, y, n_classes=N_CLASSES,
                                          per_fold_f1=per_fold)
         models.append(ModelOof(spec.model_id, probs, metrics,
-                               tuple(diagnostics[spec.model_id])))
+                               tuple(diagnostics[spec.model_id]),
+                               tuple(rounds[spec.model_id])))
     return CvResult(cv_table.ids, y, folds, k, tuple(models),
                     assignment.warnings)
 

@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import os
 import platform
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -32,7 +35,7 @@ from skyglow.errors import (
     SchemaError,
 )
 from skyglow.features import pipeline, target_classes
-from skyglow.serialize import learner_to_obj, load_json, stack_to_obj
+from skyglow.serialize import learner_to_obj, load_json, save_json, stack_to_obj
 from skyglow.validation import fit_models, fold_labels
 
 from helpers import grid_table
@@ -347,6 +350,92 @@ def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
     assert not lock.exists()
 
 
+@pytest.mark.skipif(not hasattr(time, "CLOCK_BOOTTIME"),
+                    reason="no boot-time clock on this platform")
+def test_lock_from_an_earlier_boot_is_cleared(tmp_path, config, capsys,
+                                              monkeypatch):
+    # this process is alive, so only the lock's age can show that its PID
+    # belonged to a process of an earlier boot
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".skyglow.lock"
+    holder = f"{os.getpid()} {platform.node()}"
+    lock.write_text(holder, encoding="utf-8")
+    with pytest.raises(LockError, match=re.escape(holder)):
+        dispatch("synth", config)
+    boot = time.time() - time.clock_gettime(time.CLOCK_BOOTTIME)
+    os.utime(lock, (boot - 60.0, boot - 60.0))
+    with monkeypatch.context() as patch:  # without the clock, the PID decides
+        patch.delattr(time, "CLOCK_BOOTTIME")
+        with pytest.raises(LockError, match=re.escape(holder)):
+            dispatch("synth", config)
+    capsys.readouterr()
+    assert dispatch("synth", config) == 0
+    assert (f"cleared the stale lock {lock} of process {holder}, which is no "
+            "longer running") in capsys.readouterr().err
+    assert not lock.exists()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_train_killed_mid_write_is_refused_then_rerun_cleanly(tmp_path, config,
+                                                              capsys):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("report")]:
+        assert dispatch(command, config) == 0, command
+    clean = _snapshot(out)
+
+    # a real train run that stops after writing model_boost.json in full,
+    # before moving it into place, and is killed there
+    stalled = tmp_path / "stalled"
+    code = ("import os, pathlib, sys, time\n"
+            "replace = os.replace\n"
+            "def stall(src, dst):\n"
+            "    if pathlib.Path(dst).name == 'model_boost.json':\n"
+            "        pathlib.Path(sys.argv[1]).touch()\n"
+            "        time.sleep(600)\n"
+            "    replace(src, dst)\n"
+            "os.replace = stall\n"
+            "from skyglow.cli.main import main\n"
+            "main(['train', '--config', sys.argv[2]])\n")
+    src = Path(commands.__file__).resolve().parents[2]
+    child = subprocess.Popen([sys.executable, "-c", code, str(stalled), config],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120.0
+        while not stalled.exists() and child.poll() is None:
+            assert time.monotonic() < deadline, "train never reached the write"
+            time.sleep(0.01)
+        assert child.poll() is None, "train exited before the write"
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    unfinished = f".model_boost.json.{child.pid}.tmp"
+    assert (out / unfinished).exists()
+    assert (out / ".skyglow.lock").read_text(encoding="utf-8") == \
+        f"{child.pid} {platform.node()}"
+    assert not (out / "train_manifest.json").exists()
+
+    # until train reruns, predict's prerequisite check refuses the sidecars
+    probe = tmp_path / "probe"
+    shutil.copytree(out, probe)
+    capsys.readouterr()
+    assert main(["predict", "--config", config, "--out", str(probe)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("skyglow: error: missing prerequisite artifact: "
+                       f"{probe / 'train_manifest.json'} (run the producing "
+                       "command first)")
+    assert (probe / "predictions.csv").read_bytes() == clean["predictions.csv"]
+
+    assert main(["train", "--config", config]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [
+        f"skyglow: cleared the stale lock {out / '.skyglow.lock'} of process "
+        f"{child.pid} {platform.node()}, which is no longer running",
+        f"skyglow: removed {unfinished}, which that process left unfinished"]
+    assert _snapshot(out) == clean
+
+
 def test_lock_host_is_the_socket_host_name():
     # the lock names its host by platform.node(), which needs no socket import
     assert platform.node() == socket.gethostname()
@@ -540,6 +629,123 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
             stack_to_obj(stack)
 
 
+def _read_cv_rounds(out):
+    lines = (out / "cv_rounds.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "model_id,fold,rounds"
+    return [(model_id, int(fold), int(rounds))
+            for model_id, fold, rounds in (line.split(",") for line in lines[1:])]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_train_boosts_the_upper_median_of_the_rounds_cv_kept(tmp_path, capsys, k):
+    # on 120 rows, learning rate 1 and patience 1 stop boost early in cv
+    path = Path(write_config(tmp_path / "run.ini", tmp_path / "out"))
+    path.write_text(path.read_text(encoding="utf-8")
+                    .replace("rounds = 8\nlearning_rate = 0.3\npatience = 8\n",
+                             "rounds = 12\nlearning_rate = 1.0\npatience = 1\n")
+                    .replace("k = 2\n", f"k = {k}\n"), encoding="utf-8")
+    config = str(path)
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("cv") + 1]:
+        assert dispatch(command, config) == 0, command
+    rows = _read_cv_rounds(out)
+    # one row per fold for the GBDT model, none for the forest
+    assert [(model_id, fold) for model_id, fold, _ in rows] == \
+        [("boost", fold) for fold in range(k)]
+    kept = sorted(rounds for _, _, rounds in rows)
+    assert kept[0] < 12
+    assert k == 3 or kept[0] < kept[1]  # so the upper median is not the lower
+    r = kept[len(kept) // 2]
+
+    capsys.readouterr()
+    assert main(["train", "--config", config]) == 0
+    assert re.search(r"^skyglow: trained boost on \d+ rows, \d+ features, "
+                     rf"{r} of 12 rounds$", capsys.readouterr().err, re.M)
+    assert load_json(out / "train_manifest.json")["rounds"] == {"boost": r}
+    saved = load_json(out / "model_boost.json")
+    assert len(saved["trees"]) == r
+
+    # the shipped model is the first r rounds of the configured 12-round fit
+    run = load_config(config)
+    table, targets = validation.labelled_rows(commands._load_clean_table(run))
+    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
+    _, _, _, full = next(fit_models(table, targets, np.ones(len(table), dtype=bool),
+                                    folds, run.feature_config, run.specs[:1],
+                                    run.seed))
+    assert len(full.trees) == 12
+    assert saved == learner_to_obj(dataclasses.replace(
+        full, params=dataclasses.replace(full.params, n_rounds=r),
+        trees=full.trees[:r], train_losses=full.train_losses[:r]))
+
+
+def test_train_without_an_early_stop_keeps_every_model_byte(tmp_path, config):
+    # patience 8 of 8 rounds never stops, so train boosts all 8 rounds and
+    # writes the bytes of a plain 8-round fit
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("train") + 1]:
+        assert dispatch(command, config) == 0, command
+    assert _read_cv_rounds(out) == [("boost", 0, 8), ("boost", 1, 8)]
+    manifest = load_json(out / "train_manifest.json")
+    assert manifest == {"model_ids": ["boost", "woods"], "n_classes": 8,
+                        "rounds": {"boost": 8}}
+    run = load_config(config)
+    table, targets = validation.labelled_rows(commands._load_clean_table(run))
+    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
+    for spec, _, _, model in fit_models(
+            table, targets, np.ones(len(table), dtype=bool), folds,
+            run.feature_config, run.specs, run.seed):
+        expected = tmp_path / f"expected_{spec.model_id}.json"
+        save_json(expected, learner_to_obj(model))
+        assert (out / f"model_{spec.model_id}.json").read_bytes() == \
+            expected.read_bytes(), spec.model_id
+
+
+@pytest.mark.parametrize("case, edit, message", [
+    ("missing", None, "missing prerequisite artifact: {out}/cv_rounds.csv"),
+    ("short", lambda text: text.replace("boost,1,8\n", ""),
+     "{out}/cv_rounds.csv: boost has rows for folds [0], not 0-1; "
+     "run cv with this config first"),
+    ("truncated", lambda text: text.replace("boost,1,8\n", "boost,1\n"),
+     "cv_rounds.csv, line 3: expected 3 fields, got 2"),
+    ("repeated", lambda text: text + "boost,0,8\n",
+     "{out}/cv_rounds.csv: boost has rows for folds [0, 0, 1], not 0-1; "
+     "run cv with this config first"),
+    ("stale rounds", ("rounds = 8\n", "rounds = 6\n"),
+     "{out}/cv_rounds.csv: boost kept 8 rounds in a fold but is configured "
+     "for 6; run cv with this config first"),
+    ("stale folds", ("k = 2\n", "k = 3\n"),
+     "{out}/cv_rounds.csv: boost has rows for folds [0, 1], not 0-2; "
+     "run cv with this config first"),
+])
+def test_train_refuses_cv_rounds_it_cannot_trust(tmp_path, config, capsys,
+                                                 case, edit, message):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("cv") + 1]:
+        assert dispatch(command, config) == 0, command
+    rounds = out / "cv_rounds.csv"
+    if edit is None:
+        rounds.unlink()
+    elif isinstance(edit, tuple):  # cv ran under another config
+        path = Path(config)
+        path.write_text(path.read_text(encoding="utf-8").replace(*edit),
+                        encoding="utf-8")
+    else:
+        rounds.write_text(edit(rounds.read_text(encoding="utf-8")),
+                          encoding="utf-8")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["train", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("skyglow: error: ")
+    assert message.format(out=out) in err[0]
+    # nothing but the config echo, which every command writes first
+    after = _snapshot(out)
+    before.pop("config_echo.ini")
+    after.pop("config_echo.ini")
+    assert after == before
+
+
 def test_feature_names_equal_the_stack_sidecar_columns(tmp_path):
     config = str(_three_model_config(tmp_path))
     out = tmp_path / "out"
@@ -584,6 +790,8 @@ def test_features_and_train_note_each_stack_diagnostic_once(tmp_path, capsys):
         assert dispatch(command, config) == 0, command
     for command, labels in (("features", ["features"]),
                             ("train", ["boost", "plain"])):
+        if command == "train":  # train refits the rounds cv kept
+            assert dispatch("cv", config) == 0
         capsys.readouterr()
         assert main([command, "--config", config]) == 0
         notes = [line for line in capsys.readouterr().err.splitlines()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,50 @@ def test_gbdt_early_stopping_truncates_to_best_round():
     best = int(np.argmin(model.validation_losses))
     assert best == len(model.trees) - 1
     assert any("early stop" in d for d in model.diagnostics)
+
+
+def _assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for got_round, want_round in zip(got, want):
+        assert len(got_round) == len(want_round)
+        for a, b in zip(got_round, want_round):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("absent_classes", [False, True])
+def test_gbdt_fewer_rounds_fit_the_first_rounds_bit_for_bit(absent_classes):
+    """An r-round fit is the first r rounds of a longer fit on the same
+    rows, bit for bit: nothing in a round depends on n_rounds. `train`
+    relies on it when it refits the rounds `cv` kept. Early stopping only
+    truncates: its kept rounds are the fit of that many rounds without
+    validation rows."""
+    rng = np.random.default_rng(53)
+    X = rng.normal(size=(150, 4))
+    y = np.where(X[:, 0] > 0.3, 2, np.where(X[:, 1] > 0, 0, 1))
+    y = np.where(rng.random(150) < 0.15, rng.integers(0, 3, size=150), y)
+    Xv = rng.normal(size=(60, 4))
+    yv = rng.integers(0, 3, size=60)  # noise, so validation loss soon degrades
+    n_classes = None
+    if absent_classes:  # classes 0, 1, 4 and 6 have no rows
+        y, yv, n_classes = np.array([2, 3, 5])[y], np.array([2, 3, 5])[yv], 7
+    params = LearnerParams(n_rounds=12, learning_rate=0.3, min_samples_leaf=5,
+                           max_leaves=8, early_stopping_patience=2)
+    full = fit_gbdt(X, y, params, n_classes=n_classes)
+    assert len(full.trees) == 12
+    for r in (0, 1, 5, 12):
+        short = fit_gbdt(X, y, replace(params, n_rounds=r), n_classes=n_classes)
+        assert np.array_equal(short.init_scores, full.init_scores)
+        _assert_same_trees(short.trees, full.trees[:r])
+        assert short.train_losses == full.train_losses[:r]
+
+    stopped = fit_gbdt(X, y, params, validation=(Xv, yv), n_classes=n_classes)
+    kept = len(stopped.trees)
+    assert 0 < kept < 12
+    refit = fit_gbdt(X, y, replace(params, n_rounds=kept), n_classes=n_classes)
+    _assert_same_trees(refit.trees, stopped.trees)
+    assert refit.train_losses == stopped.train_losses
 
 
 def test_gbdt_deterministic():
