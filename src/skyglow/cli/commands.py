@@ -6,10 +6,10 @@ for a fixed config and seed. Diagnostics go to stderr only.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import platform
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -302,16 +302,21 @@ def _refit_rounds(config: RunConfig) -> dict[str, int]:
 
 def cmd_train(config: RunConfig) -> None:
     """Fit every model on all labelled rows, each GBDT model for the rounds
-    `_refit_rounds` reads from `cv`. The manifest is removed before the
-    first sidecar is written and written last, so a run that stops part way
-    leaves no manifest and `predict` refuses the mixed sidecars."""
+    `_refit_rounds` reads from `cv`, which must have dealt the folds this
+    config deals. The manifest is removed before the first sidecar is
+    written and written last, so a run that stops part way leaves no
+    manifest and `predict` refuses the mixed sidecars."""
     out = config.output_dir
-    _require(out, FEATURES_CSV, CV_ROUNDS)
+    _require(out, FEATURES_CSV, CV_ROUNDS, CV_TRUTH)
     rounds = _refit_rounds(config)
     specs = [replace(spec, params=replace(spec.params, n_rounds=rounds[spec.model_id]))
              if spec.model_id in rounds else spec for spec in config.specs]
     table, targets = labelled_rows(_load_clean_table(config))
     labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
+    cv_ids, cv_folds, _ = _read_cv_truth(out)
+    if cv_ids != list(table.ids) or not np.array_equal(cv_folds, labels):
+        raise SchemaError(f"{out / CV_TRUTH}: row ids or folds differ from the "
+                          "folds of this config; run cv with this config first")
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES,
                 "rounds": rounds}
@@ -483,60 +488,49 @@ def cmd_report(config: RunConfig) -> None:
     _note("report bundle written")
 
 
-def _boot_time() -> float | None:
-    """When this host booted, on the time.time() clock; None where the
-    platform has no boot-time clock."""
-    try:
-        return time.time() - time.clock_gettime(time.CLOCK_BOOTTIME)
-    except (AttributeError, OSError):
-        return None
+def _lock_holder(fd: int) -> str:
+    """The "PID HOST" that the open lock file `fd` names; empty if none."""
+    return os.pread(fd, 4096, 0).decode("utf-8", errors="replace").strip()
 
 
-def _holder_exited(holder: str, written: float) -> bool:
-    """Whether a lock's "PID HOST", written at mtime `written`, names a
-    process of this host that is no longer running: one that has exited,
-    or one of an earlier boot, whose PID a new process may have reused. A
-    PID that cannot be checked counts as running."""
-    pid, _, host = holder.partition(" ")
-    if host != platform.node() or not pid.isdigit():
-        return False
-    boot = _boot_time()
-    if boot is not None and written < boot:
-        return True
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, OverflowError):
-        pass
-    return False
-
-
-def _create_lock(lock_path: Path) -> int:
-    """Create the output-directory lock; dispatch writes its holder, "PID
-    HOST", into it. A lock whose holder is no longer running on this host
-    is cleared with a note (two runs clearing one at the same moment can
-    both proceed), and so are the temporary files that holder left
-    unfinished; any other lock raises LockError naming its holder."""
-    while True:
+def _acquire_lock(lock_path: Path) -> int:
+    """Take the output-directory lock, an exclusive flock on `lock_path`,
+    and return its descriptor; dispatch releases it by unlinking the path,
+    then closing the descriptor. The kernel drops a flock when its holder
+    exits, however it exits, so a held lock raises LockError and one that
+    no process holds is taken over. The file names its holder, "PID HOST",
+    for messages only: an unheld lock that names one was left by a run
+    killed while holding it, and is cleared with a note, as are the
+    temporary files that run left unfinished."""
+    taken = False
+    while not taken:
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
         try:
-            return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                holder = lock_path.read_text(encoding="utf-8",
-                                             errors="replace").strip()
-                written = lock_path.stat().st_mtime
-            except FileNotFoundError:  # released meanwhile
-                continue
-            if not _holder_exited(holder, written):
-                raise LockError(f"output directory is locked by another run "
-                                f"(holder {holder!r}): {lock_path}") from None
-            lock_path.unlink(missing_ok=True)
-            _note(f"cleared the stale lock {lock_path} of process {holder}, "
-                  "which is no longer running")
-            for temp in unfinished_files(lock_path.parent, int(holder.split()[0])):
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder that released the lock since the open unlinked this
+            # file, so the path names another file or none: retry
+            taken = os.path.samestat(os.fstat(fd), os.stat(lock_path))
+        except BlockingIOError:
+            holder = _lock_holder(fd)
+            raise LockError(f"output directory is locked by another run "
+                            f"(holder {holder!r}): {lock_path}") from None
+        except FileNotFoundError:
+            pass
+        finally:
+            if not taken:
+                os.close(fd)
+    holder = _lock_holder(fd)
+    if holder:
+        _note(f"cleared the stale lock {lock_path} of process {holder}, "
+              "which is no longer running")
+        pid = holder.partition(" ")[0]
+        if pid.isdigit():
+            for temp in unfinished_files(lock_path.parent, int(pid)):
                 temp.unlink(missing_ok=True)
                 _note(f"removed {temp.name}, which that process left unfinished")
+    os.ftruncate(fd, 0)
+    os.pwrite(fd, f"{os.getpid()} {platform.node()}".encode(), 0)
+    return fd
 
 
 _COMMAND_TABLE = {
@@ -566,13 +560,14 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     out.mkdir(parents=True, exist_ok=True)
 
     lock_path = out / LOCK_FILE
-    fd = _create_lock(lock_path)
+    fd = _acquire_lock(lock_path)
     try:
-        os.write(fd, f"{os.getpid()} {platform.node()}".encode())
-        os.close(fd)
         with open_text(out / CONFIG_ECHO, "w") as fh:
             fh.write(render_config(config))
         _COMMAND_TABLE[command](config)
     finally:
+        # unlinked before it is unlocked, so a run that opened this file
+        # meanwhile finds that the path no longer names it
         lock_path.unlink(missing_ok=True)
+        os.close(fd)
     return 0

@@ -337,7 +337,9 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
 
 def unfinished_files(directory: Path, pid: int) -> list[Path]:
     """The new files that process `pid` left in `directory` when it was
-    killed before `_replacing` moved them into place."""
+    killed before `_replacing` moved them into place. The CLI removes them
+    when it takes over an output-directory lock that names `pid` but that
+    no process holds: `pid` died holding it, so it will not finish them."""
     return sorted(directory.glob(f".*.{pid}.tmp"))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -318,14 +320,25 @@ def test_dependency_errors_name_missing_artifact(tmp_path, config):
         dispatch("predict", config)
 
 
+@contextmanager
+def _holding(lock):
+    """Hold an flock on `lock` through a second open file, as a running
+    command holds it."""
+    fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
 def test_lock_blocks_and_is_released(tmp_path, config):
     out = tmp_path / "out"
     out.mkdir()
     lock = out / ".skyglow.lock"
-    lock.write_text("12345", encoding="utf-8")
-    with pytest.raises(LockError, match="locked"):
-        dispatch("synth", config)
-    lock.unlink()
+    with _holding(lock):
+        with pytest.raises(LockError, match="locked"):
+            dispatch("synth", config)
     assert dispatch("synth", config) == 0
     assert not lock.exists()
 
@@ -335,10 +348,36 @@ def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
     out.mkdir()
     lock = out / ".skyglow.lock"
     host = socket.gethostname()
-    for holder in (f"{os.getpid()} {host}", "1 elsewhere.invalid"):
-        lock.write_text(holder, encoding="utf-8")
+    # a held lock blocks, whatever it names
+    with _holding(lock):
+        for holder in (f"{os.getpid()} {host}", "1 elsewhere.invalid", ""):
+            lock.write_text(holder, encoding="utf-8")
+            with pytest.raises(LockError, match=re.escape(f"(holder {holder!r})")):
+                dispatch("synth", config)
+    # a process that takes the lock and waits blocks until it is killed
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, platform, sys, time\n"
+         "fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)\n"
+         "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+         "os.write(fd, f'{os.getpid()} {platform.node()}'.encode())\n"
+         "print('locked', flush=True)\n"
+         "time.sleep(600)\n", str(lock)],
+        stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "locked\n"
+        holder = f"{child.pid} {host}"
         with pytest.raises(LockError, match=re.escape(holder)):
             dispatch("synth", config)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    capsys.readouterr()
+    assert dispatch("synth", config) == 0
+    assert (f"cleared the stale lock {lock} of process {holder}, which is no "
+            "longer running") in capsys.readouterr().err
+    assert not lock.exists()
     # a lock written by a process that has exited since
     subprocess.run([sys.executable, "-c",
                     "import os, socket, sys; open(sys.argv[1], 'w').write("
@@ -350,29 +389,81 @@ def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
     assert not lock.exists()
 
 
-@pytest.mark.skipif(not hasattr(time, "CLOCK_BOOTTIME"),
-                    reason="no boot-time clock on this platform")
-def test_lock_from_an_earlier_boot_is_cleared(tmp_path, config, capsys,
-                                              monkeypatch):
-    # this process is alive, so only the lock's age can show that its PID
-    # belonged to a process of an earlier boot
+def test_unheld_lock_is_cleared_whatever_it_names(tmp_path, config, capsys):
+    # no process holds these locks: not this live process of this host,
+    # whose PID a run of an earlier boot may have had, nor one of another host
     out = tmp_path / "out"
     out.mkdir()
     lock = out / ".skyglow.lock"
-    holder = f"{os.getpid()} {platform.node()}"
-    lock.write_text(holder, encoding="utf-8")
-    with pytest.raises(LockError, match=re.escape(holder)):
-        dispatch("synth", config)
-    boot = time.time() - time.clock_gettime(time.CLOCK_BOOTTIME)
-    os.utime(lock, (boot - 60.0, boot - 60.0))
-    with monkeypatch.context() as patch:  # without the clock, the PID decides
-        patch.delattr(time, "CLOCK_BOOTTIME")
-        with pytest.raises(LockError, match=re.escape(holder)):
-            dispatch("synth", config)
+    for pid, host in ((os.getpid(), platform.node()), (1, "elsewhere.invalid")):
+        holder = f"{pid} {host}"
+        lock.write_text(holder, encoding="utf-8")
+        unfinished = out / f".weights.csv.{pid}.tmp"
+        unfinished.write_text("half", encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch("synth", config) == 0
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            f"skyglow: cleared the stale lock {lock} of process {holder}, "
+            "which is no longer running",
+            f"skyglow: removed {unfinished.name}, which that process left "
+            "unfinished"]
+        assert not lock.exists()
+        assert not unfinished.exists()
+
+
+def test_empty_unheld_lock_is_taken_over_without_a_note(tmp_path, config,
+                                                        capsys):
+    # what a run killed after creating the lock, before naming itself, leaves
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".skyglow.lock"
+    lock.write_text("", encoding="utf-8")
     capsys.readouterr()
+    assert main(["synth", "--config", config]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("skyglow: wrote "), err
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("replaced", [True, False])
+def test_lock_retries_when_its_file_is_released_before_the_flock(
+        tmp_path, config, monkeypatch, replaced):
+    # between this run's open and its flock, which locks the file it opened,
+    # the holder released the lock, unlinking that file, and maybe another
+    # run made a new lock file
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".skyglow.lock"
+    real_flock = fcntl.flock
+    calls = []
+
+    def flock(fd, operation):
+        calls.append(operation)
+        if len(calls) == 1 and replaced:
+            fresh = tmp_path / "fresh.lock"
+            fresh.write_text("", encoding="utf-8")
+            os.replace(fresh, lock)
+        elif len(calls) == 1:
+            lock.unlink()
+        real_flock(fd, operation)
+
+    held = []
+
+    def probe(config):
+        # the command runs holding the lock on the file the path names
+        fd = os.open(lock, os.O_RDWR)
+        try:
+            with pytest.raises(BlockingIOError):
+                real_flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+        held.append(lock.read_text(encoding="utf-8"))
+
+    monkeypatch.setattr(fcntl, "flock", flock)
+    monkeypatch.setitem(commands._COMMAND_TABLE, "synth", probe)
     assert dispatch("synth", config) == 0
-    assert (f"cleared the stale lock {lock} of process {holder}, which is no "
-            "longer running") in capsys.readouterr().err
+    assert len(calls) == 2
+    assert held == [f"{os.getpid()} {platform.node()}"]
     assert not lock.exists()
 
 
@@ -740,6 +831,27 @@ def test_train_refuses_cv_rounds_it_cannot_trust(tmp_path, config, capsys,
     assert err[0].startswith("skyglow: error: ")
     assert message.format(out=out) in err[0]
     # nothing but the config echo, which every command writes first
+    after = _snapshot(out)
+    before.pop("config_echo.ini")
+    after.pop("config_echo.ini")
+    assert after == before
+
+
+def test_train_refuses_cv_of_other_folds(tmp_path, config, capsys):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("train") + 1]:
+        assert dispatch(command, config) == 0, command
+    # the same rows cross-validated at another seed fall in other folds
+    truth = (out / "cv_truth.csv").read_bytes()
+    assert dispatch("cv", config, seed_override=8) == 0
+    assert (out / "cv_truth.csv").read_bytes() != truth
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["train", "--config", config]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"skyglow: error: {out / 'cv_truth.csv'}: row ids or folds differ from "
+        "the folds of this config; run cv with this config first"]
+    # no sidecar written and the manifest kept: nothing but the config echo
     after = _snapshot(out)
     before.pop("config_echo.ini")
     after.pop("config_echo.ini")
