@@ -2,6 +2,15 @@
 over the library modules. Every command reads its inputs from files, writes
 its artifacts into the output directory, and is byte-for-byte idempotent
 for a fixed config and seed. Diagnostics go to stderr only.
+
+`ingest` and `report` only read and write CSV and SVG, and run on the
+modules imported below, which load no numpy. The names the other commands
+call (numpy, the feature, learner, validation, ensemble and sidecar code)
+are bound as attributes of this module by `_bind_fitting_names`, which
+`dispatch` calls before any of those commands and which a first lookup of
+an unbound attribute calls too (`__getattr__`). Either way each name is
+looked up here when a command runs, so patching `commands.<name>` reaches
+every command.
 """
 
 from __future__ import annotations
@@ -12,8 +21,6 @@ import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from ..dataset import (
     ObservationTable,
@@ -30,7 +37,6 @@ from ..dataset import (
     write_population,
     write_rows,
 )
-from ..ensemble import blend, mean_blend, optimize_weights, read_weights_csv
 from ..errors import (
     DependencyError,
     EmptyInputError,
@@ -39,35 +45,61 @@ from ..errors import (
     SkyglowError,
     UndefinedCorrelationError,
 )
-from ..features import N_CLASSES, target_classes
-from ..features.pipeline import derived_numeric_columns
-from ..features.stack import StackModel, StackSpec, apply_stack, fit_stack
-from ..serialize import (
-    learner_from_obj,
-    learner_to_obj,
-    load_json,
-    save_json,
-    stack_from_obj,
-    stack_to_obj,
-)
-from ..synth import write_synthetic_dataset
-from ..validation import (
-    annual_trend,
-    fit_models,
-    fold_labels,
-    labelled_rows,
-    micro_f1,
-    pearson,
-    predict_proba,
-    predicted_classes,
-    run_cv,
-    write_oof_csv,
-    read_oof_csv,
-)
-# bench/tracing.py patches these names here, so they stay importable
-from ..learners import fit_forest, fit_gbdt, predict_proba_forest  # noqa: F401
 from .config import RunConfig, load_config, render_config
 from .svg import bar_chart_svg, line_chart_svg, write_svg
+
+# The commands that run on the module-level imports alone.
+_NUMPY_FREE_COMMANDS = ("ingest", "report")
+
+
+def _bind_fitting_names() -> None:
+    """Import the names the other commands call and bind each as an
+    attribute of this module, unless it is bound already: a name that a
+    caller has patched keeps its patch."""
+    import numpy as np
+
+    from ..ensemble import blend, mean_blend, optimize_weights, read_weights_csv
+    from ..features import N_CLASSES, target_classes
+    from ..features.pipeline import derived_numeric_columns
+    from ..features.stack import StackModel, StackSpec, apply_stack, fit_stack
+    from ..serialize import (
+        learner_from_obj,
+        learner_to_obj,
+        load_json,
+        save_json,
+        stack_from_obj,
+        stack_to_obj,
+    )
+    from ..synth import write_synthetic_dataset
+    from ..validation import (
+        annual_trend,
+        fit_models,
+        fold_labels,
+        labelled_rows,
+        micro_f1,
+        pearson,
+        predict_proba,
+        predicted_classes,
+        run_cv,
+        write_oof_csv,
+        read_oof_csv,
+    )
+    # bench/tracing.py patches these names here, so they stay importable
+    from ..learners import fit_forest, fit_gbdt, predict_proba_forest  # noqa: F401
+    # every local name so far is one of the imports above
+    for name, value in list(locals().items()):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # The import system probes dunder names such as __path__ (on
+    # `from .commands import ...`); answering them must not load numpy.
+    if not name.startswith("__"):
+        _bind_fitting_names()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CLEAN_OBSERVATIONS = "observations_clean.csv"
 POPULATION_LONG = "population_long.csv"
@@ -522,7 +554,7 @@ def _acquire_lock(lock_path: Path) -> int:
     holder = _lock_holder(fd)
     if holder:
         _note(f"cleared the stale lock {lock_path} of process {holder}, "
-              "which is no longer running")
+              "which no longer holds it")
         pid = holder.partition(" ")[0]
         if pid.isdigit():
             for temp in unfinished_files(lock_path.parent, int(pid)):
@@ -554,6 +586,8 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     point turns into a one-line message and exit code 1."""
     if command not in COMMANDS:
         raise SkyglowError(f"unknown command: {command!r}")
+    if command not in _NUMPY_FREE_COMMANDS:
+        _bind_fitting_names()
     config = load_config(config_path, out_override, seed_override,
                          require_inputs=(command != "synth"))
     out = config.output_dir

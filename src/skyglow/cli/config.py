@@ -3,11 +3,12 @@ validated RunConfig, with defaults for everything except the two input paths.
 
 Each key is declared once, by `_entries`, which lists a RunConfig as
 ordered (section, key, value) entries. Listing the default RunConfig, built
-from the owning library dataclasses, gives the keys a file may set and the
-type each parses as; listing the effective one gives the echo every command
-writes into the output directory. Unknown sections or keys are hard errors
-naming the offender; range checks are left to the owning constructors so
-the CLI and the library reject exactly the same values.
+from the library's settings dataclasses (`skyglow.specs`), gives the keys a
+file may set and the type each parses as; listing the effective one gives
+the echo every command writes into the output directory. Unknown sections
+or keys are hard errors naming the offender; range checks are left to the
+owning constructors so the CLI and the library reject exactly the same
+values.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from operator import itemgetter
 from pathlib import Path
 
 from ..dataset import CATEGORICAL_REPORT_FIELDS
-from ..ensemble import DEFAULT_STEP_SCHEDULE
 from ..errors import ConfigError, ParameterError
-from ..features.pipeline import FeatureConfig
-from ..features.stack import StackSpec
-from ..learners.params import LearnerParams
-from ..synth import SynthConfig
-from ..validation import LearnerSpec
+from ..specs import (
+    DEFAULT_STEP_SCHEDULE,
+    FeatureConfig,
+    LearnerParams,
+    LearnerSpec,
+    StackSpec,
+    SynthConfig,
+)
 
 DEFAULT_TREND_FIELDS = ("limiting_magnitude", "sensor_reading", "elevation_m")
 

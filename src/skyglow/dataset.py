@@ -1,17 +1,21 @@
 """Observation and population tables.
 
 CSV parsing with per-cell missingness, range validation in strict or lenient
-mode, the population join with a median fallback, each table's column view
-(every label-free column, derived once), and the descriptive reports
-(missing counts per field, category shares), which return plain rows whose
-file layout the command layer owns. Tables are immutable after
-construction.
+mode, the population join with a median fallback, the CSV artifact layer
+every stage writes and reads through, and the descriptive reports (missing
+counts per field, category shares), which return plain rows whose file
+layout the command layer owns. Tables are immutable after construction.
 
 An observation table stores its rows by column, one tuple per
 ObservationRecord field. Parsing appends each valid row's values to the
 columns, the join adds the population columns and shares the others, and
-the view, reports and writer read the columns; records are built only when
-a caller asks for them.
+the reports and writer read the columns; records are built only when a
+caller asks for them.
+
+This module is pure Python. A table's column view (`ObservationTable.view`:
+every label-free column as a numpy array, derived once) comes from
+`columnview`, imported on first use, so parsing and writing a table loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from itertools import compress
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateKeyError,
@@ -39,7 +41,11 @@ from .errors import (
     TimestampError,
     UnknownFieldError,
 )
-from .textfeat import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .columnview import ColumnView
 
 # Canonical observation column order; `type` maps to the `sensor_type` attribute.
 OBSERVATION_COLUMNS = (
@@ -71,10 +77,6 @@ _MORNING = 5 * 3600
 _AFTERNOON = 12 * 3600
 _EVENING = 17 * 3600
 _NIGHT = 22 * 3600
-# Day part of each interval between the boundaries, for searchsorted.
-_DAY_PART_STARTS = np.array([_MORNING, _AFTERNOON, _EVENING, _NIGHT])
-_DAY_PARTS = np.array(["night", "morning", "afternoon", "evening", "night"],
-                      dtype=object)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -168,84 +170,6 @@ class RowDiagnostic:
     message: str
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnView:
-    """Every label-free column of a table, row-aligned with it:
-
-    - numeric: float64, NaN where missing: the raw numeric fields,
-      population and the TIME_PARTS;
-    - categorical: objects, None where missing: CATEGORICAL_REPORT_FIELDS;
-    - tokens: one `tokenize` list per row for each of COMMENT_FIELDS;
-    - missing: a boolean mask for every numeric and categorical column.
-
-    Every consumer of a table reads the same arrays, so each is read-only.
-    """
-
-    numeric: dict[str, np.ndarray]
-    categorical: dict[str, np.ndarray]
-    tokens: dict[str, np.ndarray]
-    missing: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for part in (self.numeric, self.categorical, self.tokens, self.missing):
-            for column in part.values():
-                column.flags.writeable = False
-
-    def subset(self, rows: np.ndarray) -> "ColumnView":
-        """The view of the rows where the boolean mask `rows` is set."""
-        return ColumnView(*({name: column[rows] for name, column in part.items()}
-                            for part in (self.numeric, self.categorical,
-                                         self.tokens, self.missing)))
-
-
-def _objects(values: Iterable[object], n: int) -> np.ndarray:
-    """A 1-d object array holding each of `values` as one element."""
-    return np.fromiter(values, dtype=object, count=n)
-
-
-def _column_view(columns: dict[str, tuple]) -> ColumnView:
-    """Derive the column view from a table's columns: each numeric and
-    categorical column converts whole, the time parts come from datetime64
-    arithmetic (the array form of `decompose_time` and `epoch_seconds`),
-    and each comment is tokenized once."""
-    n = len(columns["id"])
-    numeric = {name: np.array(columns[name], dtype=float)
-               for name in NUMERIC_FIELDS + ("population",)}
-    categorical = {name: _objects(columns[name], n)
-                   for name in ("sensor_type", "clouds", "constellation")}
-    tokens = {name: _objects(map(tokenize, columns[name]), n)
-              for name in COMMENT_FIELDS}
-
-    # Whole seconds, as parse_timestamp leaves them (a sub-second part is
-    # dropped); a missing time is NaT.
-    times = np.array(columns["time"], dtype="datetime64[s]")
-    present = ~np.isnat(times)
-    stamps = times[present]
-    years = stamps.astype("datetime64[Y]")
-    days = stamps.astype("datetime64[D]")
-    seconds = (stamps - days).astype(np.int64)
-    zones = numeric["time_zone"][present]
-    parts = {
-        "year": years.astype(np.int64) + 1970,
-        "month": stamps.astype("datetime64[M]").astype(np.int64) % 12 + 1,
-        "day_of_year": (days - years).astype(np.int64) + 1,
-        "seconds_of_day": seconds,
-        # a missing offset is taken as UTC
-        "epoch_time": (stamps.astype(np.int64)
-                       - np.where(np.isnan(zones), 0.0, zones) * 3600.0),
-    }
-    for name, values in parts.items():
-        numeric[name] = np.full(n, np.nan)
-        numeric[name][present] = values
-    categorical["time_of_day_category"] = np.full(n, None, dtype=object)
-    categorical["time_of_day_category"][present] = _DAY_PARTS[
-        np.searchsorted(_DAY_PART_STARTS, seconds, side="right")]
-
-    missing = {name: np.isnan(col) for name, col in numeric.items()}
-    missing.update((name, np.equal(col, None)) for name, col in categorical.items())
-    return ColumnView(numeric, categorical, tokens, missing)
-
-
 class ObservationTable:
     """Immutable table of observations with unique ids, stored by column:
     one tuple per ObservationRecord field, row-aligned. Records are built
@@ -300,7 +224,8 @@ class ObservationTable:
         """The column view, derived on first use and kept: the columns
         never change."""
         if self._view is None:
-            self._view = _column_view(self._columns)
+            from .columnview import derive_view
+            self._view = derive_view(self._columns)
         return self._view
 
     def subset(self, rows: np.ndarray) -> "ObservationTable":

@@ -20,9 +20,9 @@ import numpy as np
 
 from .dataset import read_rows, write_rows
 from .errors import DimensionError, ParameterError
+from .specs import DEFAULT_STEP_SCHEDULE
 from .validation import micro_f1, predicted_classes
 
-DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
 _MAX_SWEEPS = 200
 WEIGHTS_HEADER = ("model_id", "weight")
 

@@ -24,6 +24,7 @@ from ..errors import (
     ParameterError,
     UnknownFieldError,
 )
+from ..specs import FeatureConfig
 
 N_CLASSES = 8
 
@@ -57,26 +58,6 @@ def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
     """Raw numeric fields, population and time parts, NaN-coded: the
     numeric columns of the table's view."""
     return table.view.numeric
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    quantile_low: float = 0.01
-    quantile_high: float = 0.99
-    knn_k: int = 10
-    indicator_threshold: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 <= self.quantile_low <= self.quantile_high <= 1.0:
-            raise ParameterError(
-                f"quantile levels must satisfy 0 <= low <= high <= 1, got "
-                f"({self.quantile_low}, {self.quantile_high})")
-        if self.knn_k < 1:
-            raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not 0.0 <= self.indicator_threshold <= 1.0:
-            raise ParameterError(
-                f"indicator_threshold must be in [0, 1], got "
-                f"{self.indicator_threshold}")
 
 
 @dataclass(frozen=True)

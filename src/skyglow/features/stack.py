@@ -19,16 +19,10 @@ import numpy as np
 
 from ..dataset import COMMENT_FIELDS, ObservationTable
 from ..errors import ParameterError
-from ..textfeat import (
-    DEFAULT_SVD_RANK,
-    DEFAULT_VOCAB_CAP,
-    TextFeatureModel,
-    fit_text_features,
-    transform_text_features,
-)
+from ..specs import FeatureConfig, StackSpec
+from ..textfeat import TextFeatureModel, fit_text_features, transform_text_features
 from .neighbors import cross_neighbor_means, neighbor_mean_features
 from .pipeline import (
-    FeatureConfig,
     FeaturePipelineModel,
     apply_feature_pipeline,
     build_neighbor_index,
@@ -37,16 +31,6 @@ from .pipeline import (
 )
 
 NEIGHBOR_FEATURES = ("neighbor_target_mean", "neighbor_count")
-
-
-@dataclass(frozen=True)
-class StackSpec:
-    """Which optional feature blocks a model's stack includes."""
-
-    use_text: bool = True
-    use_neighbor: bool = True
-    vocab_cap: int = DEFAULT_VOCAB_CAP
-    svd_rank: int = DEFAULT_SVD_RANK
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ so emitted reports land within 1/n of the configured fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -25,36 +24,7 @@ from .dataset import (
     write_observations,
     write_rows,
 )
-from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    n_rows: int = 2000
-    seed: int = 0
-    # missingness fractions
-    missing_sensor_reading: float = 0.828
-    missing_comment_1: float = 0.429
-    missing_comment_2: float = 0.480
-    missing_constellation: float = 0.121
-    missing_target: float = 0.080
-    # dominant-category shares (within present values)
-    share_type_gan: float = 0.801
-    share_clouds_clear: float = 0.594
-    share_constellation_orion: float = 0.410
-    share_evening: float = 0.827
-
-    def __post_init__(self):
-        if self.n_rows < 8:
-            raise ParameterError(f"n_rows must be >= 8, got {self.n_rows}")
-        for name in ("missing_sensor_reading", "missing_comment_1",
-                     "missing_comment_2", "missing_constellation",
-                     "missing_target", "share_type_gan", "share_clouds_clear",
-                     "share_constellation_orion", "share_evening"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {value}")
-
+from .specs import SynthConfig
 
 # four class blobs; the class id doubles as the integer limiting magnitude
 _CLASS_IDS = (2, 3, 4, 5)

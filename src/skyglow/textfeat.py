@@ -26,9 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ParameterError
-
-DEFAULT_VOCAB_CAP = 20000
-DEFAULT_SVD_RANK = 32
+from .specs import DEFAULT_SVD_RANK, DEFAULT_VOCAB_CAP
 
 _BASE_POWER_ITERATIONS = 4
 _MAX_EXTRA_ITERATIONS = 40

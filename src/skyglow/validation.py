@@ -26,17 +26,17 @@ from .errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
-from .features import N_CLASSES, FeatureConfig, target_classes
-from .features.stack import StackModel, StackSpec, fit_stack
+from .features import N_CLASSES, target_classes
+from .features.stack import StackModel, fit_stack
 from .learners import (
     ForestModel,
     GbdtModel,
-    LearnerParams,
     fit_forest,
     fit_gbdt,
     predict_proba_forest,
     predict_proba_gbdt,
 )
+from .specs import FeatureConfig, LearnerSpec
 
 
 # The leading columns of an OOF prediction file; one p_class_* column per
@@ -219,22 +219,6 @@ def annual_trend(table: ObservationTable, field: str) -> list[tuple[int, float]]
     counts = np.bincount(group, minlength=len(found))
     return [(int(year), float(total) / int(count))
             for year, total, count in zip(found, sums, counts)]
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    """One model in the comparison: learner kind + params + feature stack."""
-
-    model_id: str
-    kind: str  # "gbdt" | "forest"
-    params: LearnerParams
-    stack: StackSpec = StackSpec()
-
-    def __post_init__(self):
-        if self.kind not in ("gbdt", "forest"):
-            raise ParameterError(f"unknown learner kind: {self.kind!r}")
-        if not self.model_id:
-            raise ParameterError("model_id must be nonempty")
 
 
 @dataclass(frozen=True)

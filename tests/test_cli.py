@@ -1,6 +1,7 @@
 import dataclasses
 import fcntl
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -20,7 +21,7 @@ from xml.sax.saxutils import escape as sax_escape
 import numpy as np
 import pytest
 
-from skyglow import dataset, textfeat, validation
+from skyglow import dataset, specs, textfeat, validation
 from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
@@ -375,8 +376,8 @@ def test_stale_lock_is_cleared_and_a_live_one_blocks(tmp_path, config, capsys):
         child.stdout.close()
     capsys.readouterr()
     assert dispatch("synth", config) == 0
-    assert (f"cleared the stale lock {lock} of process {holder}, which is no "
-            "longer running") in capsys.readouterr().err
+    assert (f"cleared the stale lock {lock} of process {holder}, which no "
+            "longer holds it") in capsys.readouterr().err
     assert not lock.exists()
     # a lock written by a process that has exited since
     subprocess.run([sys.executable, "-c",
@@ -404,7 +405,7 @@ def test_unheld_lock_is_cleared_whatever_it_names(tmp_path, config, capsys):
         assert dispatch("synth", config) == 0
         assert capsys.readouterr().err.splitlines()[:2] == [
             f"skyglow: cleared the stale lock {lock} of process {holder}, "
-            "which is no longer running",
+            "which no longer holds it",
             f"skyglow: removed {unfinished.name}, which that process left "
             "unfinished"]
         assert not lock.exists()
@@ -522,7 +523,7 @@ def test_train_killed_mid_write_is_refused_then_rerun_cleanly(tmp_path, config,
     err = capsys.readouterr().err.splitlines()
     assert err[:2] == [
         f"skyglow: cleared the stale lock {out / '.skyglow.lock'} of process "
-        f"{child.pid} {platform.node()}, which is no longer running",
+        f"{child.pid} {platform.node()}, which no longer holds it",
         f"skyglow: removed {unfinished}, which that process left unfinished"]
     assert _snapshot(out) == clean
 
@@ -629,6 +630,109 @@ def test_every_stage_runs_without_scipy(tmp_path, config):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "scipy blocked"
     assert digests(out) == unblocked
+
+
+# Installed before skyglow is imported: any import of numpy or a submodule
+# of it raises, so a stage that loads numpy fails.
+NUMPY_BLOCKER = SCIPY_BLOCKER.replace("Scipy", "Numpy").replace("scipy", "numpy")
+
+
+def _run_python(code):
+    src = Path(commands.__file__).resolve().parents[2]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()
+
+
+def test_ingest_and_report_run_without_numpy(tmp_path, config):
+    out = tmp_path / "out"
+    assert dispatch("synth", config) == 0
+    inputs = {p.name for p in out.iterdir()}
+    for command in COMMANDS[1:]:
+        assert dispatch(command, config) == 0, command
+
+    unblocked = digests(out)
+    for path in out.iterdir():
+        if path.name not in inputs:
+            path.unlink()
+
+    def blocked(command):
+        return _run_python(
+            NUMPY_BLOCKER
+            + "from skyglow.cli.main import main\n"
+            + f"assert main([{command!r}, '--config', {config!r}]) == 0\n"
+            + "assert 'numpy' not in sys.modules\n"
+            + "try:\n"
+            + "    import numpy\n"
+            + "except ImportError:\n"
+            + "    print('numpy blocked')\n")
+
+    assert blocked("ingest")[-1] == "numpy blocked"
+    for command in COMMANDS[COMMANDS.index("eda"):COMMANDS.index("report")]:
+        assert dispatch(command, config) == 0, command
+    assert blocked("report")[-1] == "numpy blocked"
+    assert digests(out) == unblocked
+
+
+def test_package_import_loads_no_module_and_the_cli_no_numpy():
+    # importing the CLI looks up dunder names of `commands` (__path__),
+    # which must not bind the fitting names; an unknown name still fails
+    assert _run_python(
+        "import sys\n"
+        "import skyglow\n"
+        "print(sorted(m for m in sys.modules if m.startswith('skyglow.')))\n"
+        "import skyglow.cli.main\n"
+        "print('numpy' in sys.modules)\n"
+        "from skyglow.cli import commands\n"
+        "print(hasattr(commands, 'no_such_name'))\n") == ["[]", "False", "False"]
+
+
+def test_patched_command_names_reach_the_commands_in_a_fresh_process(config):
+    # before any dispatch, looking a name up binds the real function; a
+    # patch made then is the name the command calls
+    lines = _run_python(
+        "import sys\n"
+        "from skyglow.cli import commands\n"
+        "from skyglow.cli.commands import dispatch\n"
+        "assert 'numpy' not in sys.modules\n"
+        "real = getattr(commands, 'fit_stack')\n"
+        "from skyglow.features.stack import fit_stack\n"
+        "from skyglow.validation import run_cv\n"
+        "assert real is fit_stack and commands.run_cv is run_cv\n"
+        "called = []\n"
+        "def patch(name):\n"
+        "    original = getattr(commands, name)\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        return original(*args, **kwargs)\n"
+        "    setattr(commands, name, wrapper)\n"
+        "patch('fit_stack')\n"
+        "patch('run_cv')\n"
+        "for command in ('synth', 'ingest', 'features', 'cv'):\n"
+        f"    assert dispatch(command, {config!r}) == 0, command\n"
+        "    print(command, called)\n")
+    assert lines == ["synth []", "ingest []", "features ['fit_stack']",
+                     "cv ['fit_stack', 'run_cv']"]
+
+
+@pytest.mark.parametrize("name, owners", [
+    ("LearnerParams", ("learners", "learners.params", "learners.gbdt",
+                       "learners.forest", "cli.config")),
+    ("FeatureConfig", ("features", "features.pipeline", "features.stack",
+                       "validation", "cli.config")),
+    ("StackSpec", ("features.stack", "cli.config")),
+    ("LearnerSpec", ("validation", "cli.config")),
+    ("SynthConfig", ("synth", "cli.config")),
+    ("DEFAULT_STEP_SCHEDULE", ("ensemble", "cli.config")),
+    ("DEFAULT_VOCAB_CAP", ("textfeat",)),
+    ("DEFAULT_SVD_RANK", ("textfeat",)),
+])
+def test_settings_types_are_one_object_under_every_import_path(name, owners):
+    for owner in owners:
+        module = importlib.import_module(f"skyglow.{owner}")
+        assert getattr(module, name) is getattr(specs, name), owner
 
 
 def test_module_entry_point_runs_once_without_warning(tmp_path, config):
