@@ -5,17 +5,20 @@ for a fixed config and seed. Diagnostics go to stderr only.
 
 `ingest` and `report` only read and write CSV and SVG, and run on the
 modules imported below, which load no numpy. The names the other commands
-call (numpy, the feature, learner, validation, ensemble and sidecar code)
-are bound as attributes of this module by `_bind_fitting_names`, which
-`dispatch` calls before any of those commands and which a first lookup of
-an unbound attribute calls too (`__getattr__`). Either way each name is
-looked up here when a command runs, so patching `commands.<name>` reaches
-every command.
+call (numpy, the feature, learner, metric, validation, ensemble and sidecar
+code) are bound as attributes of this module by `_bind_names`, which
+`dispatch` calls before a command with the names that command calls
+(`_COMMAND_NAMES`): `eda` and `ensemble` load numpy and the metric helpers
+but no learner or feature-stack code. A first lookup of an unbound
+attribute binds every name (`__getattr__`). Either way each name is looked
+up here when a command runs, so patching `commands.<name>` reaches every
+command.
 """
 
 from __future__ import annotations
 
 import fcntl
+import importlib
 import os
 import platform
 import sys
@@ -48,54 +51,62 @@ from ..errors import (
 from .config import RunConfig, load_config, render_config
 from .svg import bar_chart_svg, line_chart_svg, write_svg
 
-# The commands that run on the module-level imports alone.
-_NUMPY_FREE_COMMANDS = ("ingest", "report")
-
-
-def _bind_fitting_names() -> None:
-    """Import the names the other commands call and bind each as an
-    attribute of this module, unless it is bound already: a name that a
-    caller has patched keeps its patch."""
-    import numpy as np
-
-    from ..ensemble import blend, mean_blend, optimize_weights, read_weights_csv
-    from ..features import N_CLASSES, target_classes
-    from ..features.pipeline import derived_numeric_columns
-    from ..features.stack import StackModel, StackSpec, apply_stack, fit_stack
-    from ..serialize import (
-        learner_from_obj,
-        learner_to_obj,
-        load_json,
-        save_json,
-        stack_from_obj,
-        stack_to_obj,
-    )
-    from ..synth import write_synthetic_dataset
-    from ..validation import (
-        annual_trend,
-        fit_models,
-        fold_labels,
-        labelled_rows,
-        micro_f1,
-        pearson,
-        predict_proba,
-        predicted_classes,
-        run_cv,
-        write_oof_csv,
-        read_oof_csv,
-    )
+# The names the commands call beyond the imports above, by the module each
+# comes from (relative to this package); `np` is numpy itself.
+_FITTING_IMPORTS = {
+    "numpy": ("np",),
+    "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
+    "..features": ("N_CLASSES", "target_classes"),
+    "..features.pipeline": ("derived_numeric_columns",),
+    "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
+    "..metrics": ("annual_trend", "micro_f1", "pearson", "predicted_classes",
+                  "read_oof_csv", "write_oof_csv"),
+    "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
+                    "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
+    "..synth": ("write_synthetic_dataset",),
+    "..validation": ("fit_models", "fold_labels", "labelled_rows",
+                     "predict_proba", "run_cv"),
     # bench/tracing.py patches these names here, so they stay importable
-    from ..learners import fit_forest, fit_gbdt, predict_proba_forest  # noqa: F401
-    # every local name so far is one of the imports above
-    for name, value in list(locals().items()):
-        globals().setdefault(name, value)
+    "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),
+}
+_EVERY_NAME = tuple(name for names in _FITTING_IMPORTS.values() for name in names)
+
+# The names each command binds before it runs: ingest and report run on the
+# module-level imports alone, and the fitting stages need `validation`,
+# which loads every feature and learner module anyway.
+_COMMAND_NAMES = {
+    "synth": ("write_synthetic_dataset",),
+    "ingest": (),
+    "eda": ("np", "derived_numeric_columns", "pearson", "annual_trend"),
+    "features": _EVERY_NAME,
+    "cv": _EVERY_NAME,
+    "train": _EVERY_NAME,
+    "ensemble": ("np", "blend", "mean_blend", "optimize_weights", "micro_f1",
+                 "predicted_classes", "read_oof_csv", "write_oof_csv"),
+    "predict": _EVERY_NAME,
+    "report": (),
+}
+
+
+def _bind_names(names=_EVERY_NAME) -> None:
+    """Import `names` and bind each as an attribute of this module, unless
+    it is bound already: a name that a caller has patched keeps its patch.
+    Only the modules that define an unbound name are imported."""
+    for module_name, provided in _FITTING_IMPORTS.items():
+        wanted = [name for name in provided
+                  if name in names and name not in globals()]
+        if wanted:
+            module = importlib.import_module(module_name, __package__)
+            for name in wanted:
+                globals().setdefault(
+                    name, module if name == "np" else getattr(module, name))
 
 
 def __getattr__(name: str):
     # The import system probes dunder names such as __path__ (on
     # `from .commands import ...`); answering them must not load numpy.
     if not name.startswith("__"):
-        _bind_fitting_names()
+        _bind_names()
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -337,7 +348,8 @@ def cmd_train(config: RunConfig) -> None:
     `_refit_rounds` reads from `cv`, which must have dealt the folds this
     config deals. The manifest is removed before the first sidecar is
     written and written last, so a run that stops part way leaves no
-    manifest and `predict` refuses the mixed sidecars."""
+    manifest and `predict` refuses the mixed sidecars. Models that share a
+    feature stack get the same stack sidecar text, encoded once."""
     out = config.output_dir
     _require(out, FEATURES_CSV, CV_ROUNDS, CV_TRUTH)
     rounds = _refit_rounds(config)
@@ -353,14 +365,15 @@ def cmd_train(config: RunConfig) -> None:
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES,
                 "rounds": rounds}
     (out / TRAIN_MANIFEST).unlink(missing_ok=True)
-    reported = set()
+    sidecars = {}  # stack spec -> sidecar text: a shared stack encodes once
     for configured, (spec, stack, _, model) in zip(config.specs, fit_models(
             table, targets, np.ones(len(table), dtype=bool), labels,
             config.feature_config, specs, config.seed)):
-        if spec.stack not in reported:
-            reported.add(spec.stack)
+        if spec.stack not in sidecars:
+            sidecars[spec.stack] = json_text(stack_to_obj(stack))
             _note_diagnostics(stack, spec.model_id)
-        save_json(out / _stack_json(spec.model_id), stack_to_obj(stack))
+        with open_text(out / _stack_json(spec.model_id), "w") as fh:
+            fh.write(sidecars[spec.stack])
         save_json(out / _model_json(spec.model_id), learner_to_obj(model))
         boosted = (f", {spec.params.n_rounds} of {configured.params.n_rounds} "
                    "rounds" if spec.kind == "gbdt" else "")
@@ -586,8 +599,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     point turns into a one-line message and exit code 1."""
     if command not in COMMANDS:
         raise SkyglowError(f"unknown command: {command!r}")
-    if command not in _NUMPY_FREE_COMMANDS:
-        _bind_fitting_names()
+    _bind_names(_COMMAND_NAMES[command])
     config = load_config(config_path, out_override, seed_override,
                          require_inputs=(command != "synth"))
     out = config.output_dir

@@ -8,6 +8,9 @@ strictly-improving move of a sweep is taken, and sweeps repeat until no
 move improves. Restarting from the uniform point and from every corner
 makes the result at least as good as the mean blend and as every single
 model, by construction rather than by luck.
+
+The module scores blends with `skyglow.metrics` and imports no feature,
+learner or validation code, so the `ensemble` stage loads none of it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from .dataset import read_rows, write_rows
 from .errors import DimensionError, ParameterError
+from .metrics import micro_f1, predicted_classes
 from .specs import DEFAULT_STEP_SCHEDULE
-from .validation import micro_f1, predicted_classes
 
 _MAX_SWEEPS = 200
 WEIGHTS_HEADER = ("model_id", "weight")

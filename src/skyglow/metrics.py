@@ -1,0 +1,168 @@
+"""The micro-F1 metric family, the OOF prediction files, and the small
+descriptive analyses (Pearson correlation, annual trends as plain
+(year, mean) rows).
+
+Nothing here fits a model: the module imports numpy, `dataset` and
+`errors` alone, so `eda` and `ensemble` load no feature or learner code.
+`validation` re-imports every public name, so each is one object under
+both modules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .dataset import ObservationTable, read_rows, write_rows
+from .errors import (
+    EmptyInputError,
+    ParameterError,
+    SchemaError,
+    UndefinedCorrelationError,
+)
+
+# The leading columns of an OOF prediction file; one p_class_* column per
+# class follows.
+OOF_HEADER = ("row_id", "fold", "model_id")
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    micro_precision: float
+    micro_recall: float
+    micro_f1: float
+    confusion: np.ndarray          # [true, predicted]
+    per_fold_f1: tuple[float, ...] = ()
+
+    def write_csv(self, dest: str | Path) -> None:
+        write_rows(dest, ["kind", "key", "value"], [
+            ["metric", "micro_precision", self.micro_precision],
+            ["metric", "micro_recall", self.micro_recall],
+            ["metric", "micro_f1", self.micro_f1],
+            *(["fold_f1", i, f1] for i, f1 in enumerate(self.per_fold_f1))])
+
+    def write_confusion_csv(self, dest: str | Path) -> None:
+        n = self.confusion.shape[0]
+        write_rows(dest, ["true_class"] + [f"pred_{c}" for c in range(n)],
+                   ([c] + [int(v) for v in self.confusion[c]] for c in range(n)))
+
+
+def predicted_classes(probabilities: np.ndarray) -> np.ndarray:
+    """Argmax per row; ties go to the lowest class id."""
+    return np.argmax(probabilities, axis=1)
+
+
+def _checked_labels(predicted: np.ndarray,
+                    truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    predicted = np.asarray(predicted, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if predicted.shape != truth.shape or predicted.ndim != 1:
+        raise ParameterError(
+            f"prediction/truth shapes differ: {predicted.shape} vs {truth.shape}")
+    if len(predicted) == 0:
+        raise EmptyInputError("metrics need at least one prediction")
+    return predicted, truth
+
+
+def _micro_scores(tp: int, total: int) -> tuple[float, float, float]:
+    """Micro P, R and F1 from `tp` correct of `total` single-label
+    predictions: pooled false positives and false negatives both equal
+    total - tp."""
+    fp = fn = total - tp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def classification_metrics(predicted: np.ndarray, truth: np.ndarray,
+                           n_classes: int | None = None,
+                           per_fold_f1: tuple[float, ...] = ()) -> MetricsReport:
+    """Micro-averaged P/R/F1 from pooled counts, plus the confusion matrix.
+
+    For single-label multiclass data the pooled false positives equal the
+    pooled false negatives, so micro P = R = F1 = accuracy; the identity
+    is checked, not assumed.
+    """
+    predicted, truth = _checked_labels(predicted, truth)
+    if n_classes is None:
+        n_classes = int(max(predicted.max(), truth.max())) + 1
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (truth, predicted), 1)
+
+    tp = int(np.trace(confusion))
+    precision, recall, f1 = _micro_scores(tp, int(confusion.sum()))
+    accuracy = tp / len(predicted)
+    assert precision == recall == accuracy
+    assert abs(f1 - accuracy) < 1e-12
+    return MetricsReport(precision, recall, f1, confusion, per_fold_f1)
+
+
+def micro_f1(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """`classification_metrics(...).micro_f1`, counting only the correct
+    predictions."""
+    predicted, truth = _checked_labels(predicted, truth)
+    return _micro_scores(int(np.count_nonzero(predicted == truth)),
+                         len(predicted))[2]
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Product-moment correlation over complete pairs."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ParameterError(f"columns must be 1-D and equal length, got "
+                             f"{x.shape} vs {y.shape}")
+    complete = ~(np.isnan(x) | np.isnan(y))
+    x, y = x[complete], y[complete]
+    if len(x) < 2:
+        raise UndefinedCorrelationError(
+            f"need >= 2 complete pairs, found {len(x)}")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = float(np.sqrt((dx * dx).mean()))
+    sy = float(np.sqrt((dy * dy).mean()))
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedCorrelationError("zero variance in an input column")
+    return float((dx * dy).mean() / (sx * sy))
+
+
+def annual_trend(table: ObservationTable, field: str) -> list[tuple[int, float]]:
+    """(year, mean) rows, years ascending: the mean of a numeric field per
+    observation year, missing values dropped; years with no present values
+    are absent."""
+    values = table.numeric_column(field)
+    years = table.view.numeric["year"]
+    present = ~(np.isnan(values) | np.isnan(years))
+    found, group = np.unique(years[present], return_inverse=True)
+    sums = np.zeros(len(found))
+    np.add.at(sums, group, values[present])  # in row order, as a running sum
+    counts = np.bincount(group, minlength=len(found))
+    return [(int(year), float(total) / int(count))
+            for year, total, count in zip(found, sums, counts)]
+
+
+def write_oof_csv(dest: str | Path, row_ids: Sequence[str],
+                  folds: np.ndarray, model_id: str,
+                  probabilities: np.ndarray) -> None:
+    """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
+    n_classes = probabilities.shape[1]
+    write_rows(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
+               ([row_id, fold, model_id] + row.tolist()
+                for row_id, fold, row in zip(row_ids, folds.tolist(),
+                                             probabilities)))
+
+
+def read_oof_csv(source: str | Path):
+    """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
+    _, rows = read_rows(source, OOF_HEADER, lambda row: (
+        row[0], int(row[1]), row[2], [float(v) for v in row[3:]]), leading=True)
+    if len({row[2] for row in rows}) > 1:
+        raise SchemaError("mixed model ids in one OOF file")
+    return (tuple(row[0] for row in rows),
+            np.array([row[1] for row in rows], dtype=np.int64),
+            rows[0][2] if rows else None,
+            np.array([row[3] for row in rows]))

@@ -27,10 +27,14 @@ from .learners.gbdt import GbdtModel
 LEARNER_KINDS = {"gbdt": GbdtModel, "forest": ForestModel}
 
 
+def json_text(payload: dict) -> str:
+    """The text `save_json` writes for `payload`."""
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
 def save_json(path: str | Path, payload: dict) -> None:
     with open_text(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def load_json(path: str | Path) -> dict:

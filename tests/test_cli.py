@@ -717,6 +717,82 @@ def test_patched_command_names_reach_the_commands_in_a_fresh_process(config):
                      "cv ['fit_stack', 'run_cv']"]
 
 
+# The package modules each light stage must not load: the feature stack,
+# the learners, the sidecar codec, the generator and validation, which
+# imports them all. `ensemble` reads CSV only, so it loads no feature or
+# text code either.
+_FITTING = ("skyglow.validation", "skyglow.learners", "skyglow.features.stack",
+            "skyglow.serialize", "skyglow.synth")
+LIGHT_STAGE_BLOCKS = {
+    "eda": _FITTING + ("skyglow.ensemble",),
+    "ensemble": _FITTING + ("skyglow.features", "skyglow.textfeat"),
+}
+
+MODULE_BLOCKER = """\
+import sys
+
+
+class BlockModules:
+    def find_spec(self, name, path=None, target=None):
+        if any(name == b or name.startswith(b + ".") for b in {blocked!r}):
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockModules())
+"""
+
+
+@pytest.mark.parametrize("stage", sorted(LIGHT_STAGE_BLOCKS))
+def test_light_stages_load_no_fitting_code(tmp_path, config, stage):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index(stage)]:
+        assert dispatch(command, config) == 0, command
+    before = tmp_path / "before"
+    shutil.copytree(out, before)
+    assert dispatch(stage, config) == 0
+    unblocked = digests(out)
+
+    shutil.rmtree(out)
+    shutil.copytree(before, out)
+    blocked = LIGHT_STAGE_BLOCKS[stage]
+    lines = _run_python(
+        MODULE_BLOCKER.format(blocked=blocked)
+        + "from skyglow.cli.main import main\n"
+        + f"assert main([{stage!r}, '--config', {config!r}]) == 0\n"
+        + f"for name in {blocked!r}:\n"
+        + "    try:\n"
+        + "        __import__(name)\n"
+        + "    except ImportError:\n"
+        + "        print('blocked', name)\n")
+    assert lines == [f"blocked {name}" for name in blocked]
+    assert digests(out) == unblocked
+
+
+def test_patched_light_stage_names_reach_the_commands(config):
+    # a name patched before the first dispatch is the name the light
+    # stage calls: its own binding keeps the patch
+    lines = _run_python(
+        "from skyglow.cli import commands\n"
+        "from skyglow.cli.commands import dispatch\n"
+        "from skyglow.ensemble import optimize_weights\n"
+        "from skyglow.metrics import pearson\n"
+        "called = []\n"
+        "def patch(name, original):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        return original(*args, **kwargs)\n"
+        "    setattr(commands, name, wrapper)\n"
+        "patch('pearson', pearson)\n"
+        "patch('optimize_weights', optimize_weights)\n"
+        "for command in ('synth', 'ingest', 'eda', 'features', 'cv', 'ensemble'):\n"
+        f"    assert dispatch(command, {config!r}) == 0, command\n"
+        "    print(command, sorted(set(called)))\n")
+    assert lines == ["synth []", "ingest []", "eda ['pearson']",
+                     "features ['pearson']", "cv ['pearson']",
+                     "ensemble ['optimize_weights', 'pearson']"]
+
+
 @pytest.mark.parametrize("name, owners", [
     ("LearnerParams", ("learners", "learners.params", "learners.gbdt",
                        "learners.forest", "cli.config")),

@@ -1,0 +1,75 @@
+"""`eda` and `ensemble` run on numpy, `dataset` and the metric helpers of
+`skyglow.metrics`, and load no feature-stack, learner or sidecar code.
+This test keeps those modules light: neither `metrics` nor `ensemble`
+imports a fitting module, at module level or inside a function. It also
+checks that the names `validation` re-imports from `metrics` are one
+object under both modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from skyglow import ensemble, metrics, validation
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skyglow"
+LIGHT_MODULES = ("metrics.py", "ensemble.py")
+FITTING_MODULES = {"validation", "features", "learners", "serialize", "synth",
+                   "textfeat"}
+MOVED_NAMES = ("OOF_HEADER", "MetricsReport", "classification_metrics",
+               "micro_f1", "predicted_classes", "pearson", "annual_trend",
+               "write_oof_csv", "read_oof_csv")
+
+
+def _fitting_imports(tree: ast.AST) -> list[str]:
+    """The fitting modules that a top-level module of the package imports,
+    as full dotted names, each with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("skyglow." if node.level else "") + (node.module or "")
+            # `from . import x` and `from skyglow import x` name submodules
+            names = ([f"skyglow.{alias.name}" for alias in node.names]
+                     if module.rstrip(".") == "skyglow" else [module])
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if _is_fitting(name)]
+    return found
+
+
+def _is_fitting(name: str) -> bool:
+    package, _, submodule = name.partition(".")
+    return package == "skyglow" and submodule.split(".")[0] in FITTING_MODULES
+
+
+@pytest.mark.parametrize("name", LIGHT_MODULES)
+def test_light_modules_import_no_fitting_module(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    assert _fitting_imports(tree) == []
+
+
+def test_scan_finds_every_import_form():
+    source = ("from .validation import micro_f1\n"
+              "import numpy, skyglow.learners.gbdt as gbdt\n"
+              "def f():\n"
+              "    from .features.stack import fit_stack\n"
+              "from . import serialize, dataset\n"
+              "from skyglow import synth\n"
+              "from skyglow.textfeat import fit_text_features\n"
+              "from .dataset import write_rows\n"
+              "from .validations import x\n"
+              "import skyglowx.validation\n")
+    assert _fitting_imports(ast.parse(source)) == [
+        "line 1: skyglow.validation", "line 2: skyglow.learners.gbdt",
+        "line 5: skyglow.serialize", "line 6: skyglow.synth",
+        "line 7: skyglow.textfeat", "line 4: skyglow.features.stack"]
+
+
+def test_moved_metric_names_are_one_object_under_every_import_path():
+    for name in MOVED_NAMES:
+        assert getattr(validation, name) is getattr(metrics, name), name
+    assert ensemble.micro_f1 is metrics.micro_f1
+    assert ensemble.predicted_classes is metrics.predicted_classes
