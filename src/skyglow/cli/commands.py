@@ -55,9 +55,9 @@ from .svg import bar_chart_svg, line_chart_svg, write_svg
 # comes from (relative to this package); `np` is numpy itself.
 _FITTING_IMPORTS = {
     "numpy": ("np",),
+    "..columnview": ("derived_numeric_columns",),
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
     "..features": ("N_CLASSES", "target_classes"),
-    "..features.pipeline": ("derived_numeric_columns",),
     "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
     "..metrics": ("annual_trend", "micro_f1", "pearson", "predicted_classes",
                   "read_oof_csv", "write_oof_csv"),

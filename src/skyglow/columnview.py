@@ -21,6 +21,7 @@ from .dataset import (
     _NIGHT,
     COMMENT_FIELDS,
     NUMERIC_FIELDS,
+    ObservationTable,
 )
 
 # Day part of each interval between the boundaries, for searchsorted.
@@ -105,3 +106,9 @@ def derive_view(columns: dict[str, tuple]) -> ColumnView:
     missing = {name: np.isnan(col) for name, col in numeric.items()}
     missing.update((name, np.equal(col, None)) for name, col in categorical.items())
     return ColumnView(numeric, categorical, tokens, missing)
+
+
+def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
+    """Raw numeric fields, population and time parts, NaN-coded: the
+    numeric columns of the table's view."""
+    return table.view.numeric

@@ -54,12 +54,6 @@ def target_classes(table: ObservationTable) -> np.ndarray:
     return out
 
 
-def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
-    """Raw numeric fields, population and time parts, NaN-coded: the
-    numeric columns of the table's view."""
-    return table.view.numeric
-
-
 @dataclass(frozen=True)
 class NumericStats:
     column: str

@@ -49,6 +49,7 @@ class BinnedMatrix:
     total_bins: int
     positions: np.ndarray             # codes + offsets: each cell's histogram entry
     counts: np.ndarray                # count histogram of every row
+    bin_feature: np.ndarray           # feature of each histogram entry
 
     @property
     def n_rows(self) -> int:
@@ -109,4 +110,6 @@ def bin_matrix(X: np.ndarray, max_bins: int) -> BinnedMatrix:
     positions = codes + offsets[None, :]
     total_bins = int(n_bins.sum())
     counts = np.bincount(positions.ravel(), minlength=total_bins).astype(float)
-    return BinnedMatrix(codes, edges, n_bins, offsets, total_bins, positions, counts)
+    bin_feature = np.repeat(np.arange(X.shape[1]), n_bins)
+    return BinnedMatrix(codes, edges, n_bins, offsets, total_bins, positions,
+                        counts, bin_feature)

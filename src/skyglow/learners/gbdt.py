@@ -28,8 +28,9 @@ gain is the same expression of the same running sums, and the argmax over
 the feasible positions in order is the lowest-position maximum, as over
 the full array with the rest masked. Empty bins are not skipped. The
 running sums are one cumulative sum over the whole flattened histogram,
-so their bits depend on every entry before them, and a sibling histogram
-made by subtraction can hold a rounding residue in a bin no row falls in.
+less the sum before each feature, so their bits depend on every entry
+before them, and a sibling histogram made by subtraction can hold a
+rounding residue in a bin no row falls in.
 
 Trees are traversed by partition: each internal node splits the row
 indices that reach it (`leaf_nodes`), so a row meets the same comparisons
@@ -65,7 +66,12 @@ def log_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
 def softmax_gradient_hessian(scores: np.ndarray,
                              labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row, per-class d/ds and d2/ds2 of multiclass log-loss."""
-    p = softmax(scores)
+    return _gradient_hessian(softmax(scores), labels)
+
+
+def _gradient_hessian(p: np.ndarray,
+                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softmax_gradient_hessian from the probabilities p = softmax(scores)."""
     g = p.copy()
     g[np.arange(len(labels)), labels] -= 1.0
     h = p * (1.0 - p)
@@ -153,21 +159,6 @@ def _splittable_mask(binned: BinnedMatrix) -> np.ndarray:
     return mask
 
 
-def running_sums(hists: np.ndarray, offsets: np.ndarray,
-                 n_bins: np.ndarray) -> np.ndarray:
-    """Per-feature running sums of stacked flattened histograms.
-
-    `hists` holds one histogram per row (gradient, hessian and count) in
-    the layout `offsets`/`n_bins` describe. Entry [s, offsets[j] + b] of
-    the result sums row s over bins 0..b of feature j, i.e. the left side
-    of a split of feature j after bin b.
-    """
-    total = np.cumsum(hists, axis=1)
-    base = np.concatenate(
-        [np.zeros((len(total), 1)), total[:, offsets[1:] - 1]], axis=1)
-    return total - np.repeat(base, n_bins, axis=1)
-
-
 def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     """Highest-gain (feature, bin) for one node, or None, from its stacked
     gradient, hessian and count histograms and their totals.
@@ -179,7 +170,14 @@ def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     """
     total_g, total_h, total_c = totals
     lam = params.l2_regularization
-    gl, hl, cl = running_sums(hists, binned.offsets, binned.n_bins)
+    # Entry offsets[j] + b of a row's running sum, less the sum before
+    # feature j, is the sum over bins 0..b of feature j: the left side of
+    # a split of feature j after bin b.
+    running = np.cumsum(hists, axis=1)
+    base = np.zeros((3, binned.n_features))
+    base[:, 1:] = running[:, binned.offsets[1:] - 1]
+    running -= np.repeat(base, binned.n_bins, axis=1)
+    gl, hl, cl = running
     valid = (splittable & (cl >= params.min_samples_leaf)
              & (total_c - cl >= params.min_samples_leaf))
     feasible = np.flatnonzero(valid)
@@ -195,7 +193,7 @@ def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     if not gains[i] >= 0.0:
         return None
     k = int(feasible[i])
-    j = int(np.searchsorted(binned.offsets, k, side="right") - 1)
+    j = int(binned.bin_feature[k])
     t = k - int(binned.offsets[j])
     return gains[i], j, t, (float(gl[i]), float(hl[i]), float(cl[k]))
 
@@ -359,8 +357,11 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     zero.add_node(0.0)
     zero_tree = zero.freeze(RegressionTree)
 
+    # the softmax that scores a round's train loss is the next round's
+    # gradient input
+    probabilities = softmax(scores)
     for round_no in range(params.n_rounds):
-        g, h = softmax_gradient_hessian(scores, y)
+        g, h = _gradient_hessian(probabilities, y)
         round_trees = []
         for c in range(n_classes):
             if class_rows[c]:
@@ -370,7 +371,8 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
             round_trees.append(tree)
             scores[:, c] += tree.predict(X)
         rounds.append(tuple(round_trees))
-        train_losses.append(log_loss(softmax(scores), y))
+        probabilities = softmax(scores)
+        train_losses.append(log_loss(probabilities, y))
 
         if validation is not None:
             for c, tree in enumerate(round_trees):

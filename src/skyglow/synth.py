@@ -10,13 +10,11 @@ so emitted reports land within 1/n of the configured fractions.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
-    ObservationRecord,
     ObservationTable,
     PopulationRecord,
     PopulationTable,
@@ -91,33 +89,46 @@ def _spread_rest(total: float, count: int) -> list[float]:
     return raw.tolist()
 
 
+def _unless_missing(values: np.ndarray, missing: np.ndarray) -> tuple:
+    """`values` as Python floats, None where `missing` is set."""
+    return tuple(None if gap else value
+                 for gap, value in zip(missing.tolist(), values.tolist()))
+
+
 def generate_observations(config: SynthConfig) -> ObservationTable:
+    """The synthetic table for `config`, drawn column by column from one
+    seeded stream. Each column draw takes the values that one scalar call
+    per row would, in the same order: an array `loc` or bounds draw its
+    elements in row-major order. Only the comments are drawn row by row,
+    since each `choice` takes a size drawn just before it."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     n = config.n_rows
 
     classes = _quota_labels(rng, n, [(c, 0.25) for c in _CLASS_IDS])
-    lat = np.array([rng.normal(_LAT_CENTERS[c], 3.0) for c in classes])
-    lon = np.array([rng.normal(_LON_CENTERS[c], 3.0) for c in classes])
+    lat = rng.normal([_LAT_CENTERS[c] for c in classes], 3.0)
+    lon = rng.normal([_LON_CENTERS[c] for c in classes], 3.0)
     lat = np.clip(lat, -85.0, 85.0)
     lon = np.clip(lon, -175.0, 175.0)
-    elevation = np.array([rng.normal(_ELEV_CENTERS[c], 40.0) for c in classes])
-    reading = np.array([rng.normal(_READING_CENTERS[c], 0.3) for c in classes])
-    magnitude = np.array([c + rng.uniform(-0.2, 0.2) for c in classes])
+    elevation = rng.normal([_ELEV_CENTERS[c] for c in classes], 40.0)
+    reading = rng.normal([_READING_CENTERS[c] for c in classes], 0.3)
+    magnitude = np.array(classes) + rng.uniform(-0.2, 0.2, size=n)
 
     dayparts = _quota_labels(rng, n, [("evening", config.share_evening)] + list(
         zip(_DAYPART_REST, _spread_rest(1.0 - config.share_evening,
                                         len(_DAYPART_REST)))))
     years = rng.integers(POPULATION_YEARS[0], POPULATION_YEARS[-1] + 1, size=n)
     day_of_year = rng.integers(1, 366, size=n)
-    times = []
-    for i in range(n):
-        low, high = _DAYPART_WINDOWS[dayparts[i]]
-        hour = int(rng.integers(low, high)) % 24
-        minute = int(rng.integers(0, 60))
-        second = int(rng.integers(0, 60))
-        times.append(datetime(int(years[i]), 1, 1)
-                     + timedelta(days=int(day_of_year[i]) - 1,
-                                 hours=hour, minutes=minute, seconds=second))
+    # (hour, minute, second) bounds, one row per observation; the hour
+    # window of "night" runs past midnight
+    low = np.zeros((n, 3), dtype=np.int64)
+    high = np.full((n, 3), 60, dtype=np.int64)
+    low[:, 0], high[:, 0] = np.array([_DAYPART_WINDOWS[p] for p in dayparts]).T
+    clock = rng.integers(low, high)
+    clock[:, 0] %= 24
+    seconds = (day_of_year - 1) * 86400 + clock @ [3600, 60, 1]
+    # datetime64 counts years from 1970
+    times = ((years - 1970).astype("datetime64[Y]").astype("datetime64[s]")
+             + seconds.astype("timedelta64[s]"))
 
     sensor_types = _quota_labels(rng, n, [("GAN", config.share_type_gan)] + list(
         zip(_TYPES_REST, _spread_rest(1.0 - config.share_type_gan,
@@ -147,7 +158,8 @@ def generate_observations(config: SynthConfig) -> ObservationTable:
     countries = rng.choice(np.array(_COUNTRIES, dtype=object), size=n,
                            p=[0.30, 0.25, 0.15, 0.12, 0.10, 0.08])
 
-    records = []
+    comments_1: list[str | None] = []
+    comments_2: list[str | None] = []
     for i in range(n):
         words = _SKY_WORDS[classes[i]]
         com1 = None
@@ -160,23 +172,29 @@ def generate_observations(config: SynthConfig) -> ObservationTable:
             picked = rng.choice(len(_PLACE_WORDS), size=int(rng.integers(2, 4)),
                                 replace=False)
             com2 = " ".join(_PLACE_WORDS[j] for j in picked)
-        records.append(ObservationRecord(
-            id=f"syn-{i + 1:06d}",
-            time=times[i],
-            time_zone=float(np.round(lon[i] / 15.0)),
-            country=str(countries[i]),
-            latitude=float(lat[i]),
-            longitude=float(lon[i]),
-            elevation_m=float(elevation[i]),
-            sensor_type=str(sensor_types[i]),
-            sensor_reading=None if reading_missing[i] else float(reading[i]),
-            clouds=str(clouds[i]),
-            constellation=constellation[i],
-            comment_1=com1,
-            comment_2=com2,
-            limiting_magnitude=None if target_missing[i] else float(magnitude[i]),
-        ))
-    return ObservationTable(records)
+        comments_1.append(com1)
+        comments_2.append(com2)
+
+    unjoined = (None,) * n
+    # the ids syn-000001, syn-000002, ... are unique by construction
+    return ObservationTable._from_columns({
+        "id": tuple(f"syn-{i + 1:06d}" for i in range(n)),
+        "time": tuple(times.tolist()),
+        "time_zone": tuple(np.round(lon / 15.0).tolist()),
+        "country": tuple(countries.tolist()),
+        "latitude": tuple(lat.tolist()),
+        "longitude": tuple(lon.tolist()),
+        "elevation_m": tuple(elevation.tolist()),
+        "sensor_type": tuple(sensor_types),
+        "sensor_reading": _unless_missing(reading, reading_missing),
+        "clouds": tuple(clouds),
+        "constellation": tuple(constellation),
+        "comment_1": tuple(comments_1),
+        "comment_2": tuple(comments_2),
+        "limiting_magnitude": _unless_missing(magnitude, target_missing),
+        "population": unjoined,
+        "population_matched": unjoined,
+    })
 
 
 def generate_population() -> PopulationTable:

@@ -9,9 +9,34 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import replace
+from datetime import datetime, timedelta
 from itertools import combinations
 
 import numpy as np
+
+from skyglow.dataset import (
+    ObservationRecord,
+    ObservationTable,
+    POPULATION_YEARS,
+)
+from skyglow.synth import (
+    _CLASS_IDS,
+    _CLOUDS_REST,
+    _CONSTELLATIONS_REST,
+    _COUNTRIES,
+    _DAYPART_REST,
+    _DAYPART_WINDOWS,
+    _ELEV_CENTERS,
+    _LAT_CENTERS,
+    _LON_CENTERS,
+    _PLACE_WORDS,
+    _READING_CENTERS,
+    _SKY_WORDS,
+    _TYPES_REST,
+    _missing_mask,
+    _quota_labels,
+    _spread_rest,
+)
 
 
 def tokenize_oracle(text: str | None) -> list[str]:
@@ -427,3 +452,94 @@ def grid_weight_search(matrices, truth, step: float = 0.01):
         if f1 > best_f1:
             best_f1, best_w = f1, w
     return best_f1, best_w
+
+
+def row_by_row_observations(config):
+    """The synthetic observation table drawn one row at a time, one scalar
+    RNG call per value, built from one ObservationRecord per row: the
+    generator `synth.generate_observations` replaced, kept verbatim."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    n = config.n_rows
+
+    classes = _quota_labels(rng, n, [(c, 0.25) for c in _CLASS_IDS])
+    lat = np.array([rng.normal(_LAT_CENTERS[c], 3.0) for c in classes])
+    lon = np.array([rng.normal(_LON_CENTERS[c], 3.0) for c in classes])
+    lat = np.clip(lat, -85.0, 85.0)
+    lon = np.clip(lon, -175.0, 175.0)
+    elevation = np.array([rng.normal(_ELEV_CENTERS[c], 40.0) for c in classes])
+    reading = np.array([rng.normal(_READING_CENTERS[c], 0.3) for c in classes])
+    magnitude = np.array([c + rng.uniform(-0.2, 0.2) for c in classes])
+
+    dayparts = _quota_labels(rng, n, [("evening", config.share_evening)] + list(
+        zip(_DAYPART_REST, _spread_rest(1.0 - config.share_evening,
+                                        len(_DAYPART_REST)))))
+    years = rng.integers(POPULATION_YEARS[0], POPULATION_YEARS[-1] + 1, size=n)
+    day_of_year = rng.integers(1, 366, size=n)
+    times = []
+    for i in range(n):
+        low, high = _DAYPART_WINDOWS[dayparts[i]]
+        hour = int(rng.integers(low, high)) % 24
+        minute = int(rng.integers(0, 60))
+        second = int(rng.integers(0, 60))
+        times.append(datetime(int(years[i]), 1, 1)
+                     + timedelta(days=int(day_of_year[i]) - 1,
+                                 hours=hour, minutes=minute, seconds=second))
+
+    sensor_types = _quota_labels(rng, n, [("GAN", config.share_type_gan)] + list(
+        zip(_TYPES_REST, _spread_rest(1.0 - config.share_type_gan,
+                                      len(_TYPES_REST)))))
+    clouds = _quota_labels(rng, n, [("clear", config.share_clouds_clear)] + list(
+        zip(_CLOUDS_REST, _spread_rest(1.0 - config.share_clouds_clear,
+                                       len(_CLOUDS_REST)))))
+
+    # constellation shares apply to PRESENT rows, so draw the mask first
+    constellation_missing = _missing_mask(rng, n, config.missing_constellation)
+    n_present = int((~constellation_missing).sum())
+    present_labels = _quota_labels(
+        rng, n_present,
+        [("Orion", config.share_constellation_orion)] + list(
+            zip(_CONSTELLATIONS_REST,
+                _spread_rest(1.0 - config.share_constellation_orion,
+                             len(_CONSTELLATIONS_REST)))))
+    constellation: list[str | None] = []
+    feed = iter(present_labels)
+    for missing in constellation_missing:
+        constellation.append(None if missing else next(feed))
+
+    reading_missing = _missing_mask(rng, n, config.missing_sensor_reading)
+    comment_1_missing = _missing_mask(rng, n, config.missing_comment_1)
+    comment_2_missing = _missing_mask(rng, n, config.missing_comment_2)
+    target_missing = _missing_mask(rng, n, config.missing_target)
+    countries = rng.choice(np.array(_COUNTRIES, dtype=object), size=n,
+                           p=[0.30, 0.25, 0.15, 0.12, 0.10, 0.08])
+
+    records = []
+    for i in range(n):
+        words = _SKY_WORDS[classes[i]]
+        com1 = None
+        if not comment_1_missing[i]:
+            picked = rng.choice(len(words), size=int(rng.integers(3, 6)),
+                                replace=False)
+            com1 = " ".join(words[j] for j in picked)
+        com2 = None
+        if not comment_2_missing[i]:
+            picked = rng.choice(len(_PLACE_WORDS), size=int(rng.integers(2, 4)),
+                                replace=False)
+            com2 = " ".join(_PLACE_WORDS[j] for j in picked)
+        records.append(ObservationRecord(
+            id=f"syn-{i + 1:06d}",
+            time=times[i],
+            time_zone=float(np.round(lon[i] / 15.0)),
+            country=str(countries[i]),
+            latitude=float(lat[i]),
+            longitude=float(lon[i]),
+            elevation_m=float(elevation[i]),
+            sensor_type=str(sensor_types[i]),
+            sensor_reading=None if reading_missing[i] else float(reading[i]),
+            clouds=str(clouds[i]),
+            constellation=constellation[i],
+            comment_1=com1,
+            comment_2=com2,
+            limiting_magnitude=None if target_missing[i] else float(magnitude[i]),
+        ))
+    return ObservationTable(records)

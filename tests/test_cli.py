@@ -719,12 +719,13 @@ def test_patched_command_names_reach_the_commands_in_a_fresh_process(config):
 
 # The package modules each light stage must not load: the feature stack,
 # the learners, the sidecar codec, the generator and validation, which
-# imports them all. `ensemble` reads CSV only, so it loads no feature or
-# text code either.
+# imports them all. `eda` reads the column view, so it loads no feature
+# code at all; `ensemble` reads CSV only, so it loads no feature or text
+# code either.
 _FITTING = ("skyglow.validation", "skyglow.learners", "skyglow.features.stack",
             "skyglow.serialize", "skyglow.synth")
 LIGHT_STAGE_BLOCKS = {
-    "eda": _FITTING + ("skyglow.ensemble",),
+    "eda": _FITTING + ("skyglow.ensemble", "skyglow.features"),
     "ensemble": _FITTING + ("skyglow.features", "skyglow.textfeat"),
 }
 

@@ -1,13 +1,20 @@
+from dataclasses import fields
+from datetime import datetime
+
 import pytest
 
+from oracles import row_by_row_observations
 from skyglow.dataset import (
     category_distribution,
     join_population,
     missingness_report,
+    ObservationRecord,
+    ObservationTable,
     parse_observations,
     parse_population,
     POPULATION_YEARS,
     time_of_day_category,
+    write_observations,
 )
 from skyglow.errors import ParameterError
 from skyglow.features.pipeline import bin_target
@@ -101,6 +108,42 @@ def test_row_ids_unique_and_sequential():
     assert len(set(ids)) == len(ids)
     assert ids[0] == "syn-000001"
     assert ids[-1] == f"syn-{CONFIG.n_rows:06d}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_wise_table_equals_the_tables_built_from_records(seed):
+    config = SynthConfig(n_rows=150, seed=seed)
+    table = generate_observations(config)
+    assert len({rec.id for rec in table}) == len(table) == 150
+    # one ObservationRecord per row: rebuilt from this table's records
+    # (which raises on a duplicate id), and drawn by the old generator
+    for other in (ObservationTable(list(table)), row_by_row_observations(config)):
+        assert len(other) == len(table)
+        for record, again in zip(table, other):
+            for field in fields(ObservationRecord):
+                assert getattr(record, field.name) == getattr(again, field.name)
+    for record in table:
+        for field in fields(ObservationRecord):
+            value = getattr(record, field.name)
+            # plain Python values, never numpy scalars
+            assert value is None or type(value) in (float, str, datetime), \
+                (field.name, type(value))
+        assert record.population is None
+        assert record.population_matched is None
+
+
+# Quota edge cases show at the smallest sizes; 2000 rows is the benchmark's.
+@pytest.mark.parametrize("n_rows, n_seeds", [(8, 40), (9, 40), (150, 40), (2000, 5)])
+def test_written_csvs_match_the_row_by_row_generator(tmp_path, n_rows, n_seeds):
+    for seed in range(n_seeds):
+        config = SynthConfig(n_rows=n_rows, seed=seed)
+        write_synthetic_dataset(tmp_path / "obs.csv", tmp_path / "pop.csv", config)
+        write_observations(row_by_row_observations(config), tmp_path / "obs_oracle.csv")
+        write_population_census(generate_population(), tmp_path / "pop_oracle.csv")
+        assert ((tmp_path / "obs.csv").read_bytes()
+                == (tmp_path / "obs_oracle.csv").read_bytes()), (n_rows, seed)
+        assert ((tmp_path / "pop.csv").read_bytes()
+                == (tmp_path / "pop_oracle.csv").read_bytes()), (n_rows, seed)
 
 
 def test_census_growth_and_round_trip(tmp_path):
