@@ -3,16 +3,16 @@ over the library modules. Every command reads its inputs from files, writes
 its artifacts into the output directory, and is byte-for-byte idempotent
 for a fixed config and seed. Diagnostics go to stderr only.
 
-`ingest` and `report` only read and write CSV and SVG, and run on the
-modules imported below, which load no numpy. The names the other commands
-call (numpy, the feature, learner, metric, validation, ensemble and sidecar
-code) are bound as attributes of this module by `_bind_names`, which
-`dispatch` calls before a command with the names that command calls
-(`_COMMAND_NAMES`): `eda` and `ensemble` load numpy and the metric helpers
-but no learner or feature-stack code. A first lookup of an unbound
-attribute binds every name (`__getattr__`). Either way each name is looked
-up here when a command runs, so patching `commands.<name>` reaches every
-command.
+`ingest`, `eda` and `report` only read and write CSV and SVG and compute
+pure-Python statistics, and run on the modules imported below, which load
+no numpy. The names the other commands call (numpy, the feature, learner,
+metric, validation, ensemble and sidecar code) are bound as attributes of
+this module by `_bind_names`, which `dispatch` calls before a command with
+the names that command calls (`_COMMAND_NAMES`): `ensemble` loads numpy
+and the metric helpers but no learner or feature-stack code. A first
+lookup of an unbound attribute binds every name (`__getattr__`). Either
+way each name is looked up here when a command runs, so patching
+`commands.<name>` reaches every command.
 """
 
 from __future__ import annotations
@@ -27,12 +27,15 @@ from pathlib import Path
 
 from ..dataset import (
     ObservationTable,
+    annual_trend,
     category_distribution,
+    derived_numeric_columns,
     join_population,
     missingness_report,
     open_text,
     parse_observations,
     parse_population,
+    pearson,
     read_population_long,
     read_rows,
     unfinished_files,
@@ -55,12 +58,11 @@ from .svg import bar_chart_svg, line_chart_svg, write_svg
 # comes from (relative to this package); `np` is numpy itself.
 _FITTING_IMPORTS = {
     "numpy": ("np",),
-    "..columnview": ("derived_numeric_columns",),
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
     "..features": ("N_CLASSES", "target_classes"),
     "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
-    "..metrics": ("annual_trend", "micro_f1", "pearson", "predicted_classes",
-                  "read_oof_csv", "write_oof_csv"),
+    "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
+                  "write_oof_csv"),
     "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
                     "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
     "..synth": ("write_synthetic_dataset",),
@@ -71,13 +73,13 @@ _FITTING_IMPORTS = {
 }
 _EVERY_NAME = tuple(name for names in _FITTING_IMPORTS.values() for name in names)
 
-# The names each command binds before it runs: ingest and report run on the
-# module-level imports alone, and the fitting stages need `validation`,
-# which loads every feature and learner module anyway.
+# The names each command binds before it runs: ingest, eda and report run
+# on the module-level imports alone, and the fitting stages need
+# `validation`, which loads every feature and learner module anyway.
 _COMMAND_NAMES = {
     "synth": ("write_synthetic_dataset",),
     "ingest": (),
-    "eda": ("np", "derived_numeric_columns", "pearson", "annual_trend"),
+    "eda": (),
     "features": _EVERY_NAME,
     "cv": _EVERY_NAME,
     "train": _EVERY_NAME,
@@ -248,7 +250,8 @@ def cmd_eda(config: RunConfig) -> None:
     rows = []
     for field in CORRELATION_FIELDS:
         column = numeric[field]
-        pairs = int((~(np.isnan(column) | np.isnan(target))).sum())
+        pairs = sum(a is not None and b is not None
+                    for a, b in zip(column, target))
         try:
             rows.append([field, pearson(column, target), pairs, ""])
         except UndefinedCorrelationError as exc:

@@ -2,8 +2,9 @@
 derived once from the table's columns as numpy arrays.
 
 `ObservationTable.view` imports this module on first use, so `dataset`
-itself imports no numpy, and the CLI stages that only parse and write
-tables (`ingest`, `report`) never load it.
+itself imports no numpy. The view is the input of the feature stack; the
+CLI stages that parse, describe and write tables (`ingest`, `eda`,
+`report`) read the table's columns directly and never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .dataset import (
     _NIGHT,
     COMMENT_FIELDS,
     NUMERIC_FIELDS,
-    ObservationTable,
 )
 
 # Day part of each interval between the boundaries, for searchsorted.
@@ -107,8 +107,3 @@ def derive_view(columns: dict[str, tuple]) -> ColumnView:
     missing.update((name, np.equal(col, None)) for name, col in categorical.items())
     return ColumnView(numeric, categorical, tokens, missing)
 
-
-def derived_numeric_columns(table: ObservationTable) -> dict[str, np.ndarray]:
-    """Raw numeric fields, population and time parts, NaN-coded: the
-    numeric columns of the table's view."""
-    return table.view.numeric

@@ -12,10 +12,16 @@ columns, the join adds the population columns and shares the others, and
 the reports and writer read the columns; records are built only when a
 caller asks for them.
 
+The `eda` statistics live here too: the None-coded numeric columns with
+the time parts (`derived_numeric_columns`), Pearson correlation over
+complete pairs and the annual means of a field. Each sum runs in the order
+numpy's `np.add.reduce` takes on a contiguous float64 array
+(`pairwise_sum`), so every result is the float the numpy formulation gives.
+
 This module is pure Python. A table's column view (`ObservationTable.view`:
 every label-free column as a numpy array, derived once) comes from
-`columnview`, imported on first use, so parsing and writing a table loads
-no numpy.
+`columnview`, imported on first use, so parsing and writing a table and
+every report and statistic here load no numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import compress
 from datetime import datetime
-from operator import attrgetter, itemgetter
+from functools import reduce
+from operator import add, attrgetter, itemgetter, mul
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -39,6 +46,7 @@ from .errors import (
     RowError,
     SchemaError,
     TimestampError,
+    UndefinedCorrelationError,
     UnknownFieldError,
 )
 
@@ -238,9 +246,13 @@ class ObservationTable:
 
     def numeric_column(self, field: str) -> np.ndarray:
         """Field values as float64, NaN where missing (read-only)."""
-        if field not in NUMERIC_FIELDS and field != "population":
-            raise UnknownFieldError(f"not a numeric field: {field!r}")
+        _check_numeric(field)
         return self.view.numeric[field]
+
+
+def _check_numeric(field: str) -> None:
+    if field not in NUMERIC_FIELDS and field != "population":
+        raise UnknownFieldError(f"not a numeric field: {field!r}")
 
 
 @contextmanager
@@ -591,10 +603,108 @@ def category_distribution(table: ObservationTable,
     if field not in CATEGORICAL_REPORT_FIELDS:
         raise UnknownFieldError(
             f"field {field!r} is not categorical; expected one of {CATEGORICAL_REPORT_FIELDS}")
-    values = table.view.categorical[field][~table.view.missing[field]]
+    if field == "time_of_day_category":
+        values = [time_of_day_category(ts) for ts in table._columns["time"]
+                  if ts is not None]
+    else:
+        values = [value for value in table._columns[field] if value is not None]
     counts: dict[str, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
     total = len(values)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(cat, n, n / total) for cat, n in ordered]
+
+
+# Runs of at most this many values are summed with eight running sums;
+# longer ones are split in two (numpy's PW_BLOCKSIZE).
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise(values: Sequence[float], start: int, stop: int) -> float:
+    n = stop - start
+    if n < 8:
+        return reduce(add, values[start:stop], 0.0)
+    if n <= _PAIRWISE_BLOCK:
+        tail = stop - n % 8
+        r = [reduce(add, values[start + lane:tail:8]) for lane in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:stop], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, start, start + half) + _pairwise(values, start + half, stop)
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of `values` in the order `np.add.reduce` takes on a
+    contiguous float64 array, so the two are the same float: fewer than 8
+    values are added in sequence to 0.0; up to 128 go into eight running
+    sums (value i into sum i % 8), which are added pairwise, and then the
+    values past the last multiple of 8 in sequence; a longer run is split
+    in two at a multiple of 8 below its middle and each half summed so."""
+    return _pairwise(values, 0, len(values))
+
+
+def _mean(values: Sequence[float]) -> float:
+    return pairwise_sum(values) / len(values)
+
+
+def derived_numeric_columns(
+        table: ObservationTable) -> dict[str, tuple[float | None, ...]]:
+    """The raw numeric fields, population and TIME_PARTS by name, as
+    row-aligned tuples of floats with None where a value is missing. The
+    time parts come from `decompose_time` and `epoch_seconds`, and are
+    missing where the time is; the other columns are the table's own."""
+    columns = table._columns
+    numeric = {name: columns[name] for name in NUMERIC_FIELDS + ("population",)}
+    parts = [None if ts is None else decompose_time(ts) for ts in columns["time"]]
+    for name in TIME_PARTS[:-1]:  # the TimeFeatures fields; epoch_time is last
+        numeric[name] = tuple(None if part is None else float(getattr(part, name))
+                              for part in parts)
+    numeric["epoch_time"] = tuple(
+        None if ts is None else epoch_seconds(ts, zone)
+        for ts, zone in zip(columns["time"], columns["time_zone"]))
+    return numeric
+
+
+def pearson(x: Sequence[float | None], y: Sequence[float | None]) -> float:
+    """Product-moment correlation over complete pairs, those where neither
+    value is None or NaN. It is the float that numpy gives for
+    `mean(dx * dy) / (sqrt(mean(dx * dx)) * sqrt(mean(dy * dy)))` with
+    `dx = x - mean(x)`, every mean a `pairwise_sum` divided by the count.
+    Fewer than two complete pairs, or a column whose complete values are
+    all equal, raise UndefinedCorrelationError."""
+    if len(x) != len(y):
+        raise ParameterError(f"columns must be 1-D and equal length, got "
+                             f"{len(x)} vs {len(y)} values")
+    # NaN is the one value unequal to itself
+    pairs = [(a, b) for a, b in zip(x, y)
+             if a is not None and b is not None and a == a and b == b]
+    if len(pairs) < 2:
+        raise UndefinedCorrelationError(
+            f"need >= 2 complete pairs, found {len(pairs)}")
+    xs, ys = (list(map(float, column)) for column in zip(*pairs))
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise UndefinedCorrelationError("zero variance in an input column")
+    mean_x, mean_y = _mean(xs), _mean(ys)
+    dx = [value - mean_x for value in xs]
+    dy = [value - mean_y for value in ys]
+    sx = math.sqrt(_mean(list(map(mul, dx, dx))))
+    sy = math.sqrt(_mean(list(map(mul, dy, dy))))
+    if sx == 0.0 or sy == 0.0:  # the deviations underflow
+        raise UndefinedCorrelationError("zero variance in an input column")
+    return _mean(list(map(mul, dx, dy))) / (sx * sy)
+
+
+def annual_trend(table: ObservationTable, field: str) -> list[tuple[int, float]]:
+    """(year, mean) rows, years ascending: the mean of a numeric field per
+    observation year, missing values dropped; years with no present values
+    are absent. Each year's values are summed in row order."""
+    _check_numeric(field)
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for value, ts in zip(table._columns[field], table._columns["time"]):
+        if value is not None and value == value and ts is not None:
+            sums[ts.year] = sums.get(ts.year, 0.0) + value
+            counts[ts.year] = counts.get(ts.year, 0) + 1
+    return [(year, sums[year] / counts[year]) for year in sorted(sums)]

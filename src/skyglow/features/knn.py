@@ -30,8 +30,9 @@ import numpy as np
 
 from ..errors import ParameterError
 
-# Query x reference cells per block: a few float arrays of 4 MB each.
-_BLOCK_CELLS = 1 << 19
+# Query x reference cells per block: a few float arrays of 1 MiB each,
+# which fit a 2 MiB per-core L2 cache. The neighbors do not depend on it.
+_BLOCK_CELLS = 1 << 17
 
 
 def _rounding_allowance(dim: int) -> float:
@@ -81,7 +82,7 @@ def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         q = queries[start:start + step]
         q_c = q - center
         q_sq = (q_c ** 2).sum(axis=1)
-        # -2 q.r + |q|^2 + |r|^2, in place: fresh 4 MB temporaries would
+        # -2 q.r + |q|^2 + |r|^2, in place: fresh 1 MiB temporaries would
         # cost more than the arithmetic
         approx = q_c @ ref_c.T
         approx *= -2.0

@@ -1,11 +1,13 @@
-"""The micro-F1 metric family, the OOF prediction files, and the small
-descriptive analyses (Pearson correlation, annual trends as plain
-(year, mean) rows).
+"""The micro-F1 metric family and the OOF prediction files, with the
+descriptive analyses of `dataset` (Pearson correlation, annual trends as
+plain (year, mean) rows) re-exported.
 
 Nothing here fits a model: the module imports numpy, `dataset` and
-`errors` alone, so `eda` and `ensemble` load no feature or learner code.
+`errors` alone, so `ensemble` loads no feature or learner code.
 `validation` re-imports every public name, so each is one object under
-both modules.
+both modules, and `pearson` and `annual_trend` are `dataset`'s objects.
+`eda` loads none of this module: its statistics are the pure-Python ones
+of `dataset`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ObservationTable, read_rows, write_rows
-from .errors import (
-    EmptyInputError,
-    ParameterError,
-    SchemaError,
-    UndefinedCorrelationError,
-)
+# re-exported, so each name is one object here and in skyglow.dataset
+from .dataset import annual_trend, pearson, read_rows, write_rows  # noqa: F401
+from .errors import EmptyInputError, ParameterError, SchemaError
 
 # The leading columns of an OOF prediction file; one p_class_* column per
 # class follows.
@@ -107,42 +105,6 @@ def micro_f1(predicted: np.ndarray, truth: np.ndarray) -> float:
     predicted, truth = _checked_labels(predicted, truth)
     return _micro_scores(int(np.count_nonzero(predicted == truth)),
                          len(predicted))[2]
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation over complete pairs."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ParameterError(f"columns must be 1-D and equal length, got "
-                             f"{x.shape} vs {y.shape}")
-    complete = ~(np.isnan(x) | np.isnan(y))
-    x, y = x[complete], y[complete]
-    if len(x) < 2:
-        raise UndefinedCorrelationError(
-            f"need >= 2 complete pairs, found {len(x)}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt((dx * dx).mean()))
-    sy = float(np.sqrt((dy * dy).mean()))
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("zero variance in an input column")
-    return float((dx * dy).mean() / (sx * sy))
-
-
-def annual_trend(table: ObservationTable, field: str) -> list[tuple[int, float]]:
-    """(year, mean) rows, years ascending: the mean of a numeric field per
-    observation year, missing values dropped; years with no present values
-    are absent."""
-    values = table.numeric_column(field)
-    years = table.view.numeric["year"]
-    present = ~(np.isnan(values) | np.isnan(years))
-    found, group = np.unique(years[present], return_inverse=True)
-    sums = np.zeros(len(found))
-    np.add.at(sums, group, values[present])  # in row order, as a running sum
-    counts = np.bincount(group, minlength=len(found))
-    return [(int(year), float(total) / int(count))
-            for year, total, count in zip(found, sums, counts)]
 
 
 def write_oof_csv(dest: str | Path, row_ids: Sequence[str],

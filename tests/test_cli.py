@@ -676,6 +676,30 @@ def test_ingest_and_report_run_without_numpy(tmp_path, config):
     assert digests(out) == unblocked
 
 
+def test_eda_runs_without_numpy(tmp_path, config):
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("eda")]:
+        assert dispatch(command, config) == 0, command
+    before = tmp_path / "before"
+    shutil.copytree(out, before)
+    assert dispatch("eda", config) == 0
+    unblocked = digests(out)
+
+    shutil.rmtree(out)
+    shutil.copytree(before, out)
+    lines = _run_python(
+        NUMPY_BLOCKER
+        + "from skyglow.cli.main import main\n"
+        + f"assert main(['eda', '--config', {config!r}]) == 0\n"
+        + "assert 'numpy' not in sys.modules\n"
+        + "try:\n"
+        + "    import numpy\n"
+        + "except ImportError:\n"
+        + "    print('numpy blocked')\n")
+    assert lines == ["numpy blocked"]
+    assert digests(out) == unblocked
+
+
 def test_package_import_loads_no_module_and_the_cli_no_numpy():
     # importing the CLI looks up dunder names of `commands` (__path__),
     # which must not bind the fitting names; an unknown name still fails
@@ -719,13 +743,16 @@ def test_patched_command_names_reach_the_commands_in_a_fresh_process(config):
 
 # The package modules each light stage must not load: the feature stack,
 # the learners, the sidecar codec, the generator and validation, which
-# imports them all. `eda` reads the column view, so it loads no feature
-# code at all; `ensemble` reads CSV only, so it loads no feature or text
-# code either.
+# imports them all. `eda` reads the table's own columns through the
+# pure-Python statistics of `dataset`, so it loads no feature code, no
+# column view, no tokenizer and no metric helpers; `ensemble` reads CSV
+# only, so it loads no feature or text code either.
 _FITTING = ("skyglow.validation", "skyglow.learners", "skyglow.features.stack",
             "skyglow.serialize", "skyglow.synth")
 LIGHT_STAGE_BLOCKS = {
-    "eda": _FITTING + ("skyglow.ensemble", "skyglow.features"),
+    "eda": _FITTING + ("skyglow.ensemble", "skyglow.features",
+                       "skyglow.columnview", "skyglow.textfeat",
+                       "skyglow.metrics"),
     "ensemble": _FITTING + ("skyglow.features", "skyglow.textfeat"),
 }
 

@@ -81,7 +81,8 @@ def adversarial_cases():
     yield "zero queries", points, np.empty((0, 4)), 3
 
 
-@pytest.mark.parametrize("block_cells", [knn._BLOCK_CELLS, 7])
+@pytest.mark.parametrize("block_cells", [
+    pytest.param(knn._BLOCK_CELLS, id="default"), 7])
 def test_exact_knn_matches_scan_on_adversarial_points(monkeypatch, block_cells):
     # 7 cells per block splits the queries into many blocks, and into
     # single-query blocks once the reference outgrows a block
