@@ -1,5 +1,7 @@
-"""The column view of an observation table: every label-free column,
-derived once from the table's columns as numpy arrays.
+"""The column view of an observation table: every label-free column as a
+numpy array, derived once. The numeric columns and the day parts are the
+None-coded columns that `dataset.derived_columns` builds, converted whole,
+so `dataset` alone decomposes a timestamp.
 
 `ObservationTable.view` imports this module on first use, so `dataset`
 itself imports no numpy. The view is the input of the feature stack; the
@@ -15,19 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import textfeat
-from .dataset import (
-    _AFTERNOON,
-    _EVENING,
-    _MORNING,
-    _NIGHT,
-    COMMENT_FIELDS,
-    NUMERIC_FIELDS,
-)
-
-# Day part of each interval between the boundaries, for searchsorted.
-_DAY_PART_STARTS = np.array([_MORNING, _AFTERNOON, _EVENING, _NIGHT])
-_DAY_PARTS = np.array(["night", "morning", "afternoon", "evening", "night"],
-                      dtype=object)
+from .dataset import COMMENT_FIELDS, derived_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,44 +56,19 @@ def _objects(values: Iterable[object], n: int) -> np.ndarray:
 
 
 def derive_view(columns: dict[str, tuple]) -> ColumnView:
-    """Derive the column view from a table's columns: each numeric and
-    categorical column converts whole, the time parts come from datetime64
-    arithmetic (the array form of `decompose_time` and `epoch_seconds`),
-    and each comment is tokenized once."""
+    """Derive the column view from a table's columns: the numeric columns
+    and day parts of `dataset.derived_columns` convert whole (None becomes
+    NaN), the other categorical columns convert to objects, and each comment
+    is tokenized once."""
     n = len(columns["id"])
-    numeric = {name: np.array(columns[name], dtype=float)
-               for name in NUMERIC_FIELDS + ("population",)}
+    derived, day_parts = derived_columns(columns)
+    numeric = {name: np.array(column, dtype=float)
+               for name, column in derived.items()}
     categorical = {name: _objects(columns[name], n)
                    for name in ("sensor_type", "clouds", "constellation")}
+    categorical["time_of_day_category"] = _objects(day_parts, n)
     tokens = {name: _objects(map(textfeat.tokenize, columns[name]), n)
               for name in COMMENT_FIELDS}
-
-    # Whole seconds, as parse_timestamp leaves them (a sub-second part is
-    # dropped); a missing time is NaT.
-    times = np.array(columns["time"], dtype="datetime64[s]")
-    present = ~np.isnat(times)
-    stamps = times[present]
-    years = stamps.astype("datetime64[Y]")
-    days = stamps.astype("datetime64[D]")
-    seconds = (stamps - days).astype(np.int64)
-    zones = numeric["time_zone"][present]
-    parts = {
-        "year": years.astype(np.int64) + 1970,
-        "month": stamps.astype("datetime64[M]").astype(np.int64) % 12 + 1,
-        "day_of_year": (days - years).astype(np.int64) + 1,
-        "seconds_of_day": seconds,
-        # a missing offset is taken as UTC
-        "epoch_time": (stamps.astype(np.int64)
-                       - np.where(np.isnan(zones), 0.0, zones) * 3600.0),
-    }
-    for name, values in parts.items():
-        numeric[name] = np.full(n, np.nan)
-        numeric[name][present] = values
-    categorical["time_of_day_category"] = np.full(n, None, dtype=object)
-    categorical["time_of_day_category"][present] = _DAY_PARTS[
-        np.searchsorted(_DAY_PART_STARTS, seconds, side="right")]
-
     missing = {name: np.isnan(col) for name, col in numeric.items()}
     missing.update((name, np.equal(col, None)) for name, col in categorical.items())
     return ColumnView(numeric, categorical, tokens, missing)
-

@@ -12,16 +12,20 @@ columns, the join adds the population columns and shares the others, and
 the reports and writer read the columns; records are built only when a
 caller asks for them.
 
-The `eda` statistics live here too: the None-coded numeric columns with
-the time parts (`derived_numeric_columns`), Pearson correlation over
-complete pairs and the annual means of a field. Each sum runs in the order
-numpy's `np.add.reduce` takes on a contiguous float64 array
-(`pairwise_sum`), so every result is the float the numpy formulation gives.
+The time parts of a timestamp are defined here alone (`decompose_time`,
+`epoch_seconds`); `derived_columns` builds them for a whole table as
+None-coded columns, with each row's day part. The `eda` statistics live
+here too: those numeric columns (`derived_numeric_columns`), Pearson
+correlation over complete pairs and the annual means of a field. Each sum
+runs in the order numpy's `np.add.reduce` takes on a contiguous float64
+array (`pairwise_sum`), so every result is the float the numpy
+formulation gives.
 
 This module is pure Python. A table's column view (`ObservationTable.view`:
 every label-free column as a numpy array, derived once) comes from
-`columnview`, imported on first use, so parsing and writing a table and
-every report and statistic here load no numpy.
+`columnview`, imported on first use, which converts the columns that
+`derived_columns` builds; so parsing and writing a table and every report
+and statistic here load no numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from datetime import datetime
 from functools import reduce
 from operator import add, attrgetter, itemgetter, mul
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import (IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    NamedTuple, Sequence)
 
 from .errors import (
     DuplicateKeyError,
@@ -105,20 +110,22 @@ def format_timestamp(ts: datetime) -> str:
     return f"{ts.year:04d}-{ts:%m-%d %H:%M:%S}"
 
 
-def time_of_day_category(ts: datetime) -> str:
-    """Day-part label from local time: morning/afternoon/evening/night."""
-    s = ts.hour * 3600 + ts.minute * 60 + ts.second
-    if _MORNING <= s < _AFTERNOON:
+def _day_part(seconds: int) -> str:
+    if _MORNING <= seconds < _AFTERNOON:
         return "morning"
-    if _AFTERNOON <= s < _EVENING:
+    if _AFTERNOON <= seconds < _EVENING:
         return "afternoon"
-    if _EVENING <= s < _NIGHT:
+    if _EVENING <= seconds < _NIGHT:
         return "evening"
     return "night"
 
 
-@dataclass(frozen=True)
-class TimeFeatures:
+def time_of_day_category(ts: datetime) -> str:
+    """Day-part label from local time: morning/afternoon/evening/night."""
+    return _day_part(ts.hour * 3600 + ts.minute * 60 + ts.second)
+
+
+class TimeFeatures(NamedTuple):
     year: int
     month: int
     day_of_year: int
@@ -128,14 +135,9 @@ class TimeFeatures:
 
 def decompose_time(ts: datetime) -> TimeFeatures:
     """Split a local timestamp into calendar/clock features."""
-    seconds = ts.hour * 3600 + ts.minute * 60 + ts.second
-    return TimeFeatures(
-        year=ts.year,
-        month=ts.month,
-        day_of_year=ts.timetuple().tm_yday,
-        seconds_of_day=seconds,
-        category=time_of_day_category(ts),
-    )
+    t = ts.timetuple()
+    seconds = t.tm_hour * 3600 + t.tm_min * 60 + t.tm_sec
+    return TimeFeatures(t.tm_year, t.tm_mon, t.tm_yday, seconds, _day_part(seconds))
 
 
 def epoch_seconds(ts: datetime, tz_offset_hours: float | None) -> float:
@@ -230,7 +232,8 @@ class ObservationTable:
     @property
     def view(self) -> ColumnView:
         """The column view, derived on first use and kept: the columns
-        never change."""
+        never change. Its numeric columns and day parts are those of
+        `derived_columns`, as numpy arrays."""
         if self._view is None:
             from .columnview import derive_view
             self._view = derive_view(self._columns)
@@ -649,13 +652,11 @@ def _mean(values: Sequence[float]) -> float:
     return pairwise_sum(values) / len(values)
 
 
-def derived_numeric_columns(
-        table: ObservationTable) -> dict[str, tuple[float | None, ...]]:
-    """The raw numeric fields, population and TIME_PARTS by name, as
-    row-aligned tuples of floats with None where a value is missing. The
-    time parts come from `decompose_time` and `epoch_seconds`, and are
-    missing where the time is; the other columns are the table's own."""
-    columns = table._columns
+def derived_columns(columns: dict[str, tuple]) -> tuple[
+        dict[str, tuple[float | None, ...]], tuple[str | None, ...]]:
+    """The numeric columns of `derived_numeric_columns` and each row's day
+    part (None where the time is missing), from a table's columns. Each
+    timestamp goes through `decompose_time` and `epoch_seconds` once."""
     numeric = {name: columns[name] for name in NUMERIC_FIELDS + ("population",)}
     parts = [None if ts is None else decompose_time(ts) for ts in columns["time"]]
     for name in TIME_PARTS[:-1]:  # the TimeFeatures fields; epoch_time is last
@@ -664,7 +665,16 @@ def derived_numeric_columns(
     numeric["epoch_time"] = tuple(
         None if ts is None else epoch_seconds(ts, zone)
         for ts, zone in zip(columns["time"], columns["time_zone"]))
-    return numeric
+    return numeric, tuple(None if part is None else part.category for part in parts)
+
+
+def derived_numeric_columns(
+        table: ObservationTable) -> dict[str, tuple[float | None, ...]]:
+    """The raw numeric fields, population and TIME_PARTS by name, as
+    row-aligned tuples of floats with None where a value is missing. The
+    time parts come from `decompose_time` and `epoch_seconds`, and are
+    missing where the time is; the other columns are the table's own."""
+    return derived_columns(table._columns)[0]
 
 
 def pearson(x: Sequence[float | None], y: Sequence[float | None]) -> float:

@@ -1,13 +1,10 @@
-"""The micro-F1 metric family and the OOF prediction files, with the
-descriptive analyses of `dataset` (Pearson correlation, annual trends as
-plain (year, mean) rows) re-exported.
+"""The micro-F1 metric family and the OOF prediction files.
 
 Nothing here fits a model: the module imports numpy, `dataset` and
 `errors` alone, so `ensemble` loads no feature or learner code.
-`validation` re-imports every public name, so each is one object under
-both modules, and `pearson` and `annual_trend` are `dataset`'s objects.
-`eda` loads none of this module: its statistics are the pure-Python ones
-of `dataset`.
+`validation` imports the metric names it calls from here. `eda` loads
+none of this module: its statistics (Pearson correlation, annual trends)
+are the pure-Python ones of `dataset`.
 """
 
 from __future__ import annotations
@@ -18,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-# re-exported, so each name is one object here and in skyglow.dataset
-from .dataset import annual_trend, pearson, read_rows, write_rows  # noqa: F401
+from .dataset import read_rows, write_rows
 from .errors import EmptyInputError, ParameterError, SchemaError
 
 # The leading columns of an OOF prediction file; one p_class_* column per

@@ -8,10 +8,8 @@ itself, so the round count each fold keeps is chosen on the rows it then
 scores, and the OOF metrics of a GBDT that stopped early lean optimistic.
 An inner split of each fold's training rows would remove that bias.
 
-The micro-F1 metric family, the OOF file reader and writer and the
-descriptive analyses live in `skyglow.metrics`, which fits nothing; this
-module re-imports them, so `validation.micro_f1` and `metrics.micro_f1`
-are one object.
+The micro-F1 metric family lives in `skyglow.metrics`, which fits
+nothing; this module imports the names it calls from there.
 """
 
 from __future__ import annotations
@@ -33,17 +31,11 @@ from .learners import (
     predict_proba_forest,
     predict_proba_gbdt,
 )
-# re-exported, so each name is one object here and in skyglow.metrics
-from .metrics import (  # noqa: F401
-    OOF_HEADER,
+from .metrics import (
     MetricsReport,
-    annual_trend,
     classification_metrics,
     micro_f1,
-    pearson,
     predicted_classes,
-    read_oof_csv,
-    write_oof_csv,
 )
 from .specs import FeatureConfig, LearnerSpec
 

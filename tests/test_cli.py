@@ -21,7 +21,7 @@ from xml.sax.saxutils import escape as sax_escape
 import numpy as np
 import pytest
 
-from skyglow import dataset, specs, textfeat, validation
+from skyglow import dataset, metrics, specs, textfeat, validation
 from skyglow.cli import commands
 from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
@@ -804,7 +804,7 @@ def test_patched_light_stage_names_reach_the_commands(config):
         "from skyglow.cli import commands\n"
         "from skyglow.cli.commands import dispatch\n"
         "from skyglow.ensemble import optimize_weights\n"
-        "from skyglow.metrics import pearson\n"
+        "from skyglow.dataset import pearson\n"
         "called = []\n"
         "def patch(name, original):\n"
         "    def wrapper(*args, **kwargs):\n"
@@ -888,7 +888,7 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     count(commands, "fit_stack")
     count(validation, "fit_stack")
     count(commands, "apply_stack")
-    # counted wherever they are looked up, so the bounds hold whichever
+    # counted wherever they are looked up, so the counts hold whichever
     # module derives a table's columns
     for module in (dataset, pipeline, textfeat):
         for name in ("decompose_time", "tokenize"):
@@ -908,7 +908,9 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
         calls.clear()
         assert dispatch(command, config) == 0, command
         assert calls[name] == expected, command
-        assert calls["decompose_time"] <= rows, command
+        # each timestamp is decomposed once, by `dataset`
+        derived = 0 if command == "ensemble" else rows
+        assert calls["decompose_time"] == derived, command
         assert calls["tokenize"] <= 2 * rows, command
 
     # the sidecars train saved are what fit_models returns on the target rows
@@ -1390,7 +1392,7 @@ def test_artifact_readers_check_the_header_width(tmp_path):
     path = tmp_path / "oof_m.csv"
     path.write_text("row_id,fold,model_id,p_class_0,p_class_1\n"
                     "r0,0,m,0.25,0.75\n", encoding="utf-8")
-    row_ids, _, model_id, probs = validation.read_oof_csv(path)
+    row_ids, _, model_id, probs = metrics.read_oof_csv(path)
     assert row_ids == ("r0",) and model_id == "m"
     assert probs.tolist() == [[0.25, 0.75]]
 

@@ -7,23 +7,20 @@ from skyglow.errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
-from skyglow.dataset import ObservationTable
+from skyglow.dataset import ObservationTable, annual_trend, pearson
 from skyglow.features.pipeline import FeatureConfig, target_classes
 from skyglow.features.stack import StackSpec
 from skyglow.learners import LearnerParams
+from skyglow.metrics import read_oof_csv, write_oof_csv
 from skyglow.validation import (
     LearnerSpec,
-    annual_trend,
     classification_metrics,
     fold_assignment,
     micro_f1,
-    pearson,
     predicted_classes,
     random_folds,
-    read_oof_csv,
     run_cv,
     stratified_folds,
-    write_oof_csv,
 )
 
 from helpers import grid_table, obs
