@@ -3,16 +3,18 @@ over the library modules. Every command reads its inputs from files, writes
 its artifacts into the output directory, and is byte-for-byte idempotent
 for a fixed config and seed. Diagnostics go to stderr only.
 
-`ingest`, `eda` and `report` only read and write CSV and SVG and compute
-pure-Python statistics, and run on the modules imported below, which load
-no numpy. The names the other commands call (numpy, the feature, learner,
-metric, validation, ensemble and sidecar code) are bound as attributes of
-this module by `_bind_names`, which `dispatch` calls before a command with
-the names that command calls (`_COMMAND_NAMES`): `ensemble` loads numpy
-and the metric helpers but no learner or feature-stack code. A first
-lookup of an unbound attribute binds every name (`__getattr__`). Either
-way each name is looked up here when a command runs, so patching
-`commands.<name>` reaches every command.
+`ingest` and `eda` only read and write CSV and compute pure-Python
+statistics, and run on the modules imported below, which load no numpy.
+Every other name a command calls (numpy, the feature, learner, metric,
+validation, ensemble and sidecar code, the generator and the SVG charts)
+is bound as an attribute of this module by `_bind_names`, which `dispatch`
+calls before a command with the names that command calls
+(`_COMMAND_NAMES`), so a stage loads only the modules that define them:
+`report` loads the chart code and no numpy, `ensemble` no learner or
+feature-stack code, and only `synth` the generator. A first lookup of an
+unbound attribute binds every name (`__getattr__`). Either way each name
+is looked up here when a command runs, so patching `commands.<name>`
+reaches every command.
 """
 
 from __future__ import annotations
@@ -52,41 +54,44 @@ from ..errors import (
     UndefinedCorrelationError,
 )
 from .config import RunConfig, load_config, render_config
-from .svg import bar_chart_svg, line_chart_svg, write_svg
 
 # The names the commands call beyond the imports above, by the module each
 # comes from (relative to this package); `np` is numpy itself.
-_FITTING_IMPORTS = {
+_LAZY_IMPORTS = {
     "numpy": ("np",),
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
     "..features": ("N_CLASSES", "target_classes"),
     "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
     "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
-                  "write_oof_csv"),
+                  "write_matrix", "write_oof_csv"),
     "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
                     "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
     "..synth": ("write_synthetic_dataset",),
     "..validation": ("fit_models", "fold_labels", "labelled_rows",
                      "predict_proba", "run_cv"),
+    ".svg": ("bar_chart_svg", "line_chart_svg", "write_svg"),
     # bench/tracing.py patches these names here, so they stay importable
     "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),
 }
-_EVERY_NAME = tuple(name for names in _FITTING_IMPORTS.values() for name in names)
+_EVERY_NAME = tuple(name for names in _LAZY_IMPORTS.values() for name in names)
 
-# The names each command binds before it runs: ingest, eda and report run
-# on the module-level imports alone, and the fitting stages need
-# `validation`, which loads every feature and learner module anyway.
+# The names each command calls, which `dispatch` binds before it runs;
+# ingest and eda run on the module-level imports alone.
 _COMMAND_NAMES = {
     "synth": ("write_synthetic_dataset",),
     "ingest": (),
     "eda": (),
-    "features": _EVERY_NAME,
-    "cv": _EVERY_NAME,
-    "train": _EVERY_NAME,
+    "features": ("np", "target_classes", "StackSpec", "fit_stack",
+                 "write_matrix", "save_json", "stack_to_obj", "fold_labels"),
+    "cv": ("run_cv", "write_oof_csv"),
+    "train": ("np", "N_CLASSES", "json_text", "learner_to_obj", "save_json",
+              "stack_to_obj", "fit_models", "fold_labels", "labelled_rows"),
     "ensemble": ("np", "blend", "mean_blend", "optimize_weights", "micro_f1",
                  "predicted_classes", "read_oof_csv", "write_oof_csv"),
-    "predict": _EVERY_NAME,
-    "report": (),
+    "predict": ("blend", "read_weights_csv", "apply_stack", "predicted_classes",
+                "write_matrix", "learner_from_obj", "load_json",
+                "stack_from_obj", "predict_proba"),
+    "report": ("bar_chart_svg", "line_chart_svg", "write_svg"),
 }
 
 
@@ -94,7 +99,7 @@ def _bind_names(names=_EVERY_NAME) -> None:
     """Import `names` and bind each as an attribute of this module, unless
     it is bound already: a name that a caller has patched keeps its patch.
     Only the modules that define an unbound name are imported."""
-    for module_name, provided in _FITTING_IMPORTS.items():
+    for module_name, provided in _LAZY_IMPORTS.items():
         wanted = [name for name in provided
                   if name in names and name not in globals()]
         if wanted:
@@ -239,13 +244,15 @@ def cmd_ingest(config: RunConfig) -> None:
 def cmd_eda(config: RunConfig) -> None:
     table = _load_clean_table(config)
     out = config.output_dir
+    # derives each row's time parts and day part, which the table keeps for
+    # the time_of_day_category counts
+    numeric = derived_numeric_columns(table)
     write_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
                (row + (len(table),) for row in missingness_report(table)))
     for field in config.category_fields:
         write_rows(out / _category_csv(field), CATEGORY_HEADER,
                    ((field,) + row for row in category_distribution(table, field)))
 
-    numeric = derived_numeric_columns(table)
     target = numeric["limiting_magnitude"]
     rows = []
     for field in CORRELATION_FIELDS:
@@ -274,8 +281,8 @@ def cmd_features(config: RunConfig) -> None:
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
                               labels, config.feature_config, spec, config.seed)
     _note_diagnostics(stack, "features")
-    write_rows(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
-               ([row_id] + row.tolist() for row_id, row in zip(table.ids, matrix)))
+    write_matrix(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
+                 ([row_id] for row_id in table.ids), matrix)
     save_json(out / FEATURES_SIDECAR, stack_to_obj(stack))
     _note(f"feature matrix {matrix.shape[0]}x{matrix.shape[1]} written")
 
@@ -467,11 +474,10 @@ def cmd_predict(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 
-    write_rows(out / PREDICTIONS,
-               ["row_id", "predicted_class"]
-               + [f"p_class_{c}" for c in range(blended.shape[1])],
-               ([row_id, predicted] + row.tolist() for row_id, predicted, row
-                in zip(table.ids, classes.tolist(), blended)))
+    write_matrix(out / PREDICTIONS,
+                 ["row_id", "predicted_class"]
+                 + [f"p_class_{c}" for c in range(blended.shape[1])],
+                 zip(table.ids, classes.tolist()), blended)
     _note(f"predicted {len(table)} rows")
 
 

@@ -14,7 +14,9 @@ caller asks for them.
 
 The time parts of a timestamp are defined here alone (`decompose_time`,
 `epoch_seconds`); `derived_columns` builds them for a whole table as
-None-coded columns, with each row's day part. The `eda` statistics live
+None-coded columns, with each row's day part, and a table keeps them once
+built (`ObservationTable.derived`), so `eda`'s correlation columns and its
+day-part counts come from one pass over the clock. The `eda` statistics live
 here too: those numeric columns (`derived_numeric_columns`), Pearson
 correlation over complete pairs and the annual means of a field. Each sum
 runs in the order numpy's `np.add.reduce` takes on a contiguous float64
@@ -173,6 +175,11 @@ class ObservationRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(ObservationRecord))
 
 
+# `derived_columns`: the numeric columns by name, and each row's day part.
+DerivedColumns = tuple[dict[str, tuple[float | None, ...]],
+                       tuple[str | None, ...]]
+
+
 @dataclass(frozen=True)
 class RowDiagnostic:
     line: int
@@ -190,6 +197,7 @@ class ObservationTable:
         self._columns = {name: tuple(map(attrgetter(name), rows))
                          for name in _RECORD_FIELDS}
         self._view: ColumnView | None = None
+        self._derived: DerivedColumns | None = None
         seen: set[str] = set()
         for row_id in self._columns["id"]:
             if row_id in seen:
@@ -204,6 +212,7 @@ class ObservationTable:
         table = cls.__new__(cls)
         table._columns = columns
         table._view = view
+        table._derived = None
         return table
 
     def __len__(self) -> int:
@@ -228,6 +237,15 @@ class ObservationTable:
 
     def has_population(self) -> bool:
         return any(value is not None for value in self._columns["population"])
+
+    @property
+    def derived(self) -> DerivedColumns:
+        """`derived_columns` of this table, built on first use and kept
+        (read-only, like the columns): `eda` reads its numeric columns and
+        its day parts from one pass."""
+        if self._derived is None:
+            self._derived = derived_columns(self._columns)
+        return self._derived
 
     @property
     def view(self) -> ColumnView:
@@ -303,11 +321,47 @@ def write_rows(dest: str | Path, header: Sequence[str],
     its repr, the shortest text that reads back to the same float; None is
     written as an empty cell; any other value (a str, an int) as its str.
     Callers pass Python floats, as `ndarray.tolist()` gives them, not
-    numpy scalars."""
+    numpy scalars. Float matrices take the matrix path, `write_coded_rows`,
+    which writes the same bytes and formats each distinct value once."""
     with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_coded_rows(dest: str | Path, header: Sequence[str],
+                     labels: Iterable[Sequence[object]],
+                     values: Sequence[float],
+                     codes: Iterable[Sequence[int]]) -> None:
+    """The matrix path of `write_rows`: row i is `labels[i]` followed by
+    `values[c]` for each index c of `codes[i]`, and the file holds exactly
+    the bytes `write_rows` writes for those rows. Every row of `codes`
+    holds at least one index (`metrics.write_matrix` sends a matrix without
+    columns to `write_rows`), and is read when its line is written.
+
+    Each value is formatted once, as its str (a float's str is its repr),
+    and a row's floats are joined directly: no float's text needs quoting.
+    The label cells still go through the csv writer, each row with an
+    empty cell appended, so its line ends in the delimiter that precedes
+    the floats."""
+    labels = list(labels)
+    cells = list(map(str, values))
+    prefixes: list[str] = []
+    csv.writer(_Lines(prefixes), lineterminator="\n").writerows(
+        [*label, ""] for label in labels)
+    with open_text(dest, "w") as stream:
+        csv.writer(stream, lineterminator="\n").writerow(header)
+        stream.writelines(
+            (prefix[:-1] if label else "")
+            + ",".join(map(cells.__getitem__, row)) + "\n"
+            for label, prefix, row in zip(labels, prefixes, codes))
+
+
+class _Lines:
+    """A csv writer's stream that keeps each line it is given in `lines`."""
+
+    def __init__(self, lines: list[str]):
+        self.write = lines.append
 
 
 @contextmanager
@@ -606,11 +660,9 @@ def category_distribution(table: ObservationTable,
     if field not in CATEGORICAL_REPORT_FIELDS:
         raise UnknownFieldError(
             f"field {field!r} is not categorical; expected one of {CATEGORICAL_REPORT_FIELDS}")
-    if field == "time_of_day_category":
-        values = [time_of_day_category(ts) for ts in table._columns["time"]
-                  if ts is not None]
-    else:
-        values = [value for value in table._columns[field] if value is not None]
+    values = [value for value in (table.derived[1] if field == "time_of_day_category"
+                                  else table._columns[field])
+              if value is not None]
     counts: dict[str, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
@@ -652,8 +704,7 @@ def _mean(values: Sequence[float]) -> float:
     return pairwise_sum(values) / len(values)
 
 
-def derived_columns(columns: dict[str, tuple]) -> tuple[
-        dict[str, tuple[float | None, ...]], tuple[str | None, ...]]:
+def derived_columns(columns: dict[str, tuple]) -> DerivedColumns:
     """The numeric columns of `derived_numeric_columns` and each row's day
     part (None where the time is missing), from a table's columns. Each
     timestamp goes through `decompose_time` and `epoch_seconds` once."""
@@ -674,7 +725,7 @@ def derived_numeric_columns(
     row-aligned tuples of floats with None where a value is missing. The
     time parts come from `decompose_time` and `epoch_seconds`, and are
     missing where the time is; the other columns are the table's own."""
-    return derived_columns(table._columns)[0]
+    return dict(table.derived[0])
 
 
 def pearson(x: Sequence[float | None], y: Sequence[float | None]) -> float:

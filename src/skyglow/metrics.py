@@ -1,4 +1,6 @@
-"""The micro-F1 metric family and the OOF prediction files.
+"""The micro-F1 metric family, the OOF prediction files, and the numpy
+side of the CSV matrix path (`write_matrix`), through which the feature
+matrix, the OOF and blended probabilities and the predictions are written.
 
 Nothing here fits a model: the module imports numpy, `dataset` and
 `errors` alone, so `ensemble` loads no feature or learner code.
@@ -11,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import read_rows, write_rows
+from .dataset import read_rows, write_coded_rows, write_rows
 from .errors import EmptyInputError, ParameterError, SchemaError
 
 # The leading columns of an OOF prediction file; one p_class_* column per
@@ -108,10 +110,27 @@ def write_oof_csv(dest: str | Path, row_ids: Sequence[str],
                   probabilities: np.ndarray) -> None:
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
     n_classes = probabilities.shape[1]
-    write_rows(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
-               ([row_id, fold, model_id] + row.tolist()
-                for row_id, fold, row in zip(row_ids, folds.tolist(),
-                                             probabilities)))
+    write_matrix(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
+                 ([row_id, fold, model_id]
+                  for row_id, fold in zip(row_ids, folds.tolist())),
+                 probabilities)
+
+
+def write_matrix(dest: str | Path, header: Sequence[str],
+                 labels: Iterable[Sequence[object]], matrix: np.ndarray) -> None:
+    """Write row i as `labels[i]` followed by row i of the 2-d float
+    `matrix`: the bytes of `write_rows(dest, header, (label + row.tolist()
+    for label, row in zip(labels, matrix)))`, with each distinct value
+    formatted once (`write_coded_rows`). Values are told apart by their
+    bits, so -0.0 and 0.0 keep their own text. The codes go to the writer
+    one row at a time, so no Python list holds them all."""
+    if matrix.shape[1] == 0:
+        write_rows(dest, header, labels)
+        return
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    write_coded_rows(dest, header, labels, distinct.view(np.float64).tolist(),
+                     map(np.ndarray.tolist, codes.reshape(bits.shape)))
 
 
 def read_oof_csv(source: str | Path):

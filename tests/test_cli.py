@@ -1,4 +1,5 @@
 import dataclasses
+import dis
 import fcntl
 import hashlib
 import importlib
@@ -795,6 +796,97 @@ def test_light_stages_load_no_fitting_code(tmp_path, config, stage):
         + "        print('blocked', name)\n")
     assert lines == [f"blocked {name}" for name in blocked]
     assert digests(out) == unblocked
+
+
+# The `skyglow` modules each stage loads when it runs in a fresh process:
+# a stage binds only the names it calls, so only `synth` loads the
+# generator, only `report` the chart code, and only `ensemble` and
+# `predict` the blend; `cv` reads no sidecar and loads no codec.
+_CLI = ("cli", "cli.commands", "cli.config", "cli.main", "dataset", "errors",
+        "specs")
+_FITTING_STACK = ("columnview", "features", "features.knn",
+                  "features.neighbors", "features.pipeline", "features.stack",
+                  "learners", "learners.binning", "learners.forest",
+                  "learners.gbdt", "learners.params", "metrics", "textfeat",
+                  "validation")
+STAGE_MODULES = {
+    "synth": _CLI + ("synth",),
+    "ingest": _CLI,
+    "eda": _CLI,
+    "features": _CLI + _FITTING_STACK + ("serialize",),
+    "cv": _CLI + _FITTING_STACK,
+    "train": _CLI + _FITTING_STACK + ("serialize",),
+    "ensemble": _CLI + ("ensemble", "metrics"),
+    "predict": _CLI + _FITTING_STACK + ("ensemble", "serialize"),
+    "report": _CLI + ("cli.svg",),
+}
+
+
+def test_each_stage_loads_only_the_modules_it_runs(config):
+    assert set(STAGE_MODULES) == set(COMMANDS)
+    for stage in COMMANDS:
+        lines = _run_python(
+            "import sys\n"
+            "from skyglow.cli.main import main\n"
+            f"assert main([{stage!r}, '--config', {config!r}]) == 0\n"
+            "for name in sorted(sys.modules):\n"
+            "    if name.startswith('skyglow.'):\n"
+            "        print(name[len('skyglow.'):])\n")
+        assert lines == sorted(STAGE_MODULES[stage]), stage
+
+
+def _global_names(function, seen=None) -> set[str]:
+    """The global names that `function` and the functions of its module
+    that it calls refer to, comprehensions and lambdas included."""
+    seen = set() if seen is None else seen
+    names, codes = set(), [function.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(op.argval for op in dis.get_instructions(code)
+                     if op.opname == "LOAD_GLOBAL")
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    for name in names - seen:
+        value = vars(commands).get(name)
+        if callable(value) and getattr(value, "__module__", None) == commands.__name__:
+            seen.add(name)
+            names |= _global_names(value, seen)
+    return names
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_binds_every_lazy_name_it_calls(command):
+    # a module global that is not bound raises NameError: the module's
+    # __getattr__ serves attribute lookups, not a function's globals
+    called = _global_names(commands._COMMAND_TABLE[command]) & set(
+        commands._EVERY_NAME)
+    assert called == set(commands._COMMAND_NAMES[command])
+
+
+def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
+    # the time_of_day_category counts come from the day parts that the
+    # correlation columns derive, not from a second pass over the clock
+    for command in ("synth", "ingest"):
+        assert dispatch(command, config) == 0, command
+    table, _ = dataset.parse_observations(
+        tmp_path / "out" / commands.CLEAN_OBSERVATIONS, "strict")
+    timestamps = sum(record.time is not None for record in table)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(dataset, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(dataset, name, wrapper)
+
+    for name in ("decompose_time", "time_of_day_category", "_day_part"):
+        counted(name)
+    assert dispatch("eda", config) == 0
+    assert calls == {"decompose_time": timestamps, "_day_part": timestamps}
+    rows = (tmp_path / "out" / "category_time_of_day_category.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert sum(int(row.split(",")[2]) for row in rows[1:]) == timestamps
 
 
 def test_patched_light_stage_names_reach_the_commands(config):

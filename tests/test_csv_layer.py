@@ -4,14 +4,18 @@ These tests keep CSV reading and writing from growing back elsewhere: no
 module of the package but `dataset.py` touches `csv.reader` or
 `csv.writer`. They also pin the cell contract that `write_rows` owns, and
 keep per-site float formatting out: no module of the package calls
-`repr`."""
+`repr`. The matrix path (`metrics.write_matrix` over
+`dataset.write_coded_rows`) must write exactly the bytes `write_rows`
+writes for the same rows."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from skyglow.dataset import read_rows, write_rows
+from skyglow.dataset import read_rows, write_coded_rows, write_rows
+from skyglow.metrics import write_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skyglow"
 
@@ -80,3 +84,49 @@ def test_write_rows_formats_every_cell(tmp_path):
     assert [v.hex() for v in floats] == [v.hex() for v in FLOATS]
     assert [int(cell) for cell in cells[len(FLOATS):-1]] == INTS
     assert cells[-1] == ""
+
+
+def _nan_with_payload() -> float:
+    return np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+MATRIX_CASES = {
+    # -0.0 and 0.0 in one column, subnormal, large, small and integral
+    "extremes": ([["a"], ["b"], ["c"], ["d"]], [
+        [-0.0, 5e-324, 1e16, 1e-05, 1.0],
+        [0.0, 5e-324, -1e16, 1e-05, -3.0],
+        [-0.0, 0.1 + 0.2, 2.0 ** 53, 1 / 3, 0.0],
+        [0.0, -5e-324, 1e300, 1e-05, 1.0]]),
+    "nan_and_inf": ([["a", 0], ["b", 1]], [
+        [np.nan, np.inf, -np.inf, _nan_with_payload()],
+        [-np.nan, -np.inf, np.inf, 0.5]]),
+    "no_rows": ([], np.zeros((0, 3))),
+    "no_float_columns": ([["a"], [""], ["b,c"]], np.zeros((3, 0))),
+    "no_label_cells": ([[], []], [[1.5, -0.0], [1.5, 2.0]]),
+    "quoted_labels": ([["a,b", 1, "m"], ['say "hi"', 2, "m"],
+                       ["line\nbreak", 3, "m"], ["", 4, ""], ["\r", 5, " "]],
+                      np.arange(15, dtype=float).reshape(5, 3) / 7),
+    "lone_empty_label": ([[""], [""]], [[0.25, 0.25], [-0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+def test_matrix_path_writes_the_bytes_of_write_rows(tmp_path, case):
+    labels, matrix = MATRIX_CASES[case]
+    matrix = np.array(matrix, dtype=np.float64)
+    header = ["x"] * (len(labels[0]) if labels else 1) + [
+        f"p_{c}" for c in range(matrix.shape[1])]
+    write_rows(tmp_path / "rows.csv", header,
+               (list(label) + row.tolist() for label, row in zip(labels, matrix)))
+    write_matrix(tmp_path / "matrix.csv", header, labels, matrix)
+    expected = (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "matrix.csv").read_bytes() == expected
+
+
+def test_coded_rows_format_each_value_by_code(tmp_path):
+    # the dataset side needs no numpy: codes index a list of floats
+    write_coded_rows(tmp_path / "coded.csv", ["id", "u", "v"],
+                     [["r0"], ["r1"]], [-0.0, 0.0, 1e-05],
+                     [[0, 1], [2, 0]])
+    assert (tmp_path / "coded.csv").read_text(encoding="utf-8") == (
+        "id,u,v\nr0,-0.0,0.0\nr1,1e-05,-0.0\n")
