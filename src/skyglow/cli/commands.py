@@ -22,7 +22,6 @@ from __future__ import annotations
 import fcntl
 import importlib
 import os
-import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -583,7 +582,9 @@ def _acquire_lock(lock_path: Path) -> int:
                 temp.unlink(missing_ok=True)
                 _note(f"removed {temp.name}, which that process left unfinished")
     os.ftruncate(fd, 0)
-    os.pwrite(fd, f"{os.getpid()} {platform.node()}".encode(), 0)
+    # the node name is what platform.node() returns on POSIX, without
+    # importing platform
+    os.pwrite(fd, f"{os.getpid()} {os.uname().nodename}".encode(), 0)
     return fd
 
 

@@ -7,8 +7,9 @@ counts per field, category shares), which return plain rows whose file
 layout the command layer owns. Tables are immutable after construction.
 
 An observation table stores its rows by column, one tuple per
-ObservationRecord field. Parsing appends each valid row's values to the
-columns, the join adds the population columns and shares the others, and
+ObservationRecord field. Parsing converts a block of rows at a time column
+by column and appends the valid rows' values to the columns, the join adds
+the population columns and shares the others, and
 the reports and writer read the columns; records are built only when a
 caller asks for them.
 
@@ -37,10 +38,10 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import compress, islice
 from datetime import datetime
 from functools import reduce
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, mul, not_
 from pathlib import Path
 from typing import (IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator,
                     NamedTuple, Sequence)
@@ -173,6 +174,8 @@ class ObservationRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ObservationRecord))
+# The fields a data row holds, in _RECORD_FIELDS order.
+_PARSED_FIELDS = tuple(_COLUMN_TO_ATTR[c] for c in OBSERVATION_COLUMNS)
 
 
 # `derived_columns`: the numeric columns by name, and each row's day part.
@@ -403,50 +406,140 @@ def read_rows(source: str | Path, header: Sequence[str],
     return found, parsed
 
 
-def _parse_float(cell: str, field: str, row_id: str) -> float:
+# Rows parsed at once: bounds the raw cells held in memory.
+_BLOCK_ROWS = 1024
+
+
+def _read_block(reader: Iterator[list[str]]) -> tuple[list[list[str]],
+                                                      Exception | None]:
+    """Up to _BLOCK_ROWS rows of `reader`, and the error that ended the
+    read early, if any; the caller parses the rows before it first, so a
+    strict parse raises a bad row's error before a later read error."""
+    rows: list[list[str]] = []
     try:
-        value = float(cell)
+        for row in islice(reader, _BLOCK_ROWS):
+            rows.append(row)
+    except (csv.Error, OSError, ValueError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _parse_floats(cells: Sequence[str], field: str, ids: Sequence[str],
+                  errors: dict[int, str]) -> list[float | None]:
+    """The floats of one numeric column, None where a cell is empty; each
+    cell that is not a finite number gets a message in `errors` (keyed by
+    its index) unless an earlier check already gave it one."""
+    try:
+        values = [float(cell) if cell else None for cell in cells]
     except ValueError:
-        raise RowError(f"row {row_id!r}: {field} is not numeric: {cell!r}") from None
-    if not math.isfinite(value):
-        raise RowError(f"row {row_id!r}: {field} is not finite: {cell!r}")
-    return value
-
-
-# Positions in a row's cells once they are put in _RECORD_FIELDS order.
-_NUMERIC_SLOTS = tuple((_RECORD_FIELDS.index(f), f) for f in NUMERIC_FIELDS)
-_TEXT_SLOTS = tuple(_RECORD_FIELDS.index(f) for f in TEXT_FIELDS)
-_TIME_SLOT = _RECORD_FIELDS.index("time")
-_LATITUDE_SLOT = _RECORD_FIELDS.index("latitude")
-_LONGITUDE_SLOT = _RECORD_FIELDS.index("longitude")
-
-
-def _parse_cells(row_id: str, cells: Sequence[str]) -> list[object]:
-    """The values of one row's cells, given in _RECORD_FIELDS order; raises
-    RowError naming the row for the first cell that fails validation."""
-    values: list[object] = list(cells)
-    for slot, field in _NUMERIC_SLOTS:
-        cell = cells[slot]
-        values[slot] = _parse_float(cell, field, row_id) if cell != "" else None
-    cell = cells[_TIME_SLOT]
-    if cell != "":
-        try:
-            values[_TIME_SLOT] = parse_timestamp(cell)
-        except TimestampError as exc:
-            raise RowError(f"row {row_id!r}: {exc}") from None
-    else:
-        values[_TIME_SLOT] = None
-    for slot in _TEXT_SLOTS:
-        if cells[slot] == "":
-            values[slot] = None
-
-    lat = values[_LATITUDE_SLOT]
-    if lat is not None and not -90.0 <= lat <= 90.0:
-        raise RowError(f"row {row_id!r}: latitude out of range [-90, 90]: {lat}")
-    lon = values[_LONGITUDE_SLOT]
-    if lon is not None and not -180.0 <= lon <= 180.0:
-        raise RowError(f"row {row_id!r}: longitude out of range [-180, 180]: {lon}")
+        values = []
+        for j, cell in enumerate(cells):
+            try:
+                values.append(float(cell) if cell else None)
+            except ValueError:
+                values.append(None)
+                errors.setdefault(
+                    j, f"row {ids[j]!r}: {field} is not numeric: {cell!r}")
+    # filter(None, ...) drops None and zeros, and zeros are finite
+    if not all(map(math.isfinite, filter(None, values))):
+        for j, value in enumerate(values):
+            if value is not None and not math.isfinite(value):
+                errors.setdefault(
+                    j, f"row {ids[j]!r}: {field} is not finite: {cells[j]!r}")
     return values
+
+
+def _parse_times(cells: Sequence[str], ids: Sequence[str],
+                 errors: dict[int, str]) -> list[datetime | None]:
+    """`_parse_floats` for the time column, through `parse_timestamp`."""
+    try:
+        return [parse_timestamp(cell) if cell else None for cell in cells]
+    except TimestampError:
+        pass
+    values: list[datetime | None] = []
+    for j, cell in enumerate(cells):
+        try:
+            values.append(parse_timestamp(cell) if cell else None)
+        except TimestampError as exc:
+            values.append(None)
+            errors.setdefault(j, f"row {ids[j]!r}: {exc}")
+    return values
+
+
+def _check_range(values: Sequence[float | None], field: str, low: float,
+                 high: float, ids: Sequence[str], errors: dict[int, str]) -> None:
+    """A message in `errors` for each value outside [low, high]."""
+    for j, value in enumerate(values):
+        if value is not None and not low <= value <= high:
+            errors.setdefault(j, f"row {ids[j]!r}: {field} out of range "
+                                 f"[{low:g}, {high:g}]: {value}")
+
+
+def _parse_block(rows: list[list[str]], first_line: int,
+                 positions: Sequence[int], seen_ids: set[str],
+                 ) -> tuple[list[Sequence[object]], list[tuple[int, str, type, str]]]:
+    """Parse one block of data rows, the first on line `first_line`.
+
+    Returns the kept rows' values, one sequence per _PARSED_FIELDS field,
+    and (line, row id, error type, message) for each dropped row, in line
+    order. Each row's message is the first check it fails, in this order:
+    cell count, empty id, an id among `seen_ids` or kept earlier in the
+    block, each numeric field in NUMERIC_FIELDS order, the timestamp, the
+    latitude range, the longitude range. Kept ids are added to `seen_ids`.
+    """
+    width = len(positions)
+    problems: dict[int, tuple[str, type, str]] = {}
+    live = range(len(rows))
+    if set(map(len, rows)) - {width}:
+        for offset, row in enumerate(rows):
+            if len(row) != width:
+                problems[offset] = ("", RowError,
+                                    f"line {first_line + offset}: expected "
+                                    f"{width} cells, got {len(row)}")
+        live = [offset for offset in live if offset not in problems]
+    # the columns of the live rows, in header order
+    cells = list(zip(*map(rows.__getitem__, live))) or [()] * width
+    ids = cells[positions[0]]
+    if "" in ids:
+        present = [row_id != "" for row_id in ids]
+        for offset in compress(live, map(not_, present)):
+            problems[offset] = ("", RowError,
+                                f"line {first_line + offset}: empty id")
+        live = list(compress(live, present))
+        cells = [tuple(compress(column, present)) for column in cells]
+        ids = cells[positions[0]]
+
+    by_field = dict(zip(_PARSED_FIELDS, map(cells.__getitem__, positions)))
+    errors: dict[int, str] = {}
+    values = {field: _parse_floats(by_field[field], field, ids, errors)
+              for field in NUMERIC_FIELDS}
+    values["time"] = _parse_times(by_field["time"], ids, errors)
+    _check_range(values["latitude"], "latitude", -90.0, 90.0, ids, errors)
+    _check_range(values["longitude"], "longitude", -180.0, 180.0, ids, errors)
+    for field in TEXT_FIELDS:
+        values[field] = [cell or None for cell in by_field[field]]
+    values["id"] = ids
+
+    fresh = set(ids)
+    if not errors and len(fresh) == len(ids) and seen_ids.isdisjoint(fresh):
+        seen_ids |= fresh
+        kept = [values[field] for field in _PARSED_FIELDS]
+    else:
+        keep = []
+        for j, row_id in enumerate(ids):
+            if row_id in seen_ids:
+                problems[live[j]] = (row_id, DuplicateKeyError,
+                                     f"duplicate id: {row_id!r} "
+                                     f"(line {first_line + live[j]})")
+            elif j in errors:
+                problems[live[j]] = (row_id, RowError, errors[j])
+            else:
+                seen_ids.add(row_id)
+                keep.append(j)
+        kept = [[column[j] for j in keep]
+                for column in map(values.__getitem__, _PARSED_FIELDS)]
+    return kept, [(first_line + offset, *problems[offset])
+                  for offset in sorted(problems)]
 
 
 def parse_observations(
@@ -459,7 +552,13 @@ def parse_observations(
     cells become missing values. Rows failing validation abort the parse in
     strict mode and are dropped with a diagnostic in lenient mode; a
     repeated id counts as such a row, so the first occurrence is kept.
-    Each kept row's values are appended to the table's columns.
+
+    The rows are parsed in blocks of at most _BLOCK_ROWS (`_parse_block`):
+    cell counts, ids and duplicates row by row, then each numeric and time
+    column with one comprehension, so a bad cell is found where its column
+    is converted. Each dropped row's diagnostic is the one a row-by-row
+    parse gives, with the same line number, and strict mode raises the
+    first bad row's error, so blocks change nothing but the cost.
     """
     if strictness not in ("strict", "lenient"):
         raise ParameterError(f"strictness must be 'strict' or 'lenient', got {strictness!r}")
@@ -478,37 +577,30 @@ def parse_observations(
         for col in OBSERVATION_COLUMNS:
             if col not in seen_cols:
                 raise SchemaError(f"missing column: {col!r}")
-        # OBSERVATION_COLUMNS is in _RECORD_FIELDS order
-        in_field_order = itemgetter(*(header.index(c) for c in OBSERVATION_COLUMNS))
-        id_pos = header.index("id")
+        positions = [header.index(c) for c in OBSERVATION_COLUMNS]
 
-        columns: list[list[object]] = [[] for _ in OBSERVATION_COLUMNS]
+        columns: list[list[object]] = [[] for _ in _PARSED_FIELDS]
         diagnostics: list[RowDiagnostic] = []
         seen_ids: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            row_id = ""
-            try:
-                if len(row) != len(header):
-                    raise RowError(f"line {line_no}: expected {len(header)} "
-                                   f"cells, got {len(row)}")
-                row_id = row[id_pos]
-                if row_id == "":
-                    raise RowError(f"line {line_no}: empty id")
-                if row_id in seen_ids:
-                    raise DuplicateKeyError(
-                        f"duplicate id: {row_id!r} (line {line_no})")
-                values = _parse_cells(row_id, in_field_order(row))
-            except (RowError, DuplicateKeyError) as exc:
-                if strictness == "strict":
-                    raise
-                diagnostics.append(RowDiagnostic(line_no, row_id, str(exc)))
-                continue
-            seen_ids.add(row_id)
-            for column, value in zip(columns, values):
-                column.append(value)
+        line = 2
+        while True:
+            rows, failure = _read_block(reader)
+            kept, problems = _parse_block(rows, line, positions, seen_ids)
+            if problems and strictness == "strict":
+                _, _, error, message = problems[0]
+                raise error(message)
+            diagnostics += [RowDiagnostic(line_no, row_id, message)
+                            for line_no, row_id, _, message in problems]
+            for column, values in zip(columns, kept):
+                column += values
+            if failure is not None:
+                raise failure
+            if len(rows) < _BLOCK_ROWS:
+                break
+            line += len(rows)
     unjoined = (None,) * len(seen_ids)
     table = ObservationTable._from_columns(
-        {**dict(zip(_RECORD_FIELDS, map(tuple, columns))),
+        {**dict(zip(_PARSED_FIELDS, map(tuple, columns))),
          "population": unjoined, "population_matched": unjoined})
     return table, diagnostics
 

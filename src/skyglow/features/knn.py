@@ -2,24 +2,31 @@
 
 The answer is bit-identical to a brute-force scan that ranks every
 reference row by (squared distance, position), where the squared distance
-is the brute-force expression ``((q - r) ** 2).sum(axis=-1)``. For each
-block of queries:
+is the brute-force expression ``((q - r) ** 2).sum(axis=-1)``. Both point
+sets are centred on the reference mean, and the screen below runs in
+float32, or in float64 when the centred squared norms leave float32's
+comfortable range (`_screen_dtype`). For each block of queries:
 
-1. both point sets are centred on the reference mean;
-2. ``approx = |q|^2 + |r|^2 - 2 q.r`` comes from one matrix product;
-3. ``delta`` bounds ``|approx - d2|`` for every reference row, where
+1. ``s = |r|^2 - 2 q.r`` comes from one matrix product with the
+   precomputed ``-2 r`` (scaling by a power of two is exact) and one
+   addition; ``approx = |q|^2 + s`` approximates the squared distance,
+   with ``|q|^2`` kept out of the block;
+2. ``delta`` bounds ``|approx - d2|`` for every reference row, where
    ``d2`` is the brute-force value (see `_rounding_allowance`);
-4. ``ub``, the k-th smallest ``approx`` plus ``delta``, bounds the k-th
-   brute-force distance from above: the k rows with the smallest
-   ``approx`` all have ``d2 <= ub``;
-5. every row with ``d2 <= ub`` has ``approx <= ub + delta``, so those rows
-   are the candidates;
-6. each candidate's ``d2`` is recomputed with the brute-force expression
-   on the original coordinates, and rows with ``d2 > ub`` are dropped;
-7. the rest are ranked by (query, d2, position) and the first k of each
+3. ``ub``, the query's ``|q|^2`` plus its k-th smallest ``s`` plus
+   ``delta``, bounds the k-th brute-force distance from above: the k rows
+   with the smallest ``s`` all have ``d2 <= ub``;
+4. every row with ``d2 <= ub`` has ``s <= ub + delta - |q|^2``, that is
+   ``s`` at most the k-th smallest ``s`` plus ``2 delta``; that threshold
+   is cast to the screen's dtype rounded upward (`_round_up`), and the
+   rows at or below it are the candidates;
+5. each candidate's ``d2`` is recomputed in float64 with the brute-force
+   expression on the original coordinates, and rows with ``d2 > ub`` are
+   dropped;
+6. the rest are ranked by (query, d2, position) and the first k of each
    query are kept.
 
-Steps 4-6 keep every row that can reach or tie the k-th distance, so ties
+Steps 3-5 keep every row that can reach or tie the k-th distance, so ties
 and duplicate points rank as in the scan. Every neighbor query in the
 package goes through `_exact_knn`, via `neighbors.cross_neighbor_means`.
 """
@@ -30,35 +37,65 @@ import numpy as np
 
 from ..errors import ParameterError
 
-# Query x reference cells per block: a few float arrays of 1 MiB each,
-# which fit a 2 MiB per-core L2 cache. The neighbors do not depend on it.
+# Query x reference cells per block: a few 512 KiB float32 arrays, which
+# fit a 2 MiB per-core L2 cache. The neighbors do not depend on it.
 _BLOCK_CELLS = 1 << 17
 
+# Centred squared norms for which the screen runs in float32: far below its
+# overflow threshold (about 2^128) and far above its smallest normal
+# (2^-126), below which rounding errors are absolute and the allowance
+# would admit every row.
+_FLOAT32_SCALES = (2.0 ** -64, 2.0 ** 64)
 
-def _rounding_allowance(dim: int) -> float:
+
+def _screen_dtype(scale: float) -> type:
+    """The screen's dtype for centred squared norms of at most `scale`."""
+    low, high = _FLOAT32_SCALES
+    return np.float32 if low <= scale <= high else np.float64
+
+
+def _rounding_allowance(dim: int, dtype: type) -> float:
     """The factor c with |approx - d2| <= c * (|q|^2 + max |r|^2) + tiny,
-    norms taken after centring.
+    norms taken after centring and `tiny` the dtype's smallest normal.
 
-    With unit roundoff u = eps / 2 and gamma_n = n u / (1 - n u), and
-    x, y the centred query and reference (so |x - y|^2 <= 2 (|x|^2 + |y|^2)):
+    With u the unit roundoff of the screen's dtype (eps / 2), u64 that of
+    float64, gamma_n = n u / (1 - n u), and a, b the exactly centred query
+    and reference (so |a - b|^2 <= 2 (|a|^2 + |b|^2) and 2 |a.b| <=
+    |a|^2 + |b|^2):
 
-    - centring rounds each coordinate once, which moves the exact distance
-      by at most 4 u (|x|^2 + |y|^2);
-    - the squared norms are each within gamma_dim of exact, and the
-      matrix product, in any summation order and with or without fused
-      multiply-adds, is within gamma_dim |x| |y|; the two additions, in
-      either order, add at most 4 u (|x|^2 + |y|^2). Together:
-      (2 dim + 4) u (|x|^2 + |y|^2);
+    - the centred coordinates are rounded to float64 and then to the
+      dtype, x = a (1 + t) with |t| <= u + 2 u64, and likewise y; the exact
+      -2 x.y then differs from -2 a.b by at most (2 u + 4 u64) (|a|^2 +
+      |b|^2), to first order;
+    - the matrix product with the exact -2 y, in any summation order and
+      with or without fused multiply-adds, is within gamma_dim of
+      2 |x| |y|: dim u (|a|^2 + |b|^2);
+    - |r|^2 is summed in float64 from the float64 coordinates and cast to
+      the dtype: within (u + (dim + 2) u64) |b|^2 of |b|^2;
+    - the one addition in the block rounds once, within u (2 |x| |y| +
+      |y|^2), at most 2 u (|a|^2 + |b|^2);
+    - |q|^2 is summed in float64 (within (dim + 2) u64 |a|^2), and the
+      shift by it, ub and the threshold are formed in float64, each
+      rounding by at most 2 u64 (|a|^2 + |b|^2) or so;
     - the brute-force d2 rounds each difference and each square once and
-      sums dim terms: within gamma_{dim+2} |x - y|^2, that is
-      2 (dim + 2) u (|x|^2 + |y|^2).
+      sums dim terms: within gamma_{dim+2}(u64) |a - b|^2, that is
+      2 (dim + 2) u64 (|a|^2 + |b|^2).
 
-    The sum is (4 dim + 12) u = (2 dim + 6) eps, to first order. c is
-    taken more than four times larger, 8 (dim + 4) eps, which also covers
-    the second-order terms. The absolute `tiny` covers results that fall into
-    the subnormal range, where the relative bound no longer holds.
+    The sum is (dim + 5) u + (4 dim + 18) u64 to first order, at most
+    (5 dim + 23) u. c is taken more than twice as large, 8 (dim + 4) eps =
+    16 (dim + 4) u, which also covers the second-order terms. The
+    cast of the threshold to float32 rounds upward, so it loses nothing.
+    Underflow adds at most half the dtype's smallest subnormal per
+    operation, about 3 dim + 8 of them, which the absolute `tiny` covers.
     """
-    return 8.0 * (dim + 4) * np.finfo(float).eps
+    return 8.0 * (dim + 4) * float(np.finfo(dtype).eps)
+
+
+def _round_up(values: np.ndarray, dtype: type) -> np.ndarray:
+    """`values` (float64) cast to `dtype`, each rounded to the nearest
+    representable value at or above it."""
+    cast = values.astype(dtype)
+    return np.where(cast < values, np.nextafter(cast, dtype(np.inf)), cast)
 
 
 def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
@@ -76,26 +113,32 @@ def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     center = ref.mean(axis=0)
     ref_c = ref - center
     ref_sq = (ref_c ** 2).sum(axis=1)
-    factor = _rounding_allowance(ref.shape[1])
+    q_c = queries - center
+    q_sq = (q_c ** 2).sum(axis=1)
+    ref_max = ref_sq.max()
+    dtype = _screen_dtype(max(ref_max, q_sq.max()))
+    neg2_ref_t = (-2.0 * ref_c.astype(dtype)).T
+    ref_sq_s = ref_sq.astype(dtype)
+    q_s = q_c.astype(dtype)
+    delta = (_rounding_allowance(ref.shape[1], dtype) * (q_sq + ref_max)
+             + float(np.finfo(dtype).tiny))
     step = max(1, _BLOCK_CELLS // m)
     for start in range(0, len(queries), step):
-        q = queries[start:start + step]
-        q_c = q - center
-        q_sq = (q_c ** 2).sum(axis=1)
-        # -2 q.r + |q|^2 + |r|^2, in place: fresh 1 MiB temporaries would
-        # cost more than the arithmetic
-        approx = q_c @ ref_c.T
-        approx *= -2.0
-        approx += q_sq[:, None]
-        approx += ref_sq
-        delta = factor * (q_sq + ref_sq.max()) + np.finfo(float).tiny
-        ub = np.partition(approx, width - 1, axis=1)[:, width - 1] + delta
-        qi, ri = np.divmod(np.flatnonzero(approx <= (ub + delta)[:, None]), m)
+        stop = start + step
+        q = queries[start:stop]
+        # |r|^2 - 2 q.r, in place: a fresh temporary would cost more than
+        # the addition
+        s = q_s[start:stop] @ neg2_ref_t
+        s += ref_sq_s
+        kth = np.partition(s, width - 1, axis=1)[:, width - 1].astype(float)
+        ub = q_sq[start:stop] + kth + delta[start:stop]
+        limit = _round_up(kth + 2.0 * delta[start:stop], dtype)
+        qi, ri = np.divmod(np.flatnonzero(s <= limit[:, None]), m)
         d2 = ((q[qi] - ref[ri]) ** 2).sum(axis=-1)
         keep = d2 <= ub[qi]
         qi, ri, d2 = qi[keep], ri[keep], d2[keep]
         ranked = ri[np.lexsort((ri, d2, qi))]
         # qi is ascending, so each query's candidates form one run
         first = np.searchsorted(qi, np.arange(len(q)))
-        out[start:start + len(q)] = ranked[first[:, None] + np.arange(width)]
+        out[start:stop] = ranked[first[:, None] + np.arange(width)]
     return out

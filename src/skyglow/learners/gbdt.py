@@ -330,7 +330,7 @@ def fit_gbdt(X, y, params: LearnerParams | None = None,
     priors = class_rows / len(y)
     init_scores = np.log(np.clip(priors, _PRIOR_FLOOR, None))
     diagnostics: list[str] = []
-    if len(np.unique(y)) < 2:
+    if np.count_nonzero(class_rows) < 2:
         diagnostics.append("single-class target: boosting skipped, prior-only model")
         return GbdtModel(n_classes, init_scores, (), params, feature_names,
                          (), None, tuple(diagnostics))

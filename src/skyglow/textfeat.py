@@ -33,12 +33,16 @@ _MAX_EXTRA_ITERATIONS = 40
 _STABLE_RTOL = 1e-9
 
 
+# Runs of two or more alphanumeric characters; [^\W_] is exactly the
+# str.isalnum() class.
+_TOKEN = re.compile(r"[^\W_]{2,}")
+
+
 def tokenize(text: str | None) -> list[str]:
     """Lowercase, split on every non-alphanumeric run, drop 1-char tokens."""
     if text is None:
         return []
-    # [^\W_] is exactly the str.isalnum() class
-    return [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) >= 2]
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,9 @@ def transform_tfidf(model: TfidfModel, corpus: Sequence[list[str]]) -> CsrMatrix
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     squares = weights ** 2
     norms = np.zeros(n_docs)
-    for length in np.unique(lengths[lengths > 0]):
+    # the distinct positive lengths, without np.unique: its hash path
+    # imports numpy.ma
+    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
         group = np.flatnonzero(lengths == length)
         cells = indptr[group][:, None] + np.arange(length)
         norms[group] = np.sqrt(squares[cells].sum(axis=1))

@@ -15,10 +15,16 @@ from itertools import combinations
 import numpy as np
 
 from skyglow.dataset import (
+    NUMERIC_FIELDS,
+    OBSERVATION_COLUMNS,
     ObservationRecord,
     ObservationTable,
     POPULATION_YEARS,
+    RowDiagnostic,
+    csv_reader,
+    parse_timestamp,
 )
+from skyglow.errors import DuplicateKeyError, RowError, TimestampError
 from skyglow.synth import (
     _CLASS_IDS,
     _CLOUDS_REST,
@@ -204,6 +210,72 @@ def join_population_oracle(records, pop):
         else:
             joined.append(replace(rec, population=float(value), population_matched=True))
     return joined
+
+
+def parse_observations_oracle(source, strictness: str = "lenient"):
+    """Row by row: each data row's cells checked in turn, the first failing
+    check giving its error (raised in strict mode, a diagnostic in lenient
+    mode); a repeated id is judged against the rows kept before it."""
+    with csv_reader(source) as reader:
+        header = next(reader)
+        assert sorted(header) == sorted(OBSERVATION_COLUMNS)
+        columns = {c: [] for c in OBSERVATION_COLUMNS}
+        diagnostics = []
+        seen_ids = set()
+        for line_no, row in enumerate(reader, start=2):
+            row_id = ""
+            try:
+                if len(row) != len(header):
+                    raise RowError(f"line {line_no}: expected {len(header)} "
+                                   f"cells, got {len(row)}")
+                cells = dict(zip(header, row))
+                row_id = cells["id"]
+                if row_id == "":
+                    raise RowError(f"line {line_no}: empty id")
+                if row_id in seen_ids:
+                    raise DuplicateKeyError(
+                        f"duplicate id: {row_id!r} (line {line_no})")
+                values = _parse_row_oracle(row_id, cells)
+            except (RowError, DuplicateKeyError) as exc:
+                if strictness == "strict":
+                    raise
+                diagnostics.append(RowDiagnostic(line_no, row_id, str(exc)))
+                continue
+            seen_ids.add(row_id)
+            for column in OBSERVATION_COLUMNS:
+                columns[column].append(values[column])
+    records = [ObservationRecord(*row) for row in zip(*columns.values())]
+    return ObservationTable(records), diagnostics
+
+
+def _parse_row_oracle(row_id, cells):
+    values = {}
+    for field in NUMERIC_FIELDS:
+        cell = cells[field]
+        values[field] = None
+        if cell != "":
+            try:
+                values[field] = float(cell)
+            except ValueError:
+                raise RowError(f"row {row_id!r}: {field} is not numeric: "
+                               f"{cell!r}") from None
+            if not math.isfinite(values[field]):
+                raise RowError(f"row {row_id!r}: {field} is not finite: {cell!r}")
+    values["time"] = None
+    if cells["time"] != "":
+        try:
+            values["time"] = parse_timestamp(cells["time"])
+        except TimestampError as exc:
+            raise RowError(f"row {row_id!r}: {exc}") from None
+    for column in OBSERVATION_COLUMNS:
+        if column not in values:
+            values[column] = cells[column] if cells[column] != "" else None
+    lat, lon = values["latitude"], values["longitude"]
+    if lat is not None and not -90.0 <= lat <= 90.0:
+        raise RowError(f"row {row_id!r}: latitude out of range [-90, 90]: {lat}")
+    if lon is not None and not -180.0 <= lon <= 180.0:
+        raise RowError(f"row {row_id!r}: longitude out of range [-180, 180]: {lon}")
+    return values
 
 
 def exact_greedy_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,

@@ -835,6 +835,25 @@ def test_each_stage_loads_only_the_modules_it_runs(config):
         assert lines == sorted(STAGE_MODULES[stage]), stage
 
 
+# Library modules a stage has no use for, each about 3-15 ms to import:
+# numpy.ma comes with np.unique's hash path, platform with numpy.
+UNLOADED = {"ingest": ("platform",), "eda": ("platform",),
+            "predict": ("numpy.ma",), "report": ("platform",)}
+
+
+def test_stages_leave_unused_library_modules_unloaded(config):
+    for stage in COMMANDS:
+        if stage not in UNLOADED:
+            assert dispatch(stage, config) == 0, stage
+            continue
+        lines = _run_python(
+            "import sys\n"
+            "from skyglow.cli.main import main\n"
+            f"assert main([{stage!r}, '--config', {config!r}]) == 0\n"
+            f"print(*(name in sys.modules for name in {UNLOADED[stage]!r}))\n")
+        assert lines == [" ".join(["False"] * len(UNLOADED[stage]))], stage
+
+
 def _global_names(function, seen=None) -> set[str]:
     """The global names that `function` and the functions of its module
     that it calls refer to, comprehensions and lambdas included."""

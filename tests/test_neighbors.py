@@ -93,6 +93,61 @@ def test_exact_knn_matches_scan_on_adversarial_points(monkeypatch, block_cells):
         assert found.tolist() == scan_knn(ref, queries, k), name
 
 
+def float32_cases():
+    """(name, reference, queries, k, screen dtype) cases for the float32
+    screen's allowance and for the dtype choice."""
+    rng = np.random.default_rng(31)
+    # radii 1 + j * 1e-9 around the query: float32 cannot order them
+    directions = rng.normal(size=(80, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    shell = directions * (1.0 + 1e-9 * rng.permutation(80))[:, None]
+    for k in (1, 7, 40):
+        yield (f"shell, k = {k}", shell, np.zeros((1, 3)) + 1e-12, k,
+               np.float32)
+    # a slab: every reference row within 1e-7 of the plane x = 0
+    slab = np.column_stack([1e-7 * rng.normal(size=90),
+                            rng.normal(size=(90, 2))])
+    yield "slab", slab, slab[:9] + [0.5, 0.0, 0.0], 5, np.float32
+    # far queries: |q|^2 about 1e8 times the neighbor distances
+    cluster = rng.normal(size=(70, 3))
+    far = 1e4 + 1e-3 * rng.normal(size=(6, 3))
+    yield "far queries", cluster, far, 4, np.float32
+    yield "near overflow", cluster * 1e19, cluster[:5] * 1e19 + 1e17, 3, np.float64
+    yield "near underflow", cluster * 1e-25, cluster[:5] * 1e-25, 3, np.float64
+
+
+@pytest.mark.parametrize("block_cells", [
+    pytest.param(knn._BLOCK_CELLS, id="default"), 7])
+def test_float32_screen_matches_scan(monkeypatch, block_cells):
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", block_cells)
+    chosen = []
+
+    def spy(scale):
+        chosen.append(real_dtype(scale))
+        return chosen[-1]
+
+    real_dtype = knn._screen_dtype
+    monkeypatch.setattr(knn, "_screen_dtype", spy)
+    for name, ref, queries, k, dtype in float32_cases():
+        chosen.clear()
+        found = _exact_knn(ref, queries, k)
+        assert chosen == [dtype], name
+        assert found.tolist() == scan_knn(ref, queries, k), name
+
+
+def test_threshold_cast_rounds_upward():
+    rng = np.random.default_rng(37)
+    values = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-30, 30, 500),
+                             [0.0, 1.0, -1.0, 2.0 ** -20, 1.0 + 2.0 ** -30,
+                              -(1.0 + 2.0 ** -30)]])
+    up = knn._round_up(values, np.float32)
+    assert up.dtype == np.float32
+    assert (up.astype(float) >= values).all()
+    # the next float32 below each result is below the value
+    assert (np.nextafter(up, np.float32(-np.inf)).astype(float) < values).all()
+    assert knn._round_up(values, np.float64).tolist() == values.tolist()
+
+
 def test_exact_knn_rejects_non_finite_points():
     points = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
     with pytest.raises(ParameterError):
