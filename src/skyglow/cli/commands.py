@@ -11,7 +11,8 @@ is bound as an attribute of this module by `_bind_names`, which `dispatch`
 calls before a command with the names that command calls
 (`_COMMAND_NAMES`), so a stage loads only the modules that define them:
 `report` loads the chart code and no numpy, `ensemble` no learner or
-feature-stack code, and only `synth` the generator. A first lookup of an
+feature-stack code, `features` no learner (its `fold_labels` comes from
+`folds`), and only `synth` the generator. A first lookup of an
 unbound attribute binds every name (`__getattr__`). Either way each name
 is looked up here when a command runs, so patching `commands.<name>`
 reaches every command.
@@ -61,13 +62,13 @@ _LAZY_IMPORTS = {
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
     "..features": ("N_CLASSES", "target_classes"),
     "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
+    "..folds": ("fold_labels",),
     "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
                   "write_matrix", "write_oof_csv"),
     "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
                     "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
     "..synth": ("write_synthetic_dataset",),
-    "..validation": ("fit_models", "fold_labels", "labelled_rows",
-                     "predict_proba", "run_cv"),
+    "..validation": ("fit_models", "labelled_rows", "predict_proba", "run_cv"),
     ".svg": ("bar_chart_svg", "line_chart_svg", "write_svg"),
     # bench/tracing.py patches these names here, so they stay importable
     "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),

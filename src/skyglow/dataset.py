@@ -104,7 +104,7 @@ def parse_timestamp(text: str) -> datetime:
     if ts.tzinfo is not None:
         raise TimestampError(
             f"timestamp carries a UTC offset, which belongs in time_zone: {text!r}")
-    return ts.replace(microsecond=0)
+    return ts if ts.microsecond == 0 else ts.replace(microsecond=0)
 
 
 def format_timestamp(ts: datetime) -> str:

@@ -137,7 +137,10 @@ def _exact_knn(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         d2 = ((q[qi] - ref[ri]) ** 2).sum(axis=-1)
         keep = d2 <= ub[qi]
         qi, ri, d2 = qi[keep], ri[keep], d2[keep]
-        ranked = ri[np.lexsort((ri, d2, qi))]
+        # candidates arrive in (query, position) order, so two stable sorts
+        # rank them by (query, d2, position)
+        by_d2 = np.argsort(d2, kind="stable")
+        ranked = ri[by_d2[np.argsort(qi[by_d2], kind="stable")]]
         # qi is ascending, so each query's candidates form one run
         first = np.searchsorted(qi, np.arange(len(q)))
         out[start:stop] = ranked[first[:, None] + np.arange(width)]

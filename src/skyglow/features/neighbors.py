@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
+from ..orderstats import sorted_unique
 from .knn import _exact_knn
 from .pipeline import NeighborIndex
 
@@ -52,7 +53,7 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
     rows = index.table_rows
     row_labels = index.fold_labels[rows]
     member = neighbor_mask[rows]
-    for label in np.unique(index.fold_labels):
+    for label in sorted_unique(index.fold_labels):
         outside = eligible_values & (index.fold_labels != label)
         fallback = float(values[outside].mean()) if outside.any() else 0.0
         means[index.fold_labels == label] = fallback

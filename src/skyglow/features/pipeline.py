@@ -7,6 +7,8 @@ All statistics (quantile clip bounds, means, population stds, medians,
 category maps) are fitted on a training table once and frozen; applying the
 pipeline is pure and never produces non-finite values. The array carries no
 names: its columns are `FeaturePipelineModel.output_columns`, in order.
+The quantiles and medians are `skyglow.orderstats`' copies of numpy's,
+equal bit for bit, which do not import `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..errors import (
     ParameterError,
     UnknownFieldError,
 )
+from ..orderstats import median, quantile
 from ..specs import FeatureConfig
 
 N_CLASSES = 8
@@ -133,12 +136,12 @@ def fit_feature_pipeline(table: ObservationTable,
             excluded.append(name)
             diagnostics.append(f"column {name!r} excluded: all values missing")
             continue
-        low = float(np.quantile(present, config.quantile_low))
-        high = float(np.quantile(present, config.quantile_high))
+        low = quantile(present, config.quantile_low)
+        high = quantile(present, config.quantile_high)
         clipped = np.clip(present, low, high)
         mean = float(clipped.mean())
         std = float(clipped.std())
-        impute = float(np.median(clipped))
+        impute = median(clipped)
         if std == 0.0:
             diagnostics.append(
                 f"column {name!r} is constant after clipping; emitting zeros")

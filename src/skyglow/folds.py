@@ -1,0 +1,76 @@
+"""Fold dealing for cross-validation: stratified or plain K-fold labels.
+
+Numpy-only, so the `features` stage deals the folds of its out-of-fold
+neighbor features without loading the learners or `validation`, which
+re-exports these names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ParameterError
+from .orderstats import sorted_unique
+
+
+@dataclass(frozen=True)
+class FoldAssignment:
+    folds: np.ndarray
+    warnings: tuple[str, ...]
+
+
+def stratified_folds(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
+    """Within each class, shuffle rows by seed and deal them round-robin,
+    so per-class fold counts differ by at most 1."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+    if labels.ndim != 1 or len(labels) == 0:
+        raise ParameterError("labels must be a nonempty 1-D array")
+    rng = np.random.default_rng(seed)
+    folds = np.empty(len(labels), dtype=np.int64)
+    warnings = []
+    smallest = None
+    for cls in sorted_unique(labels):
+        rows = np.nonzero(labels == cls)[0]
+        smallest = len(rows) if smallest is None else min(smallest, len(rows))
+        dealt = rng.permutation(rows)
+        folds[dealt] = np.arange(len(dealt)) % k
+    if smallest is not None and k > smallest:
+        warnings.append(
+            f"k={k} exceeds the smallest class count ({smallest}); "
+            "some folds will lack that class")
+    return FoldAssignment(folds, tuple(warnings))
+
+
+def random_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
+    """Unstratified round-robin deal of a seeded shuffle."""
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+    if n_rows < 1:
+        raise ParameterError("need at least one row")
+    rng = np.random.default_rng(seed)
+    folds = np.empty(n_rows, dtype=np.int64)
+    folds[rng.permutation(n_rows)] = np.arange(n_rows) % k
+    return FoldAssignment(folds, ())
+
+
+def fold_assignment(labels: np.ndarray, k: int, seed: int,
+                    stratified: bool = True) -> FoldAssignment:
+    if stratified:
+        return stratified_folds(labels, k, seed)
+    return random_folds(len(labels), k, seed)
+
+
+def fold_labels(targets: np.ndarray, k: int, seed: int,
+                stratified: bool = True) -> np.ndarray:
+    """Fold labels aligned with the table: folds dealt over the rows that
+    have a target, -1 on rows without one."""
+    keep = ~np.isnan(targets)
+    labels = np.full(len(targets), -1, dtype=np.int64)
+    if keep.any():
+        labels[keep] = fold_assignment(targets[keep].astype(np.int64), k, seed,
+                                       stratified).folds
+    return labels

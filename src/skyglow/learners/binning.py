@@ -5,7 +5,10 @@ bin per distinct value), so split search on the histogram is identical to
 exact greedy search. Wider columns get quantile-spaced edges. A value
 equal to an edge falls in the lower bin, matching searchsorted's 'left'
 side, and the stored raw thresholds reproduce the same partition at
-predict time via `x <= threshold`.
+predict time via `x <= threshold`. The distinct values come from
+`orderstats.sorted_unique`, numpy's own sort-and-compare path for floats
+without its `numpy.ma` import, so of -0.0 and 0.0 the one `np.unique`
+keeps is kept.
 
 `bin_matrix` also stores the count histogram of every row, which is what
 a GBDT tree's root asks for. Returning a copy of it is exact: a count is
@@ -22,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
+from ..orderstats import sorted_unique
 
 
 def compute_bin_edges(values: np.ndarray, max_bins: int) -> np.ndarray:
     """Strictly increasing upper edges; len(edges) + 1 bins, <= max_bins."""
-    distinct = np.unique(values)
+    distinct = sorted_unique(values)
     if distinct.size <= max_bins:
         return distinct[:-1].astype(float)
     ranked = np.sort(values)
     n = ranked.size
     ranks = (np.arange(1, max_bins) * n) // max_bins
-    edges = np.unique(ranked[ranks - 1])
+    edges = sorted_unique(ranked[ranks - 1])
     return edges[edges < distinct[-1]]
 
 

@@ -5,6 +5,10 @@ field changes the file format. Floats survive because json emits Python's
 repr; arrays carry dtype and shape, so empty and multi-dimensional blocks
 reload unambiguously. Sorted keys and fixed indentation make identical
 objects identical bytes.
+
+The learner classes are imported when a learner is encoded or decoded, not
+with this module: `features` writes its stack sidecar without loading the
+learners.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ import numpy as np
 from .dataset import open_text
 from .errors import ParseError
 from .features.stack import StackModel
-from .learners.forest import ForestModel
-from .learners.gbdt import GbdtModel
-
-LEARNER_KINDS = {"gbdt": GbdtModel, "forest": ForestModel}
 
 
 def json_text(payload: dict) -> str:
@@ -113,15 +113,23 @@ def stack_from_obj(obj: dict) -> StackModel:
     return from_obj(StackModel, obj)
 
 
+def _learner_kinds() -> dict:
+    """The learner class of each sidecar `kind`."""
+    from .learners.forest import ForestModel
+    from .learners.gbdt import GbdtModel
+    return {"gbdt": GbdtModel, "forest": ForestModel}
+
+
 def learner_to_obj(model) -> dict:
-    for kind, cls in LEARNER_KINDS.items():
+    for kind, cls in _learner_kinds().items():
         if isinstance(model, cls):
             return {"kind": kind, **to_obj(model)}
     raise ParseError(f"not a serializable learner: {type(model).__name__}")
 
 
 def learner_from_obj(obj: dict):
+    kinds = _learner_kinds()
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in LEARNER_KINDS:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ParseError(f"unknown learner kind in sidecar: {kind!r}")
-    return from_obj(LEARNER_KINDS[kind], {k: v for k, v in obj.items() if k != "kind"})
+    return from_obj(kinds[kind], {k: v for k, v in obj.items() if k != "kind"})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Sequence
 
@@ -120,10 +121,11 @@ class CsrMatrix:
         return CsrMatrix(indptr, self.indices[take], self.data[take],
                          (len(rows), self.shape[1]))
 
-    @property
+    @cached_property
     def T(self) -> "CsrMatrix":
         """The transpose; a stable sort by column keeps each new row's
-        entries in their old stored order."""
+        entries in their old stored order. Built once per matrix: the SVD
+        fit multiplies by it on every power iteration."""
         order = np.argsort(self.indices, kind="stable")
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.concatenate(([0], np.cumsum(counts)))

@@ -801,19 +801,21 @@ def test_light_stages_load_no_fitting_code(tmp_path, config, stage):
 # The `skyglow` modules each stage loads when it runs in a fresh process:
 # a stage binds only the names it calls, so only `synth` loads the
 # generator, only `report` the chart code, and only `ensemble` and
-# `predict` the blend; `cv` reads no sidecar and loads no codec.
+# `predict` the blend; `cv` reads no sidecar and loads no codec, and
+# `features` deals its folds without the learners or `validation`.
 _CLI = ("cli", "cli.commands", "cli.config", "cli.main", "dataset", "errors",
         "specs")
-_FITTING_STACK = ("columnview", "features", "features.knn",
+_FEATURE_STACK = ("columnview", "features", "features.knn",
                   "features.neighbors", "features.pipeline", "features.stack",
-                  "learners", "learners.binning", "learners.forest",
-                  "learners.gbdt", "learners.params", "metrics", "textfeat",
-                  "validation")
+                  "folds", "metrics", "orderstats", "textfeat")
+_FITTING_STACK = _FEATURE_STACK + (
+    "learners", "learners.binning", "learners.forest", "learners.gbdt",
+    "learners.params", "validation")
 STAGE_MODULES = {
     "synth": _CLI + ("synth",),
     "ingest": _CLI,
     "eda": _CLI,
-    "features": _CLI + _FITTING_STACK + ("serialize",),
+    "features": _CLI + _FEATURE_STACK + ("serialize",),
     "cv": _CLI + _FITTING_STACK,
     "train": _CLI + _FITTING_STACK + ("serialize",),
     "ensemble": _CLI + ("ensemble", "metrics"),
@@ -836,9 +838,12 @@ def test_each_stage_loads_only_the_modules_it_runs(config):
 
 
 # Library modules a stage has no use for, each about 3-15 ms to import:
-# numpy.ma comes with np.unique's hash path, platform with numpy.
+# numpy.ma comes with np.unique's hash path, np.quantile and np.median,
+# platform with numpy.
 UNLOADED = {"ingest": ("platform",), "eda": ("platform",),
-            "predict": ("numpy.ma",), "report": ("platform",)}
+            "features": ("numpy.ma",), "cv": ("numpy.ma",),
+            "train": ("numpy.ma",), "predict": ("numpy.ma",),
+            "report": ("platform",)}
 
 
 def test_stages_leave_unused_library_modules_unloaded(config):

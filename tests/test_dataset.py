@@ -162,6 +162,16 @@ def test_parse_timestamp_truncates_microseconds():
     assert ts == datetime(2014, 2, 21, 18, 12, 0)
 
 
+@pytest.mark.parametrize("text", [
+    "2014-02-21 18:12:00", "2014-02-21 18:12:00.654321", "2014-02-21T18:12",
+    "2014-02-21", " 0999-12-31 23:59:59.000001 ", "2014-02-21 18:12:00.000"])
+def test_parse_timestamp_equals_the_truncating_replace(text):
+    ts = parse_timestamp(text)
+    want = datetime.fromisoformat(text.strip()).replace(microsecond=0)
+    assert type(ts) is datetime and ts == want and ts.microsecond == 0
+    assert (ts.fold, ts.tzinfo) == (want.fold, want.tzinfo)
+
+
 @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
 def test_timestamp_round_trip_pads_the_year(tmp_path, year):
     ts = datetime(year, 6, 15, 21, 30)

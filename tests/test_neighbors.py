@@ -93,6 +93,19 @@ def test_exact_knn_matches_scan_on_adversarial_points(monkeypatch, block_cells):
         assert found.tolist() == scan_knn(ref, queries, k), name
 
 
+def test_tied_distances_rank_by_position_within_a_block():
+    # every query of one block has dozens of candidates, most of them at a
+    # distance another candidate ties, so a sort that is not stable would
+    # reorder the positions within a tie
+    rng = np.random.default_rng(43)
+    cells = np.array([[a, b] for a in range(7) for b in range(7)], float)
+    ref = rng.permutation(np.repeat(cells, 3, axis=0))
+    queries = rng.permutation(np.vstack([cells, cells + 0.5]))
+    for k in (9, 24, 60):
+        found = _exact_knn(ref, queries, k)
+        assert found.tolist() == scan_knn(ref, queries, k), k
+
+
 def float32_cases():
     """(name, reference, queries, k, screen dtype) cases for the float32
     screen's allowance and for the dtype choice."""

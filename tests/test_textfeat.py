@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,35 @@ def test_svd_deterministic_and_sign_fixed():
     # each component's largest-magnitude entry is positive
     for row in m1.components:
         assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_svd_fit_builds_one_transpose_with_the_same_bits(monkeypatch):
+    # every power iteration and every projection multiplies by the
+    # transpose; the fit builds it once, and the products keep their bits
+    matrix = next(csr_cases())
+    transpose = CsrMatrix.T.func
+    built = []
+
+    def counted(self):
+        built.append(self.shape)
+        return transpose(self)
+
+    def fresh_fit():
+        built.clear()
+        return fit_truncated_svd(CsrMatrix(matrix.indptr, matrix.indices,
+                                           matrix.data, matrix.shape),
+                                 rank=3, seed=2)
+
+    monkeypatch.setattr(CsrMatrix, "T", property(counted))
+    rebuilt = fresh_fit()
+    assert len(built) > 2
+    cached = cached_property(counted)
+    cached.__set_name__(CsrMatrix, "T")
+    monkeypatch.setattr(CsrMatrix, "T", cached)
+    once = fresh_fit()
+    assert built == [matrix.shape]
+    assert once.components.tobytes() == rebuilt.components.tobytes()
+    assert once.singular_values.tobytes() == rebuilt.singular_values.tobytes()
 
 
 def test_svd_rank_validation():
