@@ -11,7 +11,7 @@ is bound as an attribute of this module by `_bind_names`, which `dispatch`
 calls before a command with the names that command calls
 (`_COMMAND_NAMES`), so a stage loads only the modules that define them:
 `report` loads the chart code and no numpy, `ensemble` no learner or
-feature-stack code, `features` no learner (its `fold_labels` comes from
+feature-stack code, `features` no learner (its `labelled_folds` comes from
 `folds`), and only `synth` the generator. A first lookup of an
 unbound attribute binds every name (`__getattr__`). Either way each name
 is looked up here when a command runs, so patching `commands.<name>`
@@ -62,13 +62,13 @@ _LAZY_IMPORTS = {
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
     "..features": ("N_CLASSES", "target_classes"),
     "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
-    "..folds": ("fold_labels",),
+    "..folds": ("labelled_folds",),
     "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
                   "write_matrix", "write_oof_csv"),
     "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
                     "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
     "..synth": ("write_synthetic_dataset",),
-    "..validation": ("fit_models", "labelled_rows", "predict_proba", "run_cv"),
+    "..validation": ("fit_models", "predict_proba", "run_cv"),
     ".svg": ("bar_chart_svg", "line_chart_svg", "write_svg"),
     # bench/tracing.py patches these names here, so they stay importable
     "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),
@@ -82,10 +82,10 @@ _COMMAND_NAMES = {
     "ingest": (),
     "eda": (),
     "features": ("np", "target_classes", "StackSpec", "fit_stack",
-                 "write_matrix", "save_json", "stack_to_obj", "fold_labels"),
+                 "write_matrix", "save_json", "stack_to_obj", "labelled_folds"),
     "cv": ("run_cv", "write_oof_csv"),
     "train": ("np", "N_CLASSES", "json_text", "learner_to_obj", "save_json",
-              "stack_to_obj", "fit_models", "fold_labels", "labelled_rows"),
+              "stack_to_obj", "fit_models", "target_classes", "labelled_folds"),
     "ensemble": ("np", "blend", "mean_blend", "optimize_weights", "micro_f1",
                  "predicted_classes", "read_oof_csv", "write_oof_csv"),
     "predict": ("blend", "read_weights_csv", "apply_stack", "predicted_classes",
@@ -272,14 +272,17 @@ def cmd_eda(config: RunConfig) -> None:
 
 
 def cmd_features(config: RunConfig) -> None:
-    table = _load_clean_table(config)
+    """Write the full stack fitted on the labelled rows, as `train` fits
+    each model with text and neighbor blocks, and its matrix."""
     out = config.output_dir
-    targets = target_classes(table)
-    labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
+    table = _load_clean_table(config)
+    table, targets, assignment = labelled_folds(
+        table, target_classes(table), config.cv_k, config.seed, config.stratified)
     spec = StackSpec(use_text=True, use_neighbor=True,
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
-                              labels, config.feature_config, spec, config.seed)
+                              assignment.folds, config.feature_config, spec,
+                              config.seed)
     _note_diagnostics(stack, "features")
     write_matrix(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
                  ([row_id] for row_id in table.ids), matrix)
@@ -365,10 +368,11 @@ def cmd_train(config: RunConfig) -> None:
     rounds = _refit_rounds(config)
     specs = [replace(spec, params=replace(spec.params, n_rounds=rounds[spec.model_id]))
              if spec.model_id in rounds else spec for spec in config.specs]
-    table, targets = labelled_rows(_load_clean_table(config))
-    labels = fold_labels(targets, config.cv_k, config.seed, config.stratified)
+    table = _load_clean_table(config)
+    table, targets, assignment = labelled_folds(
+        table, target_classes(table), config.cv_k, config.seed, config.stratified)
     cv_ids, cv_folds, _ = _read_cv_truth(out)
-    if cv_ids != list(table.ids) or not np.array_equal(cv_folds, labels):
+    if cv_ids != list(table.ids) or not np.array_equal(cv_folds, assignment.folds):
         raise SchemaError(f"{out / CV_TRUTH}: row ids or folds differ from the "
                           "folds of this config; run cv with this config first")
 
@@ -377,8 +381,8 @@ def cmd_train(config: RunConfig) -> None:
     (out / TRAIN_MANIFEST).unlink(missing_ok=True)
     sidecars = {}  # stack spec -> sidecar text: a shared stack encodes once
     for configured, (spec, stack, _, model) in zip(config.specs, fit_models(
-            table, targets, np.ones(len(table), dtype=bool), labels,
-            config.feature_config, specs, config.seed)):
+            table, targets, assignment.folds, config.feature_config, specs,
+            config.seed)):
         if spec.stack not in sidecars:
             sidecars[spec.stack] = json_text(stack_to_obj(stack))
             _note_diagnostics(stack, spec.model_id)

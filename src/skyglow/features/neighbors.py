@@ -13,8 +13,8 @@ queries are the fold's own rows, so a row's feature never reads any target
 inside its own fold (the fallback mean is restricted the same way). This
 is what makes target-derived features safe to train on. A neighbor mask
 further limits which rows may serve as neighbors (fitting restricts the
-pool to the training rows with a target); masked rows still receive
-features of their own.
+pool to the training rows, each of which has a target); masked rows still
+receive features of their own.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
     """Out-of-fold mean of `values` over each row's k nearest neighbors.
 
     Returns (means, counts), both aligned with the source table. The count
-    is the number of non-missing neighbor values actually averaged; rows
-    with no eligible neighbors, no usable coordinates, or only missing
-    neighbor values get count 0 and their fold-complement mean: the mean
-    of the eligible present values outside the row's fold (0.0 if none).
+    is the number of neighbor values averaged; rows with no eligible
+    neighbors or no usable coordinates get count 0 and their
+    fold-complement mean: the mean of the eligible values outside the
+    row's fold (0.0 if none).
     """
     n = len(index.fold_labels)
     values = np.asarray(values, dtype=float)
@@ -47,14 +47,13 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
         raise ParameterError(
             f"neighbor mask must have shape ({n},), got {neighbor_mask.shape}")
 
-    eligible_values = ~np.isnan(values) & neighbor_mask
     means = np.empty(n)
     counts = np.zeros(n, dtype=np.int64)
     rows = index.table_rows
     row_labels = index.fold_labels[rows]
     member = neighbor_mask[rows]
     for label in sorted_unique(index.fold_labels):
-        outside = eligible_values & (index.fold_labels != label)
+        outside = neighbor_mask & (index.fold_labels != label)
         fallback = float(values[outside].mean()) if outside.any() else 0.0
         means[index.fold_labels == label] = fallback
         query = row_labels == label
@@ -68,20 +67,16 @@ def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
 def cross_neighbor_means(ref_points: np.ndarray, ref_values: np.ndarray,
                          query_points: np.ndarray, k: int,
                          fallback: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of the present `ref_values` over each query's k nearest
-    reference points, and how many were averaged. No query is excluded
-    from its own reference; a query with no present neighbor value gets
-    `fallback` and count 0. Missing reference values still take their
-    neighbor slot.
+    """Mean of `ref_values` over each query's k nearest reference points,
+    summed in rank order, and how many were averaged: k, or every
+    reference point when there are fewer. No query is excluded from its
+    own reference; with an empty reference every query gets `fallback`
+    and count 0.
     """
     if ref_points.shape[1] != query_points.shape[1]:
         raise ParameterError("reference and query dimensionality differ")
     neighbors = _exact_knn(ref_points, query_points, k)
-    take = ~np.isnan(ref_values)[neighbors]
-    # skipped neighbors add 0.0 in place, so every row sums in rank order
-    sums = np.where(take, ref_values[neighbors], 0.0).sum(axis=1)
-    counts = take.sum(axis=1)
-    means = np.full(len(query_points), fallback)
-    has = counts > 0
-    means[has] = sums[has] / counts[has]
-    return means, counts
+    counts = np.full(len(query_points), neighbors.shape[1])
+    if neighbors.shape[1] == 0:
+        return np.full(len(query_points), fallback), counts
+    return ref_values[neighbors].sum(axis=1) / neighbors.shape[1], counts

@@ -40,7 +40,7 @@ class NeighborReference:
     points: np.ndarray   # (m, 4) standardized coordinates of training rows
     values: np.ndarray   # (m,) target classes of those rows
     k: int
-    fallback: float      # mean target over every training row with one
+    fallback: float      # mean target over every training row
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,13 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
               train_mask: np.ndarray, fold_labels: np.ndarray,
               feature_config: FeatureConfig, spec: StackSpec,
               seed: int) -> tuple[StackModel, np.ndarray]:
-    """Fit every block on the masked training rows; return the fitted
-    stack and the feature matrix for ALL rows of `table`, whose columns
-    are `stack.columns`.
+    """Fit every block on the masked training rows, each of which must
+    have a target; return the fitted stack and the feature matrix for ALL
+    rows of `table`, whose columns are `stack.columns`.
 
     Rows outside `train_mask` get fully valid features but contribute
-    nothing to any fitted statistic. The neighbor pool is the training rows
-    with a target, so a row outside it is never a neighbor.
+    nothing to any fitted statistic: the neighbor pool is the training
+    rows, so a row outside it is never a neighbor.
     """
     n = len(table)
     train_mask = np.asarray(train_mask, dtype=bool)
@@ -94,6 +94,8 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
         raise ParameterError(f"train mask must have shape ({n},)")
     if not train_mask.any():
         raise ParameterError("train mask selects no rows")
+    if np.isnan(targets[train_mask]).any():
+        raise ParameterError("every training row must have a target")
     train_table = table.subset(train_mask)
 
     pipeline = fit_feature_pipeline(train_table, feature_config)
@@ -107,19 +109,17 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
 
     neighbor = neighbor_ref = None
     if spec.use_neighbor:
-        pool = train_mask & ~np.isnan(targets)
         index = build_neighbor_index(table, pipeline, fold_labels)
         neighbor = neighbor_mean_features(
-            index, targets, feature_config.knn_k, neighbor_mask=pool)
-        in_reference = pool[index.table_rows]
+            index, targets, feature_config.knn_k, neighbor_mask=train_mask)
+        in_reference = train_mask[index.table_rows]
         # the held-out rows' out-of-fold fallback: every training target,
         # located or not
-        train_values = targets[pool]
         neighbor_ref = NeighborReference(
             points=index.points[in_reference],
             values=targets[index.table_rows[in_reference]],
             k=feature_config.knn_k,
-            fallback=float(train_values.mean()) if len(train_values) else 0.0)
+            fallback=float(targets[train_mask].mean()))
 
     columns, matrix = _assemble(pipeline, table, text_blocks, neighbor)
     stack = StackModel(spec, pipeline, tuple(text_models), neighbor_ref,

@@ -1,8 +1,8 @@
-"""Fold dealing for cross-validation: stratified or plain K-fold labels.
+"""Fold dealing: `labelled_folds` picks the rows every fit sees and deals
+their stratified or plain K-fold labels.
 
 Numpy-only, so the `features` stage deals the folds of its out-of-fold
-neighbor features without loading the learners or `validation`, which
-re-exports these names.
+neighbor features without loading the learners or `validation`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .dataset import ObservationTable
+from .errors import EmptyInputError, ParameterError
 from .orderstats import sorted_unique
 
 
@@ -64,13 +65,13 @@ def fold_assignment(labels: np.ndarray, k: int, seed: int,
     return random_folds(len(labels), k, seed)
 
 
-def fold_labels(targets: np.ndarray, k: int, seed: int,
-                stratified: bool = True) -> np.ndarray:
-    """Fold labels aligned with the table: folds dealt over the rows that
-    have a target, -1 on rows without one."""
+def labelled_folds(table: ObservationTable, targets: np.ndarray, k: int,
+                   seed: int, stratified: bool = True,
+                   ) -> tuple[ObservationTable, np.ndarray, FoldAssignment]:
+    """The rows of `table` that have a target, their target classes and
+    their folds: what `features`, `cv` and `train` fit on."""
     keep = ~np.isnan(targets)
-    labels = np.full(len(targets), -1, dtype=np.int64)
-    if keep.any():
-        labels[keep] = fold_assignment(targets[keep].astype(np.int64), k, seed,
-                                       stratified).folds
-    return labels
+    if not keep.any():
+        raise EmptyInputError("no rows with a target to fit on")
+    targets = targets[keep]
+    return table.subset(keep), targets, fold_assignment(targets, k, seed, stratified)

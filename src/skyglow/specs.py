@@ -12,6 +12,8 @@ type is also importable from the module that uses it
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -58,9 +60,9 @@ class LearnerParams:
         if not 0.0 < self.learning_rate <= 1.0:
             raise ParameterError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.l2_regularization <= 0.0:
-            raise ParameterError(
-                f"l2_regularization must be > 0, got {self.l2_regularization}")
+        if not 0.0 < self.l2_regularization < math.inf:
+            raise ParameterError(f"l2_regularization must be finite and > 0, "
+                                 f"got {self.l2_regularization}")
         if self.max_bins > 256:
             raise ParameterError(f"max_bins must be <= 256, got {self.max_bins}")
 
@@ -94,6 +96,11 @@ class StackSpec:
     vocab_cap: int = DEFAULT_VOCAB_CAP
     svd_rank: int = DEFAULT_SVD_RANK
 
+    def __post_init__(self):
+        for name in ("vocab_cap", "svd_rank"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -107,8 +114,11 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in ("gbdt", "forest"):
             raise ParameterError(f"unknown learner kind: {self.kind!r}")
-        if not self.model_id:
-            raise ParameterError("model_id must be nonempty")
+        # the id names files: oof_<id>.csv, stack_<id>.json, model_<id>.json
+        if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", self.model_id):
+            raise ParameterError(
+                "model_id must be letters, digits, '_', '-' and '.', not "
+                f"starting with '.', got {self.model_id!r}")
 
 
 @dataclass(frozen=True)

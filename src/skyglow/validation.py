@@ -1,18 +1,17 @@
 """Stratified K-fold orchestration and out-of-fold predictions.
 
-The CV protocol: per fold, every fitted object (feature pipeline, text
-models, neighbor features, learner) sees only the k-1 training folds, and
-the held-out fold is predicted by that fold's model, so OOF coverage is
-total. One exception remains: GBDT early-stops on the held-out fold
-itself, so the round count each fold keeps is chosen on the rows it then
-scores, and the OOF metrics of a GBDT that stopped early lean optimistic.
-An inner split of each fold's training rows would remove that bias.
+The CV protocol, on the rows that have a target (`folds.labelled_folds`):
+per fold, every fitted object (feature pipeline, text models, neighbor
+features, learner) sees only the k-1 training folds, and the held-out fold
+is predicted by that fold's model, so OOF coverage is total. One exception
+remains: GBDT early-stops on the held-out fold itself, so the round count
+each fold keeps is chosen on the rows it then scores, and the OOF metrics
+of a GBDT that stopped early lean optimistic. An inner split of each
+fold's training rows would remove that bias.
 
 The micro-F1 metric family lives in `skyglow.metrics`, which fits
 nothing, and the fold dealing in `skyglow.folds`, which imports no learner;
-this module imports the names it calls from there and re-exports the fold
-names (`FoldAssignment`, `stratified_folds`, `random_folds`,
-`fold_assignment`, `fold_labels`).
+this module imports the names it calls from there.
 """
 
 from __future__ import annotations
@@ -23,16 +22,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataset import ObservationTable
-from .errors import EmptyInputError, ParameterError
+from .errors import ParameterError
 from .features import N_CLASSES, target_classes
 from .features.stack import StackModel, fit_stack
-from .folds import (
-    FoldAssignment,
-    fold_assignment,
-    fold_labels,
-    random_folds,
-    stratified_folds,
-)
+from .folds import labelled_folds
 from .learners import (
     ForestModel,
     GbdtModel,
@@ -69,31 +62,24 @@ class CvResult:
     warnings: tuple[str, ...]  # from the fold assignment
 
 
-def labelled_rows(table: ObservationTable) -> tuple[ObservationTable, np.ndarray]:
-    """The rows of `table` that have a target, and their target classes;
-    `cv` and `train` fit on these alone."""
-    targets = target_classes(table)
-    keep = ~np.isnan(targets)
-    if not keep.any():
-        raise EmptyInputError("no rows with a target to fit on")
-    return table.subset(keep), targets[keep]
-
-
 def fit_models(table: ObservationTable, targets: np.ndarray,
-               train_mask: np.ndarray, folds: np.ndarray,
-               feature_config: FeatureConfig, specs: Sequence[LearnerSpec],
-               seed: int, held_out: np.ndarray | None = None,
+               folds: np.ndarray, feature_config: FeatureConfig,
+               specs: Sequence[LearnerSpec], seed: int,
+               held_out: np.ndarray | None = None,
                ) -> Iterator[tuple[LearnerSpec, StackModel, np.ndarray,
                                    GbdtModel | ForestModel]]:
-    """Fit the roster on the `train_mask` rows of `table`: each distinct
+    """Fit the roster on the rows of `table` outside `held_out` (on every
+    row, each of which has a target, when it is None): each distinct
     feature stack once, when its first spec comes up, and each spec's
-    learner on its stack's matrix. GBDT early-stops on the `held_out` rows
-    when given; forests never do.
+    learner on its stack's matrix. GBDT early-stops on the `held_out`
+    rows when given; forests never do.
 
     Yields (spec, stack, X, model) in roster order, where X is the stack's
     feature matrix for ALL rows of `table`.
     """
     stacks = {}
+    train_mask = (np.ones(len(table), dtype=bool) if held_out is None
+                  else ~held_out)
     y = targets[train_mask].astype(np.int64)
     for spec in specs:
         if spec.stack not in stacks:
@@ -136,9 +122,9 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     if len(set(ids)) != len(ids):
         raise ParameterError(f"duplicate model ids: {ids}")
 
-    cv_table, targets = labelled_rows(table)
+    cv_table, targets, assignment = labelled_folds(
+        table, target_classes(table), k, seed, stratified)
     y = targets.astype(np.int64)
-    assignment = fold_assignment(y, k, seed, stratified)
     folds = assignment.folds
 
     n = len(y)
@@ -149,7 +135,7 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     for fold in range(k):
         held_out = folds == fold
         for spec, _, X, model in fit_models(
-                cv_table, targets, ~held_out, folds, feature_config, specs,
+                cv_table, targets, folds, feature_config, specs,
                 seed * 1000 + fold, held_out):
             oof[spec.model_id][held_out] = predict_proba(model, X[held_out])
             diagnostics[spec.model_id].extend(

@@ -94,7 +94,7 @@ def neighbor_mean_oracle(points: np.ndarray, values: np.ndarray, k: int,
         if fold_labels is not None:
             banned |= {j for j in range(n) if fold_labels[j] == fold_labels[i]}
         neigh = brute_knn(points, i, k, banned)
-        vals = [values[j] for j in neigh if not math.isnan(values[j])]
+        vals = [values[j] for j in neigh]
         if vals:
             means[i] = sum(vals) / len(vals)
             counts[i] = len(vals)
@@ -105,8 +105,7 @@ def neighbor_mean_oracle(points: np.ndarray, values: np.ndarray, k: int,
                 # fallback prior: mean of every value the row was allowed to
                 # see (fold complement when folds are in play, else global --
                 # the row's own value is part of the global prior)
-                pool = [values[j] for j in range(n)
-                        if j not in banned and not math.isnan(values[j])]
+                pool = [values[j] for j in range(n) if j not in banned]
                 means[i] = sum(pool) / len(pool) if pool else 0.0
             counts[i] = 0.0
     return means, counts

@@ -22,6 +22,7 @@ from skyglow.features.pipeline import (
 )
 from skyglow.features.neighbors import neighbor_mean_features
 from skyglow.features.stack import StackSpec
+from skyglow.folds import fold_assignment
 from skyglow.learners.gbdt import (
     fit_gbdt,
     log_loss,
@@ -35,7 +36,6 @@ from skyglow.textfeat import fit_truncated_svd, transform_svd
 from skyglow.validation import (
     LearnerSpec,
     classification_metrics,
-    fold_assignment,
     micro_f1,
     predicted_classes,
     run_cv,

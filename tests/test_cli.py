@@ -39,8 +39,9 @@ from skyglow.errors import (
     SchemaError,
 )
 from skyglow.features import pipeline, target_classes
+from skyglow.folds import fold_assignment, labelled_folds
 from skyglow.serialize import learner_to_obj, load_json, save_json, stack_to_obj
-from skyglow.validation import fit_models, fold_labels
+from skyglow.validation import fit_models
 
 from helpers import grid_table
 
@@ -215,11 +216,27 @@ def test_unconvertible_value_is_named(tmp_path):
 def test_out_of_range_values_rejected(tmp_path):
     base = "[data]\nobservations = x\npopulation = y\n"
     for extra in ("[cv]\nk = 1\n", "[ensemble]\nsteps = 1.5\n",
-                  "[features]\nknn_k = 0\n"):
+                  "[features]\nknn_k = 0\n", "[features]\nsvd_rank = 0\n",
+                  "[features]\nvocab_cap = 0\n", "[model.forest]\nl2 = nan\n",
+                  "[model.forest]\nl2 = inf\n", "[models]\nids = .hidden\n"):
         path = tmp_path / "bad.ini"
         path.write_text(base + extra, encoding="utf-8")
         with pytest.raises(ParameterError):
             load_config(path, require_inputs=False)
+
+
+def test_model_id_that_is_no_file_name_fails_with_one_line(tmp_path, capsys):
+    # ids name the files a model writes (oof_<id>.csv), so `a/b` fails
+    # while the config loads, before any stage writes a file
+    path = tmp_path / "bad.ini"
+    path.write_text("[data]\nobservations = x\npopulation = y\n"
+                    f"[output]\ndirectory = {tmp_path / 'out'}\n"
+                    "[models]\nids = a/b\n", encoding="utf-8")
+    assert main(["synth", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "skyglow: error: model_id must be letters, digits, '_', '-' and '.', "
+        "not starting with '.', got 'a/b'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_file_checked(tmp_path):
@@ -1032,11 +1049,8 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     # the sidecars train saved are what fit_models returns on the target rows
     run = load_config(config)
     out = run.output_dir
-    table = commands._load_clean_table(run)
-    targets = target_classes(table)
-    keep = ~np.isnan(targets)
-    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
-    fitted = list(fit_models(table, targets, keep, folds, run.feature_config,
+    table, targets, folds = _labelled_folds(run)
+    fitted = list(fit_models(table, targets, folds, run.feature_config,
                              run.specs, run.seed))
     assert [spec.model_id for spec, *_ in fitted] == ["boost", "plain", "woods"]
     for spec, stack, _, model in fitted:
@@ -1044,6 +1058,14 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
             learner_to_obj(model)
         assert load_json(out / f"stack_{spec.model_id}.json") == \
             stack_to_obj(stack)
+
+
+def _labelled_folds(run):
+    """The (table, targets, folds) that `train` fits on under `run`."""
+    table = commands._load_clean_table(run)
+    table, targets, assignment = labelled_folds(
+        table, target_classes(table), run.cv_k, run.seed, run.stratified)
+    return table, targets, assignment.folds
 
 
 def _read_cv_rounds(out):
@@ -1084,11 +1106,8 @@ def test_train_boosts_the_upper_median_of_the_rounds_cv_kept(tmp_path, capsys, k
 
     # the shipped model is the first r rounds of the configured 12-round fit
     run = load_config(config)
-    table, targets = validation.labelled_rows(commands._load_clean_table(run))
-    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
-    _, _, _, full = next(fit_models(table, targets, np.ones(len(table), dtype=bool),
-                                    folds, run.feature_config, run.specs[:1],
-                                    run.seed))
+    _, _, _, full = next(fit_models(*_labelled_folds(run), run.feature_config,
+                                    run.specs[:1], run.seed))
     assert len(full.trees) == 12
     assert saved == learner_to_obj(dataclasses.replace(
         full, params=dataclasses.replace(full.params, n_rounds=r),
@@ -1106,11 +1125,8 @@ def test_train_without_an_early_stop_keeps_every_model_byte(tmp_path, config):
     assert manifest == {"model_ids": ["boost", "woods"], "n_classes": 8,
                         "rounds": {"boost": 8}}
     run = load_config(config)
-    table, targets = validation.labelled_rows(commands._load_clean_table(run))
-    folds = fold_labels(targets, run.cv_k, run.seed, run.stratified)
-    for spec, _, _, model in fit_models(
-            table, targets, np.ones(len(table), dtype=bool), folds,
-            run.feature_config, run.specs, run.seed):
+    for spec, _, _, model in fit_models(*_labelled_folds(run),
+                                        run.feature_config, run.specs, run.seed):
         expected = tmp_path / f"expected_{spec.model_id}.json"
         save_json(expected, learner_to_obj(model))
         assert (out / f"model_{spec.model_id}.json").read_bytes() == \
@@ -1197,6 +1213,59 @@ def test_feature_names_equal_the_stack_sidecar_columns(tmp_path):
         assert load_json(out / f"model_{model_id}.json")["feature_names"] == columns
         widths.add(len(columns))
     assert len(widths) == 2
+
+
+def test_features_writes_the_full_stack_train_fits_on(tmp_path):
+    # the synthetic table has rows without a target; features fits on the
+    # labelled rows alone, as train does
+    config = str(_three_model_config(tmp_path))
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("train") + 1]:
+        assert dispatch(command, config) == 0, command
+    run = load_config(config)
+    full = [spec for spec in run.specs
+            if spec.stack.use_text and spec.stack.use_neighbor]
+    assert [spec.model_id for spec in full] == ["boost", "woods"]
+    sidecar = (out / "features_stack.json").read_bytes()
+    for spec in full:
+        assert (out / f"stack_{spec.model_id}.json").read_bytes() == sidecar
+
+    table, targets, folds = _labelled_folds(run)
+    assert len(table) < len(commands._load_clean_table(run))
+    cv_ids, _, _ = commands._read_cv_truth(out)
+    assert cv_ids == list(table.ids)
+    lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == cv_ids
+    _, _, X, _ = next(fit_models(table, targets, folds, run.feature_config,
+                                 full[:1], run.seed))
+    written = np.array([[float(value) for value in row[1:]] for row in rows])
+    assert np.array_equal(written, X)
+
+
+def test_unstratified_folds_run_features_cv_and_train(tmp_path):
+    path = Path(write_config(tmp_path / "run.ini", tmp_path / "out"))
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "[cv]\nk = 2\n", "[cv]\nk = 2\nstratified = false\n"), encoding="utf-8")
+    config = str(path)
+    out = tmp_path / "out"
+    for command in COMMANDS[:COMMANDS.index("train") + 1]:
+        assert dispatch(command, config) == 0, command
+    assert (out / "train_manifest.json").exists()
+    run = load_config(config)
+    assert run.stratified is False
+    table = commands._load_clean_table(run)
+    targets = target_classes(table)
+    keep = ~np.isnan(targets)
+    labels = targets[keep].astype(np.int64)
+    ids, folds, truth = commands._read_cv_truth(out)
+    assert ids == [row_id for row_id, kept in zip(table.ids, keep) if kept]
+    assert np.array_equal(truth, labels)
+    assert np.array_equal(
+        folds, fold_assignment(labels, run.cv_k, run.seed, stratified=False).folds)
+    # the key reaches the deal: stratifying deals these rows otherwise
+    assert not np.array_equal(
+        folds, fold_assignment(labels, run.cv_k, run.seed, stratified=True).folds)
 
 
 def test_swapped_stack_sidecars_fail_predict_with_one_line(tmp_path, capsys):

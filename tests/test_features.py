@@ -261,28 +261,45 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
     assert applied[9 // 2, stack.columns.index("neighbor_target_mean")] == 1.6
 
 
-@pytest.mark.parametrize("queried_label", [-1, 1])
-def test_neighbor_pool_is_the_training_rows_with_a_target(queried_label):
-    # every fifth row has no target (fold label -1) yet sits in the train
-    # mask, as in the features stage; it must take no neighbor slot
+def test_neighbor_pool_is_the_training_rows():
+    # the held-out fold's rows take no neighbor slot and no part of the
+    # fallback; each training row averages k rows of the other training fold
     table = ObservationTable(
         obs(id=f"r{i}", latitude=float(i), longitude=float(2 * i),
-            limiting_magnitude=None if i % 5 == 0 else float(i % 7))
+            limiting_magnitude=float(i % 7))
         for i in range(40))
     targets = target_classes(table)
-    folds = np.where(np.isnan(targets), -1, np.arange(len(table)) % 2)
-    queried = folds == queried_label
-    train = np.ones(len(table), dtype=bool) if queried_label == -1 else ~queried
-    stack, fitted = fit_stack(table, targets, train, folds,
+    folds = np.arange(len(table)) % 3
+    held_out = folds == 2
+    stack, fitted = fit_stack(table, targets, ~held_out, folds,
                               FeatureConfig(knn_k=3),
                               StackSpec(use_text=False), seed=0)
-    applied = apply_stack(stack, table.subset(queried))
+    applied = apply_stack(stack, table.subset(held_out))
     for col in ("neighbor_target_mean", "neighbor_count"):
         j = stack.columns.index(col)
-        assert np.array_equal(applied[:, j], fitted[queried, j]), col
-    # no neighbor slot goes to a target-less row
-    counted = train if queried_label == -1 else queried
-    assert (fitted[counted, stack.columns.index("neighbor_count")] == 3).all()
+        assert np.array_equal(applied[:, j], fitted[held_out, j]), col
+    assert (fitted[:, stack.columns.index("neighbor_count")] == 3).all()
+    assert len(stack.neighbor.values) == (~held_out).sum()
+    assert stack.neighbor.fallback == targets[~held_out].mean()
+
+
+def test_fit_stack_rejects_a_training_row_without_a_target():
+    table = ObservationTable(
+        obs(id=f"r{i}", latitude=float(i),
+            limiting_magnitude=None if i == 5 else float(i % 7))
+        for i in range(20))
+    targets = target_classes(table)
+    folds = np.arange(len(table)) % 2
+    for spec in (StackSpec(use_text=False),
+                 StackSpec(use_text=False, use_neighbor=False)):
+        with pytest.raises(ParameterError, match="must have a target"):
+            fit_stack(table, targets, np.ones(len(table), dtype=bool), folds,
+                      FeatureConfig(knn_k=3), spec, seed=0)
+    # a row outside the train mask may lack one: it is only scored
+    _, fitted = fit_stack(table, targets, np.arange(len(table)) != 5, folds,
+                          FeatureConfig(knn_k=3), StackSpec(use_text=False),
+                          seed=0)
+    assert np.isfinite(fitted).all()
 
 
 def test_fit_stack_weighs_each_document_once(monkeypatch):

@@ -183,7 +183,6 @@ def test_neighbor_means_match_oracle_out_of_fold():
         n = int(rng.integers(8, 60))
         points = rng.normal(size=(n, 2))
         values = rng.normal(size=n)
-        values[rng.random(n) < 0.2] = np.nan
         folds = rng.integers(0, 3, size=n)
         k = int(rng.integers(1, 5))
         means, counts = neighbor_mean_features(
@@ -238,46 +237,46 @@ def test_neighbor_mask_restricts_pool_and_fallback():
 
 
 def test_fallback_is_fold_complement_mean():
-    # row 0's single nearest out-of-fold neighbor (row 2) has no value, so
-    # its feature must fall back to the mean over the *other* folds' values
-    points = np.array([[0.0], [0.001], [50.0], [60.0]])
-    values = np.array([5.0, 5.0, np.nan, 9.0])
-    folds = np.array([0, 0, 1, 1])
-    means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           1, everyone(4))
-    assert counts[0] == 0 and means[0] == 9.0  # fold-1 values: {nan, 9} -> 9
-    # row 3's nearest out-of-fold neighbor is row 1 (value 5.0)
-    assert counts[3] == 1 and means[3] == 5.0
+    # rows 3 and 4 have no coordinates, so each falls back to the mean of
+    # every value outside its own fold, located or not
+    points = np.array([[0.0], [0.001], [50.0]])
+    values = np.array([5.0, 5.0, 7.0, 9.0, 1.0])
+    folds = np.array([0, 0, 1, 1, 0])
+    index = NeighborIndex(points, np.arange(3), folds)
+    means, counts = neighbor_mean_features(index, values, 1, everyone(5))
+    assert counts[3] == 0 and means[3] == (5.0 + 5.0 + 1.0) / 3
+    assert counts[4] == 0 and means[4] == (7.0 + 9.0) / 2
+    # row 0's nearest out-of-fold neighbor is row 2, and row 2's is row 0
+    assert counts[0] == 1 and means[0] == 7.0
+    assert counts[2] == 1 and means[2] == 5.0
 
 
 def test_fallback_when_no_eligible_values():
     points = np.array([[0.0], [1.0], [2.0]])
-    values = np.array([np.nan, np.nan, 7.0])
+    values = np.array([4.0, 6.0, 7.0])
     folds = np.array([0, 1, 1])
+    mask = np.array([False, True, True])
     means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           2, everyone(3))
-    # row 2: other-fold pool = {row 0} with NaN value -> fallback =
-    # complement mean over rows not in fold 1 = mean of {NaN dropped} = 0.0
-    assert counts[2] == 0.0
-    assert means[2] == 0.0
+                                           2, neighbor_mask=mask)
+    # rows 1 and 2: the other fold's only row is masked out, so the pool
+    # and the complement are empty -> count 0 and fallback 0.0
+    assert counts[1:].tolist() == [0, 0]
+    assert means[1:].tolist() == [0.0, 0.0]
+    # row 0 averages both rows of fold 1
+    assert counts[0] == 2 and means[0] == 6.5
 
 
 def test_cross_neighbor_means_matches_loop():
     rng = np.random.default_rng(37)
     ref = rng.normal(size=(40, 2))
     vals = rng.normal(size=40)
-    vals[rng.random(40) < 0.25] = np.nan
     queries = rng.normal(size=(15, 2))
     means, counts = cross_neighbor_means(ref, vals, queries, 3, fallback=-1.5)
+    assert counts.tolist() == [3] * len(queries)
     for i in range(len(queries)):
         d2 = ((ref - queries[i]) ** 2).sum(axis=1)
         order = np.argsort(d2, kind="stable")[:3]
-        usable = [vals[j] for j in order if not np.isnan(vals[j])]
-        if usable:
-            assert means[i] == np.mean(usable)
-            assert counts[i] == len(usable)
-        else:
-            assert means[i] == -1.5 and counts[i] == 0
+        assert means[i] == np.mean(vals[order])
 
 
 def test_cross_neighbor_means_no_self_exclusion():
@@ -297,7 +296,6 @@ def test_tie_heavy_grid_matches_oracle():
         n = int(rng.integers(2, 40))
         points = rng.integers(0, 3, size=(n, 2)).astype(float)
         values = rng.integers(0, 8, size=n).astype(float)
-        values[rng.random(n) < 0.25] = np.nan
         folds = rng.integers(-1, 3, size=n)
         mask = rng.random(n) < 0.7
         k = trial % 12 + 1
@@ -314,7 +312,7 @@ def test_tie_heavy_grid_matches_oracle():
                                              fallback=-1.0)
         for i, q in enumerate(queries):
             neigh = brute_knn(np.vstack([ref, q]), len(ref), k)
-            vals = [ref_values[j] for j in neigh if not np.isnan(ref_values[j])]
+            vals = [ref_values[j] for j in neigh]
             assert counts[i] == len(vals)
             assert means[i] == (sum(vals) / len(vals) if vals else -1.0)
 

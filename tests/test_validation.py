@@ -10,17 +10,15 @@ from skyglow.errors import (
 from skyglow.dataset import ObservationTable, annual_trend, pearson
 from skyglow.features.pipeline import FeatureConfig, target_classes
 from skyglow.features.stack import StackSpec
+from skyglow.folds import fold_assignment, random_folds, stratified_folds
 from skyglow.learners import LearnerParams
 from skyglow.metrics import read_oof_csv, write_oof_csv
 from skyglow.validation import (
     LearnerSpec,
     classification_metrics,
-    fold_assignment,
     micro_f1,
     predicted_classes,
-    random_folds,
     run_cv,
-    stratified_folds,
 )
 
 from helpers import grid_table, obs
@@ -182,8 +180,28 @@ def test_run_cv_rejects_duplicate_ids_and_empty():
 def test_learner_spec_validation():
     with pytest.raises(ParameterError):
         LearnerSpec("m", "svm", SMALL_PARAMS, PLAIN)
-    with pytest.raises(ParameterError):
-        LearnerSpec("", "gbdt", SMALL_PARAMS, PLAIN)
+    # a model id names files, so it is one plain file-name part
+    for model_id in ("", "a/b", "../m", ".m", "a b", "m\\n", "m:1"):
+        with pytest.raises(ParameterError, match="model_id must be"):
+            LearnerSpec(model_id, "gbdt", SMALL_PARAMS, PLAIN)
+    for model_id in ("gbdt_full", "m-1.v2", "_x", "7"):
+        assert LearnerSpec(model_id, "gbdt", SMALL_PARAMS, PLAIN).model_id == model_id
+
+
+def test_l2_regularization_must_be_finite_and_positive():
+    for l2 in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+        with pytest.raises(ParameterError, match="l2_regularization must be "
+                                                 "finite and > 0"):
+            LearnerParams(l2_regularization=l2)
+    assert LearnerParams(l2_regularization=1e-9).l2_regularization == 1e-9
+
+
+def test_stack_spec_sizes_must_be_positive():
+    for name in ("vocab_cap", "svd_rank"):
+        for value in (0, -1):
+            with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
+                StackSpec(**{name: value})
+    assert StackSpec(vocab_cap=1, svd_rank=1).svd_rank == 1
 
 
 def test_oof_csv_round_trip(tmp_path):
