@@ -81,7 +81,7 @@ _COMMAND_NAMES = {
     "synth": ("write_synthetic_dataset",),
     "ingest": (),
     "eda": (),
-    "features": ("np", "target_classes", "StackSpec", "fit_stack",
+    "features": ("target_classes", "StackSpec", "fit_stack",
                  "write_matrix", "save_json", "stack_to_obj", "labelled_folds"),
     "cv": ("run_cv", "write_oof_csv"),
     "train": ("np", "N_CLASSES", "json_text", "learner_to_obj", "save_json",
@@ -280,9 +280,8 @@ def cmd_features(config: RunConfig) -> None:
         table, target_classes(table), config.cv_k, config.seed, config.stratified)
     spec = StackSpec(use_text=True, use_neighbor=True,
                      vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
-    stack, matrix = fit_stack(table, targets, np.ones(len(table), dtype=bool),
-                              assignment.folds, config.feature_config, spec,
-                              config.seed)
+    stack, matrix = fit_stack(table, targets, assignment.folds,
+                              config.feature_config, spec, config.seed)
     _note_diagnostics(stack, "features")
     write_matrix(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
                  ([row_id] for row_id in table.ids), matrix)

@@ -8,13 +8,11 @@ with the brute-force arithmetic, so results equal an exhaustive scan bit
 for bit).
 
 `neighbor_mean_features` is its out-of-fold use during fitting: for each
-fold label, the reference is the member rows outside that fold and the
+fold label, the reference is the index rows outside that fold and the
 queries are the fold's own rows, so a row's feature never reads any target
 inside its own fold (the fallback mean is restricted the same way). This
-is what makes target-derived features safe to train on. A neighbor mask
-further limits which rows may serve as neighbors (fitting restricts the
-pool to the training rows, each of which has a target); masked rows still
-receive features of their own.
+is what makes target-derived features safe to train on. The index holds
+the training rows and nothing else, so the pool is every row of it.
 """
 
 from __future__ import annotations
@@ -27,39 +25,32 @@ from .knn import _exact_knn
 from .pipeline import NeighborIndex
 
 
-def neighbor_mean_features(index: NeighborIndex, values: np.ndarray, k: int,
-                           neighbor_mask: np.ndarray,
-                           ) -> tuple[np.ndarray, np.ndarray]:
+def neighbor_mean_features(index: NeighborIndex, values: np.ndarray,
+                           k: int) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold mean of `values` over each row's k nearest neighbors.
 
     Returns (means, counts), both aligned with the source table. The count
-    is the number of neighbor values averaged; rows with no eligible
-    neighbors or no usable coordinates get count 0 and their
-    fold-complement mean: the mean of the eligible values outside the
-    row's fold (0.0 if none).
+    is the number of neighbor values averaged; rows with no neighbors
+    outside their fold or no usable coordinates get count 0 and their
+    fold-complement mean: the mean of the values outside the row's fold
+    (0.0 if none).
     """
     n = len(index.fold_labels)
     values = np.asarray(values, dtype=float)
     if values.shape != (n,):
         raise ParameterError(f"values must have shape ({n},), got {values.shape}")
-    neighbor_mask = np.asarray(neighbor_mask, dtype=bool)
-    if neighbor_mask.shape != (n,):
-        raise ParameterError(
-            f"neighbor mask must have shape ({n},), got {neighbor_mask.shape}")
 
     means = np.empty(n)
     counts = np.zeros(n, dtype=np.int64)
     rows = index.table_rows
     row_labels = index.fold_labels[rows]
-    member = neighbor_mask[rows]
     for label in sorted_unique(index.fold_labels):
-        outside = neighbor_mask & (index.fold_labels != label)
+        outside = index.fold_labels != label
         fallback = float(values[outside].mean()) if outside.any() else 0.0
-        means[index.fold_labels == label] = fallback
+        means[~outside] = fallback
         query = row_labels == label
-        ref = member & ~query
         means[rows[query]], counts[rows[query]] = cross_neighbor_means(
-            index.points[ref], values[rows[ref]], index.points[query], k,
+            index.points[~query], values[rows[~query]], index.points[query], k,
             fallback)
     return means, counts
 

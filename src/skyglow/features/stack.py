@@ -2,13 +2,13 @@
 text-SVD blocks plus the neighbor-mean target feature, as one float array.
 Its column names are kept once, on the fitted `StackModel.columns`.
 
-One stack is fitted per (text, neighbor) configuration on training rows
-only; applying it to any table is pure. The neighbor-mean target feature
-is computed out-of-fold during fitting (a row's feature never sees its
-own fold's targets) and against the stored training reference at predict
-time, the usual target-encoding asymmetry; both go through the one
-kernel `cross_neighbor_means`, and a held-out fold gets the same features
-from either.
+One stack is fitted per (text, neighbor) configuration on the rows it is
+given, which are its training rows; every other row, a held-out fold's
+or a new observation's, goes through `apply_stack`, which is pure. The
+neighbor-mean target feature is computed out-of-fold during fitting (a
+row's feature never sees its own fold's targets) and against the stored
+training reference when applied, the usual target-encoding asymmetry;
+both go through the one kernel `cross_neighbor_means`.
 """
 
 from __future__ import annotations
@@ -77,32 +77,23 @@ def _assemble(pipeline: FeaturePipelineModel, table: ObservationTable,
 
 
 def fit_stack(table: ObservationTable, targets: np.ndarray,
-              train_mask: np.ndarray, fold_labels: np.ndarray,
-              feature_config: FeatureConfig, spec: StackSpec,
-              seed: int) -> tuple[StackModel, np.ndarray]:
-    """Fit every block on the masked training rows, each of which must
-    have a target; return the fitted stack and the feature matrix for ALL
-    rows of `table`, whose columns are `stack.columns`.
+              fold_labels: np.ndarray, feature_config: FeatureConfig,
+              spec: StackSpec, seed: int) -> tuple[StackModel, np.ndarray]:
+    """Fit every block on every row of `table`, each of which must have a
+    target; return the fitted stack and the feature matrix of `table`,
+    whose columns are `stack.columns`.
 
-    Rows outside `train_mask` get fully valid features but contribute
-    nothing to any fitted statistic: the neighbor pool is the training
-    rows, so a row outside it is never a neighbor.
+    `fold_labels` deal the rows' out-of-fold neighbor means; the neighbor
+    pool and reference are the located rows of `table`.
     """
-    n = len(table)
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if train_mask.shape != (n,):
-        raise ParameterError(f"train mask must have shape ({n},)")
-    if not train_mask.any():
-        raise ParameterError("train mask selects no rows")
-    if np.isnan(targets[train_mask]).any():
+    if np.isnan(targets).any():
         raise ParameterError("every training row must have a target")
-    train_table = table.subset(train_mask)
 
-    pipeline = fit_feature_pipeline(train_table, feature_config)
+    pipeline = fit_feature_pipeline(table, feature_config)
     text_models, text_blocks = [], []
     for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()):
         model, block = fit_text_features(
-            table.view.tokens[column], train_mask, cap=spec.vocab_cap,
+            table.view.tokens[column], cap=spec.vocab_cap,
             rank=spec.svd_rank, seed=_text_seed(seed, pos))
         text_models.append((column, model))
         text_blocks.append((column, block))
@@ -110,16 +101,11 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     neighbor = neighbor_ref = None
     if spec.use_neighbor:
         index = build_neighbor_index(table, pipeline, fold_labels)
-        neighbor = neighbor_mean_features(
-            index, targets, feature_config.knn_k, neighbor_mask=train_mask)
-        in_reference = train_mask[index.table_rows]
-        # the held-out rows' out-of-fold fallback: every training target,
-        # located or not
+        neighbor = neighbor_mean_features(index, targets, feature_config.knn_k)
+        # the applied rows' fallback: every training target, located or not
         neighbor_ref = NeighborReference(
-            points=index.points[in_reference],
-            values=targets[index.table_rows[in_reference]],
-            k=feature_config.knn_k,
-            fallback=float(targets[train_mask].mean()))
+            points=index.points, values=targets[index.table_rows],
+            k=feature_config.knn_k, fallback=float(targets.mean()))
 
     columns, matrix = _assemble(pipeline, table, text_blocks, neighbor)
     stack = StackModel(spec, pipeline, tuple(text_models), neighbor_ref,

@@ -69,9 +69,17 @@ def labelled_folds(table: ObservationTable, targets: np.ndarray, k: int,
                    seed: int, stratified: bool = True,
                    ) -> tuple[ObservationTable, np.ndarray, FoldAssignment]:
     """The rows of `table` that have a target, their target classes and
-    their folds: what `features`, `cv` and `train` fit on."""
+    their folds: what `features`, `cv` and `train` fit on. Every fold must
+    hold a row: a deal leaves one empty when k exceeds the labelled rows
+    or, stratified, the largest class count."""
     keep = ~np.isnan(targets)
     if not keep.any():
         raise EmptyInputError("no rows with a target to fit on")
     targets = targets[keep]
-    return table.subset(keep), targets, fold_assignment(targets, k, seed, stratified)
+    assignment = fold_assignment(targets, k, seed, stratified)
+    empty = np.flatnonzero(np.bincount(assignment.folds, minlength=k) == 0)
+    if len(empty):
+        raise ParameterError(
+            f"k={k} leaves folds {empty.tolist()} empty among "
+            f"{len(targets)} labelled rows; lower [cv] k")
+    return table.subset(keep), targets, assignment

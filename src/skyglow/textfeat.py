@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -263,28 +263,21 @@ class TextFeatureModel:
     svd: SvdModel | None
 
 
-def fit_text_features(corpus: Sequence[list[str]], train_mask: np.ndarray,
+def fit_text_features(corpus: Sequence[list[str]],
                       cap: int = DEFAULT_VOCAB_CAP, rank: int = DEFAULT_SVD_RANK,
                       seed: int = 0) -> tuple[TextFeatureModel, np.ndarray]:
-    """Fit on the `train_mask` documents of `corpus`, one token list per
-    document, and embed every document of it.
+    """Fit on every document of `corpus`, one token list per document, and
+    embed each of them.
 
-    The vocabulary and IDF come from the training documents; every
-    document is weighed once, and the SVD is fitted on the training rows of
-    that matrix. Returns the model and the (len(corpus), rank) embedding.
+    The vocabulary and IDF come from the documents; each is weighed once,
+    and the SVD is fitted on that matrix. Returns the model and the
+    (len(corpus), rank) embedding.
     """
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if train_mask.shape != (len(corpus),):
-        raise ParameterError(f"train mask must have shape ({len(corpus)},)")
-    tfidf = fit_tfidf(list(compress(corpus, train_mask)), cap)
+    tfidf = fit_tfidf(corpus, cap)
     if tfidf.degenerate:
         return TextFeatureModel(tfidf, None), np.zeros((len(corpus), 0))
     weighted = transform_tfidf(tfidf, corpus)
-    train_rows = weighted[np.flatnonzero(train_mask)]
-    effective = min(rank, train_rows.shape[0], train_rows.shape[1])
-    if effective < 1:
-        return TextFeatureModel(tfidf, None), np.zeros((len(corpus), 0))
-    svd = fit_truncated_svd(train_rows, effective, seed)
+    svd = fit_truncated_svd(weighted, min(rank, *weighted.shape), seed)
     return TextFeatureModel(tfidf, svd), transform_svd(svd, weighted)
 
 

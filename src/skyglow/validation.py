@@ -1,13 +1,14 @@
 """Stratified K-fold orchestration and out-of-fold predictions.
 
 The CV protocol, on the rows that have a target (`folds.labelled_folds`):
-per fold, every fitted object (feature pipeline, text models, neighbor
-features, learner) sees only the k-1 training folds, and the held-out fold
-is predicted by that fold's model, so OOF coverage is total. One exception
-remains: GBDT early-stops on the held-out fold itself, so the round count
-each fold keeps is chosen on the rows it then scores, and the OOF metrics
-of a GBDT that stopped early lean optimistic. An inner split of each
-fold's training rows would remove that bias.
+per fold, every fit (feature pipeline, text models, neighbor features,
+learner) receives the k-1 training folds and nothing else, and the
+held-out fold reaches the fold's stack through `apply_stack`, the path
+`predict` takes, and is predicted by the fold's model, so OOF coverage is
+total. One exception remains: GBDT early-stops on the held-out fold
+itself, so the round count each fold keeps is chosen on the rows it then
+scores, and the OOF metrics of a GBDT that stopped early lean optimistic.
+An inner split of each fold's training rows would remove that bias.
 
 The micro-F1 metric family lives in `skyglow.metrics`, which fits
 nothing, and the fold dealing in `skyglow.folds`, which imports no learner;
@@ -24,7 +25,7 @@ import numpy as np
 from .dataset import ObservationTable
 from .errors import ParameterError
 from .features import N_CLASSES, target_classes
-from .features.stack import StackModel, fit_stack
+from .features.stack import StackModel, apply_stack, fit_stack
 from .folds import labelled_folds
 from .learners import (
     ForestModel,
@@ -65,35 +66,36 @@ class CvResult:
 def fit_models(table: ObservationTable, targets: np.ndarray,
                folds: np.ndarray, feature_config: FeatureConfig,
                specs: Sequence[LearnerSpec], seed: int,
-               held_out: np.ndarray | None = None,
-               ) -> Iterator[tuple[LearnerSpec, StackModel, np.ndarray,
+               held_out_rows: tuple[ObservationTable, np.ndarray] | None = None,
+               ) -> Iterator[tuple[LearnerSpec, StackModel, np.ndarray | None,
                                    GbdtModel | ForestModel]]:
-    """Fit the roster on the rows of `table` outside `held_out` (on every
-    row, each of which has a target, when it is None): each distinct
-    feature stack once, when its first spec comes up, and each spec's
-    learner on its stack's matrix. GBDT early-stops on the `held_out`
-    rows when given; forests never do.
+    """Fit the roster on every row of `table`, each of which has a target:
+    each distinct feature stack once, when its first spec comes up, and
+    each spec's learner on its stack's matrix. `held_out_rows`, a table
+    and its targets, are rows the fits do not see: each distinct stack is
+    applied to them once, and GBDT early-stops on them; forests never do.
 
     Yields (spec, stack, X, model) in roster order, where X is the stack's
-    feature matrix for ALL rows of `table`.
+    feature matrix of the held-out rows, None when none are given.
     """
     stacks = {}
-    train_mask = (np.ones(len(table), dtype=bool) if held_out is None
-                  else ~held_out)
-    y = targets[train_mask].astype(np.int64)
+    y = targets.astype(np.int64)
     for spec in specs:
         if spec.stack not in stacks:
-            stacks[spec.stack] = fit_stack(table, targets, train_mask, folds,
-                                           feature_config, spec.stack, seed)
-        stack, X = stacks[spec.stack]
+            stack, X_train = fit_stack(table, targets, folds, feature_config,
+                                       spec.stack, seed)
+            X = (None if held_out_rows is None
+                 else apply_stack(stack, held_out_rows[0]))
+            stacks[spec.stack] = stack, X_train, X
+        stack, X_train, X = stacks[spec.stack]
         if spec.kind == "gbdt":
-            validation = None if held_out is None else (
-                X[held_out], targets[held_out].astype(np.int64))
-            model = fit_gbdt(X[train_mask], y, spec.params,
+            validation = None if X is None else (
+                X, held_out_rows[1].astype(np.int64))
+            model = fit_gbdt(X_train, y, spec.params,
                              validation=validation, n_classes=N_CLASSES,
                              feature_names=stack.columns)
         else:
-            model = fit_forest(X[train_mask], y, spec.params,
+            model = fit_forest(X_train, y, spec.params,
                                n_classes=N_CLASSES, feature_names=stack.columns)
         yield spec, stack, X, model
 
@@ -111,9 +113,10 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     """Cross-validate every learner spec with full OOF coverage.
 
     Rows without a target are excluded up front. Each fold fits the roster
-    through `fit_models`, so specs sharing a feature stack configuration
-    share the fold's fitted stack, and GBDT models use the held-out fold
-    for early stopping. Each GBDT model's `rounds` holds the number of
+    through `fit_models` on the fold's training rows, so specs sharing a
+    feature stack configuration share the fold's fitted stack, and scores
+    the held-out rows on the features each stack gives them, on which GBDT
+    models also early-stop. Each GBDT model's `rounds` holds the number of
     rounds its model kept in each fold, in fold order.
     """
     if not specs:
@@ -133,11 +136,13 @@ def run_cv(table: ObservationTable, feature_config: FeatureConfig,
     rounds: dict[str, list[int]] = {spec.model_id: [] for spec in specs}
 
     for fold in range(k):
-        held_out = folds == fold
+        held = folds == fold
+        train = ~held
         for spec, _, X, model in fit_models(
-                cv_table, targets, folds, feature_config, specs,
-                seed * 1000 + fold, held_out):
-            oof[spec.model_id][held_out] = predict_proba(model, X[held_out])
+                cv_table.subset(train), targets[train], folds[train],
+                feature_config, specs, seed * 1000 + fold,
+                (cv_table.subset(held), targets[held])):
+            oof[spec.model_id][held] = predict_proba(model, X)
             diagnostics[spec.model_id].extend(
                 f"fold {fold}: {d}" for d in model.diagnostics)
             if isinstance(model, GbdtModel):

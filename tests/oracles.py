@@ -81,18 +81,15 @@ def brute_knn(points: np.ndarray, query_row: int, k: int,
 
 def neighbor_mean_oracle(points: np.ndarray, values: np.ndarray, k: int,
                          fold_labels: np.ndarray | None = None,
-                         eligible: np.ndarray | None = None,
                          fallback: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Loop version of the out-of-fold neighbor-mean feature."""
     n = len(points)
-    if eligible is None:
-        eligible = np.ones(n, dtype=bool)
     means = np.zeros(n)
     counts = np.zeros(n)
     for i in range(n):
-        banned = {j for j in range(n) if not eligible[j]}
+        banned = set()
         if fold_labels is not None:
-            banned |= {j for j in range(n) if fold_labels[j] == fold_labels[i]}
+            banned = {j for j in range(n) if fold_labels[j] == fold_labels[i]}
         neigh = brute_knn(points, i, k, banned)
         vals = [values[j] for j in neigh]
         if vals:

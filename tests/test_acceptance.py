@@ -151,18 +151,17 @@ def test_criterion_3_knn_oracle_and_leakage():
     values = leak_rng.normal(size=n)
     folds = leak_rng.integers(0, 4, size=n)
     index = NeighborIndex(points, np.arange(n), folds)
-    everyone = np.ones(n, dtype=bool)
-    base_means, base_counts = neighbor_mean_features(index, values, 5, everyone)
+    base_means, base_counts = neighbor_mean_features(index, values, 5)
     leak_free = True
     for i in range(n):
         poked = values.copy()
         poked[i] += 1000.0
-        means, counts = neighbor_mean_features(index, poked, 5, everyone)
+        means, counts = neighbor_mean_features(index, poked, 5)
         leak_free &= (means[i] == base_means[i] and counts[i] == base_counts[i])
     for fold in range(4):
         poked = values.copy()
         poked[folds == fold] -= 500.0
-        means, counts = neighbor_mean_features(index, poked, 5, everyone)
+        means, counts = neighbor_mean_features(index, poked, 5)
         rows = folds == fold
         leak_free &= (np.array_equal(means[rows], base_means[rows])
                       and np.array_equal(counts[rows], base_counts[rows]))

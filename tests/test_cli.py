@@ -28,7 +28,7 @@ from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
 from skyglow.cli.svg import escape
-from skyglow.dataset import write_observations
+from skyglow.dataset import ObservationTable, write_observations
 from skyglow.ensemble import read_weights_csv
 from skyglow.errors import (
     ConfigError,
@@ -39,11 +39,12 @@ from skyglow.errors import (
     SchemaError,
 )
 from skyglow.features import pipeline, target_classes
+from skyglow.features.stack import fit_stack
 from skyglow.folds import fold_assignment, labelled_folds
 from skyglow.serialize import learner_to_obj, load_json, save_json, stack_to_obj
 from skyglow.validation import fit_models
 
-from helpers import grid_table
+from helpers import grid_table, obs
 
 
 def write_config(path, out_dir, extra="", n_rows=120):
@@ -1010,17 +1011,19 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     config = str(path)
     calls = Counter()
 
-    def count(module, name):
+    def count(module, name, key=None):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     count(commands, "fit_stack")
     count(validation, "fit_stack")
     count(commands, "apply_stack")
+    # the held-out folds reach each fold's stacks through validation
+    count(validation, "apply_stack", "held_out_apply_stack")
     # counted wherever they are looked up, so the counts hold whichever
     # module derives a table's columns
     for module in (dataset, pipeline, textfeat):
@@ -1033,14 +1036,16 @@ def test_cv_and_train_fit_each_distinct_stack_once(tmp_path, monkeypatch):
     # observations file itself)
     rows = len(commands._load_clean_table(load_config(config)))
     assert rows == 120
-    for command, name, expected in (("features", "fit_stack", 1),
-                                    ("cv", "fit_stack", 6),
-                                    ("train", "fit_stack", 2),
-                                    ("ensemble", "fit_stack", 0),
-                                    ("predict", "apply_stack", 2)):
+    for command, expected in (
+            ("features", {"fit_stack": 1}),
+            ("cv", {"fit_stack": 6, "held_out_apply_stack": 6}),
+            ("train", {"fit_stack": 2, "held_out_apply_stack": 0}),
+            ("ensemble", {"fit_stack": 0}),
+            ("predict", {"apply_stack": 2})):
         calls.clear()
         assert dispatch(command, config) == 0, command
-        assert calls[name] == expected, command
+        for name, n_calls in expected.items():
+            assert calls[name] == n_calls, (command, name)
         # each timestamp is decomposed once, by `dataset`
         derived = 0 if command == "ensemble" else rows
         assert calls["decompose_time"] == derived, command
@@ -1237,8 +1242,8 @@ def test_features_writes_the_full_stack_train_fits_on(tmp_path):
     lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in lines[1:]]
     assert [row[0] for row in rows] == cv_ids
-    _, _, X, _ = next(fit_models(table, targets, folds, run.feature_config,
-                                 full[:1], run.seed))
+    _, X = fit_stack(table, targets, folds, run.feature_config, full[0].stack,
+                     run.seed)
     written = np.array([[float(value) for value in row[1:]] for row in rows])
     assert np.array_equal(written, X)
 
@@ -1607,3 +1612,33 @@ def test_cv_notes_a_fold_count_above_the_smallest_class(tmp_path, capsys):
              if "exceeds the smallest class count" in line]
     assert len(notes) == 1
     assert notes[0].startswith("skyglow: k=10 exceeds the smallest class count (")
+
+
+@pytest.mark.parametrize("stratified, k, empty", [
+    # four rows of each class dealt round-robin fill four folds
+    ("true", 5, [4]),
+    # more folds than labelled rows
+    ("false", 34, [32, 33]),
+])
+def test_a_fold_count_that_leaves_a_fold_empty_fails_with_one_line(
+        tmp_path, capsys, stratified, k, empty):
+    path = Path(write_config(tmp_path / "run.ini", tmp_path / "out"))
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "[cv]\nk = 2\n", f"[cv]\nk = 2\nstratified = {stratified}\n"),
+        encoding="utf-8")
+    config = str(path)
+    assert dispatch("synth", config) == 0
+    write_observations(ObservationTable(
+        obs(id=f"r{i}", latitude=float(i), limiting_magnitude=float(i % 8))
+        for i in range(32)), tmp_path / "out" / "obs.csv")
+    for command in ("ingest", "features", "cv"):
+        assert dispatch(command, config) == 0, command
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "k = 2\n", f"k = {k}\n"), encoding="utf-8")
+    # each stage that deals the folds names k and the empty ones
+    for command in ("features", "cv"):
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 1, command
+        assert capsys.readouterr().err.splitlines() == [
+            f"skyglow: error: k={k} leaves folds {empty} empty among 32 "
+            "labelled rows; lower [cv] k"]

@@ -17,7 +17,12 @@ from skyglow.features.pipeline import (
     neighbor_points,
     target_classes,
 )
-from skyglow.features.stack import StackSpec, apply_stack, fit_stack
+from skyglow.features.stack import (
+    NEIGHBOR_FEATURES,
+    StackSpec,
+    apply_stack,
+    fit_stack,
+)
 
 from helpers import grid_table, obs
 
@@ -170,7 +175,7 @@ def test_neighbor_points_skip_unlocatable_rows():
     index = build_neighbor_index(table, model, [0, 1, 0, 1])
     assert list(index.table_rows) == [0, 3]
     means, counts = neighbor_mean_features(
-        index, np.array([1.0, 2.0, 3.0, 4.0]), 5, np.ones(4, dtype=bool))
+        index, np.array([1.0, 2.0, 3.0, 4.0]), 5)
     assert counts.tolist() == [1, 0, 0, 1]  # absent rows: no neighbors
     assert means[0] == 4.0 and means[3] == 1.0  # rows 0 and 3 pair up
 
@@ -187,9 +192,8 @@ def test_neighbor_index_needs_two_rows():
 def test_fit_stack_matrix_covers_all_rows():
     table = grid_table(80, seed=4)
     targets = target_classes(table)
-    mask = np.ones(len(table), dtype=bool)
     folds = np.arange(len(table)) % 4
-    stack, matrix = fit_stack(table, targets, mask, folds, FeatureConfig(),
+    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(),
                               StackSpec(svd_rank=4), seed=0)
     assert matrix.shape == (len(table), len(stack.columns))
     assert "neighbor_target_mean" in stack.columns
@@ -200,9 +204,8 @@ def test_fit_stack_matrix_covers_all_rows():
 def test_stack_without_text_or_neighbors():
     table = grid_table(40, seed=5)
     targets = target_classes(table)
-    mask = np.ones(len(table), dtype=bool)
     folds = np.arange(len(table)) % 4
-    stack, matrix = fit_stack(table, targets, mask, folds, FeatureConfig(),
+    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(),
                               StackSpec(use_text=False, use_neighbor=False),
                               seed=0)
     assert matrix.shape[1] == len(stack.columns)
@@ -214,8 +217,9 @@ def test_stack_fitted_on_masked_rows_only():
     table = grid_table(60, seed=6)
     targets = target_classes(table)
     mask = np.arange(len(table)) < 30
-    folds = np.where(mask, np.arange(len(table)) % 3, -1)
-    stack, _ = fit_stack(table, targets, mask, folds, FeatureConfig(),
+    folds = np.arange(len(table)) % 3
+    stack, _ = fit_stack(table.subset(mask), targets[mask], folds[mask],
+                         FeatureConfig(),
                          StackSpec(use_text=False, use_neighbor=False), seed=0)
     sub = ObservationTable(r for i, r in enumerate(table) if mask[i])
     direct = fit_feature_pipeline(sub, FeatureConfig())
@@ -227,9 +231,8 @@ def test_stack_fitted_on_masked_rows_only():
 def test_apply_stack_reproduces_non_neighbor_columns():
     table = grid_table(50, seed=7)
     targets = target_classes(table)
-    mask = np.ones(len(table), dtype=bool)
     folds = np.arange(len(table)) % 5
-    stack, fitted = fit_stack(table, targets, mask, folds, FeatureConfig(),
+    stack, fitted = fit_stack(table, targets, folds, FeatureConfig(),
                               StackSpec(svd_rank=3), seed=1)
     applied = apply_stack(stack, table)
     assert applied.shape == fitted.shape
@@ -237,6 +240,22 @@ def test_apply_stack_reproduces_non_neighbor_columns():
         if col.startswith("neighbor_"):
             continue  # OOF during fit vs reference lookup at apply time
         assert np.array_equal(applied[:, j], fitted[:, j]), col
+
+
+def fit_and_apply_held_out(table, folds, held_out, knn_k):
+    """Fit a stack without text on the rows outside `held_out` and apply
+    it to the held-out rows; also return the held-out fold's out-of-fold
+    neighbor (means, counts) over an index of every row, whose pool
+    outside that fold is the training rows."""
+    targets = target_classes(table)
+    train = ~held_out
+    stack, fitted = fit_stack(table.subset(train), targets[train],
+                              folds[train], FeatureConfig(knn_k=knn_k),
+                              StackSpec(use_text=False), seed=0)
+    applied = apply_stack(stack, table.subset(held_out))
+    index = build_neighbor_index(table, stack.pipeline, folds)
+    means, counts = neighbor_mean_features(index, targets, knn_k)
+    return stack, fitted, applied, (means[held_out], counts[held_out])
 
 
 def test_apply_stack_neighbor_columns_equal_held_out_fit():
@@ -248,16 +267,12 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
             longitude=float(2 * i),
             limiting_magnitude=7.0 if i in (2, 6) else 1.0)
         for i in range(40))
-    targets = target_classes(table)
     folds = np.arange(len(table)) % 2
-    held_out = folds == 1
-    stack, fitted = fit_stack(table, targets, ~held_out, folds,
-                              FeatureConfig(knn_k=3),
-                              StackSpec(use_text=False), seed=0)
-    applied = apply_stack(stack, table.subset(held_out))
-    for col in ("neighbor_target_mean", "neighbor_count"):
-        j = stack.columns.index(col)
-        assert np.array_equal(applied[:, j], fitted[held_out, j]), col
+    stack, _, applied, held_out_fit = fit_and_apply_held_out(
+        table, folds, folds == 1, knn_k=3)
+    for col, expected in zip(NEIGHBOR_FEATURES, held_out_fit):
+        assert np.array_equal(applied[:, stack.columns.index(col)],
+                              expected), col
     assert applied[9 // 2, stack.columns.index("neighbor_target_mean")] == 1.6
 
 
@@ -271,13 +286,11 @@ def test_neighbor_pool_is_the_training_rows():
     targets = target_classes(table)
     folds = np.arange(len(table)) % 3
     held_out = folds == 2
-    stack, fitted = fit_stack(table, targets, ~held_out, folds,
-                              FeatureConfig(knn_k=3),
-                              StackSpec(use_text=False), seed=0)
-    applied = apply_stack(stack, table.subset(held_out))
-    for col in ("neighbor_target_mean", "neighbor_count"):
-        j = stack.columns.index(col)
-        assert np.array_equal(applied[:, j], fitted[held_out, j]), col
+    stack, fitted, applied, held_out_fit = fit_and_apply_held_out(
+        table, folds, held_out, knn_k=3)
+    for col, expected in zip(NEIGHBOR_FEATURES, held_out_fit):
+        assert np.array_equal(applied[:, stack.columns.index(col)],
+                              expected), col
     assert (fitted[:, stack.columns.index("neighbor_count")] == 3).all()
     assert len(stack.neighbor.values) == (~held_out).sum()
     assert stack.neighbor.fallback == targets[~held_out].mean()
@@ -293,13 +306,15 @@ def test_fit_stack_rejects_a_training_row_without_a_target():
     for spec in (StackSpec(use_text=False),
                  StackSpec(use_text=False, use_neighbor=False)):
         with pytest.raises(ParameterError, match="must have a target"):
-            fit_stack(table, targets, np.ones(len(table), dtype=bool), folds,
-                      FeatureConfig(knn_k=3), spec, seed=0)
-    # a row outside the train mask may lack one: it is only scored
-    _, fitted = fit_stack(table, targets, np.arange(len(table)) != 5, folds,
-                          FeatureConfig(knn_k=3), StackSpec(use_text=False),
-                          seed=0)
+            fit_stack(table, targets, folds, FeatureConfig(knn_k=3), spec,
+                      seed=0)
+    # a row the stack is only applied to may lack one
+    train = np.arange(len(table)) != 5
+    stack, fitted = fit_stack(table.subset(train), targets[train], folds[train],
+                              FeatureConfig(knn_k=3), StackSpec(use_text=False),
+                              seed=0)
     assert np.isfinite(fitted).all()
+    assert np.isfinite(apply_stack(stack, table.subset(~train))).all()
 
 
 def test_fit_stack_weighs_each_document_once(monkeypatch):
@@ -317,10 +332,12 @@ def test_fit_stack_weighs_each_document_once(monkeypatch):
         obs(id=f"r{i}", latitude=float(i), comment_1=f"sky note {i % 7}",
             comment_2=("clear", "hazy", "bright")[i % 3] + " sky")
         for i in range(30))
+    # fitted on the first 20 rows and applied to the other 10
     train = np.arange(len(table)) < 20
-    stack, _ = fit_stack(table, target_classes(table), train,
-                         np.where(train, np.arange(len(table)) % 2, -1),
-                         FeatureConfig(), StackSpec(svd_rank=2), seed=0)
+    stack, _ = fit_stack(table.subset(train), target_classes(table)[train],
+                         np.arange(20) % 2, FeatureConfig(),
+                         StackSpec(svd_rank=2), seed=0)
+    apply_stack(stack, table.subset(~train))
     assert all(model.svd is not None and model.svd.rank
                for _, model in stack.text_models)
     assert sum(weighed) == 2 * len(table)

@@ -15,10 +15,6 @@ def make_index(points, fold_labels):
                          np.asarray(fold_labels))
 
 
-def everyone(n):
-    return np.ones(n, dtype=bool)
-
-
 def nearest_others(points, row, k, banned=()):
     """The k nearest neighbors of `row` among the other rows outside
     `banned`: `_exact_knn` over a reference without them, mapped back to
@@ -186,7 +182,7 @@ def test_neighbor_means_match_oracle_out_of_fold():
         folds = rng.integers(0, 3, size=n)
         k = int(rng.integers(1, 5))
         means, counts = neighbor_mean_features(
-            make_index(points, folds), values, k, everyone(n))
+            make_index(points, folds), values, k)
         m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=folds)
         assert np.array_equal(counts, c0)
         real = counts > 0
@@ -199,8 +195,7 @@ def test_out_of_fold_never_uses_own_fold():
     points = np.array([[0.0], [0.01], [0.02], [10.0], [10.01], [10.02]])
     values = np.array([1000.0, 1000.0, 1000.0, 1.0, 2.0, 3.0])
     folds = np.array([0, 0, 0, 1, 1, 1])
-    means, _ = neighbor_mean_features(make_index(points, folds), values, 2,
-                                      everyone(6))
+    means, _ = neighbor_mean_features(make_index(points, folds), values, 2)
     assert means[0] == (1.0 + 2.0) / 2  # nearest two in the other fold
 
 
@@ -209,31 +204,34 @@ def test_perturbing_own_fold_leaves_feature_bit_identical():
     points = rng.normal(size=(50, 3))
     values = rng.normal(size=50)
     folds = rng.integers(0, 5, size=50)
-    base, _ = neighbor_mean_features(make_index(points, folds), values, 4,
-                                     everyone(50))
+    base, _ = neighbor_mean_features(make_index(points, folds), values, 4)
     poisoned = values.copy()
     poisoned[folds == 2] += 1e6
-    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4,
-                                      everyone(50))
+    after, _ = neighbor_mean_features(make_index(points, folds), poisoned, 4)
     rows = folds == 2
     assert np.array_equal(base[rows], after[rows])
 
 
-def test_neighbor_mask_restricts_pool_and_fallback():
-    # rows 0-3 are located, row 4 has no coordinates; rows 2-3 are masked out
+def test_neighbor_pool_is_the_index_rows():
+    # of rows 0-4 (row 4 without coordinates), rows 2-3 are held out: the
+    # index holds training rows 0, 1 and 4, and rows 2-3 are applied
     points = np.array([[0.0], [0.1], [0.2], [0.3]])
     values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     folds = np.array([0, 1, 0, 1, 0])
-    mask = np.array([True, True, False, False, True])
-    index = NeighborIndex(points, np.arange(4), folds)
-    means, counts = neighbor_mean_features(index, values, 2, neighbor_mask=mask)
-    # each located row sees only the one masked-in row of the other fold
-    # (row 2 would average rows 1 and 3 without the mask)
-    assert means[:4].tolist() == [20.0, 10.0, 20.0, 10.0]
-    assert counts[:4].tolist() == [1, 1, 1, 1]
-    # row 4 falls back to its fold's complement over masked-in rows only:
+    train = np.array([True, True, False, False, True])
+    index = NeighborIndex(points[:2], np.arange(2), folds[train])
+    means, counts = neighbor_mean_features(index, values[train], 2)
+    # each located training row sees only the training row of the other fold
+    assert means[:2].tolist() == [20.0, 10.0]
+    assert counts[:2].tolist() == [1, 1]
+    # row 4 falls back to its fold's complement among the training rows:
     # row 1, not rows 1 and 3
-    assert means[4] == 20.0 and counts[4] == 0
+    assert means[2] == 20.0 and counts[2] == 0
+    # the held-out rows average the two located training rows, whatever
+    # their folds
+    means, counts = cross_neighbor_means(points[:2], values[:2], points[2:],
+                                         2, fallback=-1.0)
+    assert means.tolist() == [15.0, 15.0] and counts.tolist() == [2, 2]
 
 
 def test_fallback_is_fold_complement_mean():
@@ -243,7 +241,7 @@ def test_fallback_is_fold_complement_mean():
     values = np.array([5.0, 5.0, 7.0, 9.0, 1.0])
     folds = np.array([0, 0, 1, 1, 0])
     index = NeighborIndex(points, np.arange(3), folds)
-    means, counts = neighbor_mean_features(index, values, 1, everyone(5))
+    means, counts = neighbor_mean_features(index, values, 1)
     assert counts[3] == 0 and means[3] == (5.0 + 5.0 + 1.0) / 3
     assert counts[4] == 0 and means[4] == (7.0 + 9.0) / 2
     # row 0's nearest out-of-fold neighbor is row 2, and row 2's is row 0
@@ -254,15 +252,16 @@ def test_fallback_is_fold_complement_mean():
 def test_fallback_when_no_eligible_values():
     points = np.array([[0.0], [1.0], [2.0]])
     values = np.array([4.0, 6.0, 7.0])
-    folds = np.array([0, 1, 1])
-    mask = np.array([False, True, True])
-    means, counts = neighbor_mean_features(make_index(points, folds), values,
-                                           2, neighbor_mask=mask)
-    # rows 1 and 2: the other fold's only row is masked out, so the pool
-    # and the complement are empty -> count 0 and fallback 0.0
-    assert counts[1:].tolist() == [0, 0]
-    assert means[1:].tolist() == [0.0, 0.0]
+    # row 0 is held out, so the index holds rows 1 and 2, both of fold 1
+    means, counts = neighbor_mean_features(
+        make_index(points[1:], np.array([1, 1])), values[1:], 2)
+    # rows 1 and 2: no row lies outside their fold, so the pool and the
+    # complement are empty -> count 0 and fallback 0.0
+    assert counts.tolist() == [0, 0]
+    assert means.tolist() == [0.0, 0.0]
     # row 0 averages both rows of fold 1
+    means, counts = cross_neighbor_means(points[1:], values[1:], points[:1],
+                                         2, fallback=0.0)
     assert counts[0] == 2 and means[0] == 6.5
 
 
@@ -299,14 +298,14 @@ def test_tie_heavy_grid_matches_oracle():
         folds = rng.integers(-1, 3, size=n)
         mask = rng.random(n) < 0.7
         k = trial % 12 + 1
-        means, counts = neighbor_mean_features(make_index(points, folds),
-                                               values, k, neighbor_mask=mask)
-        m0, c0 = neighbor_mean_oracle(points, values, k, fold_labels=folds,
-                                      eligible=mask)
+        ref, ref_values = points[mask], values[mask]
+        means, counts = neighbor_mean_features(make_index(ref, folds[mask]),
+                                               ref_values, k)
+        m0, c0 = neighbor_mean_oracle(ref, ref_values, k,
+                                      fold_labels=folds[mask])
         # integer values: every sum is exact, so means compare bitwise
         assert np.array_equal(counts, c0)
         assert np.array_equal(means, m0)
-        ref, ref_values = points[mask], values[mask]
         queries = rng.integers(0, 3, size=(8, 2)).astype(float)
         means, counts = cross_neighbor_means(ref, ref_values, queries, k,
                                              fallback=-1.0)
@@ -322,20 +321,24 @@ def test_empty_and_exhausted_pools():
     values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     folds = np.array([0, 0, 1, 1, -1])
     index = make_index(points, folds)
-    # empty reference: every row gets the fallback and count 0
-    nobody = np.zeros(5, dtype=bool)
-    means, counts = neighbor_mean_features(index, values, 3,
-                                           neighbor_mask=nobody)
+    # one fold label: every row's reference is empty, so every row gets
+    # the fallback and count 0
+    means, counts = neighbor_mean_features(
+        make_index(points, np.zeros(5, dtype=np.int64)), values, 3)
     assert counts.tolist() == [0] * 5 and means.tolist() == [0.0] * 5
     means, counts = cross_neighbor_means(np.empty((0, 1)), np.empty(0),
                                          points, 3, fallback=2.5)
     assert counts.tolist() == [0] * 5 and means.tolist() == [2.5] * 5
     # k beyond the pool: every row outside the fold is a neighbor
-    means, counts = neighbor_mean_features(index, values, 10, everyone(5))
+    means, counts = neighbor_mean_features(index, values, 10)
     assert counts.tolist() == [3, 3, 3, 3, 4]
     assert means.tolist() == [4.0, 4.0, 8.0 / 3, 8.0 / 3, 2.5]
-    # fold 0's complement has no member rows, so fold 0 falls back
-    means, counts = neighbor_mean_features(index, values, 2,
-                                           neighbor_mask=folds == 0)
-    assert counts.tolist() == [0, 0, 2, 2, 2]
-    assert means.tolist() == [0.0, 0.0, 1.5, 1.5, 1.5]
+    # fitted on fold 0 alone, whose complement is empty, fold 0 falls
+    # back; the other rows are applied against fold 0's two rows
+    means, counts = neighbor_mean_features(
+        make_index(points[:2], folds[:2]), values[:2], 2)
+    assert counts.tolist() == [0, 0] and means.tolist() == [0.0, 0.0]
+    means, counts = cross_neighbor_means(points[:2], values[:2], points[2:],
+                                         2, fallback=0.0)
+    assert counts.tolist() == [2, 2, 2]
+    assert means.tolist() == [1.5, 1.5, 1.5]

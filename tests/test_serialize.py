@@ -43,9 +43,8 @@ from helpers import grid_table
 def fitted_stack():
     table = grid_table(60, seed=21)
     targets = target_classes(table)
-    mask = np.ones(len(table), dtype=bool)
     folds = np.arange(len(table)) % 4
-    stack, matrix = fit_stack(table, targets, mask, folds, FeatureConfig(),
+    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(),
                               StackSpec(svd_rank=3), seed=1)
     return table, stack, matrix
 
@@ -86,8 +85,7 @@ def test_text_model_round_trip(tmp_path):
     corpus = [tokenize(t) for t in [
         "dark sky many stars", "bright city glow", None,
         "faint milky way", "dark transparent sky", "city lights haze"]]
-    model, _ = fit_text_features(corpus, np.ones(len(corpus), dtype=bool),
-                                 cap=16, rank=2, seed=5)
+    model, _ = fit_text_features(corpus, cap=16, rank=2, seed=5)
     again = from_obj(TextFeatureModel, disk_round_trip(tmp_path, to_obj(model)))
     assert np.array_equal(transform_text_features(model, corpus),
                           transform_text_features(again, corpus))

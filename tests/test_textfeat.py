@@ -253,9 +253,8 @@ def test_text_features_end_to_end_deterministic():
     texts = ["very dark sky", None, "clouds rolling in", "dark night",
              "sky watchers meeting", None]
     corpus = [tokenize(t) for t in texts]
-    train = np.ones(len(corpus), dtype=bool)
-    m1, block = fit_text_features(corpus, train, cap=50, rank=3, seed=2)
-    m2, _ = fit_text_features(corpus, train, cap=50, rank=3, seed=2)
+    m1, block = fit_text_features(corpus, cap=50, rank=3, seed=2)
+    m2, _ = fit_text_features(corpus, cap=50, rank=3, seed=2)
     a = transform_text_features(m1, corpus)
     b = transform_text_features(m2, corpus)
     assert np.array_equal(a, b)
@@ -266,15 +265,14 @@ def test_text_features_end_to_end_deterministic():
 
 def test_text_features_rank_clipped_to_matrix():
     corpus = [tokenize(t) for t in ["dark sky", "dark"]]
-    model, _ = fit_text_features(corpus, np.ones(2, dtype=bool), cap=50,
-                                 rank=32, seed=0)
+    model, _ = fit_text_features(corpus, cap=50, rank=32, seed=0)
     emb = transform_text_features(model, corpus)
     assert emb.shape[1] == model.svd.rank <= 2
 
 
 def test_text_features_all_missing_yields_no_columns():
     model, block = fit_text_features([tokenize(t) for t in [None, None, ""]],
-                                     np.ones(3, dtype=bool), cap=10, rank=4, seed=0)
+                                     cap=10, rank=4, seed=0)
     assert block.shape == (3, 0)
     emb = transform_text_features(model, [tokenize(t) for t in
                                           [None, "new text", ""]])

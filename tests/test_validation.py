@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from skyglow import validation
 
 from skyglow.errors import (
     EmptyInputError,
@@ -9,7 +13,8 @@ from skyglow.errors import (
 )
 from skyglow.dataset import ObservationTable, annual_trend, pearson
 from skyglow.features.pipeline import FeatureConfig, target_classes
-from skyglow.features.stack import StackSpec
+from skyglow.features import stack as stack_module
+from skyglow.features.stack import StackSpec, apply_stack
 from skyglow.folds import fold_assignment, random_folds, stratified_folds
 from skyglow.learners import LearnerParams
 from skyglow.metrics import read_oof_csv, write_oof_csv
@@ -17,6 +22,7 @@ from skyglow.validation import (
     LearnerSpec,
     classification_metrics,
     micro_f1,
+    predict_proba,
     predicted_classes,
     run_cv,
 )
@@ -162,6 +168,60 @@ def test_run_cv_oof_coverage_and_metrics():
         assert np.allclose(model.probabilities.sum(axis=1), 1.0)
         assert len(model.metrics.per_fold_f1) == 4
     assert [model.model_id for model in result.models] == ["g", "f"]
+
+
+def test_cv_fits_see_no_held_out_row(monkeypatch):
+    # each row's first comment carries its id, so a fitted corpus names
+    # its rows
+    table = ObservationTable(
+        dataclasses.replace(record, comment_1=f"{record.id} sky note")
+        for record in grid_table(60, seed=12))
+    ids = set(table.ids)
+    folds = []  # per fold: the held-out table, the fits' rows, the models
+
+    def record(name, rows_of):
+        original = getattr(stack_module, name)
+
+        def recorded(*args, **kwargs):
+            folds[-1]["fits"].append((name, rows_of(args[0])))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(stack_module, name, recorded)
+
+    record("fit_feature_pipeline", lambda fitted: set(fitted.ids))
+    record("build_neighbor_index", lambda fitted: set(fitted.ids))
+    record("fit_text_features",
+           lambda corpus: ids & {token for doc in corpus for token in doc})
+    fit_models = validation.fit_models
+
+    def recording(*args):
+        fold = {"held_out": args[-1][0], "fits": [], "models": []}
+        folds.append(fold)
+        for spec, stack, X, model in fit_models(*args):
+            fold["models"].append((spec.model_id, stack, model))
+            yield spec, stack, X, model
+    monkeypatch.setattr(validation, "fit_models", recording)
+
+    specs = [LearnerSpec("g", "gbdt", SMALL_PARAMS),
+             LearnerSpec("f", "forest", SMALL_PARAMS)]
+    result = run_cv(table, FeatureConfig(knn_k=3), specs, k=3, seed=0)
+    assert len(folds) == 3
+    position = {row_id: i for i, row_id in enumerate(result.row_ids)}
+    oof = {model.model_id: model.probabilities for model in result.models}
+    for fold in folds:
+        held_out = fold["held_out"]
+        assert sorted(name for name, _ in fold["fits"]) == [
+            "build_neighbor_index", "fit_feature_pipeline",
+            "fit_text_features", "fit_text_features"]
+        for name, rows in fold["fits"]:
+            assert not rows & set(held_out.ids), name
+        # the first comment column's corpus is every training row
+        assert ids - set(held_out.ids) in [
+            rows for name, rows in fold["fits"] if name == "fit_text_features"]
+        rows = [position[row_id] for row_id in held_out.ids]
+        for model_id, stack, model in fold["models"]:
+            assert np.array_equal(
+                oof[model_id][rows],
+                predict_proba(model, apply_stack(stack, held_out))), model_id
 
 
 def test_run_cv_rejects_duplicate_ids_and_empty():
