@@ -49,6 +49,7 @@ from ..errors import (
     DependencyError,
     EmptyInputError,
     LockError,
+    ParseError,
     SchemaError,
     SkyglowError,
     UndefinedCorrelationError,
@@ -65,8 +66,9 @@ _LAZY_IMPORTS = {
     "..folds": ("labelled_folds",),
     "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
                   "write_matrix", "write_oof_csv"),
-    "..serialize": ("json_text", "learner_from_obj", "learner_to_obj",
-                    "load_json", "save_json", "stack_from_obj", "stack_to_obj"),
+    "..serialize": ("decode_json", "json_text", "learner_from_obj",
+                    "learner_to_obj", "load_json", "save_json",
+                    "stack_from_obj", "stack_to_obj"),
     "..synth": ("write_synthetic_dataset",),
     "..validation": ("fit_models", "predict_proba", "run_cv"),
     ".svg": ("bar_chart_svg", "line_chart_svg", "write_svg"),
@@ -90,7 +92,7 @@ _COMMAND_NAMES = {
                  "predicted_classes", "read_oof_csv", "write_oof_csv"),
     "predict": ("blend", "read_weights_csv", "apply_stack", "predicted_classes",
                 "write_matrix", "learner_from_obj", "load_json",
-                "stack_from_obj", "predict_proba"),
+                "decode_json", "stack_from_obj", "predict_proba"),
     "report": ("bar_chart_svg", "line_chart_svg", "write_svg"),
 }
 
@@ -188,6 +190,15 @@ def _stack_json(model_id: str) -> str:
 
 def _model_json(model_id: str) -> str:
     return f"model_{model_id}.json"
+
+
+def _from_sidecar(from_obj, payload, name: str):
+    """from_obj(payload); a payload that does not fit raises a ParseError
+    naming the sidecar `name` it was read from."""
+    try:
+        return from_obj(payload)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from None
 
 
 def _require(out_dir: Path, *names: str) -> None:
@@ -462,17 +473,18 @@ def cmd_predict(config: RunConfig) -> None:
     applied = {}  # sidecar bytes -> (stack, features): equal stacks apply once
     matrices = []
     for model_id in model_ids:
-        path = out / _stack_json(model_id)
-        key = path.read_bytes()
+        stack_json, model_json = _stack_json(model_id), _model_json(model_id)
+        key = (out / stack_json).read_bytes()
         if key not in applied:
-            stack = stack_from_obj(load_json(path))
+            stack = _from_sidecar(stack_from_obj,
+                                  decode_json(key, out / stack_json), stack_json)
             applied[key] = stack, apply_stack(stack, table)
         stack, X = applied[key]
-        learner = learner_from_obj(load_json(out / _model_json(model_id)))
+        learner = _from_sidecar(learner_from_obj, load_json(out / model_json),
+                                model_json)
         if learner.feature_names != stack.columns:
-            raise SchemaError(
-                f"{_model_json(model_id)}: feature_names differ from the "
-                f"columns of {_stack_json(model_id)}")
+            raise SchemaError(f"{model_json}: feature_names differ from the "
+                              f"columns of {stack_json}")
         matrices.append(predict_proba(learner, X))
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)

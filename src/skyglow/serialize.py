@@ -3,8 +3,11 @@ JSON, bit-exactly. One codec serves every fitted dataclass: a JSON object
 keyed by its field names, rebuilt from its field type hints, so renaming a
 field changes the file format. Floats survive because json emits Python's
 repr; arrays carry dtype and shape, so empty and multi-dimensional blocks
-reload unambiguously. Sorted keys and fixed indentation make identical
-objects identical bytes.
+reload unambiguously. A sidecar is one line of compact JSON with sorted
+keys, so identical objects are identical bytes, and json's C encoder
+writes it (`python -m json.tool` prints one readably). Reading accepts
+only what writing produces: utf-8, finite numbers, numeric and boolean
+arrays.
 
 The learner classes are imported when a learner is encoded or decoded, not
 with this module: `features` writes its stack sidecar without loading the
@@ -16,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -29,7 +33,8 @@ from .features.stack import StackModel
 
 def json_text(payload: dict) -> str:
     """The text `save_json` writes for `payload`."""
-    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False,
+                      separators=(",", ":")) + "\n"
 
 
 def save_json(path: str | Path, payload: dict) -> None:
@@ -37,12 +42,29 @@ def save_json(path: str | Path, payload: dict) -> None:
         fh.write(json_text(payload))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
+# `save_json` writes no NaN or Infinity, and no float whose literal
+# overflows: the decoder hands both kinds of literal to `_finite_float`.
+_DECODER = json.JSONDecoder(parse_float=_finite_float,
+                            parse_constant=_finite_float)
+
+
+def decode_json(data: bytes, source: str | Path) -> dict:
+    """The payload of the sidecar bytes `data`, read from `source`."""
+    try:
+        return _DECODER.decode(data.decode("utf-8"))
+    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"invalid sidecar file {source}: {exc}") from None
+
+
 def load_json(path: str | Path) -> dict:
-    with open_text(path, "r") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid sidecar file {path}: {exc}") from None
+    return decode_json(Path(path).read_bytes(), path)
 
 
 def array_to_obj(a: np.ndarray) -> dict:
@@ -51,7 +73,10 @@ def array_to_obj(a: np.ndarray) -> dict:
 
 
 def array_from_obj(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=obj["dtype"]).reshape(obj["shape"])
+    dtype = np.dtype(obj["dtype"])
+    if dtype.kind not in "biuf":
+        raise ValueError(f"not a numeric or boolean dtype: {dtype}")
+    return np.array(obj["data"], dtype=dtype).reshape(obj["shape"])
 
 
 def to_obj(value):
@@ -77,7 +102,7 @@ def from_obj(hint, obj):
     if hint is np.ndarray:
         try:
             return array_from_obj(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"array does not fit its dtype and shape: {exc}") from None
     if dataclasses.is_dataclass(hint):
         fields = _field_hints(hint)

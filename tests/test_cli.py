@@ -1432,6 +1432,50 @@ def test_sidecar_scalar_of_wrong_type_fails_with_one_line(tmp_path, config, caps
     assert "eight" in err[0]
 
 
+def _nan_leaves(text):
+    payload = json.loads(text)
+    leaves = payload["trees"][0][0]["value"]
+    leaves["data"] = [float("nan")] * len(leaves["data"])
+    return json.dumps(payload).encode("utf-8")
+
+
+def _object_features(text):
+    payload = json.loads(text)
+    payload["trees"][0][0]["feature"]["dtype"] = "object"
+    return json.dumps(payload).encode("utf-8")
+
+
+def _overflowing_point(text):
+    payload = json.loads(text)
+    payload["neighbor"]["points"]["data"][0] = 1.25e300
+    return json.dumps(payload).replace("1.25e+300", "1e999").encode("utf-8")
+
+
+def test_sidecars_save_json_never_writes_fail_predict_with_one_line(
+        tmp_path, config, capsys):
+    out = tmp_path / "out"
+    for before in COMMANDS[:COMMANDS.index("predict")]:
+        assert dispatch(before, config) == 0, before
+    assert (out / "stack_boost.json").read_bytes() == \
+        (out / "stack_woods.json").read_bytes()
+    for name, tamper in [
+            ("model_boost.json", _nan_leaves),
+            ("model_woods.json", lambda text: b"\xff" + text.encode("utf-8")),
+            ("model_boost.json", _object_features),
+            ("stack_woods.json", _overflowing_point)]:
+        sidecar = out / name
+        original = sidecar.read_bytes()
+        sidecar.write_bytes(tamper(original.decode("utf-8")))
+        capsys.readouterr()
+        assert main(["predict", "--config", config]) == 1, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("skyglow: error:"), err
+        assert name in err[0], err
+        assert not (out / "predictions.csv").exists()
+        sidecar.write_bytes(original)
+    assert main(["predict", "--config", config]) == 0
+
+
 def test_manifest_without_model_ids_fails_with_one_line(tmp_path, config, capsys):
     err = _run_with_tampered(tmp_path, config, capsys, "predict",
                              "train_manifest.json", lambda text: "{}")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from skyglow.learners.params import LearnerParams
 from skyglow.serialize import (
     array_from_obj,
     array_to_obj,
+    decode_json,
     from_obj,
+    json_text,
     learner_from_obj,
     learner_to_obj,
     load_json,
@@ -147,6 +151,46 @@ def test_load_json_rejects_garbage(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         load_json(path)
+
+
+@pytest.mark.parametrize("data", [
+    b'{"x":NaN}', b'{"x":[1.0,Infinity]}', b'{"x":-Infinity}',
+    b'{"x":1e999}', b'{"x":-1.5e400}', b'\xff{"x":1.0}', b'{"x":"\xe9"}',
+])
+def test_decode_json_rejects_what_save_json_never_writes(data):
+    with pytest.raises(ParseError, match="invalid sidecar file side.json: "):
+        decode_json(data, "side.json")
+
+
+def test_json_text_is_one_line_that_reloads_bit_exactly():
+    floats = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 3.0, -2.0, 2.0 ** 53, 1e22, 0.1 + 0.2]
+    arrays = {"floats": np.array(floats),
+              "empty": np.zeros((0, 3)),
+              "empty_ints": np.zeros((0, 2), dtype=np.int64)}
+    payload = {"scalars": floats,
+               **{key: array_to_obj(a) for key, a in arrays.items()}}
+    text = json_text(payload)
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    again = decode_json(text.encode("utf-8"), "payload.json")
+    assert all(type(v) is float for v in again["scalars"])
+    assert ([struct.pack("<d", v) for v in again["scalars"]]
+            == [struct.pack("<d", v) for v in floats])
+    for key, a in arrays.items():
+        b = array_from_obj(again[key])
+        assert (b.dtype, b.shape) == (a.dtype, a.shape)
+        assert b.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("obj", [
+    {"dtype": "object", "shape": [1], "data": [1]},
+    {"dtype": "str", "shape": [1], "data": ["a"]},
+    {"dtype": "complex128", "shape": [1], "data": [1.0]},
+    {"dtype": "float64", "shape": [1], "data": [10 ** 400]},
+])
+def test_array_from_obj_rejects_what_array_to_obj_never_writes(obj):
+    with pytest.raises(ParseError, match="array does not fit"):
+        from_obj(np.ndarray, obj)
 
 
 def test_identical_payloads_produce_identical_bytes(tmp_path):
