@@ -302,7 +302,6 @@ def cmd_features(config: RunConfig) -> None:
 
 def cmd_cv(config: RunConfig) -> None:
     out = config.output_dir
-    _require(out, FEATURES_CSV)
     table = _load_clean_table(config)
     result = run_cv(table, config.feature_config, config.specs,
                     k=config.cv_k, seed=config.seed,
@@ -374,7 +373,7 @@ def cmd_train(config: RunConfig) -> None:
     manifest and `predict` refuses the mixed sidecars. Models that share a
     feature stack get the same stack sidecar text, encoded once."""
     out = config.output_dir
-    _require(out, FEATURES_CSV, CV_ROUNDS, CV_TRUTH)
+    _require(out, CV_ROUNDS, CV_TRUTH)
     rounds = _refit_rounds(config)
     specs = [replace(spec, params=replace(spec.params, n_rounds=rounds[spec.model_id]))
              if spec.model_id in rounds else spec for spec in config.specs]

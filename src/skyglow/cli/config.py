@@ -1,22 +1,22 @@
 """Run configuration: a flat `[section] key = value` file parsed into one
 validated RunConfig, with defaults for everything except the two input paths.
 
-Each key is declared once, by `_entries`, which lists a RunConfig as
-ordered (section, key, value) entries. Listing the default RunConfig, built
-from the library's settings dataclasses (`skyglow.specs`), gives the keys a
-file may set and the type each parses as; listing the effective one gives
-the echo every command writes into the output directory. Unknown sections
-or keys are hard errors naming the offender; range checks are left to the
-owning constructors so the CLI and the library reject exactly the same
-values.
+Each key is declared once, on the RunConfig field that holds it: `_key`
+gives a field's `[section] key` and default, and `_section` makes a
+settings dataclass (`skyglow.specs`) a whole section whose fields are its
+keys. Walking the declarations gives the keys a file may set, the type
+each parses as and its default; walking a RunConfig gives the echo every
+command writes into the output directory. Unknown sections or keys are hard
+errors naming the offender; range checks are left to the owning
+constructors so the CLI and the library reject exactly the same values.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from ..dataset import CATEGORICAL_REPORT_FIELDS
@@ -32,14 +32,18 @@ from ..specs import (
 
 DEFAULT_TREND_FIELDS = ("limiting_magnitude", "sensor_reading", "elevation_m")
 
-# [features] keys that FeatureConfig owns.
-_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig))
-
 # [model.<id>] key -> LearnerParams field, in field order.
 _SHORT_PARAM_KEYS = {"n_rounds": "rounds", "l2_regularization": "l2",
                      "n_trees": "trees", "early_stopping_patience": "patience"}
 _PARAM_KEYS = {_SHORT_PARAM_KEYS.get(f.name, f.name): f.name
                for f in fields(LearnerParams)}
+# The StackSpec fields a model sets; the others are run-wide [features]
+# keys, held in the RunConfig fields of the same names.
+_STACK_KEYS = ("use_text", "use_neighbor")
+# [model.<id>] key -> LearnerSpec attribute, in echo order.
+_MODEL_KEYS = {"kind": "kind",
+               **{key: f"params.{name}" for key, name in _PARAM_KEYS.items()},
+               **{key: f"stack.{key}" for key in _STACK_KEYS}}
 
 # The roster used when [models] ids is not set: model id -> (kind, stack).
 _DEFAULT_ROSTER = {
@@ -49,128 +53,112 @@ _DEFAULT_ROSTER = {
 }
 
 
+def _key(section: str, key: str, default: object = None,
+         same: tuple[str, str] | None = None):
+    """A field read from `[section] key`. Left out, it takes `default`, or
+    the value of the (section, key) `same`."""
+    return field(metadata={"key": (section, key), "default": default,
+                           "same": {key: same} if same else {}})
+
+
+def _section(section: str, settings: type, **same: tuple[str, str]):
+    """A field whose `settings` dataclass is `[section]`, each of its fields
+    a key; `same` maps a key to the (section, key) whose value it takes."""
+    return field(metadata={"section": section, "default": settings(), "same": same})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    observations_path: Path
-    population_path: Path
-    output_dir: Path
-    strictness: str
-    feature_config: FeatureConfig
-    vocab_cap: int
-    svd_rank: int
-    cv_k: int
-    seed: int
-    stratified: bool
-    specs: tuple[LearnerSpec, ...]
-    step_schedule: tuple[float, ...]
-    synth: SynthConfig
-    trend_fields: tuple[str, ...]
-    category_fields: tuple[str, ...]
-    predict_path: Path
+    # The two input paths are required; their defaults only give the type.
+    observations_path: Path = _key("data", "observations", Path())
+    population_path: Path = _key("data", "population", Path())
+    strictness: str = _key("data", "strictness", "lenient")
+    output_dir: Path = _key("output", "directory", Path("skyglow_out"))
+    feature_config: FeatureConfig = _section("features", FeatureConfig)
+    vocab_cap: int = _key("features", "vocab_cap", StackSpec.vocab_cap)
+    svd_rank: int = _key("features", "svd_rank", StackSpec.svd_rank)
+    cv_k: int = _key("cv", "k", 5)
+    seed: int = _key("cv", "seed", 0)
+    stratified: bool = _key("cv", "stratified", True)
+    # [models] ids and a [model.<id>] section per id, keyed by _MODEL_KEYS.
+    specs: tuple[LearnerSpec, ...] = field(metadata={"same": {"seed": ("cv", "seed")}})
+    step_schedule: tuple[float, ...] = _key("ensemble", "steps", DEFAULT_STEP_SCHEDULE)
+    synth: SynthConfig = _section("synth", SynthConfig, seed=("cv", "seed"))
+    trend_fields: tuple[str, ...] = _key("report", "trend_fields", DEFAULT_TREND_FIELDS)
+    category_fields: tuple[str, ...] = _key("report", "category_fields",
+                                            CATEGORICAL_REPORT_FIELDS)
+    predict_path: Path = _key("predict", "observations", same=("data", "observations"))
 
     @property
     def model_ids(self) -> tuple[str, ...]:
         return tuple(spec.model_id for spec in self.specs)
 
 
-def _entries(config: RunConfig) -> list[tuple[str, str, object]]:
-    """The configuration as ordered (section, key, value) entries."""
-    entries: list[tuple[str, str, object]] = [
-        ("data", "observations", config.observations_path),
-        ("data", "population", config.population_path),
-        ("data", "strictness", config.strictness),
-        ("output", "directory", config.output_dir),
-    ]
-    entries += [("features", key, getattr(config.feature_config, key))
-                for key in _FEATURE_KEYS]
-    entries += [
-        ("features", "vocab_cap", config.vocab_cap),
-        ("features", "svd_rank", config.svd_rank),
-        ("cv", "k", config.cv_k),
-        ("cv", "seed", config.seed),
-        ("cv", "stratified", config.stratified),
-        ("models", "ids", config.model_ids),
-    ]
-    for spec in config.specs:
-        section = f"model.{spec.model_id}"
-        entries.append((section, "kind", spec.kind))
-        entries += [(section, key, getattr(spec.params, name))
-                    for key, name in _PARAM_KEYS.items()]
-        entries += [(section, "use_text", spec.stack.use_text),
-                    (section, "use_neighbor", spec.stack.use_neighbor)]
-    entries.append(("ensemble", "steps", config.step_schedule))
-    entries += [("synth", f.name, getattr(config.synth, f.name))
-                for f in fields(SynthConfig)]
-    entries += [
-        ("report", "trend_fields", config.trend_fields),
-        ("report", "category_fields", config.category_fields),
-        ("predict", "observations", config.predict_path),
-    ]
+def _field_entries(declared: Field, value: object) -> list[tuple[str, str, object]]:
+    """The (section, key, value) entries of a RunConfig field's value."""
+    meta = declared.metadata
+    if "key" in meta:
+        return [(*meta["key"], value)]
+    if "section" in meta:
+        return [(meta["section"], f.name, getattr(value, f.name)) for f in fields(value)]
+    entries = [("models", "ids", tuple(spec.model_id for spec in value))]
+    for spec in value:
+        entries += [(f"model.{spec.model_id}", key, attrgetter(path)(spec))
+                    for key, path in _MODEL_KEYS.items()]
     return entries
 
 
-def _defaults(ids: tuple[str, ...] | None, seed: int = 0,
-              observations: Path = Path()) -> dict[tuple[str, str], object]:
+def _entries(config: RunConfig) -> list[tuple[str, str, object]]:
+    """The configuration as ordered (section, key, value) entries."""
+    return [entry for declared in fields(RunConfig)
+            for entry in _field_entries(declared, getattr(config, declared.name))]
+
+
+def _defaults(ids: tuple[str, ...] | None,
+              given: dict[tuple[str, str], object] | None = None
+              ) -> dict[tuple[str, str], object]:
     """Default of every key a file may set, by (section, key). `ids=None`
-    is the default roster; [synth] and model seeds default to `seed`, the
-    [cv] seed; `observations` stands in for both input paths."""
+    is the default roster; a key that takes another key's value takes it
+    from `given` if set there."""
     roster = _DEFAULT_ROSTER if ids is None else {
         model_id: ("gbdt", StackSpec()) for model_id in ids}
-    config = RunConfig(
-        observations_path=observations,
-        population_path=observations,
-        output_dir=Path("skyglow_out"),
-        strictness="lenient",
-        feature_config=FeatureConfig(),
-        vocab_cap=StackSpec.vocab_cap,
-        svd_rank=StackSpec.svd_rank,
-        cv_k=5,
-        seed=seed,
-        stratified=True,
-        specs=tuple(LearnerSpec(model_id, kind, LearnerParams(seed=seed), stack)
-                    for model_id, (kind, stack) in roster.items()),
-        step_schedule=DEFAULT_STEP_SCHEDULE,
-        synth=SynthConfig(seed=seed),
-        trend_fields=DEFAULT_TREND_FIELDS,
-        category_fields=CATEGORICAL_REPORT_FIELDS,
-        predict_path=observations,
-    )
-    return {(section, key): value for section, key, value in _entries(config)}
+    specs = tuple(LearnerSpec(model_id, kind, LearnerParams(), stack)
+                  for model_id, (kind, stack) in roster.items())
+    defaults: dict[tuple[str, str], object] = {}
+    same: dict[tuple[str, str], tuple[str, str]] = {}
+    for declared in fields(RunConfig):
+        meta = declared.metadata
+        for section, key, value in _field_entries(declared, meta.get("default", specs)):
+            defaults[section, key] = value
+            if key in meta["same"]:
+                same[section, key] = meta["same"][key]
+    given = given or {}
+    return defaults | {entry: given.get(other, defaults[other])
+                       for entry, other in same.items()}
 
 
 def _from_values(values: dict[tuple[str, str], object]) -> RunConfig:
     """The RunConfig whose entries are `values`."""
-    def section(name: str, keys) -> dict[str, object]:
-        return {key: values[name, key] for key in keys}
-
-    vocab_cap, svd_rank = values["features", "vocab_cap"], values["features", "svd_rank"]
-    specs = []
-    for model_id in values["models", "ids"]:
-        model = f"model.{model_id}"
-        params = LearnerParams(**{name: values[model, key]
-                                  for key, name in _PARAM_KEYS.items()})
-        stack = StackSpec(use_text=values[model, "use_text"],
-                          use_neighbor=values[model, "use_neighbor"],
-                          vocab_cap=vocab_cap, svd_rank=svd_rank)
-        specs.append(LearnerSpec(model_id, values[model, "kind"], params, stack))
-    return RunConfig(
-        observations_path=values["data", "observations"],
-        population_path=values["data", "population"],
-        output_dir=values["output", "directory"],
-        strictness=values["data", "strictness"],
-        feature_config=FeatureConfig(**section("features", _FEATURE_KEYS)),
-        vocab_cap=vocab_cap,
-        svd_rank=svd_rank,
-        cv_k=values["cv", "k"],
-        seed=values["cv", "seed"],
-        stratified=values["cv", "stratified"],
-        specs=tuple(specs),
-        step_schedule=values["ensemble", "steps"],
-        synth=SynthConfig(**section("synth", (f.name for f in fields(SynthConfig)))),
-        trend_fields=values["report", "trend_fields"],
-        category_fields=values["report", "category_fields"],
-        predict_path=values["predict", "observations"],
-    )
+    kwargs: dict[str, object] = {}
+    for declared in fields(RunConfig):
+        meta = declared.metadata
+        if "key" in meta:
+            kwargs[declared.name] = values[meta["key"]]
+        elif "section" in meta:
+            kwargs[declared.name] = type(meta["default"])(**{
+                f.name: values[meta["section"], f.name] for f in fields(meta["default"])})
+        else:
+            sizes = {f.name: kwargs[f.name] for f in fields(StackSpec)
+                     if f.name not in _STACK_KEYS}
+            specs = []
+            for model_id in values["models", "ids"]:
+                model = {key: values[f"model.{model_id}", key] for key in _MODEL_KEYS}
+                params = {name: model[key] for key, name in _PARAM_KEYS.items()}
+                stack = {key: model[key] for key in _STACK_KEYS}
+                specs.append(LearnerSpec(model_id, model["kind"], LearnerParams(**params),
+                                         StackSpec(**stack, **sizes)))
+            kwargs[declared.name] = tuple(specs)
+    return RunConfig(**kwargs)
 
 
 def _parse(default: object, raw: str) -> object:
@@ -245,13 +233,11 @@ def load_config(path: str | Path, out_override: str | None = None,
     for key in ("observations", "population"):
         if ("data", key) not in given:
             raise ConfigError(f"missing required key: data.{key}")
-    seed = (given.get(("cv", "seed"), defaults["cv", "seed"])
-            if seed_override is None else seed_override)
-    values = _defaults(ids, seed, given["data", "observations"]) | given
     if seed_override is not None:
-        values["cv", "seed"] = values["synth", "seed"] = seed_override
+        given["cv", "seed"] = given["synth", "seed"] = seed_override
     if out_override:
-        values["output", "directory"] = Path(out_override)
+        given["output", "directory"] = Path(out_override)
+    values = _defaults(ids, given) | given
     if values["data", "strictness"] not in ("strict", "lenient"):
         bad.append("data.strictness")
     if bad:

@@ -88,11 +88,11 @@ POPULATION_LONG_HEADER = ("country", "year", "population")
 
 _EPOCH = datetime(1970, 1, 1)
 
-# Local-time day-part boundaries, in seconds after midnight.
-_MORNING = 5 * 3600
-_AFTERNOON = 12 * 3600
-_EVENING = 17 * 3600
-_NIGHT = 22 * 3600
+# Local-time day parts and the hour each starts at, in clock order; each
+# runs until the next one starts, and night until morning.
+DAY_PART_STARTS = {"morning": 5, "afternoon": 12, "evening": 17, "night": 22}
+_MORNING, _AFTERNOON, _EVENING, _NIGHT = (
+    hour * 3600 for hour in DAY_PART_STARTS.values())
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -121,11 +121,6 @@ def _day_part(seconds: int) -> str:
     if _EVENING <= seconds < _NIGHT:
         return "evening"
     return "night"
-
-
-def time_of_day_category(ts: datetime) -> str:
-    """Day-part label from local time: morning/afternoon/evening/night."""
-    return _day_part(ts.hour * 3600 + ts.minute * 60 + ts.second)
 
 
 class TimeFeatures(NamedTuple):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
+    DAY_PART_STARTS,
     ObservationTable,
     PopulationRecord,
     PopulationTable,
@@ -45,10 +46,9 @@ _TYPES_REST = ("DSM", "SQM", "LON", "BB")
 _CLOUDS_REST = ("partly cloudy", "mostly cloudy", "overcast")
 _CONSTELLATIONS_REST = ("Leo", "Crux", "Ursa Major", "Scorpius")
 _DAYPART_REST = ("afternoon", "morning", "night")
-_DAYPART_WINDOWS = {
-    "morning": (5, 12), "afternoon": (12, 17), "evening": (17, 22),
-    "night": (22, 29),  # wraps past midnight
-}
+# [start, end) hours of each day part; night's window runs past midnight
+_HOURS = (*DAY_PART_STARTS.values(), DAY_PART_STARTS["morning"] + 24)
+_DAYPART_WINDOWS = dict(zip(DAY_PART_STARTS, zip(_HOURS, _HOURS[1:])))
 
 
 def _quota_counts(n: int, fractions: list[float]) -> list[int]:

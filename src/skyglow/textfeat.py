@@ -111,16 +111,6 @@ class CsrMatrix:
         np.add.at(out, (self._entry_rows(), self.indices), self.data)
         return out
 
-    def __getitem__(self, rows) -> "CsrMatrix":
-        """The given rows, in the given order (an integer index array)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return CsrMatrix(indptr, self.indices[take], self.data[take],
-                         (len(rows), self.shape[1]))
-
     @cached_property
     def T(self) -> "CsrMatrix":
         """The transpose; a stable sort by column keeps each new row's

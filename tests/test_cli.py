@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import dis
 import fcntl
@@ -302,6 +303,78 @@ def test_render_config_round_trips(tmp_path, config):
     assert again == loaded
 
 
+def ini_sections(text):
+    """The sections of an ini text as (section, [(key, value), ...]), in
+    file order; `;` after whitespace starts a comment."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
+    parser.read_string(text)
+    return [(section, list(parser[section].items())) for section in parser.sections()]
+
+
+def write_entries(path, entries):
+    """Write {(section, key): text} as an ini file, a block per section."""
+    sections = {}
+    for (section, key), text in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    path.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                            for section, lines in sections.items()), encoding="utf-8")
+
+
+INPUTS = {("data", "observations"): "obs.csv", ("data", "population"): "pop.csv"}
+
+
+def test_readme_configuration_reference_matches_the_default_echo(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("### Configuration reference", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    paths = {*INPUTS, ("predict", "observations")}
+
+    def listed(text):
+        return [(section, [(key, value) for key, value in items
+                           if (section, key) not in paths])
+                for section, items in ini_sections(text)
+                if not section.startswith("model.") or section == "model.gbdt_full"]
+
+    path = tmp_path / "run.ini"
+    write_entries(path, INPUTS)
+    assert listed(block) == listed(render_config(load_config(path, require_inputs=False)))
+
+
+def other_value(text):
+    """A valid value other than the default `text`, chosen by its form."""
+    if text in ("true", "false"):
+        return "false" if text == "true" else "true"
+    if "," in text:
+        return text.rsplit(",", 1)[0]
+    try:
+        number = int(text)
+        return str(number - 1 if number > 1 else number + 1)
+    except ValueError:
+        pass
+    try:
+        return repr(float(text) / 2)
+    except ValueError:
+        return {"lenient": "strict", "gbdt": "forest", "forest": "gbdt"}.get(
+            text, f"other_{text}")
+
+
+DEFAULT_ENTRIES = [(section, key, value) for section, items in ini_sections(DEFAULT_ECHO)
+                   for key, value in items]
+
+
+@pytest.mark.parametrize("section,key,default", DEFAULT_ENTRIES,
+                         ids=[f"{section}.{key}" for section, key, _ in DEFAULT_ENTRIES])
+def test_every_echoed_key_is_read_back(tmp_path, section, key, default):
+    value = other_value(default)
+    assert value != default
+    path = tmp_path / "run.ini"
+    write_entries(path, INPUTS | {(section, key): value})
+    echo = dict(ini_sections(render_config(load_config(path, require_inputs=False))))
+    assert dict(echo[section])[key] == value
+
+
 def test_repeated_model_id_fails_before_anything_is_fitted(tmp_path, config,
                                                            capsys):
     out = tmp_path / "out"
@@ -331,9 +404,11 @@ def test_unknown_command_rejected(config):
 
 def test_dependency_errors_name_missing_artifact(tmp_path, config):
     assert dispatch("synth", config) == 0
-    assert dispatch("ingest", config) == 0
-    with pytest.raises(DependencyError, match="features.csv"):
+    with pytest.raises(DependencyError, match="observations_clean.csv"):
         dispatch("cv", config)
+    assert dispatch("ingest", config) == 0
+    with pytest.raises(DependencyError, match="cv_rounds.csv"):
+        dispatch("train", config)
     with pytest.raises(DependencyError, match="cv_truth.csv"):
         dispatch("ensemble", config)
     with pytest.raises(DependencyError, match="train_manifest.json"):
@@ -922,7 +997,7 @@ def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
             return original(*args)
         monkeypatch.setattr(dataset, name, wrapper)
 
-    for name in ("decompose_time", "time_of_day_category", "_day_part"):
+    for name in ("decompose_time", "_day_part"):
         counted(name)
     assert dispatch("eda", config) == 0
     assert calls == {"decompose_time": timestamps, "_day_part": timestamps}

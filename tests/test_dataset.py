@@ -20,7 +20,6 @@ from skyglow.dataset import (
     parse_population,
     parse_timestamp,
     read_population_long,
-    time_of_day_category,
     write_observations,
     write_population,
     write_rows,
@@ -205,7 +204,7 @@ def test_parse_timestamp_rejects_timezone_aware():
     (0, 0, "night"),
 ])
 def test_time_of_day_boundaries(hour, minute, expected):
-    assert time_of_day_category(datetime(2014, 1, 1, hour, minute)) == expected
+    assert decompose_time(datetime(2014, 1, 1, hour, minute)).category == expected
 
 
 def test_numeric_column_nan_for_missing():

@@ -6,6 +6,7 @@ import pytest
 from oracles import row_by_row_observations
 from skyglow.dataset import (
     category_distribution,
+    decompose_time,
     join_population,
     missingness_report,
     ObservationRecord,
@@ -13,7 +14,6 @@ from skyglow.dataset import (
     parse_observations,
     parse_population,
     POPULATION_YEARS,
-    time_of_day_category,
     write_observations,
 )
 from skyglow.errors import ParameterError
@@ -90,7 +90,7 @@ def test_constellation_share_is_over_present_rows():
 
 
 def test_time_of_day_share():
-    dayparts = [time_of_day_category(rec.time) for rec in TABLE]
+    dayparts = [decompose_time(rec.time).category for rec in TABLE]
     evening = sum(1 for d in dayparts if d == "evening")
     assert abs(evening / len(dayparts) - CONFIG.share_evening) \
         <= 1.0 / len(dayparts)

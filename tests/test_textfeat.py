@@ -16,7 +16,6 @@ from skyglow.textfeat import (
 )
 
 from oracles import (
-    csr_entries,
     csr_products_oracle,
     dense_svd,
     tfidf_oracle,
@@ -158,14 +157,6 @@ def test_csr_products_match_stored_order_loop():
         assert np.array_equal(matrix @ x, ax)
         assert np.array_equal(matrix.T @ y, aty)
         assert np.array_equal(y.T @ matrix, aty.T)
-        rows = rng.integers(0, n_rows, size=2 * n_rows)
-        picked = matrix[rows]
-        assert picked.shape == (len(rows), n_cols)
-        assert csr_entries(picked.indptr, picked.indices, picked.data) == [
-            (new, j, value) for new, old in enumerate(rows)
-            for i, j, value in csr_entries(matrix.indptr, matrix.indices,
-                                           matrix.data) if i == old]
-        assert matrix[np.arange(0)].shape == (0, n_cols)
 
 
 def test_csr_product_shape_check():
