@@ -46,6 +46,7 @@ _MODEL_KEYS = {"kind": "kind",
                **{key: f"stack.{key}" for key in _STACK_KEYS}}
 
 # The roster used when [models] ids is not set: model id -> (kind, stack).
+# Each of these ids has its kind and stack by default wherever it is listed.
 _DEFAULT_ROSTER = {
     "gbdt_full": ("gbdt", StackSpec()),
     "gbdt_plain": ("gbdt", StackSpec(use_text=False, use_neighbor=False)),
@@ -114,14 +115,15 @@ def _entries(config: RunConfig) -> list[tuple[str, str, object]]:
             for entry in _field_entries(declared, getattr(config, declared.name))]
 
 
-def _defaults(ids: tuple[str, ...] | None,
+def _defaults(ids: tuple[str, ...],
               given: dict[tuple[str, str], object] | None = None
               ) -> dict[tuple[str, str], object]:
-    """Default of every key a file may set, by (section, key). `ids=None`
-    is the default roster; a key that takes another key's value takes it
-    from `given` if set there."""
-    roster = _DEFAULT_ROSTER if ids is None else {
-        model_id: ("gbdt", StackSpec()) for model_id in ids}
+    """Default of every key a file may set, by (section, key), for the
+    models `ids`: an id of the default roster keeps its kind and stack
+    there, any other is a gbdt with the full stack. A key that takes
+    another key's value takes it from `given` if set there."""
+    roster = {model_id: _DEFAULT_ROSTER.get(model_id, ("gbdt", StackSpec()))
+              for model_id in ids}
     specs = tuple(LearnerSpec(model_id, kind, LearnerParams(), stack)
                   for model_id, (kind, stack) in roster.items())
     defaults: dict[tuple[str, str], object] = {}
@@ -204,7 +206,7 @@ def load_config(path: str | Path, out_override: str | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
-    ids = None
+    ids = tuple(_DEFAULT_ROSTER)
     if parser.has_option("models", "ids"):
         try:
             ids = _parse(tuple(_DEFAULT_ROSTER), parser.get("models", "ids"))

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import compress, islice
@@ -95,10 +96,27 @@ _MORNING, _AFTERNOON, _EVENING, _NIGHT = (
     hour * 3600 for hour in DAY_PART_STARTS.values())
 
 
+# The text `datetime.fromisoformat` reads on Python 3.10, the oldest
+# supported: YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], `*`
+# any one character. Python 3.11 reads more (`20140221`, `Z`, week dates,
+# fractions of any length), so texts outside it are refused on every version
+# and each interpreter keeps the same rows.
+_ISO_TIMESTAMP = re.compile(
+    r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+    r"(?:[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?", re.ASCII | re.DOTALL)
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse a naive local timestamp; sub-second parts are truncated."""
+    stripped = text.strip()
+    # `YYYY-MM-DD*HH:MM:SS` skips the pattern: a 19-character text with these
+    # separators that `fromisoformat` reads has digits everywhere else.
+    if (not (len(stripped) == 19 and stripped[4] == stripped[7] == "-"
+             and stripped[13] == stripped[16] == ":")
+            and _ISO_TIMESTAMP.fullmatch(stripped) is None):
+        raise TimestampError(f"unparseable timestamp: {text!r}")
     try:
-        ts = datetime.fromisoformat(text.strip())
+        ts = datetime.fromisoformat(stripped)
     except ValueError:
         raise TimestampError(f"unparseable timestamp: {text!r}") from None
     if ts.tzinfo is not None:
@@ -108,9 +126,9 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    """The inverse of `parse_timestamp`: `YYYY-MM-DD HH:MM:SS`, with the
-    year zero-padded to four digits (`%Y` leaves years below 1000 short)."""
-    return f"{ts.year:04d}-{ts:%m-%d %H:%M:%S}"
+    """The inverse of `parse_timestamp` on a naive timestamp:
+    `YYYY-MM-DD HH:MM:SS`, sub-seconds dropped."""
+    return ts.isoformat(" ", "seconds")
 
 
 def _day_part(seconds: int) -> str:

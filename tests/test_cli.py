@@ -262,6 +262,23 @@ def test_default_model_roster(tmp_path):
     assert by_id["forest"].kind == "forest"
 
 
+def test_writing_out_the_default_roster_equals_omitting_it(tmp_path):
+    base = "[data]\nobservations = x\npopulation = y\n"
+    loaded = {}
+    for name, models in (("omitted", ""),
+                         ("listed", "[models]\nids = gbdt_full, gbdt_plain, forest\n"),
+                         ("forest", "[models]\nids = forest, other\n")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(base + models, encoding="utf-8")
+        loaded[name] = load_config(path, require_inputs=False)
+    assert loaded["listed"].specs == loaded["omitted"].specs
+    assert render_config(loaded["listed"]) == render_config(loaded["omitted"])
+    forest, other = loaded["forest"].specs
+    assert forest == loaded["omitted"].specs[2] and forest.kind == "forest"
+    # an id outside the default roster is a gbdt with the full stack
+    assert (other.kind, other.stack) == ("gbdt", loaded["omitted"].specs[0].stack)
+
+
 def test_overrides_beat_file_values(tmp_path, config):
     loaded = load_config(config, out_override=str(tmp_path / "elsewhere"),
                          seed_override=99, require_inputs=False)

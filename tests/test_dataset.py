@@ -171,18 +171,27 @@ def test_parse_timestamp_equals_the_truncating_replace(text):
     assert (ts.fold, ts.tzinfo) == (want.fold, want.tzinfo)
 
 
-@pytest.mark.parametrize("year", [1, 999, 1000, 9999])
-def test_timestamp_round_trip_pads_the_year(tmp_path, year):
-    ts = datetime(year, 6, 15, 21, 30)
+@pytest.mark.parametrize("ts", [
+    *(pytest.param(datetime(year, 6, 15, 21, 30), id=str(year))
+      for year in (1, 999, 1000, 9999)),
+    pytest.param(datetime(2014, 6, 15, 21, 30, 0, 999999), id="microsecond"),
+    pytest.param(datetime(2014, 6, 15, 21, 30, fold=1), id="fold"),
+    pytest.param(datetime(1, 1, 1, 0, 0, 0, 1), id="00:00:00"),
+    pytest.param(datetime(9999, 12, 31, 23, 59, 59, 999999, fold=1), id="23:59:59"),
+])
+def test_timestamp_round_trip_pads_the_year(tmp_path, ts):
     text = format_timestamp(ts)
-    assert text == f"{year:04d}-06-15 21:30:00"
-    if year >= 1000:
+    # the reference formula: `%Y` leaves years below 1000 short, so the
+    # year is padded on its own
+    assert text == f"{ts.year:04d}-{ts:%m-%d %H:%M:%S}"
+    if ts.year >= 1000:
         assert text == ts.strftime("%Y-%m-%d %H:%M:%S")
-    assert parse_timestamp(text) == ts
+    truncated = ts.replace(microsecond=0)
+    assert parse_timestamp(text) == truncated
     path = tmp_path / "observations.csv"
     write_observations(ObservationTable([obs(time=ts)]), path)
     again, diags = parse_observations(path, "strict")
-    assert diags == [] and again.records[0].time == ts
+    assert diags == [] and again.records[0].time == truncated
 
 
 def test_parse_timestamp_rejects_timezone_aware():
@@ -190,6 +199,71 @@ def test_parse_timestamp_rejects_timezone_aware():
         parse_timestamp("2014-02-21 18:12:00+02:00")
     with pytest.raises(TimestampError):
         parse_timestamp("garbage")
+
+
+# Texts Python 3.11's `fromisoformat` reads and Python 3.10's does not;
+# the last four have the canonical length, 19 characters.
+@pytest.mark.parametrize("text", [
+    "20140221", "2014-02-21 18:12:00.5", "2014-02-21 18:12:00.1234",
+    "2014-02-21T18:12:00Z", "2014-W08-5T18:12:00", "2014-02-21 18:12+02",
+    "2014W08-12:34+05:00", "2014W08-12+05:00:00"])
+def test_parse_timestamp_refuses_what_python_3_10_cannot_read(text):
+    with pytest.raises(TimestampError, match="^unparseable timestamp"):
+        parse_timestamp(text)
+
+
+def _fits_python_3_10_grammar(text):
+    """The grammar `datetime.fromisoformat` documents on Python 3.10,
+    YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], spelled
+    out as shapes: `d` an ASCII digit, `*` any character, `+` a sign."""
+    times = ("*dd", "*dd:dd", "*dd:dd:dd", "*dd:dd:dd.ddd", "*dd:dd:dd.dddddd")
+    offsets = ("", "+dd:dd", "+dd:dd:dd", "+dd:dd:dd.dddddd")
+    shapes = ["dddd-dd-dd"] + [f"dddd-dd-dd{t}{o}" for t in times for o in offsets]
+
+    def fits(shape):
+        return all(
+            c in "0123456789" if s == "d" else c in "+-" if s == "+" else s in ("*", c)
+            for s, c in zip(shape, text))
+    return any(fits(shape) for shape in shapes if len(shape) == len(text))
+
+
+def test_parse_timestamp_reads_exactly_the_python_3_10_grammar():
+    # every one- and two-character edit of a few valid texts, each read as
+    # fromisoformat reads it when the 3.10 grammar admits it, else refused
+    alphabet = "0123456789-:+.,TWZ é\x00"
+    seeds = ("2014-02-21 18:12:00", "2014-02-21T18:12:00.123+02:00",
+             "2014-02-21 18:12:00.123456-01:30:15.000001", "2014-02-21T18")
+
+    def edits(text):
+        for i in range(len(text) + 1):
+            yield text[:i] + text[i + 1:]
+            for c in alphabet:
+                yield text[:i] + c + text[i + 1:]
+                yield text[:i] + c + text[i:]
+
+    texts = {edit for seed in seeds for edit in edits(seed)}
+    rng = np.random.default_rng(0)
+    singles = sorted(texts)
+    for i in rng.choice(len(singles), 30, replace=False):
+        texts.update(edits(singles[i]))
+    admitted = 0
+    for text in texts:
+        want = None
+        if _fits_python_3_10_grammar(text.strip()):
+            try:
+                want = datetime.fromisoformat(text.strip())
+            except ValueError:
+                pass
+        if want is None:
+            with pytest.raises(TimestampError, match="^unparseable timestamp"):
+                parse_timestamp(text)
+        elif want.tzinfo is not None:
+            with pytest.raises(TimestampError, match="UTC offset"):
+                parse_timestamp(text)
+        else:
+            admitted += 1
+            assert parse_timestamp(text) == want.replace(microsecond=0), text
+    assert admitted > 100
 
 
 @pytest.mark.parametrize("hour,minute,expected", [
