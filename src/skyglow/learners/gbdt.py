@@ -32,6 +32,49 @@ less the sum before each feature, so their bits depend on every entry
 before them, and a sibling histogram made by subtraction can hold a
 rounding residue in a bin no row falls in.
 
+A node whose rows all carry one gradient g != 0 and one hessian eta >= 0
+cannot split: with lambda > 0, a rows on the left and b = n - a on the
+right, twice its exact gain is g^2 [F(a) + F(b) - F(n)], F(c) = c^2 /
+(c eta + lambda), and F(a) + F(b) < F(n) because c / (c eta + lambda)
+increases in c. `_every_gain_negative` decides, without the search, when
+every float gain is certainly negative too, so `_best_split` would
+return None; the node then stays a leaf, and otherwise it is searched as
+any other. The bound, with u = 2^-53, B bins, p features, N = p n count
+entries and m = min_samples_leaf (every side has a, b, n >= m rows):
+
+- entries: the histograms, built or made by subtraction, differ from the
+  exact c_b g and c_b eta of each bin; R, the sum of |difference| over
+  the bins, is measured, within u (N |g| + (B + 1) R) of the true one;
+- running sums: the cumulative sum adds B terms in order, so each
+  running sum is within u B A of the exact prefix of the entries, A =
+  N |g| + R bounding every partial sum. A left sum is the difference of
+  two running sums, rounded once (global-prefix cancellation), so it is
+  within delta = R + (2B + 1) u A of a g;
+- totals: the node's stored total is measured against n g, tau =
+  |total - n g|; the right sum, total minus left sum, is then within
+  Delta = delta + tau + u n |g| of b g, and so is every numerator of the
+  gain formula. Each is c g (1 + rho) with |rho| <= r = Delta / (m |g|),
+  and each denominator (c eta + lambda)(1 + kappa) with |kappa| <= k,
+  from the hessian's Delta over m eta + lambda;
+- terms: each of the three terms, x * x / (y + lambda), rounds three
+  times, so it is F(c) g^2 (1 + t) with |t| <= 2r + k + 3u to first
+  order, and <= 3r + 2k + 5u = theta when r and k are at most 1/8 (both
+  taken at twice their first-order bound, which covers every
+  higher-order term while every count stays below 2^24);
+- sign: F(a) + F(b) <= q F(n) with q the value at a = m, the maximum of a
+  convex function over [m, n - m], so the computed children's sum is at
+  most q F(n) g^2 (1 + theta)(1 + u) and the parent term at least
+  F(n) g^2 (1 - theta). Every gain is negative when 1 - q > 2 theta + 2u,
+  with 1 - q = m b lambda / n^2 [1 / (m eta + lambda) + 1 / (b eta +
+  lambda)], b = n - m; the check asks for 4 (theta + u), covering the
+  rounding of the check itself.
+
+|g|, lambda and a nonzero eta within 2^-200 .. 2^200 keep every product
+and quotient a normal number, so each rounding is relative and the gain,
+below -F(n) g^2 (1 - q) / 4, stays a negative normal number when halved.
+Outside that range, or with lambda so small that the margin is not
+there, the node is searched.
+
 Trees are traversed by partition: each internal node splits the row
 indices that reach it (`leaf_nodes`), so a row meets the same comparisons
 as on its own descent.
@@ -50,6 +93,12 @@ from .params import LearnerParams
 
 _PRIOR_FLOOR = 1e-12  # classes absent from training get ln(floor), not -inf
 _LOSS_CLIP = 1e-15
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Magnitudes for which every product and quotient of the gain formula is a
+# normal number (module docstring), and the count below which the
+# first-order rounding bound, doubled, covers the higher-order terms.
+_GAIN_SCALES = (2.0 ** -200, 2.0 ** 200)
+_MAX_COUNT = 2 ** 24
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -198,6 +247,58 @@ def _best_split(binned: BinnedMatrix, hists, totals, splittable, params):
     return gains[i], j, t, (float(gl[i]), float(hl[i]), float(cl[k]))
 
 
+def _shared_gradient(g: np.ndarray, h: np.ndarray,
+                     rows: np.ndarray) -> tuple[float, float] | None:
+    """The one (gradient, hessian) pair every row in `rows` carries, or
+    None when the rows carry more than one. The first and last rows are
+    compared first: in most nodes that can split they already differ."""
+    if g[rows[0]] != g[rows[-1]]:
+        return None
+    values = g[rows]
+    if not (values == values[0]).all():
+        return None
+    weights = h[rows]
+    if not (weights == weights[0]).all():
+        return None
+    return float(values[0]), float(weights[0])
+
+
+def _every_gain_negative(binned: BinnedMatrix, hists: np.ndarray, totals,
+                         n: int, value: float, weight: float, params) -> bool:
+    """True when every float gain `_best_split` would compute for a node of
+    n rows, each with gradient `value` and hessian `weight`, is certainly
+    negative: the rounding bound of the module docstring."""
+    low, high = _GAIN_SCALES
+    lam = params.l2_regularization
+    m = params.min_samples_leaf
+    size = abs(value)
+    if not (low <= size and n * size <= high and low <= lam <= high
+            and (weight == 0.0 or low <= weight) and n * weight <= high
+            and n < _MAX_COUNT and binned.total_bins < _MAX_COUNT):
+        return False
+    u = _UNIT_ROUNDOFF
+    mass = n * binned.n_features
+    sweep = (2 * binned.total_bins + 1) * u
+    differences = np.multiply(hists[2], np.array([[value], [weight]]))
+    np.subtract(hists[:2], differences, out=differences)
+    residues = np.abs(differences, out=differences).sum(axis=1)
+
+    def spread(residue: float, v: float, total: float) -> float:
+        """Delta: how far each numerator may be from its count times v."""
+        residue += u * mass * abs(v)
+        left = residue + sweep * (mass * abs(v) + residue)
+        return left + abs(total - n * v) + 2 * u * n * abs(v)
+
+    r = 2 * spread(float(residues[0]), value, totals[0]) / (m * size)
+    k = 2 * spread(float(residues[1]), weight, totals[1]) / (m * weight + lam)
+    if not (r <= 0.125 and k <= 0.125):
+        return False
+    theta = 3 * r + 2 * k + 5 * u
+    b = n - m
+    slack = m * b * lam / (n * n) * (1 / (m * weight + lam) + 1 / (b * weight + lam))
+    return slack > 4 * (theta + u)
+
+
 def _histograms(binned: BinnedMatrix, rows: np.ndarray, g: np.ndarray,
                 h: np.ndarray) -> np.ndarray:
     """(3, total_bins) gradient, hessian and count histograms of `rows`."""
@@ -210,7 +311,9 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
     """One leaf-wise tree. Only nodes that can still split are histogrammed
     and searched: a split needs min_samples_leaf rows on each side, so a
     node with fewer than twice that many rows stays a leaf, and so does
-    every node once the tree has max_leaves leaves."""
+    every node once the tree has max_leaves leaves. A node whose rows share
+    one gradient and hessian stays a leaf unsearched when
+    `_every_gain_negative` shows that no split has a nonnegative gain."""
     lam = params.l2_regularization
     lr = params.learning_rate
     min_split_rows = 2 * params.min_samples_leaf
@@ -220,6 +323,10 @@ def _fit_tree(binned: BinnedMatrix, g: np.ndarray, h: np.ndarray,
 
     def consider(node: int, rows: np.ndarray, hists: np.ndarray, totals):
         nonlocal tick
+        shared = _shared_gradient(g, h, rows)
+        if shared is not None and _every_gain_negative(
+                binned, hists, totals, len(rows), *shared, params):
+            return
         found = _best_split(binned, hists, totals, splittable, params)
         if found is not None:
             gain, j, t, left_totals = found

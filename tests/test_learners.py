@@ -424,11 +424,33 @@ def test_gbdt_min_samples_leaf_respected():
             assert reached[leaves].min() >= 10
 
 
-def test_gbdt_tree_matches_every_node_oracle():
+def _node_rows(tree, X):
+    """The rows of X that reach each node of `tree`; a child's index is
+    above its parent's."""
+    reach = {0: np.arange(len(X))}
+    for node in np.flatnonzero(tree.feature >= 0):
+        rows = reach[node]
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        reach[tree.left[node]] = rows[go_left]
+        reach[tree.right[node]] = rows[~go_left]
+    return reach
+
+
+def test_gbdt_tree_matches_every_node_oracle(monkeypatch):
     """Skipping the histograms and split search of nodes that cannot split
     leaves every tree array unchanged, including trees stopped by the
-    leaf cap and nodes with fewer than 2 * min_samples_leaf rows."""
+    leaf cap, nodes with fewer than 2 * min_samples_leaf rows and nodes
+    whose rows share one gradient and hessian."""
+    from skyglow.learners import gbdt
     from skyglow.learners.gbdt import _fit_tree, _splittable_mask, leaf_nodes
+
+    def assert_matches_oracle(tree, binned, g, h, params, case):
+        expect = every_node_tree(binned, g, h, params)
+        for name, want in zip(("feature", "threshold", "left", "right", "value"),
+                              expect):
+            got = getattr(tree, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (case, name)
+
     rng = np.random.default_rng(43)
     capped = small_leaves = 0
     for case in range(80):
@@ -446,16 +468,58 @@ def test_gbdt_tree_matches_every_node_oracle():
                                l2_regularization=float(rng.uniform(0.1, 2.0)))
         binned = bin_matrix(X, int(rng.choice([8, 64, 256])))
         tree = _fit_tree(binned, g, h, params, _splittable_mask(binned))
-        expect = every_node_tree(binned, g, h, params)
-        for name, want in zip(("feature", "threshold", "left", "right", "value"),
-                              expect):
-            got = getattr(tree, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (case, name)
+        assert_matches_oracle(tree, binned, g, h, params, case)
         capped += (tree.feature < 0).sum() == params.max_leaves
         leaf_rows = np.bincount(leaf_nodes(tree, X), minlength=len(tree.feature))
         small_leaves += (leaf_rows[tree.feature < 0]
                          < 2 * params.min_samples_leaf).any()
     assert capped >= 10 and small_leaves >= 10
+
+    # (g, h) constant over regions of X, so that nodes whose rows share one
+    # pair occur: with g != 0 the rounding bound lets them stay leaves
+    # unsearched, with g == 0 (every gain >= 0 up to rounding residues) or a
+    # tiny lambda and h > 0 (no margin) they are searched
+    verdicts = []
+    guard = gbdt._every_gain_negative
+
+    def counted(binned, hists, totals, n, value, weight, params):
+        verdict = guard(binned, hists, totals, n, value, weight, params)
+        verdicts.append((value, weight, params.l2_regularization, verdict))
+        return verdict
+
+    monkeypatch.setattr(gbdt, "_every_gain_negative", counted)
+    rng = np.random.default_rng(47)
+    zero_splits = shared_splits = 0
+    for case in range(90):
+        n = int(rng.integers(40, 400))
+        p = int(rng.integers(1, 5))
+        X = rng.integers(0, int(rng.integers(2, 12)), size=(n, p)).astype(float)
+        region = sum((X[:, j % p] > rng.integers(0, 4)) * 2 ** j for j in range(3))
+        g_levels = rng.choice([-0.75, -0.1, 0.0, 0.05, 0.3], size=8)
+        h_levels = rng.choice([0.0, 0.02, 0.1875], size=8)
+        g, h = g_levels[region], h_levels[region]
+        lam = 1e-18 if case % 3 == 2 else float(rng.uniform(0.1, 2.0))
+        params = LearnerParams(min_samples_leaf=int(rng.integers(1, 8)),
+                               max_leaves=int(rng.integers(4, 32)),
+                               learning_rate=0.3, l2_regularization=lam)
+        binned = bin_matrix(X, 256)
+        tree = _fit_tree(binned, g, h, params, _splittable_mask(binned))
+        assert_matches_oracle(tree, binned, g, h, params, ("regions", case))
+        for node, rows in _node_rows(tree, X).items():
+            if tree.feature[node] >= 0 and (g[rows] == g[rows[0]]).all():
+                if g[rows[0]] == 0.0:
+                    zero_splits += 1
+                else:
+                    shared_splits += (h[rows] == h[rows[0]]).all()
+    shortcut = sum(verdict for *_, verdict in verdicts)
+    no_margin = sum(not verdict for value, weight, lam, verdict in verdicts
+                    if value != 0.0 and weight > 0.0 and lam < 1e-15)
+    assert shortcut >= 50 and no_margin >= 50
+    assert not any(verdict for value, weight, lam, verdict in verdicts
+                   if value == 0.0 or (lam < 1e-15 and weight > 0.0))
+    # searched nodes that split: all-zero gradients, and shared nonzero ones
+    # at the tiny lambda, where rounding decides the sign of every gain
+    assert zero_splits >= 5 and shared_splits >= 5
 
 
 def test_gbdt_absent_classes_get_zero_trees_and_floor_scores():
