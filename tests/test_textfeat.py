@@ -225,6 +225,59 @@ def test_svd_fit_builds_one_transpose_with_the_same_bits(monkeypatch):
     assert once.singular_values.tobytes() == rebuilt.singular_values.tobytes()
 
 
+def _sign_fixed(components):
+    """Each row negated when its largest-magnitude entry is negative."""
+    rows = [-row if row[np.argmax(np.abs(row))] < 0 else row for row in components]
+    return np.array(rows).reshape(components.shape)
+
+
+def test_spanned_svd_is_one_dense_decomposition(monkeypatch):
+    """When rank + 8 reaches the smaller dimension the sketch would span
+    the matrix: the fit is np.linalg.svd's leading triplets after the sign
+    rule, bit for bit, and no transpose is built."""
+    transpose = CsrMatrix.T.func
+    built = []
+
+    def counted(self):
+        built.append(self.shape)
+        return transpose(self)
+
+    monkeypatch.setattr(CsrMatrix, "T", property(counted))
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(24)]
+    corpus = [[words[j] for j in rng.integers(0, 24, size=int(rng.integers(0, 6)))]
+              for _ in range(200)]
+    tall = transform_tfidf(fit_tfidf(corpus), corpus)
+    wide = transform_tfidf(fit_tfidf(corpus), corpus[:12])
+    cases = [(tall, rank) for rank in (16, 23, 24)]
+    cases += [(wide, rank) for rank in (4, 12)]
+    cases += [(rng.normal(size=(30, 12)), 5), (rng.normal(size=(9, 40)), 9)]
+    for matrix, rank in cases:
+        assert rank + 8 >= min(matrix.shape)
+        model = fit_truncated_svd(matrix, rank, seed=3)
+        dense = matrix.toarray() if isinstance(matrix, CsrMatrix) else matrix
+        _, values, vt = np.linalg.svd(dense, full_matrices=False)
+        assert model.singular_values.tobytes() == values[:rank].tobytes()
+        assert model.components.tobytes() == _sign_fixed(vt[:rank]).tobytes()
+    assert built == []
+
+
+def test_unspanned_svd_matches_dense_oracle():
+    """Shapes whose smaller dimension exceeds rank + 8 take the randomized
+    range finder; its top singular values stay within 1e-6 relative."""
+    rng = np.random.default_rng(23)
+    matrices = [next(csr_cases())]
+    matrices += [rng.normal(size=(int(rng.integers(20, 90)), int(rng.integers(20, 60))))
+                 for _ in range(24)]
+    for i, matrix in enumerate(matrices):
+        for rank in (1, 3, min(matrix.shape) - 9):
+            model = fit_truncated_svd(matrix, rank, seed=i)
+            dense = matrix.toarray() if isinstance(matrix, CsrMatrix) else matrix
+            s_ref, _ = dense_svd(dense, rank)
+            worst = np.max(np.abs(model.singular_values - s_ref) / s_ref)
+            assert worst <= 1e-6, (i, matrix.shape, rank, worst)
+
+
 def test_svd_rank_validation():
     A = np.eye(4)
     with pytest.raises(ParameterError):
