@@ -50,12 +50,13 @@ entries and m = min_samples_leaf (every side has a, b, n >= m rows):
   N |g| + R bounding every partial sum. A left sum is the difference of
   two running sums, rounded once (global-prefix cancellation), so it is
   within delta = R + (2B + 1) u A of a g;
-- totals: the node's stored total is measured against n g, tau =
-  |total - n g|; the right sum, total minus left sum, is then within
-  Delta = delta + tau + u n |g| of b g, and so is every numerator of the
-  gain formula. Each is c g (1 + rho) with |rho| <= r = Delta / (m |g|),
-  and each denominator (c eta + lambda)(1 + kappa) with |kappa| <= k,
-  from the hessian's Delta over m eta + lambda;
+- totals: the node's stored total is within tau of n g, measured as
+  |total - n g| plus u n |g| for the rounding of n g; the right sum,
+  total minus left sum, is then within Delta = delta + tau + u n |g| of
+  b g, and so is every numerator of the gain formula. Each is
+  c g (1 + rho) with |rho| <= r = Delta / (m |g|), and each denominator
+  (c eta + lambda)(1 + kappa) with |kappa| <= k, the hessian's Delta
+  over m eta + lambda;
 - terms: each of the three terms, x * x / (y + lambda), rounds three
   times, so it is F(c) g^2 (1 + t) with |t| <= 2r + k + 3u to first
   order, and <= 3r + 2k + 5u = theta when r and k are at most 1/8 (both
@@ -69,8 +70,8 @@ entries and m = min_samples_leaf (every side has a, b, n >= m rows):
   lambda)], b = n - m; the check asks for 4 (theta + u), covering the
   rounding of the check itself.
 
-|g|, lambda and a nonzero eta within 2^-200 .. 2^200 keep every product
-and quotient a normal number, so each rounding is relative and the gain,
+|g|, n |g|, lambda, n eta and a nonzero eta within 2^-200 .. 2^200 keep
+every product and quotient a normal number, so each rounding is relative and the gain,
 below -F(n) g^2 (1 - q) / 4, stays a negative normal number when halved.
 Outside that range, or with lambda so small that the margin is not
 there, the node is searched.
