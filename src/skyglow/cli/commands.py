@@ -5,17 +5,15 @@ for a fixed config and seed. Diagnostics go to stderr only.
 
 `ingest` and `eda` only read and write CSV and compute pure-Python
 statistics, and run on the modules imported below, which load no numpy.
-Every other name a command calls (numpy, the feature, learner, metric,
+Every other function a command calls (the feature, learner, metric,
 validation, ensemble and sidecar code, the generator and the SVG charts)
-is bound as an attribute of this module by `_bind_names`, which `dispatch`
-calls before a command with the names that command calls
-(`_COMMAND_NAMES`), so a stage loads only the modules that define them:
-`report` loads the chart code and no numpy, `ensemble` no learner or
-feature-stack code, `features` no learner (its `labelled_folds` comes from
-`folds`), and only `synth` the generator. A first lookup of an
-unbound attribute binds every name (`__getattr__`). Either way each name
-is looked up here when a command runs, so patching `commands.<name>`
-reaches every command.
+is bound here to a stand-in that imports the function's module when it is
+called (`_LAZY_IMPORTS`), so a stage loads only the modules whose
+functions it calls: `report` loads the chart code and no numpy, `ensemble`
+no learner or feature-stack code, `features` no learner (its
+`labelled_folds` comes from `folds`), and only `synth` the generator.
+Each name is looked up here when a command runs, so patching
+`commands.<name>` reaches every command.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..dataset import (
     ObservationTable,
@@ -54,18 +53,21 @@ from ..errors import (
     SkyglowError,
     UndefinedCorrelationError,
 )
+from ..specs import N_CLASSES, StackSpec
 from .config import RunConfig, load_config, render_config
 
-# The names the commands call beyond the imports above, by the module each
-# comes from (relative to this package); `np` is numpy itself.
+if TYPE_CHECKING:
+    from ..features.stack import StackModel
+
+# The functions the commands call beyond the imports above, by the module
+# each comes from (relative to this package).
 _LAZY_IMPORTS = {
-    "numpy": ("np",),
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
-    "..features": ("N_CLASSES", "target_classes"),
-    "..features.stack": ("StackModel", "StackSpec", "apply_stack", "fit_stack"),
+    "..features": ("target_classes",),
+    "..features.stack": ("apply_stack", "fit_stack"),
     "..folds": ("labelled_folds",),
-    "..metrics": ("micro_f1", "predicted_classes", "read_oof_csv",
-                  "write_matrix", "write_oof_csv"),
+    "..metrics": ("micro_f1", "predicted_classes", "read_cv_truth", "read_oof_csv",
+                  "write_cv_truth", "write_matrix", "write_oof_csv"),
     "..serialize": ("decode_json", "json_text", "learner_from_obj",
                     "learner_to_obj", "load_json", "save_json",
                     "stack_from_obj", "stack_to_obj"),
@@ -75,50 +77,19 @@ _LAZY_IMPORTS = {
     # bench/tracing.py patches these names here, so they stay importable
     "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),
 }
-_EVERY_NAME = tuple(name for names in _LAZY_IMPORTS.values() for name in names)
-
-# The names each command calls, which `dispatch` binds before it runs;
-# ingest and eda run on the module-level imports alone.
-_COMMAND_NAMES = {
-    "synth": ("write_synthetic_dataset",),
-    "ingest": (),
-    "eda": (),
-    "features": ("target_classes", "StackSpec", "fit_stack",
-                 "write_matrix", "save_json", "stack_to_obj", "labelled_folds"),
-    "cv": ("run_cv", "write_oof_csv"),
-    "train": ("np", "N_CLASSES", "json_text", "learner_to_obj", "save_json",
-              "stack_to_obj", "fit_models", "target_classes", "labelled_folds"),
-    "ensemble": ("np", "blend", "mean_blend", "optimize_weights", "micro_f1",
-                 "predicted_classes", "read_oof_csv", "write_oof_csv"),
-    "predict": ("blend", "read_weights_csv", "apply_stack", "predicted_classes",
-                "write_matrix", "learner_from_obj", "load_json",
-                "decode_json", "stack_from_obj", "predict_proba"),
-    "report": ("bar_chart_svg", "line_chart_svg", "write_svg"),
-}
 
 
-def _bind_names(names=_EVERY_NAME) -> None:
-    """Import `names` and bind each as an attribute of this module, unless
-    it is bound already: a name that a caller has patched keeps its patch.
-    Only the modules that define an unbound name are imported."""
-    for module_name, provided in _LAZY_IMPORTS.items():
-        wanted = [name for name in provided
-                  if name in names and name not in globals()]
-        if wanted:
-            module = importlib.import_module(module_name, __package__)
-            for name in wanted:
-                globals().setdefault(
-                    name, module if name == "np" else getattr(module, name))
+def _stand_in(module_name: str, name: str):
+    """A function that imports `module_name` and calls its `name`."""
+    def call(*args, **kwargs):
+        module = importlib.import_module(module_name, __package__)
+        return getattr(module, name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def __getattr__(name: str):
-    # The import system probes dunder names such as __path__ (on
-    # `from .commands import ...`); answering them must not load numpy.
-    if not name.startswith("__"):
-        _bind_names()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+globals().update((name, _stand_in(module_name, name))
+                 for module_name, names in _LAZY_IMPORTS.items() for name in names)
 
 
 CLEAN_OBSERVATIONS = "observations_clean.csv"
@@ -142,7 +113,6 @@ CONFIG_ECHO = "config_echo.ini"
 
 # Headers of the artifacts a command writes and a later command reads;
 # cv_summary.csv has one fold_* column per fold after its leading columns.
-CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
 CV_SUMMARY_HEADER = ("model_id", "micro_f1")
 # one row per GBDT model per fold: the rounds that fold's model kept
 CV_ROUNDS_HEADER = ("model_id", "fold", "rounds")
@@ -310,9 +280,7 @@ def cmd_cv(config: RunConfig) -> None:
     for warning in result.warnings:
         _note(warning)
 
-    write_rows(out / CV_TRUTH, CV_TRUTH_HEADER,
-               ([row_id, int(result.folds[i]), int(result.truth[i])]
-                for i, row_id in enumerate(result.row_ids)))
+    write_cv_truth(out / CV_TRUTH, result.row_ids, result.folds, result.truth)
 
     summary_rows = []
     for model in result.models:
@@ -380,8 +348,8 @@ def cmd_train(config: RunConfig) -> None:
     table = _load_clean_table(config)
     table, targets, assignment = labelled_folds(
         table, target_classes(table), config.cv_k, config.seed, config.stratified)
-    cv_ids, cv_folds, _ = _read_cv_truth(out)
-    if cv_ids != list(table.ids) or not np.array_equal(cv_folds, assignment.folds):
+    cv_ids, cv_folds, _ = read_cv_truth(out / CV_TRUTH)
+    if cv_ids != list(table.ids) or cv_folds.tolist() != assignment.folds.tolist():
         raise SchemaError(f"{out / CV_TRUTH}: row ids or folds differ from the "
                           "folds of this config; run cv with this config first")
 
@@ -405,24 +373,16 @@ def cmd_train(config: RunConfig) -> None:
     save_json(out / TRAIN_MANIFEST, manifest)
 
 
-def _read_cv_truth(out: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _, rows = read_rows(out / CV_TRUTH, CV_TRUTH_HEADER,
-                        lambda row: (row[0], int(row[1]), int(row[2])))
-    return ([row[0] for row in rows],
-            np.array([row[1] for row in rows], dtype=np.int64),
-            np.array([row[2] for row in rows], dtype=np.int64))
-
-
 def cmd_ensemble(config: RunConfig) -> None:
     out = config.output_dir
     _require(out, CV_TRUTH, *[_oof_csv(mid) for mid in config.model_ids])
-    ids, folds, truth = _read_cv_truth(out)
+    ids, folds, truth = read_cv_truth(out / CV_TRUTH)
     matrices = []
     for model_id in config.model_ids:
         path = out / _oof_csv(model_id)
         row_ids, oof_folds, file_model_id, probs = read_oof_csv(path)
         if (file_model_id != model_id or list(row_ids) != ids
-                or not np.array_equal(oof_folds, folds)):
+                or oof_folds.tolist() != folds.tolist()):
             raise SchemaError(f"{path}: model id, row ids or folds differ "
                               f"from {CV_TRUTH}")
         matrices.append(probs)
@@ -624,7 +584,6 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     point turns into a one-line message and exit code 1."""
     if command not in COMMANDS:
         raise SkyglowError(f"unknown command: {command!r}")
-    _bind_names(_COMMAND_NAMES[command])
     config = load_config(config_path, out_override, seed_override,
                          require_inputs=(command != "synth"))
     out = config.output_dir

@@ -19,7 +19,7 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from ..dataset import CATEGORICAL_REPORT_FIELDS
+from ..dataset import CATEGORICAL_REPORT_FIELDS, NUMERIC_FIELDS
 from ..errors import ConfigError, ParameterError
 from ..specs import (
     DEFAULT_STEP_SCHEDULE,
@@ -242,6 +242,10 @@ def load_config(path: str | Path, out_override: str | None = None,
     values = _defaults(ids, given) | given
     if values["data", "strictness"] not in ("strict", "lenient"):
         bad.append("data.strictness")
+    if not set(values["report", "category_fields"]) <= set(CATEGORICAL_REPORT_FIELDS):
+        bad.append("report.category_fields")
+    if not set(values["report", "trend_fields"]) <= {*NUMERIC_FIELDS, "population"}:
+        bad.append("report.trend_fields")
     if bad:
         raise ConfigError(f"invalid value for: {', '.join(sorted(bad))}")
 

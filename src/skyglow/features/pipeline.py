@@ -27,9 +27,7 @@ from ..errors import (
     UnknownFieldError,
 )
 from ..orderstats import median, quantile
-from ..specs import FeatureConfig
-
-N_CLASSES = 8
+from ..specs import N_CLASSES, FeatureConfig
 
 # The numeric and categorical columns of a table's view that the pipeline fits.
 NUMERIC_FEATURES = ("time_zone", "latitude", "longitude", "elevation_m",

@@ -46,23 +46,14 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(folds, tuple(warnings))
 
 
-def random_folds(n_rows: int, k: int, seed: int) -> FoldAssignment:
-    """Unstratified round-robin deal of a seeded shuffle."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
-    if n_rows < 1:
-        raise ParameterError("need at least one row")
-    rng = np.random.default_rng(seed)
-    folds = np.empty(n_rows, dtype=np.int64)
-    folds[rng.permutation(n_rows)] = np.arange(n_rows) % k
-    return FoldAssignment(folds, ())
-
-
 def fold_assignment(labels: np.ndarray, k: int, seed: int,
                     stratified: bool = True) -> FoldAssignment:
+    """`stratified_folds` of `labels`; unstratified, its deal of one class,
+    a round-robin deal of a seeded shuffle of every row, with no warning."""
     if stratified:
         return stratified_folds(labels, k, seed)
-    return random_folds(len(labels), k, seed)
+    return FoldAssignment(
+        stratified_folds(np.zeros(len(labels), dtype=np.int64), k, seed).folds, ())
 
 
 def labelled_folds(table: ObservationTable, targets: np.ndarray, k: int,

@@ -1,6 +1,7 @@
-"""The micro-F1 metric family, the OOF prediction files, and the numpy
-side of the CSV matrix path (`write_matrix`), through which the feature
-matrix, the OOF and blended probabilities and the predictions are written.
+"""The micro-F1 metric family, the OOF prediction and CV-truth files, and
+the numpy side of the CSV matrix path (`write_matrix`), through which the
+feature matrix, the OOF and blended probabilities and the predictions are
+written.
 
 Nothing here fits a model: the module imports numpy, `dataset` and
 `errors` alone, so `ensemble` loads no feature or learner code.
@@ -23,6 +24,8 @@ from .errors import EmptyInputError, ParameterError, SchemaError
 # The leading columns of an OOF prediction file; one p_class_* column per
 # class follows.
 OOF_HEADER = ("row_id", "fold", "model_id")
+# cv_truth.csv: each CV row's fold and true class.
+CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
 
 
 @dataclass(frozen=True)
@@ -143,3 +146,20 @@ def read_oof_csv(source: str | Path):
             np.array([row[1] for row in rows], dtype=np.int64),
             rows[0][2] if rows else None,
             np.array([row[3] for row in rows]))
+
+
+def write_cv_truth(dest: str | Path, row_ids: Sequence[str],
+                   folds: np.ndarray, truth: np.ndarray) -> None:
+    """Persist each CV row's fold and true class: row_id, fold, true_class."""
+    write_rows(dest, CV_TRUTH_HEADER,
+               zip(row_ids, folds.tolist(), truth.tolist()))
+
+
+def read_cv_truth(source: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Inverse of write_cv_truth; returns (row_ids, folds, truth), the folds
+    and classes as int64 arrays."""
+    _, rows = read_rows(source, CV_TRUTH_HEADER,
+                        lambda row: (row[0], int(row[1]), int(row[2])))
+    return ([row[0] for row in rows],
+            np.array([row[1] for row in rows], dtype=np.int64),
+            np.array([row[2] for row in rows], dtype=np.int64))

@@ -1,6 +1,7 @@
-"""The plain-data settings a run is built from: learner hyperparameters,
-the feature options, each model's stack and roster entry, the synthetic
-table's shape and the ensemble's step schedule.
+"""The plain-data settings a run is built from: the number of target
+classes, learner hyperparameters, the feature options, each model's stack
+and roster entry, the synthetic table's shape and the ensemble's step
+schedule.
 
 They are defined here, apart from the code that uses them, so that
 reading a run configuration imports no numpy: the CLI's `ingest` and
@@ -17,6 +18,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# Target classes: a limiting magnitude is binned to a class in [0, 7].
+N_CLASSES = 8
 
 # TF-IDF vocabulary cap and truncated-SVD rank of a stack's text block.
 DEFAULT_VOCAB_CAP = 20000

@@ -1,6 +1,5 @@
 import configparser
 import dataclasses
-import dis
 import fcntl
 import hashlib
 import importlib
@@ -310,6 +309,39 @@ def test_bad_values_are_reported_together(tmp_path):
     with pytest.raises(ConfigError,
                        match=r"invalid value for: cv\.k, model\.forest\.trees$"):
         load_config(path, require_inputs=False)
+
+
+@pytest.mark.parametrize("key, fields", [
+    ("category_fields", "clouds, bogus"),
+    ("category_fields", "sensor_reading"),
+    ("trend_fields", "limiting_magnitude, bogus"),
+    ("trend_fields", "clouds"),
+])
+def test_bad_report_fields_fail_before_eda_writes(tmp_path, config, capsys,
+                                                  key, fields):
+    # a field eda cannot summarise fails the config, before the echo or the
+    # first report is written
+    for command in ("synth", "ingest"):
+        assert dispatch(command, config) == 0, command
+    out = tmp_path / "out"
+    before = _snapshot(out)
+    write_config(Path(config), out, f"[report]\n{key} = {fields}\n")
+    capsys.readouterr()
+    assert main(["eda", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        f"skyglow: error: invalid value for: report.{key}\n")
+    assert _snapshot(out) == before
+
+
+def test_report_fields_take_every_field_eda_summarises(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[data]\nobservations = obs.csv\npopulation = pop.csv\n"
+                    "[report]\ntrend_fields = population, time_zone\n"
+                    f"category_fields = {', '.join(dataset.CATEGORICAL_REPORT_FIELDS)}\n",
+                    encoding="utf-8")
+    loaded = load_config(path, require_inputs=False)
+    assert loaded.trend_fields == ("population", "time_zone")
+    assert loaded.category_fields == dataset.CATEGORICAL_REPORT_FIELDS
 
 
 def test_render_config_round_trips(tmp_path, config):
@@ -812,8 +844,8 @@ def test_eda_runs_without_numpy(tmp_path, config):
 
 
 def test_package_import_loads_no_module_and_the_cli_no_numpy():
-    # importing the CLI looks up dunder names of `commands` (__path__),
-    # which must not bind the fitting names; an unknown name still fails
+    # importing the CLI binds the fitting names to stand-ins, which load
+    # nothing until they are called; an unknown name still fails
     assert _run_python(
         "import sys\n"
         "import skyglow\n"
@@ -825,17 +857,14 @@ def test_package_import_loads_no_module_and_the_cli_no_numpy():
 
 
 def test_patched_command_names_reach_the_commands_in_a_fresh_process(config):
-    # before any dispatch, looking a name up binds the real function; a
-    # patch made then is the name the command calls
+    # before any dispatch, looking a name up gives its stand-in and loads
+    # nothing; a patch made then is the name the command calls
     lines = _run_python(
         "import sys\n"
         "from skyglow.cli import commands\n"
         "from skyglow.cli.commands import dispatch\n"
+        "getattr(commands, 'fit_stack'), commands.run_cv\n"
         "assert 'numpy' not in sys.modules\n"
-        "real = getattr(commands, 'fit_stack')\n"
-        "from skyglow.features.stack import fit_stack\n"
-        "from skyglow.validation import run_cv\n"
-        "assert real is fit_stack and commands.run_cv is run_cv\n"
         "called = []\n"
         "def patch(name):\n"
         "    original = getattr(commands, name)\n"
@@ -909,10 +938,11 @@ def test_light_stages_load_no_fitting_code(tmp_path, config, stage):
 
 
 # The `skyglow` modules each stage loads when it runs in a fresh process:
-# a stage binds only the names it calls, so only `synth` loads the
-# generator, only `report` the chart code, and only `ensemble` and
-# `predict` the blend; `cv` reads no sidecar and loads no codec, and
-# `features` deals its folds without the learners or `validation`.
+# a stage imports only the modules whose functions it calls, so only
+# `synth` loads the generator, only `report` the chart code, and only
+# `ensemble` and `predict` the blend; `cv` reads no sidecar and loads no
+# codec, and `features` deals its folds without the learners or
+# `validation`.
 _CLI = ("cli", "cli.commands", "cli.config", "cli.main", "dataset", "errors",
         "specs")
 _FEATURE_STACK = ("columnview", "features", "features.knn",
@@ -969,31 +999,12 @@ def test_stages_leave_unused_library_modules_unloaded(config):
         assert lines == [" ".join(["False"] * len(UNLOADED[stage]))], stage
 
 
-def _global_names(function, seen=None) -> set[str]:
-    """The global names that `function` and the functions of its module
-    that it calls refer to, comprehensions and lambdas included."""
-    seen = set() if seen is None else seen
-    names, codes = set(), [function.__code__]
-    while codes:
-        code = codes.pop()
-        names.update(op.argval for op in dis.get_instructions(code)
-                     if op.opname == "LOAD_GLOBAL")
-        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
-    for name in names - seen:
-        value = vars(commands).get(name)
-        if callable(value) and getattr(value, "__module__", None) == commands.__name__:
-            seen.add(name)
-            names |= _global_names(value, seen)
-    return names
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_each_command_binds_every_lazy_name_it_calls(command):
-    # a module global that is not bound raises NameError: the module's
-    # __getattr__ serves attribute lookups, not a function's globals
-    called = _global_names(commands._COMMAND_TABLE[command]) & set(
-        commands._EVERY_NAME)
-    assert called == set(commands._COMMAND_NAMES[command])
+def test_every_lazy_import_names_a_callable_of_its_module():
+    # a misspelled entry would otherwise fail at its first call in a stage
+    for module_name, names in commands._LAZY_IMPORTS.items():
+        module = importlib.import_module(module_name, commands.__package__)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name} {name}"
 
 
 def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
@@ -1329,7 +1340,7 @@ def test_features_writes_the_full_stack_train_fits_on(tmp_path):
 
     table, targets, folds = _labelled_folds(run)
     assert len(table) < len(commands._load_clean_table(run))
-    cv_ids, _, _ = commands._read_cv_truth(out)
+    cv_ids, _, _ = metrics.read_cv_truth(out / "cv_truth.csv")
     assert cv_ids == list(table.ids)
     lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in lines[1:]]
@@ -1355,7 +1366,7 @@ def test_unstratified_folds_run_features_cv_and_train(tmp_path):
     targets = target_classes(table)
     keep = ~np.isnan(targets)
     labels = targets[keep].astype(np.int64)
-    ids, folds, truth = commands._read_cv_truth(out)
+    ids, folds, truth = metrics.read_cv_truth(out / "cv_truth.csv")
     assert ids == [row_id for row_id, kept in zip(table.ids, keep) if kept]
     assert np.array_equal(truth, labels)
     assert np.array_equal(
@@ -1704,8 +1715,7 @@ def test_artifact_readers_check_the_header_width(tmp_path):
         (dataset.read_population_long, "population_long.csv",
          "country,year,population", "A,2010,100"),
         (read_weights_csv, "weights.csv", "model_id,weight", "m,1.0"),
-        (lambda path: commands._read_cv_truth(path.parent), "cv_truth.csv",
-         "row_id,fold,true_class", "r0,0,1"),
+        (metrics.read_cv_truth, "cv_truth.csv", "row_id,fold,true_class", "r0,0,1"),
     ]
     for read, name, header, row in fixed:
         path = tmp_path / name

@@ -15,7 +15,7 @@ from skyglow.dataset import ObservationTable, annual_trend, pearson
 from skyglow.features.pipeline import FeatureConfig, target_classes
 from skyglow.features import stack as stack_module
 from skyglow.features.stack import StackSpec, apply_stack
-from skyglow.folds import fold_assignment, random_folds, stratified_folds
+from skyglow.folds import fold_assignment, stratified_folds
 from skyglow.learners import LearnerParams
 from skyglow.metrics import read_oof_csv, write_oof_csv
 from skyglow.validation import (
@@ -65,15 +65,17 @@ def test_fold_validation_errors():
     with pytest.raises(ParameterError):
         stratified_folds(np.array([]), 2, 0)
     with pytest.raises(ParameterError):
-        random_folds(0, 2, 0)
+        fold_assignment(np.array([]), 2, 0, stratified=False)
 
 
 def test_random_folds_partition():
-    fa = random_folds(17, 4, seed=3)
+    # the unstratified deal ignores the labels and warns of no small class
+    labels = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0])
+    fa = fold_assignment(labels, 4, 3, stratified=False)
     counts = np.bincount(fa.folds, minlength=4)
     assert counts.sum() == 17 and counts.max() - counts.min() <= 1
-    assert fold_assignment(np.zeros(17, dtype=int), 4, 3,
-                           stratified=False).folds.tolist() == fa.folds.tolist()
+    assert fa.folds.tolist() == [3, 0, 1, 2, 1, 0, 3, 2, 1, 0, 0, 0, 2, 1, 2, 3, 3]
+    assert fa.warnings == ()
 
 
 def test_metrics_identity_and_hand_case():
