@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import dis
 import fcntl
 import hashlib
 import importlib
@@ -1005,6 +1006,43 @@ def test_every_lazy_import_names_a_callable_of_its_module():
         module = importlib.import_module(module_name, commands.__package__)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name} {name}"
+
+
+def _global_names(function, seen=None) -> set[str]:
+    """The global names that `function` and the functions of its module
+    that it calls refer to, comprehensions and lambdas included."""
+    seen = set() if seen is None else seen
+    names, codes = set(), [function.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(op.argval for op in dis.get_instructions(code)
+                     if op.opname == "LOAD_GLOBAL")
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    for name in names - seen:
+        value = vars(commands).get(name)
+        if callable(value) and getattr(value, "__module__", None) == commands.__name__:
+            seen.add(name)
+            names |= _global_names(value, seen)
+    return names
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_binds_every_lazy_name_it_calls(command):
+    # a module global that is not bound raises NameError when the command
+    # reaches it; every name a command refers to is bound at import, and
+    # each lazy one to the stand-in of its module's function
+    called = _global_names(commands._COMMAND_TABLE[command])
+    bound = vars(commands)
+    builtins = vars(bound["__builtins__"]) if not isinstance(
+        bound["__builtins__"], dict) else bound["__builtins__"]
+    assert sorted(called - bound.keys() - builtins.keys()) == []
+    lazy = {name: module_name for module_name, names in commands._LAZY_IMPORTS.items()
+            for name in names}
+    for name in called & lazy.keys():
+        stand_in = bound[name]
+        assert stand_in.__module__ == commands.__name__ and stand_in.__name__ == name
+        module = importlib.import_module(lazy[name], commands.__package__)
+        assert callable(getattr(module, name, None)), f"{lazy[name]} {name}"
 
 
 def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
