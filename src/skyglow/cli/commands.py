@@ -31,6 +31,7 @@ from ..dataset import (
     annual_trend,
     category_distribution,
     derived_numeric_columns,
+    finite_float,
     join_population,
     missingness_report,
     open_text,
@@ -45,6 +46,7 @@ from ..dataset import (
     write_rows,
 )
 from ..errors import (
+    ConfigError,
     DependencyError,
     EmptyInputError,
     LockError,
@@ -179,6 +181,13 @@ def _require(out_dir: Path, *names: str) -> None:
                 f"(run the producing command first)")
 
 
+def _make_directory(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the directory {path}: {exc.strerror}") from None
+
+
 def _note(message: str) -> None:
     print(f"skyglow: {message}", file=sys.stderr)
 
@@ -198,8 +207,8 @@ def _load_clean_table(config: RunConfig) -> ObservationTable:
 
 
 def cmd_synth(config: RunConfig) -> None:
-    config.observations_path.parent.mkdir(parents=True, exist_ok=True)
-    config.population_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_directory(config.observations_path.parent)
+    _make_directory(config.population_path.parent)
     table = write_synthetic_dataset(config.observations_path,
                                     config.population_path, config.synth)
     _note(f"wrote {len(table)} synthetic observations to "
@@ -419,8 +428,9 @@ def cmd_predict(config: RunConfig) -> None:
     if list(weights.model_ids) != list(model_ids):
         raise SchemaError("ensemble weights do not match the trained models")
 
-    if not config.predict_path.exists():
-        raise DependencyError(f"prediction input not found: {config.predict_path}")
+    if not config.predict_path.is_file():
+        raise DependencyError(
+            f"prediction input is not an existing file: {config.predict_path}")
     table, diagnostics = parse_observations(config.predict_path, "lenient")
     if len(table) == 0:
         raise EmptyInputError(f"no valid rows in {config.predict_path}")
@@ -460,38 +470,35 @@ def cmd_report(config: RunConfig) -> None:
     before the first file is written, so a malformed input fails the stage
     and leaves the output directory as it was."""
     out = config.output_dir
-    _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS)
+    _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS,
+             *map(_category_csv, config.category_fields),
+             *map(_trend_csv, config.trend_fields))
 
     # model comparison table: single models plus both ensembles
     _, metric_rows = read_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER,
-                               lambda row: (row, float(row[1])))
+                               lambda row: (row, finite_float(row[1])))
     comparison_bars = [(row[0], f1) for row, f1 in metric_rows]
     charts = [("model_comparison.svg",
                bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
                              "model", "micro-F1"))]
 
     _, bars = read_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
-                        lambda row: (row[0], float(row[2])))
+                        lambda row: (row[0], finite_float(row[2])))
     charts.append(("missingness.svg",
                    bar_chart_svg(bars, "Missing-value fraction by field",
                                  "field", "fraction missing")))
 
     for field in config.category_fields:
-        path = out / _category_csv(field)
-        if not path.exists():
-            continue
-        _, bars = read_rows(path, CATEGORY_HEADER,
-                            lambda row: (row[1], float(row[3])))
+        _, bars = read_rows(out / _category_csv(field), CATEGORY_HEADER,
+                            lambda row: (row[1], finite_float(row[3])))
         charts.append((f"category_{field}.svg",
                        bar_chart_svg(bars, f"Distribution of {field}", field,
                                      "fraction")))
 
     for field in config.trend_fields:
-        path = out / _trend_csv(field)
-        if not path.exists():
-            continue
-        _, points = read_rows(path, _trend_header(field),
-                              lambda row: (float(row[0]), float(row[1])))
+        _, points = read_rows(out / _trend_csv(field), _trend_header(field),
+                              lambda row: (finite_float(row[0]),
+                                           finite_float(row[1])))
         if not points:
             continue
         charts.append((f"trend_{field}.svg",
@@ -500,7 +507,7 @@ def cmd_report(config: RunConfig) -> None:
 
     header, summary_rows = read_rows(
         out / CV_SUMMARY, CV_SUMMARY_HEADER,
-        lambda row: (row[0], [float(f1) for f1 in row[2:]]), leading=True)
+        lambda row: (row[0], [finite_float(f1) for f1 in row[2:]]), leading=True)
     fold_count = len(header) - 2
     if fold_count >= 2:
         series = [(model_id, [(float(f), f1) for f, f1 in enumerate(fold_f1)])
@@ -587,7 +594,7 @@ def dispatch(command: str, config_path: str, out_override: str | None = None,
     config = load_config(config_path, out_override, seed_override,
                          require_inputs=(command != "synth"))
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_directory(out)
 
     lock_path = out / LOCK_FILE
     fd = _acquire_lock(lock_path)

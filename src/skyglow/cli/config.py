@@ -203,7 +203,7 @@ def load_config(path: str | Path, out_override: str | None = None,
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
     ids = tuple(_DEFAULT_ROSTER)
@@ -252,14 +252,16 @@ def load_config(path: str | Path, out_override: str | None = None,
     config = _from_values(values)
     if config.cv_k < 2:
         raise ParameterError(f"k must be >= 2, got {config.cv_k}")
+    if config.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {config.seed}")
     for step in config.step_schedule:
         if not 0.0 < step <= 1.0:
             raise ParameterError(f"step sizes must be in (0, 1], got {step}")
     if require_inputs:
         for label, p in (("data.observations", config.observations_path),
                          ("data.population", config.population_path)):
-            if not p.exists():
-                raise ConfigError(f"{label} does not exist: {p}")
+            if not p.is_file():
+                raise ConfigError(f"{label} is not an existing file: {p}")
     return config
 
 

@@ -6,12 +6,11 @@ every stage writes and reads through, and the descriptive reports (missing
 counts per field, category shares), which return plain rows whose file
 layout the command layer owns. Tables are immutable after construction.
 
-An observation table stores its rows by column, one tuple per
-ObservationRecord field. Parsing converts a block of rows at a time column
-by column and appends the valid rows' values to the columns, the join adds
-the population columns and shares the others, and
-the reports and writer read the columns; records are built only when a
-caller asks for them.
+An observation table is its columns, one row-aligned tuple per field, and
+is built from them alone: no row object is ever made. Parsing converts a
+block of rows at a time column by column and appends the valid rows'
+values to the columns, the join replaces the population column and shares
+the others, and the reports and writer read the columns.
 
 The time parts of a timestamp are defined here alone (`decompose_time`,
 `epoch_seconds`); `derived_columns` builds them for a whole table as
@@ -38,11 +37,11 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress, islice
 from datetime import datetime
 from functools import reduce
-from operator import add, attrgetter, mul, not_
+from operator import add, mul, not_
 from pathlib import Path
 from typing import (IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator,
                     NamedTuple, Sequence)
@@ -162,33 +161,10 @@ def epoch_seconds(ts: datetime, tz_offset_hours: float | None) -> float:
     return (ts - _EPOCH).total_seconds() - offset * 3600.0
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One observation row; None marks a missing value."""
-
-    id: str
-    time: datetime | None
-    time_zone: float | None
-    country: str | None
-    latitude: float | None
-    longitude: float | None
-    elevation_m: float | None
-    sensor_type: str | None
-    sensor_reading: float | None
-    clouds: str | None
-    constellation: str | None
-    comment_1: str | None
-    comment_2: str | None
-    limiting_magnitude: float | None
-    # Set by join_population; population_matched is False when the value is
-    # the global median fallback.
-    population: float | None = None
-    population_matched: bool | None = None
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(ObservationRecord))
-# The fields a data row holds, in _RECORD_FIELDS order.
+# The fields a data row holds, in column order, and a table's columns:
+# those and the population join_population sets (None before the join).
 _PARSED_FIELDS = tuple(_COLUMN_TO_ATTR[c] for c in OBSERVATION_COLUMNS)
+_RECORD_FIELDS = _PARSED_FIELDS + ("population",)
 
 
 # `derived_columns`: the numeric columns by name, and each row's day part.
@@ -204,48 +180,19 @@ class RowDiagnostic:
 
 
 class ObservationTable:
-    """Immutable table of observations with unique ids, stored by column:
-    one tuple per ObservationRecord field, row-aligned. Records are built
-    only when asked for (`records`, iteration, `table[i]`)."""
+    """Immutable table of observations with unique ids, stored by column.
+    `columns` holds one row-aligned tuple per _RECORD_FIELDS name, in that
+    order, None where a value is missing; the caller has checked the ids
+    to be unique. `view`, when given, is the column view of these columns
+    (`subset` passes the rows' slice of its own)."""
 
-    def __init__(self, records: Iterable[ObservationRecord]):
-        rows = tuple(records)
-        self._columns = {name: tuple(map(attrgetter(name), rows))
-                         for name in _RECORD_FIELDS}
-        self._view: ColumnView | None = None
+    def __init__(self, columns: dict[str, tuple], view: ColumnView | None = None):
+        self._columns = columns
+        self._view = view
         self._derived: DerivedColumns | None = None
-        seen: set[str] = set()
-        for row_id in self._columns["id"]:
-            if row_id in seen:
-                raise DuplicateKeyError(f"duplicate id: {row_id!r}")
-            seen.add(row_id)
-
-    @classmethod
-    def _from_columns(cls, columns: dict[str, tuple],
-                      view: ColumnView | None = None) -> "ObservationTable":
-        """A table over `columns` (every _RECORD_FIELDS name, in order), whose
-        ids the caller has already checked to be unique."""
-        table = cls.__new__(cls)
-        table._columns = columns
-        table._view = view
-        table._derived = None
-        return table
 
     def __len__(self) -> int:
         return len(self._columns["id"])
-
-    def __iter__(self) -> Iterator[ObservationRecord]:
-        return map(ObservationRecord, *self._columns.values())
-
-    def __getitem__(self, i: int) -> ObservationRecord:
-        return ObservationRecord(*(column[i] for column in self._columns.values()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ObservationTable) and self._columns == other._columns
-
-    @property
-    def records(self) -> tuple[ObservationRecord, ...]:
-        return tuple(self)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -276,15 +223,10 @@ class ObservationTable:
     def subset(self, rows: np.ndarray) -> "ObservationTable":
         """The rows where the boolean mask `rows` is set, in order. Their
         view is sliced from this table's, not derived again."""
-        return ObservationTable._from_columns(
+        return ObservationTable(
             {name: tuple(compress(column, rows))
              for name, column in self._columns.items()},
             self.view.subset(rows))
-
-    def numeric_column(self, field: str) -> np.ndarray:
-        """Field values as float64, NaN where missing (read-only)."""
-        _check_numeric(field)
-        return self.view.numeric[field]
 
 
 def _check_numeric(field: str) -> None:
@@ -382,9 +324,23 @@ class _Lines:
 
 @contextmanager
 def csv_reader(source: str | Path) -> Iterator[Any]:
-    """A csv reader over the utf-8 file at `source`; see write_rows."""
+    """A csv reader over the utf-8 file at `source`; see write_rows. A
+    file that does not decode as utf-8 or read as CSV raises ParseError
+    naming it."""
     with open_text(source, "r") as stream:
-        yield csv.reader(stream)
+        try:
+            yield csv.reader(stream)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{source}: not a utf-8 CSV file: {exc}") from None
+
+
+def finite_float(text: str) -> float:
+    """The float `text` spells, which must be finite: every number an
+    artifact or sidecar holds is. Raises ValueError otherwise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
 
 
 def read_rows(source: str | Path, header: Sequence[str],
@@ -611,10 +567,8 @@ def parse_observations(
             if len(rows) < _BLOCK_ROWS:
                 break
             line += len(rows)
-    unjoined = (None,) * len(seen_ids)
-    table = ObservationTable._from_columns(
-        {**dict(zip(_PARSED_FIELDS, map(tuple, columns))),
-         "population": unjoined, "population_matched": unjoined})
+    table = ObservationTable({**dict(zip(_PARSED_FIELDS, map(tuple, columns))),
+                              "population": (None,) * len(seen_ids)})
     return table, diagnostics
 
 
@@ -727,20 +681,18 @@ def read_population_long(source: str | Path) -> PopulationTable:
 
 
 def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationTable:
-    """Attach population for (country, observation year) to every row.
+    """A table whose population column holds each row's population for
+    (country, observation year), and the other columns are `obs`'s.
 
-    Unmatched rows receive the median population over all (country, year)
-    pairs and are flagged as fallback. Joining an already-joined table
-    recomputes the field, so the operation is idempotent.
+    A row without a country or time, or whose pair is not in `pop`, gets
+    the median population over all (country, year) pairs. Joining an
+    already-joined table recomputes the column, so the join is idempotent.
     """
     fallback = pop.median_population()
     found = [None if country is None or time is None else pop.get(country, time.year)
              for country, time in zip(obs._columns["country"], obs._columns["time"])]
-    columns = dict(obs._columns)
-    columns["population"] = tuple(fallback if value is None else float(value)
-                                  for value in found)
-    columns["population_matched"] = tuple(value is not None for value in found)
-    return ObservationTable._from_columns(columns)
+    population = tuple(fallback if value is None else float(value) for value in found)
+    return ObservationTable({**obs._columns, "population": population})
 
 
 def missingness_report(table: ObservationTable) -> list[tuple[str, int, float]]:

@@ -3,8 +3,8 @@ the numpy side of the CSV matrix path (`write_matrix`), through which the
 feature matrix, the OOF and blended probabilities and the predictions are
 written.
 
-Nothing here fits a model: the module imports numpy, `dataset` and
-`errors` alone, so `ensemble` loads no feature or learner code.
+Nothing here fits a model: the module imports numpy, `dataset`, `errors`
+and `specs` alone, so `ensemble` loads no feature or learner code.
 `validation` imports the metric names it calls from here. `eda` loads
 none of this module: its statistics (Pearson correlation, annual trends)
 are the pure-Python ones of `dataset`.
@@ -18,8 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import read_rows, write_coded_rows, write_rows
+from .dataset import finite_float, read_rows, write_coded_rows, write_rows
 from .errors import EmptyInputError, ParameterError, SchemaError
+from .specs import N_CLASSES
 
 # The leading columns of an OOF prediction file; one p_class_* column per
 # class follows.
@@ -136,10 +137,19 @@ def write_matrix(dest: str | Path, header: Sequence[str],
                      map(np.ndarray.tolist, codes.reshape(bits.shape)))
 
 
+def _probability(cell: str) -> float:
+    value = finite_float(cell)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability outside [0, 1]: {cell}")
+    return value
+
+
 def read_oof_csv(source: str | Path):
-    """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
+    """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs).
+    Each probability must be a number in [0, 1]."""
     _, rows = read_rows(source, OOF_HEADER, lambda row: (
-        row[0], int(row[1]), row[2], [float(v) for v in row[3:]]), leading=True)
+        row[0], int(row[1]), row[2], [_probability(v) for v in row[3:]]),
+        leading=True)
     if len({row[2] for row in rows}) > 1:
         raise SchemaError("mixed model ids in one OOF file")
     return (tuple(row[0] for row in rows),
@@ -155,11 +165,18 @@ def write_cv_truth(dest: str | Path, row_ids: Sequence[str],
                zip(row_ids, folds.tolist(), truth.tolist()))
 
 
+def _true_class(cell: str) -> int:
+    value = int(cell)
+    if not 0 <= value < N_CLASSES:
+        raise ValueError(f"class outside 0-{N_CLASSES - 1}: {cell}")
+    return value
+
+
 def read_cv_truth(source: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Inverse of write_cv_truth; returns (row_ids, folds, truth), the folds
-    and classes as int64 arrays."""
+    and classes as int64 arrays. Each class must be one of 0-7."""
     _, rows = read_rows(source, CV_TRUTH_HEADER,
-                        lambda row: (row[0], int(row[1]), int(row[2])))
+                        lambda row: (row[0], int(row[1]), _true_class(row[2])))
     return ([row[0] for row in rows],
             np.array([row[1] for row in rows], dtype=np.int64),
             np.array([row[2] for row in rows], dtype=np.int64))

@@ -19,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import types
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import open_text
+from .dataset import finite_float, open_text
 from .errors import ParseError
 from .features.stack import StackModel
 
@@ -42,17 +41,10 @@ def save_json(path: str | Path, payload: dict) -> None:
         fh.write(json_text(payload))
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text}")
-    return value
-
-
 # `save_json` writes no NaN or Infinity, and no float whose literal
-# overflows: the decoder hands both kinds of literal to `_finite_float`.
-_DECODER = json.JSONDecoder(parse_float=_finite_float,
-                            parse_constant=_finite_float)
+# overflows: the decoder hands both kinds of literal to `finite_float`.
+_DECODER = json.JSONDecoder(parse_float=finite_float,
+                            parse_constant=finite_float)
 
 
 def decode_json(data: bytes, source: str | Path) -> dict:

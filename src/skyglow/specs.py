@@ -30,6 +30,12 @@ DEFAULT_SVD_RANK = 32
 DEFAULT_STEP_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.01)
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class LearnerParams:
     """Defaults sized for the full pipeline; tests shrink them for speed.
@@ -61,6 +67,7 @@ class LearnerParams:
                      "n_trees", "early_stopping_patience"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_seed(self.seed)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ParameterError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}")
@@ -144,6 +151,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_rows < 8:
             raise ParameterError(f"n_rows must be >= 8, got {self.n_rows}")
+        _check_seed(self.seed)
         for name in ("missing_sensor_reading", "missing_comment_1",
                      "missing_comment_2", "missing_constellation",
                      "missing_target", "share_type_gan", "share_clouds_clear",

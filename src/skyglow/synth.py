@@ -175,9 +175,8 @@ def generate_observations(config: SynthConfig) -> ObservationTable:
         comments_1.append(com1)
         comments_2.append(com2)
 
-    unjoined = (None,) * n
     # the ids syn-000001, syn-000002, ... are unique by construction
-    return ObservationTable._from_columns({
+    return ObservationTable({
         "id": tuple(f"syn-{i + 1:06d}" for i in range(n)),
         "time": tuple(times.tolist()),
         "time_zone": tuple(np.round(lon / 15.0).tolist()),
@@ -192,8 +191,7 @@ def generate_observations(config: SynthConfig) -> ObservationTable:
         "comment_1": tuple(comments_1),
         "comment_2": tuple(comments_2),
         "limiting_magnitude": _unless_missing(magnitude, target_missing),
-        "population": unjoined,
-        "population_matched": unjoined,
+        "population": (None,) * n,
     })
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
 from datetime import datetime, timedelta
 from itertools import combinations
 
@@ -17,8 +16,6 @@ import numpy as np
 from skyglow.dataset import (
     NUMERIC_FIELDS,
     OBSERVATION_COLUMNS,
-    ObservationRecord,
-    ObservationTable,
     POPULATION_YEARS,
     RowDiagnostic,
     csv_reader,
@@ -43,6 +40,8 @@ from skyglow.synth import (
     _quota_labels,
     _spread_rest,
 )
+
+from helpers import Obs, make_table
 
 
 def tokenize_oracle(text: str | None) -> list[str]:
@@ -193,8 +192,8 @@ def transform_tfidf_oracle(model, corpus):
 
 def join_population_oracle(records, pop):
     """Record by record: the population of (country, year of time), or the
-    median over all (country, year) pairs, flagged unmatched, when either
-    is missing or the pair is not in `pop`."""
+    median over all (country, year) pairs when either is missing or the
+    pair is not in `pop`."""
     fallback = pop.median_population()
     joined = []
     for rec in records:
@@ -202,9 +201,9 @@ def join_population_oracle(records, pop):
         if rec.country is not None and rec.time is not None:
             value = pop.get(rec.country, rec.time.year)
         if value is None:
-            joined.append(replace(rec, population=fallback, population_matched=False))
+            joined.append(rec._replace(population=fallback))
         else:
-            joined.append(replace(rec, population=float(value), population_matched=True))
+            joined.append(rec._replace(population=float(value)))
     return joined
 
 
@@ -240,8 +239,7 @@ def parse_observations_oracle(source, strictness: str = "lenient"):
             seen_ids.add(row_id)
             for column in OBSERVATION_COLUMNS:
                 columns[column].append(values[column])
-    records = [ObservationRecord(*row) for row in zip(*columns.values())]
-    return ObservationTable(records), diagnostics
+    return make_table(map(Obs, *columns.values())), diagnostics
 
 
 def _parse_row_oracle(row_id, cells):
@@ -524,7 +522,7 @@ def grid_weight_search(matrices, truth, step: float = 0.01):
 
 def row_by_row_observations(config):
     """The synthetic observation table drawn one row at a time, one scalar
-    RNG call per value, built from one ObservationRecord per row: the
+    RNG call per value, built from one `Obs` per row: the
     generator `synth.generate_observations` replaced, kept verbatim."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     n = config.n_rows
@@ -594,7 +592,7 @@ def row_by_row_observations(config):
             picked = rng.choice(len(_PLACE_WORDS), size=int(rng.integers(2, 4)),
                                 replace=False)
             com2 = " ".join(_PLACE_WORDS[j] for j in picked)
-        records.append(ObservationRecord(
+        records.append(Obs(
             id=f"syn-{i + 1:06d}",
             time=times[i],
             time_zone=float(np.round(lon[i] / 15.0)),
@@ -610,4 +608,4 @@ def row_by_row_observations(config):
             comment_2=com2,
             limiting_magnitude=None if target_missing[i] else float(magnitude[i]),
         ))
-    return ObservationTable(records)
+    return make_table(records)

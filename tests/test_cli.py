@@ -29,7 +29,7 @@ from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
 from skyglow.cli.svg import escape
-from skyglow.dataset import ObservationTable, write_observations
+from skyglow.dataset import write_observations
 from skyglow.ensemble import read_weights_csv
 from skyglow.errors import (
     ConfigError,
@@ -45,7 +45,7 @@ from skyglow.folds import fold_assignment, labelled_folds
 from skyglow.serialize import learner_to_obj, load_json, save_json, stack_to_obj
 from skyglow.validation import fit_models
 
-from helpers import grid_table, obs
+from helpers import grid_table, make_table, obs, records
 
 
 def write_config(path, out_dir, extra="", n_rows=120):
@@ -227,6 +227,35 @@ def test_out_of_range_values_rejected(tmp_path):
             load_config(path, require_inputs=False)
 
 
+@pytest.mark.parametrize("command, settings, argv", [
+    ("cv", {"cv": "seed = -3"}, []),
+    # every seed that takes [cv] seed's value set, so load_config's own
+    # check is the one that fails
+    ("cv", {"cv": "seed = -3", "synth": "seed = 0", "model.boost": "seed = 0",
+            "model.woods": "seed = 0"}, []),
+    ("synth", {"synth": "seed = -3"}, []),
+    ("ingest", {}, ["--seed", "-3"]),
+    ("cv", {"model.woods": "seed = -3"}, []),
+    ("cv", {"model.boost": "seed = -3"}, []),
+], ids=["cv", "cv_alone", "synth", "option", "forest", "gbdt"])
+def test_negative_seed_fails_with_one_line_and_writes_nothing(
+        tmp_path, config, capsys, command, settings, argv):
+    for before in ("synth", "ingest"):
+        assert dispatch(before, config) == 0, before
+    out = tmp_path / "out"
+    before = _snapshot(out)
+    path = Path(config)
+    text = path.read_text(encoding="utf-8")
+    for section, line in settings.items():
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", config, *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "skyglow: error: seed must be >= 0, got -3"]
+    assert _snapshot(out) == before
+
+
 def test_model_id_that_is_no_file_name_fails_with_one_line(tmp_path, capsys):
     # ids name the files a model writes (oof_<id>.csv), so `a/b` fails
     # while the config loads, before any stage writes a file
@@ -247,6 +276,79 @@ def test_missing_input_file_checked(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ConfigError, match="nowhere.csv"):
         load_config(path)
+
+
+def _run_failing(capsys, argv):
+    """The one stderr line of `main(argv)`, which must fail."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+def test_directory_that_is_a_file_fails_with_one_line(tmp_path, config, capsys):
+    assert dispatch("synth", config) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    path = Path(config)
+    good = path.read_text(encoding="utf-8")
+    path.write_text(good.replace(f"directory = {tmp_path / 'out'}\n",
+                                 f"directory = {taken}\n"), encoding="utf-8")
+    assert _run_failing(capsys, ["ingest", "--config", config]) == (
+        f"skyglow: error: cannot make the directory {taken}: File exists")
+    assert _run_failing(capsys, ["ingest", "--config", config,
+                                 "--out", str(taken / "below")]) == (
+        f"skyglow: error: cannot make the directory {taken / 'below'}: "
+        "Not a directory")
+    # synth makes the directories of the inputs it writes
+    path.write_text(good.replace(f"population = {tmp_path / 'out'}",
+                                 f"population = {taken}"), encoding="utf-8")
+    assert _run_failing(capsys, ["synth", "--config", config]) == (
+        f"skyglow: error: cannot make the directory {taken}: File exists")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_input_that_is_a_directory_fails_with_one_line(tmp_path, config, capsys):
+    for command in COMMANDS[:COMMANDS.index("predict")]:
+        assert dispatch(command, config) == 0, command
+    out = tmp_path / "out"
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    path = Path(config)
+    good = path.read_text(encoding="utf-8")
+    path.write_text(good.replace(f"observations = {out / 'obs.csv'}\n",
+                                 f"observations = {folder}\n"), encoding="utf-8")
+    assert _run_failing(capsys, ["ingest", "--config", config]) == (
+        f"skyglow: error: data.observations is not an existing file: {folder}")
+    path.write_text(good + f"[predict]\nobservations = {folder}\n",
+                    encoding="utf-8")
+    assert _run_failing(capsys, ["predict", "--config", config]) == (
+        f"skyglow: error: prediction input is not an existing file: {folder}")
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("obs.csv", lambda data: data.replace(b"syn-000050", b"syn-\xff00050")),
+    ("obs.csv", lambda data: b"\xff" + data),
+    ("pop.csv", lambda data: data.replace(b"Country Name", b"Country \xffName")),
+], ids=["row", "header", "census"])
+def test_input_that_is_not_utf8_fails_with_one_line(tmp_path, config, capsys,
+                                                    name, edit):
+    assert dispatch("synth", config) == 0
+    source = tmp_path / "out" / name
+    source.write_bytes(edit(source.read_bytes()))
+    err = _run_failing(capsys, ["ingest", "--config", config])
+    assert err.startswith(f"skyglow: error: {source}: not a utf-8 CSV file: "
+                          "'utf-8' codec can't decode byte 0xff"), err
+    assert not (tmp_path / "out" / "observations_clean.csv").exists()
+
+
+def test_config_that_is_not_utf8_fails_with_one_line(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[data]\nobservations = \xff.csv\n")
+    assert _run_failing(capsys, ["ingest", "--config", str(path)]).startswith(
+        "skyglow: error: cannot parse config: 'utf-8' codec can't decode")
 
 
 def test_default_model_roster(tmp_path):
@@ -1052,7 +1154,7 @@ def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
         assert dispatch(command, config) == 0, command
     table, _ = dataset.parse_observations(
         tmp_path / "out" / commands.CLEAN_OBSERVATIONS, "strict")
-    timestamps = sum(record.time is not None for record in table)
+    timestamps = sum(record.time is not None for record in records(table))
     calls = Counter()
 
     def counted(name):
@@ -1713,6 +1815,72 @@ def _snapshot(out):
             if path.is_file()}
 
 
+def _report_fields(categories, trends):
+    return (f"[report]\ncategory_fields = {categories}\n"
+            f"trend_fields = {trends}\n")
+
+
+@pytest.mark.parametrize("categories, trends, missing", [
+    ("clouds, constellation", "limiting_magnitude", "category_constellation.csv"),
+    ("clouds", "limiting_magnitude, elevation_m", "trend_elevation_m.csv"),
+])
+def test_report_fails_on_a_configured_eda_file_eda_did_not_write(
+        tmp_path, capsys, categories, trends, missing):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "run.ini", out,
+                          _report_fields("clouds", "limiting_magnitude"))
+    for command in COMMANDS[:COMMANDS.index("report")]:
+        assert dispatch(command, config) == 0, command
+    write_config(Path(config), out, _report_fields(categories, trends))
+    before = _snapshot(out)
+    assert _run_failing(capsys, ["report", "--config", config]) == (
+        f"skyglow: error: missing prerequisite artifact: {out / missing} "
+        "(run the producing command first)")
+    # only the echo of the new config is written
+    assert {name for name, data in _snapshot(out).items()
+            if before.get(name) != data} == {"config_echo.ini"}
+
+
+def _cell_set(line, column, cell):
+    """An edit of a CSV text that sets the cell at (line, column)."""
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = cell
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("command, name, line, column, cell, message", [
+    ("ensemble", "oof_boost.csv", 2, 3, "nan", "not a finite number: nan"),
+    ("ensemble", "oof_woods.csv", 3, 10, "1e308",
+     "probability outside [0, 1]: 1e308"),
+    ("ensemble", "oof_boost.csv", 4, 5, "-0.25",
+     "probability outside [0, 1]: -0.25"),
+    ("ensemble", "cv_truth.csv", 2, 2, "8", "class outside 0-7: 8"),
+    ("train", "cv_truth.csv", 3, 2, "-1", "class outside 0-7: -1"),
+    ("report", "ensemble_metrics.csv", 2, 1, "nan", "not a finite number: nan"),
+    ("report", "missingness.csv", 2, 2, "inf", "not a finite number: inf"),
+    ("report", "category_clouds.csv", 2, 3, "nan", "not a finite number: nan"),
+    ("report", "trend_limiting_magnitude.csv", 2, 1, "1e999",
+     "not a finite number: 1e999"),
+    ("report", "cv_summary.csv", 2, 2, "-inf", "not a finite number: -inf"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_artifact_number_a_writer_never_writes_fails_with_one_line(
+        tmp_path, config, capsys, command, name, line, column, cell, message):
+    out = tmp_path / "out"
+    for before in COMMANDS[:COMMANDS.index(command)]:
+        assert dispatch(before, config) == 0, before
+    artifact = out / name
+    artifact.write_text(_cell_set(line, column, cell)(
+        artifact.read_text(encoding="utf-8")), encoding="utf-8")
+    before = _snapshot(out)
+    assert _run_failing(capsys, [command, "--config", config]) == (
+        f"skyglow: error: {artifact}, line {line}: {message}")
+    assert _snapshot(out) == before
+
+
 def test_report_writes_nothing_when_a_later_input_is_malformed(
         tmp_path, config, capsys):
     # the trend file is read after the model comparison and the category
@@ -1812,7 +1980,7 @@ def test_a_fold_count_that_leaves_a_fold_empty_fails_with_one_line(
         encoding="utf-8")
     config = str(path)
     assert dispatch("synth", config) == 0
-    write_observations(ObservationTable(
+    write_observations(make_table(
         obs(id=f"r{i}", latitude=float(i), limiting_magnitude=float(i % 8))
         for i in range(32)), tmp_path / "out" / "obs.csv")
     for command in ("ingest", "features", "cv"):

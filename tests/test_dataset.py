@@ -7,7 +7,6 @@ import pytest
 
 from skyglow.dataset import (
     OBSERVATION_COLUMNS,
-    ObservationTable,
     PopulationRecord,
     PopulationTable,
     category_distribution,
@@ -33,7 +32,7 @@ from skyglow.errors import (
     UnknownFieldError,
 )
 
-from helpers import grid_table, obs
+from helpers import grid_table, make_table, obs, records
 from oracles import join_population_oracle
 
 HEADER = ",".join(OBSERVATION_COLUMNS)
@@ -58,7 +57,7 @@ GOOD_ROW = ("a1,2014-02-21 18:12:00,-5,Chile,-33.4,-70.6,520,GAN,,clear,"
 def test_parse_good_row(tmp_path):
     table, diags = parse_observations(_csv(tmp_path, GOOD_ROW), "strict")
     assert diags == []
-    rec = table.records[0]
+    rec = records(table)[0]
     assert rec.id == "a1"
     assert rec.time == datetime(2014, 2, 21, 18, 12)
     assert rec.time_zone == -5.0
@@ -145,15 +144,15 @@ def test_round_trip_preserves_values(tmp_path):
     path = tmp_path / "observations.csv"
     write_observations(table, path)
     again, _ = parse_observations(path, "strict")
-    assert again.records == table.records
+    assert records(again) == records(table)
 
 
 def test_round_trip_float_exact(tmp_path):
     rec = obs(latitude=0.1 + 0.2)  # 0.30000000000000004
     path = tmp_path / "observations.csv"
-    write_observations(ObservationTable([rec]), path)
+    write_observations(make_table([rec]), path)
     again, _ = parse_observations(path)
-    assert again.records[0].latitude == rec.latitude
+    assert records(again)[0].latitude == rec.latitude
 
 
 def test_parse_timestamp_truncates_microseconds():
@@ -189,9 +188,9 @@ def test_timestamp_round_trip_pads_the_year(tmp_path, ts):
     truncated = ts.replace(microsecond=0)
     assert parse_timestamp(text) == truncated
     path = tmp_path / "observations.csv"
-    write_observations(ObservationTable([obs(time=ts)]), path)
+    write_observations(make_table([obs(time=ts)]), path)
     again, diags = parse_observations(path, "strict")
-    assert diags == [] and again.records[0].time == truncated
+    assert diags == [] and records(again)[0].time == truncated
 
 
 def test_parse_timestamp_rejects_timezone_aware():
@@ -281,19 +280,10 @@ def test_time_of_day_boundaries(hour, minute, expected):
     assert decompose_time(datetime(2014, 1, 1, hour, minute)).category == expected
 
 
-def test_numeric_column_nan_for_missing():
-    table = ObservationTable([obs(id="x", sensor_reading=None),
-                              obs(id="y", sensor_reading=19.5)])
-    col = table.numeric_column("sensor_reading")
-    assert math.isnan(col[0]) and col[1] == 19.5
-    with pytest.raises(UnknownFieldError):
-        table.numeric_column("no_such_field")
-
-
 def test_text_column_none_for_missing(tmp_path):
     row = GOOD_ROW.replace("dark site", "").replace("a1", "r0")
     table, _ = parse_observations(_csv(tmp_path, row, GOOD_ROW), "strict")
-    assert [rec.comment_1 for rec in table] == [None, "dark site"]
+    assert [rec.comment_1 for rec in records(table)] == [None, "dark site"]
 
 
 # --- population ---
@@ -342,17 +332,17 @@ def test_join_population_match_and_median_fallback():
     pop = PopulationTable([PopulationRecord("Chile", 2014, 100),
                            PopulationRecord("Chile", 2015, 300),
                            PopulationRecord("Peru", 2014, 900)])
-    table = ObservationTable([
+    table = make_table([
         obs(id="m", country="Chile", time=datetime(2014, 5, 1)),
         obs(id="u", country="Atlantis", time=datetime(2014, 5, 1)),
         obs(id="n", country=None, time=datetime(2014, 5, 1)),
     ])
     joined = join_population(table, pop)
-    matched, unmatched, nocountry = joined.records
-    assert matched.population == 100.0 and matched.population_matched is True
+    matched, unmatched, nocountry = records(joined)
+    assert matched.population == 100.0
     # median of {100, 300, 900} = 300
-    assert unmatched.population == 300.0 and unmatched.population_matched is False
-    assert nocountry.population == 300.0 and nocountry.population_matched is False
+    assert unmatched.population == 300.0
+    assert nocountry.population == 300.0
 
 
 def test_median_population_is_the_statistics_median():
@@ -368,22 +358,22 @@ def test_median_population_is_the_statistics_median():
 
 def test_join_population_idempotent():
     pop = PopulationTable([PopulationRecord("Chile", 2014, 100)])
-    table = ObservationTable([obs(country="Chile", time=datetime(2014, 5, 1))])
+    table = make_table([obs(country="Chile", time=datetime(2014, 5, 1))])
     once = join_population(table, pop)
     twice = join_population(once, pop)
-    assert once.records == twice.records
+    assert records(once) == records(twice)
 
 
 def test_join_empty_population_gives_zero():
-    table = ObservationTable([obs(country="Chile")])
+    table = make_table([obs(country="Chile")])
     joined = join_population(table, PopulationTable([]))
-    assert joined.records[0].population == 0.0
+    assert records(joined)[0].population == 0.0
 
 
 # --- reports ---
 
 def test_missingness_fractions_exact():
-    table = ObservationTable([
+    table = make_table([
         obs(id="a", sensor_reading=None, comment_1="x"),
         obs(id="b", sensor_reading=1.0, comment_1=None),
         obs(id="c", sensor_reading=None, comment_1=None),
@@ -395,17 +385,17 @@ def test_missingness_fractions_exact():
     assert fractions["comment_1"] == 0.5
     assert fractions["latitude"] == 0.0
     with pytest.raises(EmptyInputError):
-        missingness_report(ObservationTable([]))
+        missingness_report(make_table([]))
 
 
 def test_missingness_includes_population_after_join():
-    table = join_population(ObservationTable([obs()]), PopulationTable([]))
+    table = join_population(make_table([obs()]), PopulationTable([]))
     fields = [field for field, _, _ in missingness_report(table)]
     assert "population" in fields
 
 
 def test_category_distribution_order_and_ties():
-    table = ObservationTable([
+    table = make_table([
         obs(id=f"r{i}", clouds=c)
         for i, c in enumerate(["clear", "clear", "overcast", "hazy",
                                "hazy", None])
@@ -419,7 +409,7 @@ def test_category_distribution_order_and_ties():
 
 
 def test_category_distribution_derived_time_of_day():
-    table = ObservationTable([
+    table = make_table([
         obs(id="e", time=datetime(2014, 1, 1, 19, 0)),
         obs(id="m", time=datetime(2014, 1, 1, 6, 0)),
         obs(id="x", time=None),
@@ -431,24 +421,24 @@ def test_category_distribution_derived_time_of_day():
 
 def test_category_distribution_unknown_field():
     with pytest.raises(UnknownFieldError):
-        category_distribution(ObservationTable([obs()]), "latitude")
+        category_distribution(make_table([obs()]), "latitude")
 
 
 def test_csv_outputs_end_with_newline(tmp_path):
-    table = ObservationTable([obs()])
+    table = make_table([obs()])
     dest = tmp_path / "obs.csv"
     write_observations(table, dest)
     assert dest.read_bytes().endswith(b"\n")
 
 
 def test_subset_view_equals_a_fresh_derivation():
-    table = ObservationTable(list(grid_table(30)) + [
+    table = make_table(records(grid_table(30)) + [
         obs(id="no_time", time=None, clouds=None, comment_2="Dark, clear sky!"),
         obs(id="no_lat", latitude=None, sensor_type=None)])
     rows = np.arange(len(table)) % 3 != 1
     sub = table.subset(rows)
-    fresh = ObservationTable(compress(table, rows))
-    assert sub == fresh
+    fresh = make_table(compress(records(table), rows))
+    assert records(sub) == records(fresh)
     for part in ("numeric", "categorical", "tokens", "missing"):
         got, want = getattr(sub.view, part), getattr(fresh.view, part)
         assert list(got) == list(want)
@@ -503,15 +493,15 @@ NO_TIME_RECORDS = [obs(id=f"n{i}", time=None, time_zone=zone,
                    for i, zone in enumerate(EDGE_ZONES)]
 
 
-@pytest.mark.parametrize("records", [edge_records(), NO_TIME_RECORDS, []],
+@pytest.mark.parametrize("rows", [edge_records(), NO_TIME_RECORDS, []],
                          ids=["edges", "no_times", "empty"])
-def test_view_time_parts_equal_the_per_timestamp_definitions(records):
-    table = ObservationTable(records)
+def test_view_time_parts_equal_the_per_timestamp_definitions(rows):
+    table = make_table(rows)
     view = table.view
     for part in (view.numeric, view.categorical, view.tokens, view.missing):
         for name, column in part.items():
             assert column.shape == (len(table),), name
-    for i, rec in enumerate(table):
+    for i, rec in enumerate(records(table)):
         if rec.time is None:
             for name in ("year", "month", "day_of_year", "seconds_of_day",
                          "epoch_time"):
@@ -543,14 +533,13 @@ def assert_views_bit_identical(got, want):
 
 
 def test_parsed_table_equals_the_same_records_built_directly(tmp_path):
-    records = edge_records()
-    built = ObservationTable(records)
+    rows = edge_records()
+    built = make_table(rows)
     path = tmp_path / "observations.csv"
     write_observations(built, path)
     parsed, diagnostics = parse_observations(path, "strict")
     assert diagnostics == []
-    assert parsed == built and parsed.records == tuple(records)
-    assert [parsed[i] for i in range(-1, len(parsed))] == [records[-1]] + records
+    assert records(parsed) == records(built) == rows
     assert_views_bit_identical(parsed.view, built.view)
     bare = parsed.ids.index("bare")
     for name, mask in parsed.view.missing.items():
@@ -563,24 +552,23 @@ def test_join_population_equals_the_per_record_join():
                            PopulationRecord("Chile", 2015, 300),
                            PopulationRecord("Peru", 2014, 900),
                            PopulationRecord("Peru", 1969, 7)])
-    records = edge_records() + [
+    rows = edge_records() + [
         obs(id="m", country="Chile", time=datetime(2014, 5, 1)),
         obs(id="y", country="Chile", time=datetime(2016, 5, 1)),  # no such year
         obs(id="p", country="Peru", time=datetime(1969, 12, 31, 23, 59, 59)),
         obs(id="n", country=None, time=datetime(2014, 5, 1)),
         obs(id="j", country="Peru", time=datetime(2014, 1, 1),
-            population=5.0, population_matched=False),  # joined before
+            population=5.0),  # joined before
     ]
-    table = ObservationTable(records)
+    table = make_table(rows)
     joined = join_population(table, pop)
-    expected = join_population_oracle(records, pop)
-    assert joined.records == tuple(expected)
-    assert joined == ObservationTable(expected)
-    assert [joined[i].population for i in range(-5, 0)] == [100.0, 200.0, 7.0,
-                                                            200.0, 900.0]
-    assert join_population(joined, pop) == joined
-    assert table.records == tuple(records)  # the input table is unchanged
-    assert_views_bit_identical(joined.view, ObservationTable(expected).view)
+    expected = join_population_oracle(rows, pop)
+    assert records(joined) == expected
+    assert [rec.population for rec in records(joined)[-5:]] == [
+        100.0, 200.0, 7.0, 200.0, 900.0]
+    assert records(join_population(joined, pop)) == expected
+    assert records(table) == rows  # the input table is unchanged
+    assert_views_bit_identical(joined.view, make_table(expected).view)
     assert {field: fraction for field, _, fraction in
             missingness_report(joined)}["population"] == 0.0
 

@@ -4,7 +4,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from skyglow.dataset import ObservationTable, decompose_time, epoch_seconds
+from skyglow.dataset import decompose_time, epoch_seconds
 from skyglow.errors import InsufficientDataError, ParameterError, UnknownFieldError
 from skyglow.features.neighbors import neighbor_mean_features
 from skyglow.features.pipeline import (
@@ -24,7 +24,7 @@ from skyglow.features.stack import (
     fit_stack,
 )
 
-from helpers import grid_table, obs
+from helpers import grid_table, make_table, obs, records
 
 
 def test_decompose_time_known_instant():
@@ -53,7 +53,7 @@ def test_bin_target(mag, expected):
 
 
 def test_target_classes_nan_for_missing():
-    table = ObservationTable([obs(limiting_magnitude=None),
+    table = make_table([obs(limiting_magnitude=None),
                               obs(id="r1", limiting_magnitude=5.2)])
     classes = target_classes(table)
     assert math.isnan(classes[0]) and classes[1] == 5.0
@@ -74,7 +74,7 @@ def test_pipeline_quantile_clipping():
     # one wild outlier must land at the clip boundary, not beyond
     recs = [obs(id=f"r{i}", elevation_m=float(i)) for i in range(100)]
     recs.append(obs(id="wild", elevation_m=1e9))
-    table = ObservationTable(recs)
+    table = make_table(recs)
     model = fit_feature_pipeline(table, FeatureConfig(quantile_low=0.01,
                                                       quantile_high=0.99))
     stats = model.numeric_stats("elevation_m")
@@ -89,7 +89,7 @@ def test_pipeline_quantile_clipping():
 def test_pipeline_median_impute_and_indicator():
     recs = [obs(id=f"r{i}", sensor_reading=float(i)) for i in range(10)]
     recs += [obs(id=f"m{i}", sensor_reading=None) for i in range(10)]
-    table = ObservationTable(recs)
+    table = make_table(recs)
     model = fit_feature_pipeline(table)
     stats = model.numeric_stats("sensor_reading")
     assert stats.impute == 4.5  # median of 0..9
@@ -106,15 +106,15 @@ def test_pipeline_median_impute_and_indicator():
 def test_pipeline_rare_missingness_gets_no_indicator():
     recs = [obs(id=f"r{i}", sensor_reading=float(i)) for i in range(999)]
     recs.append(obs(id="m", sensor_reading=None))
-    model = fit_feature_pipeline(ObservationTable(recs),
+    model = fit_feature_pipeline(make_table(recs),
                                  FeatureConfig(indicator_threshold=0.01))
-    matrix = apply_feature_pipeline(model, ObservationTable(recs))
+    matrix = apply_feature_pipeline(model, make_table(recs))
     assert matrix.shape[1] == len(model.output_columns)
     assert "sensor_reading_missing" not in model.output_columns
 
 
 def test_pipeline_constant_column_zeroed():
-    table = ObservationTable([obs(id=f"r{i}", elevation_m=5.0) for i in range(8)])
+    table = make_table([obs(id=f"r{i}", elevation_m=5.0) for i in range(8)])
     model = fit_feature_pipeline(table)
     matrix = apply_feature_pipeline(model, table)
     assert (matrix[:, model.output_columns.index("elevation_m")] == 0.0).all()
@@ -122,7 +122,7 @@ def test_pipeline_constant_column_zeroed():
 
 
 def test_pipeline_all_missing_column_excluded():
-    table = ObservationTable([obs(id=f"r{i}", sensor_reading=None)
+    table = make_table([obs(id=f"r{i}", sensor_reading=None)
                               for i in range(8)])
     model = fit_feature_pipeline(table)
     matrix = apply_feature_pipeline(model, table)
@@ -135,11 +135,11 @@ def test_pipeline_all_missing_column_excluded():
 
 
 def test_categorical_codes_and_unseen():
-    train = ObservationTable([obs(id="a", clouds="clear"),
+    train = make_table([obs(id="a", clouds="clear"),
                               obs(id="b", clouds="overcast"),
                               obs(id="c", clouds=None)])
     model = fit_feature_pipeline(train)
-    test = ObservationTable([obs(id="x", clouds="cirrus"),  # unseen
+    test = make_table([obs(id="x", clouds="cirrus"),  # unseen
                              obs(id="y", clouds="clear"),
                              obs(id="z", clouds=None)])
     matrix = apply_feature_pipeline(model, test)
@@ -167,7 +167,7 @@ def test_feature_config_validation():
 
 
 def test_neighbor_points_skip_unlocatable_rows():
-    table = ObservationTable([
+    table = make_table([
         obs(id="a"), obs(id="b", latitude=None), obs(id="c", time=None),
         obs(id="d", latitude=11.0),
     ])
@@ -181,7 +181,7 @@ def test_neighbor_points_skip_unlocatable_rows():
 
 
 def test_neighbor_index_needs_two_rows():
-    table = ObservationTable([obs(id="a"), obs(id="b", latitude=None)])
+    table = make_table([obs(id="a"), obs(id="b", latitude=None)])
     model = fit_feature_pipeline(table)
     with pytest.raises(InsufficientDataError):
         build_neighbor_index(table, model, [0, 1])
@@ -221,7 +221,7 @@ def test_stack_fitted_on_masked_rows_only():
     stack, _ = fit_stack(table.subset(mask), targets[mask], folds[mask],
                          FeatureConfig(),
                          StackSpec(use_text=False, use_neighbor=False), seed=0)
-    sub = ObservationTable(r for i, r in enumerate(table) if mask[i])
+    sub = make_table(r for i, r in enumerate(records(table)) if mask[i])
     direct = fit_feature_pipeline(sub, FeatureConfig())
     a = stack.pipeline.numeric_stats("latitude")
     b = direct.numeric_stats("latitude")
@@ -262,7 +262,7 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
     # r2 and r6 train without coordinates and carry class 7 among class-1
     # rows, so the coordinate-less held-out row r9 sees whether the fallback
     # counts them: the held-out fold's out-of-fold fallback does (1.6)
-    table = ObservationTable(
+    table = make_table(
         obs(id=f"r{i}", latitude=None if i in (2, 6, 9) else float(i),
             longitude=float(2 * i),
             limiting_magnitude=7.0 if i in (2, 6) else 1.0)
@@ -279,7 +279,7 @@ def test_apply_stack_neighbor_columns_equal_held_out_fit():
 def test_neighbor_pool_is_the_training_rows():
     # the held-out fold's rows take no neighbor slot and no part of the
     # fallback; each training row averages k rows of the other training fold
-    table = ObservationTable(
+    table = make_table(
         obs(id=f"r{i}", latitude=float(i), longitude=float(2 * i),
             limiting_magnitude=float(i % 7))
         for i in range(40))
@@ -297,7 +297,7 @@ def test_neighbor_pool_is_the_training_rows():
 
 
 def test_fit_stack_rejects_a_training_row_without_a_target():
-    table = ObservationTable(
+    table = make_table(
         obs(id=f"r{i}", latitude=float(i),
             limiting_magnitude=None if i == 5 else float(i % 7))
         for i in range(20))
@@ -328,7 +328,7 @@ def test_fit_stack_weighs_each_document_once(monkeypatch):
         return transform_tfidf(model, corpus)
 
     monkeypatch.setattr(textfeat, "transform_tfidf", counting)
-    table = ObservationTable(
+    table = make_table(
         obs(id=f"r{i}", latitude=float(i), comment_1=f"sky note {i % 7}",
             comment_2=("clear", "hazy", "bright")[i % 3] + " sky")
         for i in range(30))

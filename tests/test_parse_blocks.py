@@ -1,12 +1,15 @@
 """The block parser against the row-by-row oracle: tables, diagnostics and
 strict-mode errors are equal whatever the block size."""
 
+import re
+
 import pytest
 
 from skyglow import dataset
 from skyglow.dataset import OBSERVATION_COLUMNS, parse_observations
-from skyglow.errors import SkyglowError
+from skyglow.errors import ParseError, SkyglowError
 
+from helpers import records
 from oracles import parse_observations_oracle
 
 HEADER = ",".join(OBSERVATION_COLUMNS)
@@ -63,7 +66,7 @@ def outcome(parse, path, strictness):
         table, diagnostics = parse(path, strictness)
     except SkyglowError as exc:
         return type(exc), str(exc)
-    return table, [(d.line, d.row_id, d.message) for d in diagnostics]
+    return records(table), [(d.line, d.row_id, d.message) for d in diagnostics]
 
 
 @pytest.mark.parametrize("block_rows", [
@@ -97,4 +100,21 @@ def test_strict_error_comes_before_a_later_read_error(tmp_path, monkeypatch,
         parse_observations(path, "strict")
     assert str(caught.value) == "row 'b': latitude is not numeric: 'north'"
     with pytest.raises(Exception, match="field larger than field limit"):
+        parse_observations(path, "lenient")
+
+
+@pytest.mark.parametrize("block_rows", [dataset._BLOCK_ROWS, 3])
+def test_strict_error_comes_before_a_later_decode_error(tmp_path, monkeypatch,
+                                                        block_rows):
+    # the undecodable byte lies past the first chunk the file is decoded in
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "observations.csv"
+    rows = [HEADER, row("a"), row("b", latitude="north"),
+            *(row(f"g{i}") for i in range(300))]
+    path.write_bytes("\n".join(rows).encode("utf-8") + b"\nz\xff\n")
+    with pytest.raises(SkyglowError) as caught:
+        parse_observations(path, "strict")
+    assert str(caught.value) == "row 'b': latitude is not numeric: 'north'"
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(path))}: not a utf-8 CSV file: "):
         parse_observations(path, "lenient")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from skyglow.dataset import (
-    ObservationTable,
     PopulationRecord,
     PopulationTable,
     annual_trend,
@@ -20,7 +19,7 @@ from skyglow.dataset import (
 )
 from skyglow.errors import UndefinedCorrelationError, UnknownFieldError
 
-from helpers import grid_table
+from helpers import grid_table, make_table, records
 from test_dataset import edge_records
 
 SIZES = list(range(1, 401)) + [1840, 5000]
@@ -117,7 +116,7 @@ def test_pearson_of_a_constant_column_is_undefined(constant):
 
 
 def joined_table():
-    table = ObservationTable(list(grid_table(300, seed=3)) + edge_records())
+    table = make_table(records(grid_table(300, seed=3)) + edge_records())
     population = PopulationTable([PopulationRecord("Noristan", year, 1000 + year)
                                   for year in range(2010, 2016)])
     return join_population(table, population)

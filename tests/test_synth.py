@@ -1,16 +1,14 @@
-from dataclasses import fields
 from datetime import datetime
 
 import pytest
 
+from helpers import make_table, records
 from oracles import row_by_row_observations
 from skyglow.dataset import (
     category_distribution,
     decompose_time,
     join_population,
     missingness_report,
-    ObservationRecord,
-    ObservationTable,
     parse_observations,
     parse_population,
     POPULATION_YEARS,
@@ -29,6 +27,7 @@ from skyglow.synth import (
 
 CONFIG = SynthConfig(n_rows=500, seed=11)
 TABLE = generate_observations(CONFIG)
+ROWS = records(TABLE)
 
 
 def missing_fraction(field):
@@ -51,7 +50,7 @@ def test_missingness_hits_configured_rates():
 def test_classes_exactly_balanced():
     # 500 rows over four classes: quota puts 125 in each
     counts = {c: 0 for c in (2, 3, 4, 5)}
-    for rec in TABLE:
+    for rec in ROWS:
         if rec.limiting_magnitude is None:
             continue
         counts[bin_target(rec.limiting_magnitude)] += 1
@@ -63,7 +62,7 @@ def test_classes_exactly_balanced():
 
 
 def test_magnitude_sits_within_class_band():
-    for rec in TABLE:
+    for rec in ROWS:
         if rec.limiting_magnitude is None:
             continue
         c = bin_target(rec.limiting_magnitude)
@@ -83,14 +82,14 @@ def test_dominant_category_shares():
 
 
 def test_constellation_share_is_over_present_rows():
-    values = [rec.constellation for rec in TABLE if rec.constellation is not None]
+    values = [rec.constellation for rec in ROWS if rec.constellation is not None]
     orion = sum(1 for v in values if v == "Orion")
     assert abs(orion / len(values) - CONFIG.share_constellation_orion) \
         <= 1.0 / len(values)
 
 
 def test_time_of_day_share():
-    dayparts = [decompose_time(rec.time).category for rec in TABLE]
+    dayparts = [decompose_time(rec.time).category for rec in ROWS]
     evening = sum(1 for d in dayparts if d == "evening")
     assert abs(evening / len(dayparts) - CONFIG.share_evening) \
         <= 1.0 / len(dayparts)
@@ -98,13 +97,13 @@ def test_time_of_day_share():
 
 def test_same_seed_reproduces_different_seed_varies():
     again = generate_observations(SynthConfig(n_rows=500, seed=11))
-    assert [r for r in again] == [r for r in TABLE]
+    assert records(again) == ROWS
     other = generate_observations(SynthConfig(n_rows=500, seed=12))
-    assert [r for r in other] != [r for r in TABLE]
+    assert records(other) != ROWS
 
 
 def test_row_ids_unique_and_sequential():
-    ids = [rec.id for rec in TABLE]
+    ids = [rec.id for rec in ROWS]
     assert len(set(ids)) == len(ids)
     assert ids[0] == "syn-000001"
     assert ids[-1] == f"syn-{CONFIG.n_rows:06d}"
@@ -114,22 +113,18 @@ def test_row_ids_unique_and_sequential():
 def test_column_wise_table_equals_the_tables_built_from_records(seed):
     config = SynthConfig(n_rows=150, seed=seed)
     table = generate_observations(config)
-    assert len({rec.id for rec in table}) == len(table) == 150
-    # one ObservationRecord per row: rebuilt from this table's records
-    # (which raises on a duplicate id), and drawn by the old generator
-    for other in (ObservationTable(list(table)), row_by_row_observations(config)):
-        assert len(other) == len(table)
-        for record, again in zip(table, other):
-            for field in fields(ObservationRecord):
-                assert getattr(record, field.name) == getattr(again, field.name)
-    for record in table:
-        for field in fields(ObservationRecord):
-            value = getattr(record, field.name)
+    rows = records(table)
+    assert len({rec.id for rec in rows}) == len(table) == 150
+    # rebuilt from this table's rows (which fails on a duplicate id), and
+    # drawn row by row by the old generator
+    for other in (make_table(rows), row_by_row_observations(config)):
+        assert records(other) == rows
+    for record in rows:
+        for field, value in record._asdict().items():
             # plain Python values, never numpy scalars
             assert value is None or type(value) in (float, str, datetime), \
-                (field.name, type(value))
+                (field, type(value))
         assert record.population is None
-        assert record.population_matched is None
 
 
 # Quota edge cases show at the smallest sizes; 2000 rows is the benchmark's.
@@ -169,7 +164,7 @@ def test_written_dataset_parses_strictly_and_joins(tmp_path):
     assert len(parsed) == len(table) == 64
     joined = join_population(parsed, parse_population(pop_path))
     assert all(rec.population is not None and rec.population > 0
-               for rec in joined)
+               for rec in records(joined))
 
 
 def test_written_bytes_deterministic(tmp_path):

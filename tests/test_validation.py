@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from skyglow.errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
-from skyglow.dataset import ObservationTable, annual_trend, pearson
+from skyglow.dataset import annual_trend, pearson
 from skyglow.features.pipeline import FeatureConfig, target_classes
 from skyglow.features import stack as stack_module
 from skyglow.features.stack import StackSpec, apply_stack
@@ -27,7 +26,7 @@ from skyglow.validation import (
     run_cv,
 )
 
-from helpers import grid_table, obs
+from helpers import grid_table, make_table, obs, records
 from oracles import accuracy_oracle, micro_prf_oracle, pearson_oracle
 
 
@@ -140,7 +139,7 @@ def test_pearson_matches_oracle_and_errors():
 
 def test_annual_trend_means():
     from datetime import datetime
-    table = ObservationTable([
+    table = make_table([
         obs(id="a", time=datetime(2012, 1, 1), limiting_magnitude=4.0),
         obs(id="b", time=datetime(2012, 6, 1), limiting_magnitude=6.0),
         obs(id="c", time=datetime(2014, 1, 1), limiting_magnitude=3.0),
@@ -175,9 +174,9 @@ def test_run_cv_oof_coverage_and_metrics():
 def test_cv_fits_see_no_held_out_row(monkeypatch):
     # each row's first comment carries its id, so a fitted corpus names
     # its rows
-    table = ObservationTable(
-        dataclasses.replace(record, comment_1=f"{record.id} sky note")
-        for record in grid_table(60, seed=12))
+    table = make_table(
+        record._replace(comment_1=f"{record.id} sky note")
+        for record in records(grid_table(60, seed=12)))
     ids = set(table.ids)
     folds = []  # per fold: the held-out table, the fits' rows, the models
 
@@ -233,7 +232,7 @@ def test_run_cv_rejects_duplicate_ids_and_empty():
         run_cv(table, FeatureConfig(), [spec, spec], k=2, seed=0)
     with pytest.raises(ParameterError):
         run_cv(table, FeatureConfig(), [], k=2, seed=0)
-    no_target = ObservationTable([obs(id=f"r{i}", limiting_magnitude=None)
+    no_target = make_table([obs(id=f"r{i}", limiting_magnitude=None)
                                   for i in range(10)])
     with pytest.raises(EmptyInputError):
         run_cv(no_target, FeatureConfig(), [spec], k=2, seed=0)
