@@ -27,22 +27,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..dataset import (
-    ObservationTable,
-    annual_trend,
-    category_distribution,
-    derived_numeric_columns,
-    finite_float,
-    join_population,
-    missingness_report,
-    open_text,
-    parse_observations,
-    parse_population,
-    pearson,
-    read_population_long,
-    read_rows,
-    unfinished_files,
-    write_observations,
-    write_population,
+    CATEGORY, CLEAN_OBSERVATIONS, CONFUSION, CORRELATIONS, CV_ROUNDS, CV_SUMMARY,
+    CV_TRUTH, ENSEMBLE_METRICS, ENSEMBLE_OOF, FEATURES, INGEST_DIAGNOSTICS,
+    METRICS, MISSINGNESS, MODEL_COMPARISON, OOF, POPULATION_LONG, PREDICTIONS,
+    TREND, WEIGHTS, ObservationTable, annual_trend, category_distribution,
+    derived_numeric_columns, join_population, missingness_report, open_text,
+    parse_observations, parse_population, pearson, read_population_long,
+    read_rows, unfinished_files, write_observations, write_population,
     write_rows,
 )
 from ..errors import (
@@ -69,7 +60,7 @@ _LAZY_IMPORTS = {
     "..features.stack": ("apply_stack", "fit_stack"),
     "..folds": ("labelled_folds",),
     "..metrics": ("micro_f1", "predicted_classes", "read_cv_truth", "read_oof_csv",
-                  "write_cv_truth", "write_matrix", "write_oof_csv"),
+                  "write_matrix", "write_oof_csv"),
     "..serialize": ("decode_json", "json_text", "learner_from_obj",
                     "learner_to_obj", "load_json", "save_json",
                     "stack_from_obj", "stack_to_obj"),
@@ -94,66 +85,15 @@ globals().update((name, _stand_in(module_name, name))
                  for module_name, names in _LAZY_IMPORTS.items() for name in names)
 
 
-CLEAN_OBSERVATIONS = "observations_clean.csv"
-POPULATION_LONG = "population_long.csv"
-INGEST_DIAGNOSTICS = "ingest_diagnostics.csv"
-MISSINGNESS = "missingness.csv"
-CORRELATIONS = "correlations.csv"
-FEATURES_CSV = "features.csv"
+# The files beside the CSV artifacts.
 FEATURES_SIDECAR = "features_stack.json"
-CV_SUMMARY = "cv_summary.csv"
-CV_TRUTH = "cv_truth.csv"
-CV_ROUNDS = "cv_rounds.csv"
 TRAIN_MANIFEST = "train_manifest.json"
-WEIGHTS = "weights.csv"
-ENSEMBLE_METRICS = "ensemble_metrics.csv"
-ENSEMBLE_OOF = "ensemble_oof.csv"
-PREDICTIONS = "predictions.csv"
-MODEL_COMPARISON = "model_comparison.csv"
 LOCK_FILE = ".skyglow.lock"
 CONFIG_ECHO = "config_echo.ini"
-
-# Headers of the artifacts a command writes and a later command reads;
-# cv_summary.csv has one fold_* column per fold after its leading columns.
-CV_SUMMARY_HEADER = ("model_id", "micro_f1")
-# one row per GBDT model per fold: the rounds that fold's model kept
-CV_ROUNDS_HEADER = ("model_id", "fold", "rounds")
-# ensemble_metrics.csv, and model_comparison.csv copied from it
-ENSEMBLE_METRICS_HEADER = ("model_id", "micro_f1", "weight")
-# The EDA reports. A missingness.csv row is a missingness_report row and the
-# table's row count; a category_<field>.csv row is the field and a
-# category_distribution row; a trend_<field>.csv row is an annual_trend row,
-# under _trend_header(field).
-MISSINGNESS_HEADER = ("field", "missing_count", "missing_fraction", "total_rows")
-CATEGORY_HEADER = ("field", "category", "count", "fraction")
 
 CORRELATION_FIELDS = ("time_zone", "latitude", "longitude", "elevation_m",
                       "sensor_reading", "population", "year", "month",
                       "day_of_year", "seconds_of_day")
-
-
-def _category_csv(field: str) -> str:
-    return f"category_{field}.csv"
-
-
-def _trend_csv(field: str) -> str:
-    return f"trend_{field}.csv"
-
-
-def _trend_header(field: str) -> tuple[str, str]:
-    return ("year", f"mean_{field}")
-
-
-def _oof_csv(model_id: str) -> str:
-    return f"oof_{model_id}.csv"
-
-
-def _metrics_csv(model_id: str) -> str:
-    return f"metrics_{model_id}.csv"
-
-
-def _confusion_csv(model_id: str) -> str:
-    return f"confusion_{model_id}.csv"
 
 
 def _stack_json(model_id: str) -> str:
@@ -200,9 +140,9 @@ def _note_diagnostics(stack: StackModel, label: str) -> None:
 
 def _load_clean_table(config: RunConfig) -> ObservationTable:
     out = config.output_dir
-    _require(out, CLEAN_OBSERVATIONS, POPULATION_LONG)
-    table, _ = parse_observations(out / CLEAN_OBSERVATIONS, "strict")
-    population = read_population_long(out / POPULATION_LONG)
+    _require(out, CLEAN_OBSERVATIONS.name, POPULATION_LONG.name)
+    table, _ = parse_observations(out / CLEAN_OBSERVATIONS.name, "strict")
+    population = read_population_long(out / POPULATION_LONG.name)
     return join_population(table, population)
 
 
@@ -223,9 +163,9 @@ def cmd_ingest(config: RunConfig) -> None:
             f"no valid observation rows in {config.observations_path}")
     population = parse_population(config.population_path)
     out = config.output_dir
-    write_observations(table, out / CLEAN_OBSERVATIONS)
-    write_population(population, out / POPULATION_LONG)
-    write_rows(out / INGEST_DIAGNOSTICS, ["line", "row_id", "message"],
+    write_observations(table, out / CLEAN_OBSERVATIONS.name)
+    write_population(population, out / POPULATION_LONG.name)
+    write_rows(out / INGEST_DIAGNOSTICS.name, INGEST_DIAGNOSTICS.header(),
                ([diag.line, diag.row_id, diag.message] for diag in diagnostics))
     _note(f"ingested {len(table)} rows ({len(diagnostics)} dropped), "
           f"{len(population)} population records")
@@ -237,10 +177,10 @@ def cmd_eda(config: RunConfig) -> None:
     # derives each row's time parts and day part, which the table keeps for
     # the time_of_day_category counts
     numeric = derived_numeric_columns(table)
-    write_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
+    write_rows(out / MISSINGNESS.name, MISSINGNESS.header(),
                (row + (len(table),) for row in missingness_report(table)))
     for field in config.category_fields:
-        write_rows(out / _category_csv(field), CATEGORY_HEADER,
+        write_rows(out / CATEGORY.name.format(field), CATEGORY.header(),
                    ((field,) + row for row in category_distribution(table, field)))
 
     target = numeric["limiting_magnitude"]
@@ -253,10 +193,9 @@ def cmd_eda(config: RunConfig) -> None:
             rows.append([field, pearson(column, target), pairs, ""])
         except UndefinedCorrelationError as exc:
             rows.append([field, "", pairs, str(exc)])
-    write_rows(out / CORRELATIONS,
-               ["field", "pearson_with_target", "complete_pairs", "note"], rows)
+    write_rows(out / CORRELATIONS.name, CORRELATIONS.header(), rows)
     for field in config.trend_fields:
-        write_rows(out / _trend_csv(field), _trend_header(field),
+        write_rows(out / TREND.name.format(field), TREND.header(field),
                    annual_trend(table, field))
     _note(f"eda reports written for {len(table)} rows")
 
@@ -273,7 +212,7 @@ def cmd_features(config: RunConfig) -> None:
     stack, matrix = fit_stack(table, targets, assignment.folds,
                               config.feature_config, spec, config.seed)
     _note_diagnostics(stack, "features")
-    write_matrix(out / FEATURES_CSV, ["row_id"] + list(stack.columns),
+    write_matrix(out / FEATURES.name, FEATURES.header() + list(stack.columns),
                  ([row_id] for row_id in table.ids), matrix)
     save_json(out / FEATURES_SIDECAR, stack_to_obj(stack))
     _note(f"feature matrix {matrix.shape[0]}x{matrix.shape[1]} written")
@@ -289,23 +228,23 @@ def cmd_cv(config: RunConfig) -> None:
     for warning in result.warnings:
         _note(warning)
 
-    write_cv_truth(out / CV_TRUTH, result.row_ids, result.folds, result.truth)
+    write_rows(out / CV_TRUTH.name, CV_TRUTH.header(),
+               zip(result.row_ids, result.folds.tolist(), result.truth.tolist()))
 
     summary_rows = []
     for model in result.models:
-        write_oof_csv(out / _oof_csv(model.model_id), result.row_ids,
+        write_oof_csv(out / OOF.name.format(model.model_id), result.row_ids,
                       result.folds, model.model_id, model.probabilities)
-        model.metrics.write_csv(out / _metrics_csv(model.model_id))
-        model.metrics.write_confusion_csv(out / _confusion_csv(model.model_id))
+        model.metrics.write_csv(out / METRICS.name.format(model.model_id))
+        model.metrics.write_confusion_csv(out / CONFUSION.name.format(model.model_id))
         summary_rows.append([model.model_id, model.metrics.micro_f1,
                              *model.metrics.per_fold_f1])
         for diag in model.diagnostics:
             _note(f"{model.model_id}: {diag}")
         _note(f"{model.model_id}: OOF micro-F1 {model.metrics.micro_f1:.4f}")
-    write_rows(out / CV_SUMMARY,
-               CV_SUMMARY_HEADER + tuple(f"fold_{f}" for f in range(result.k)),
+    write_rows(out / CV_SUMMARY.name, CV_SUMMARY.header(width=result.k),
                summary_rows)
-    write_rows(out / CV_ROUNDS, CV_ROUNDS_HEADER,
+    write_rows(out / CV_ROUNDS.name, CV_ROUNDS.header(),
                ([model.model_id, fold, kept] for model in result.models
                 for fold, kept in enumerate(model.rounds)))
 
@@ -316,9 +255,8 @@ def _refit_rounds(config: RunConfig) -> dict[str, int]:
     unless every GBDT model of the roster has exactly one row for each
     fold of the configured k, each within its configured rounds; otherwise
     `cv` ran under another config."""
-    path = config.output_dir / CV_ROUNDS
-    _, rows = read_rows(path, CV_ROUNDS_HEADER,
-                        lambda row: (row[0], int(row[1]), int(row[2])))
+    path = config.output_dir / CV_ROUNDS.name
+    _, rows = read_rows(path, CV_ROUNDS)
     kept: dict[str, list[tuple[int, int]]] = {}
     for model_id, fold, count in rows:
         kept.setdefault(model_id, []).append((fold, count))
@@ -331,13 +269,13 @@ def _refit_rounds(config: RunConfig) -> dict[str, int]:
             raise SchemaError(
                 f"{path}: {spec.model_id} has rows for folds {folds}, "
                 f"not 0-{config.cv_k - 1}; run cv with this config first")
+        # read_rows has checked each count to be >= 0
         counts = sorted(count for _, count in kept[spec.model_id])
-        for count in counts:
-            if not 0 <= count <= spec.params.n_rounds:
-                raise SchemaError(
-                    f"{path}: {spec.model_id} kept {count} rounds in a fold but "
-                    f"is configured for {spec.params.n_rounds}; run cv with this "
-                    "config first")
+        if counts[-1] > spec.params.n_rounds:
+            raise SchemaError(
+                f"{path}: {spec.model_id} kept {counts[-1]} rounds in a fold but "
+                f"is configured for {spec.params.n_rounds}; run cv with this "
+                "config first")
         refit[spec.model_id] = counts[len(counts) // 2]
     return refit
 
@@ -350,16 +288,16 @@ def cmd_train(config: RunConfig) -> None:
     manifest and `predict` refuses the mixed sidecars. Models that share a
     feature stack get the same stack sidecar text, encoded once."""
     out = config.output_dir
-    _require(out, CV_ROUNDS, CV_TRUTH)
+    _require(out, CV_ROUNDS.name, CV_TRUTH.name)
     rounds = _refit_rounds(config)
     specs = [replace(spec, params=replace(spec.params, n_rounds=rounds[spec.model_id]))
              if spec.model_id in rounds else spec for spec in config.specs]
     table = _load_clean_table(config)
     table, targets, assignment = labelled_folds(
         table, target_classes(table), config.cv_k, config.seed, config.stratified)
-    cv_ids, cv_folds, _ = read_cv_truth(out / CV_TRUTH)
+    cv_ids, cv_folds, _ = read_cv_truth(out / CV_TRUTH.name)
     if cv_ids != list(table.ids) or cv_folds.tolist() != assignment.folds.tolist():
-        raise SchemaError(f"{out / CV_TRUTH}: row ids or folds differ from the "
+        raise SchemaError(f"{out / CV_TRUTH.name}: row ids or folds differ from the "
                           "folds of this config; run cv with this config first")
 
     manifest = {"model_ids": list(config.model_ids), "n_classes": N_CLASSES,
@@ -384,27 +322,27 @@ def cmd_train(config: RunConfig) -> None:
 
 def cmd_ensemble(config: RunConfig) -> None:
     out = config.output_dir
-    _require(out, CV_TRUTH, *[_oof_csv(mid) for mid in config.model_ids])
-    ids, folds, truth = read_cv_truth(out / CV_TRUTH)
+    _require(out, CV_TRUTH.name, *map(OOF.name.format, config.model_ids))
+    ids, folds, truth = read_cv_truth(out / CV_TRUTH.name)
     matrices = []
     for model_id in config.model_ids:
-        path = out / _oof_csv(model_id)
+        path = out / OOF.name.format(model_id)
         row_ids, oof_folds, file_model_id, probs = read_oof_csv(path)
         if (file_model_id != model_id or list(row_ids) != ids
                 or oof_folds.tolist() != folds.tolist()):
             raise SchemaError(f"{path}: model id, row ids or folds differ "
-                              f"from {CV_TRUTH}")
+                              f"from {CV_TRUTH.name}")
         matrices.append(probs)
 
     weights = optimize_weights(matrices, truth, model_ids=config.model_ids,
                                step_schedule=config.step_schedule,
                                seed=config.seed)
-    weights.write_csv(out / WEIGHTS)
+    weights.write_csv(out / WEIGHTS.name)
 
     blended = blend(matrices, weights.weights)
-    write_oof_csv(out / ENSEMBLE_OOF, ids, folds, "ensemble_opt", blended)
+    write_oof_csv(out / ENSEMBLE_OOF.name, ids, folds, "ensemble_opt", blended)
     mean_f1 = micro_f1(predicted_classes(mean_blend(matrices)), truth)
-    write_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER, [
+    write_rows(out / ENSEMBLE_METRICS.name, ENSEMBLE_METRICS.header(), [
         *([model_id, micro_f1(predicted_classes(matrix), truth), weight]
           for model_id, matrix, weight in zip(config.model_ids, matrices,
                                               weights.weights.tolist())),
@@ -416,7 +354,7 @@ def cmd_ensemble(config: RunConfig) -> None:
 
 def cmd_predict(config: RunConfig) -> None:
     out = config.output_dir
-    _require(out, TRAIN_MANIFEST, WEIGHTS, POPULATION_LONG)
+    _require(out, TRAIN_MANIFEST, WEIGHTS.name, POPULATION_LONG.name)
     manifest = load_json(out / TRAIN_MANIFEST)
     model_ids = manifest.get("model_ids") if isinstance(manifest, dict) else None
     if not (isinstance(model_ids, list)
@@ -424,7 +362,7 @@ def cmd_predict(config: RunConfig) -> None:
         raise SchemaError(f"{TRAIN_MANIFEST}: 'model_ids' is not a list of model ids")
     _require(out, *[_stack_json(m) for m in model_ids])
     _require(out, *[_model_json(m) for m in model_ids])
-    weights = read_weights_csv(out / WEIGHTS)
+    weights = read_weights_csv(out / WEIGHTS.name)
     if list(weights.model_ids) != list(model_ids):
         raise SchemaError("ensemble weights do not match the trained models")
 
@@ -436,7 +374,7 @@ def cmd_predict(config: RunConfig) -> None:
         raise EmptyInputError(f"no valid rows in {config.predict_path}")
     if diagnostics:
         _note(f"predict: dropped {len(diagnostics)} invalid rows")
-    population = read_population_long(out / POPULATION_LONG)
+    population = read_population_long(out / POPULATION_LONG.name)
     table = join_population(table, population)
 
     applied = {}  # sidecar bytes -> (stack, features): equal stacks apply once
@@ -458,9 +396,7 @@ def cmd_predict(config: RunConfig) -> None:
     blended = blend(matrices, weights.weights)
     classes = predicted_classes(blended)
 
-    write_matrix(out / PREDICTIONS,
-                 ["row_id", "predicted_class"]
-                 + [f"p_class_{c}" for c in range(blended.shape[1])],
+    write_matrix(out / PREDICTIONS.name, PREDICTIONS.header(width=blended.shape[1]),
                  zip(table.ids, classes.tolist()), blended)
     _note(f"predicted {len(table)} rows")
 
@@ -470,54 +406,47 @@ def cmd_report(config: RunConfig) -> None:
     before the first file is written, so a malformed input fails the stage
     and leaves the output directory as it was."""
     out = config.output_dir
-    _require(out, MISSINGNESS, CV_SUMMARY, ENSEMBLE_METRICS,
-             *map(_category_csv, config.category_fields),
-             *map(_trend_csv, config.trend_fields))
+    _require(out, MISSINGNESS.name, CV_SUMMARY.name, ENSEMBLE_METRICS.name,
+             *map(CATEGORY.name.format, config.category_fields),
+             *map(TREND.name.format, config.trend_fields))
 
     # model comparison table: single models plus both ensembles
-    _, metric_rows = read_rows(out / ENSEMBLE_METRICS, ENSEMBLE_METRICS_HEADER,
-                               lambda row: (row, finite_float(row[1])))
-    comparison_bars = [(row[0], f1) for row, f1 in metric_rows]
+    _, metric_rows = read_rows(out / ENSEMBLE_METRICS.name, ENSEMBLE_METRICS)
     charts = [("model_comparison.svg",
-               bar_chart_svg(comparison_bars, "OOF micro-F1 by model",
-                             "model", "micro-F1"))]
+               bar_chart_svg([(model_id, f1) for model_id, f1, _ in metric_rows],
+                             "OOF micro-F1 by model", "model", "micro-F1"))]
 
-    _, bars = read_rows(out / MISSINGNESS, MISSINGNESS_HEADER,
-                        lambda row: (row[0], finite_float(row[2])))
+    _, rows = read_rows(out / MISSINGNESS.name, MISSINGNESS)
     charts.append(("missingness.svg",
-                   bar_chart_svg(bars, "Missing-value fraction by field",
+                   bar_chart_svg([(field, fraction) for field, _, fraction, _ in rows],
+                                 "Missing-value fraction by field",
                                  "field", "fraction missing")))
 
     for field in config.category_fields:
-        _, bars = read_rows(out / _category_csv(field), CATEGORY_HEADER,
-                            lambda row: (row[1], finite_float(row[3])))
+        _, rows = read_rows(out / CATEGORY.name.format(field), CATEGORY)
         charts.append((f"category_{field}.svg",
-                       bar_chart_svg(bars, f"Distribution of {field}", field,
+                       bar_chart_svg([(category, fraction)
+                                      for _, category, _, fraction in rows],
+                                     f"Distribution of {field}", field,
                                      "fraction")))
 
     for field in config.trend_fields:
-        _, points = read_rows(out / _trend_csv(field), _trend_header(field),
-                              lambda row: (finite_float(row[0]),
-                                           finite_float(row[1])))
+        _, points = read_rows(out / TREND.name.format(field), TREND, field)
         if not points:
             continue
         charts.append((f"trend_{field}.svg",
                        line_chart_svg([(field, points)], f"Annual mean of {field}",
                                       "year", f"mean {field}")))
 
-    header, summary_rows = read_rows(
-        out / CV_SUMMARY, CV_SUMMARY_HEADER,
-        lambda row: (row[0], [finite_float(f1) for f1 in row[2:]]), leading=True)
-    fold_count = len(header) - 2
-    if fold_count >= 2:
-        series = [(model_id, [(float(f), f1) for f, f1 in enumerate(fold_f1)])
-                  for model_id, fold_f1 in summary_rows]
+    header, summary_rows = read_rows(out / CV_SUMMARY.name, CV_SUMMARY)
+    if len(header) - len(CV_SUMMARY.leading) >= 2:  # at least two folds
+        series = [(row[0], [(float(f), f1) for f, f1 in enumerate(row[2:])])
+                  for row in summary_rows]
         charts.append(("per_fold_f1.svg",
                        line_chart_svg(series, "Per-fold micro-F1", "fold",
                                       "micro-F1")))
 
-    write_rows(out / MODEL_COMPARISON, ENSEMBLE_METRICS_HEADER,
-               (row for row, _ in metric_rows))
+    write_rows(out / MODEL_COMPARISON.name, MODEL_COMPARISON.header(), metric_rows)
     for name, svg_text in charts:
         write_svg(out / name, svg_text)
     _note("report bundle written")

@@ -25,7 +25,7 @@ _PLOT_H = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
 _PALETTE = ("#1f6fb4", "#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e")
 
-_HEADER = (
+_PREAMBLE = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
     f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
@@ -113,7 +113,7 @@ def line_chart_svg(series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
         parts.append(f'<text x="{WIDTH - 164}" y="{legend_y + 4}" '
                      f'font-family="sans-serif" font-size="11">'
                      f'{escape(name)}</text>')
-    return _HEADER + "\n".join(parts) + "\n</svg>\n"
+    return _PREAMBLE + "\n".join(parts) + "\n</svg>\n"
 
 
 def bar_chart_svg(bars: Sequence[tuple[str, float]], title: str,
@@ -145,7 +145,7 @@ def bar_chart_svg(bars: Sequence[tuple[str, float]], title: str,
         parts.append(f'<text x="{_fmt(label_x)}" y="{HEIGHT - _MARGIN_BOTTOM + 16}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="10">{escape(str(label))}</text>')
-    return _HEADER + "\n".join(parts) + "\n</svg>\n"
+    return _PREAMBLE + "\n".join(parts) + "\n</svg>\n"
 
 
 def write_svg(path: str | Path, svg_text: str) -> None:

@@ -3,8 +3,11 @@
 CSV parsing with per-cell missingness, range validation in strict or lenient
 mode, the population join with a median fallback, the CSV artifact layer
 every stage writes and reads through, and the descriptive reports (missing
-counts per field, category shares), which return plain rows whose file
-layout the command layer owns. Tables are immutable after construction.
+counts per field, category shares), which return plain rows. Every CSV
+artifact's file name, header and cell parsers are declared once, as an
+`Artifact` in `ARTIFACTS`; its writer takes the header from there, and
+`read_rows` parses every cell by it. Tables are immutable after
+construction.
 
 An observation table is its columns, one row-aligned tuple per field, and
 is built from them alone: no row object is ever made. Parsing converts a
@@ -57,6 +60,7 @@ from .errors import (
     UndefinedCorrelationError,
     UnknownFieldError,
 )
+from .specs import N_CLASSES
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,10 +85,6 @@ TIME_PARTS = ("year", "month", "day_of_year", "seconds_of_day", "epoch_time")
 COMMENT_FIELDS = ("comment_1", "comment_2")
 
 POPULATION_YEARS = tuple(range(2006, 2021))
-
-# Header of the long census file that write_population writes and
-# read_population_long reads.
-POPULATION_LONG_HEADER = ("country", "year", "population")
 
 _EPOCH = datetime(1970, 1, 1)
 
@@ -343,17 +343,111 @@ def finite_float(text: str) -> float:
     return value
 
 
-def read_rows(source: str | Path, header: Sequence[str],
-              parse: Callable[[list[str]], Any],
-              leading: bool = False) -> tuple[list[str], list[Any]]:
-    """Read back a CSV artifact: its header and parse(row) for each row.
+def _in_range(parse: Callable[[str], Any], low: float, high: float,
+              message: str) -> Callable[[str], Any]:
+    """The parser of a cell that `parse` reads as a value in [low, high];
+    any other value raises ValueError(f"{message}: {cell}")."""
+    def parse_in_range(text: str):
+        value = parse(text)
+        if not low <= value <= high:
+            raise ValueError(f"{message}: {text}")
+        return value
+    return parse_in_range
 
-    The header must equal `header`, or with `leading` begin with it (for
-    artifacts with one column per class or fold). A row without as many
-    fields as the file's header, or one whose fields `parse` cannot
-    convert (a ValueError), raises SchemaError naming the file and line.
+
+# The parsers of artifact cells besides `str` and `finite_float`. A
+# probability may also be a fraction or an F1; a nonnegative integer a
+# count, fold, round, line or year.
+probability = _in_range(finite_float, 0.0, 1.0, "probability outside [0, 1]")
+target_class = _in_range(int, 0, N_CLASSES - 1, f"class outside 0-{N_CLASSES - 1}")
+nonnegative_int = _in_range(int, 0, math.inf, "negative integer")
+
+
+def optional_float(text: str) -> float | None:
+    """A finite number, or None for an empty cell."""
+    return finite_float(text) if text else None
+
+
+class Artifact(NamedTuple):
+    """The layout of a CSV artifact. In `name` and in a leading column's
+    name, `{}` stands for the model id or field the file is for. Each
+    leading column has the parser of its cells; `each` parses the columns
+    that follow, one per class or fold, named `each_name` with `{}` for
+    the class or fold (`features.csv`'s are the stack's feature names)."""
+    name: str
+    leading: tuple[tuple[str, Callable[[str], Any]], ...]
+    each: Callable[[str], Any] | None = None
+    each_name: str = ""
+
+    def header(self, key: str = "", width: int = 0) -> list[str]:
+        """The header of the file for `key`, with `width` columns per class
+        or fold."""
+        return ([column.format(key) for column, _ in self.leading]
+                + [self.each_name.format(i) for i in range(width)])
+
+
+# Every CSV artifact a stage writes into the output directory. A pearson
+# cell is empty where the correlation is undefined, and the note says why.
+CLEAN_OBSERVATIONS = Artifact("observations_clean.csv", tuple(
+    (column, optional_float if _COLUMN_TO_ATTR[column] in NUMERIC_FIELDS else str)
+    for column in OBSERVATION_COLUMNS))
+POPULATION_LONG = Artifact("population_long.csv", (
+    ("country", str), ("year", nonnegative_int), ("population", nonnegative_int)))
+INGEST_DIAGNOSTICS = Artifact("ingest_diagnostics.csv", (
+    ("line", nonnegative_int), ("row_id", str), ("message", str)))
+MISSINGNESS = Artifact("missingness.csv", (
+    ("field", str), ("missing_count", nonnegative_int),
+    ("missing_fraction", probability), ("total_rows", nonnegative_int)))
+CATEGORY = Artifact("category_{}.csv", (
+    ("field", str), ("category", str), ("count", nonnegative_int),
+    ("fraction", probability)))
+CORRELATIONS = Artifact("correlations.csv", (
+    ("field", str), ("pearson_with_target", optional_float),
+    ("complete_pairs", nonnegative_int), ("note", str)))
+TREND = Artifact("trend_{}.csv", (("year", nonnegative_int), ("mean_{}", finite_float)))
+FEATURES = Artifact("features.csv", (("row_id", str),), finite_float)
+CV_SUMMARY = Artifact("cv_summary.csv", (
+    ("model_id", str), ("micro_f1", probability)), probability, "fold_{}")
+CV_TRUTH = Artifact("cv_truth.csv", (
+    ("row_id", str), ("fold", nonnegative_int), ("true_class", target_class)))
+# one row per GBDT model per fold: the rounds that fold's model kept
+CV_ROUNDS = Artifact("cv_rounds.csv", (
+    ("model_id", str), ("fold", nonnegative_int), ("rounds", nonnegative_int)))
+OOF = Artifact("oof_{}.csv", (
+    ("row_id", str), ("fold", nonnegative_int), ("model_id", str)),
+    probability, "p_class_{}")
+METRICS = Artifact("metrics_{}.csv", (
+    ("kind", str), ("key", str), ("value", finite_float)))
+CONFUSION = Artifact("confusion_{}.csv", (("true_class", target_class),),
+                     nonnegative_int, "pred_{}")
+WEIGHTS = Artifact("weights.csv", (("model_id", str), ("weight", finite_float)))
+# the two ensembles' rows have no weight
+ENSEMBLE_METRICS = Artifact("ensemble_metrics.csv", (
+    ("model_id", str), ("micro_f1", probability), ("weight", optional_float)))
+ENSEMBLE_OOF = OOF._replace(name="ensemble_oof.csv")
+PREDICTIONS = Artifact("predictions.csv", (
+    ("row_id", str), ("predicted_class", target_class)), probability, "p_class_{}")
+MODEL_COMPARISON = ENSEMBLE_METRICS._replace(name="model_comparison.csv")
+
+ARTIFACTS = (CLEAN_OBSERVATIONS, POPULATION_LONG, INGEST_DIAGNOSTICS,
+             MISSINGNESS, CATEGORY, CORRELATIONS, TREND, FEATURES, CV_SUMMARY,
+             CV_TRUTH, CV_ROUNDS, OOF, METRICS, CONFUSION, WEIGHTS,
+             ENSEMBLE_METRICS, ENSEMBLE_OOF, PREDICTIONS, MODEL_COMPARISON)
+
+
+def read_rows(source: str | Path, artifact: Artifact,
+              key: str = "") -> tuple[list[str], list[list[Any]]]:
+    """Read back a CSV artifact laid out as `artifact` declares, for the
+    model id or field `key`: its header and each row's cells, each
+    converted by its column's parser.
+
+    The header must equal `artifact.header(key)`, or for an artifact with
+    one column per class or fold begin with it. A row without as many
+    fields as the file's header, or with a cell its parser cannot convert
+    (a ValueError), raises SchemaError naming the file and line.
     """
-    expected = list(header)
+    expected = artifact.header(key)
+    leading = artifact.each is not None
     with csv_reader(source) as reader:
         found = next(reader, None)
         if found is None or (found[:len(expected)] if leading
@@ -361,6 +455,9 @@ def read_rows(source: str | Path, header: Sequence[str],
             raise SchemaError(f"{source}: expected a header "
                               f"{'beginning' if leading else 'equal to'} "
                               f"{','.join(expected)}")
+        parsers = ([parse for _, parse in artifact.leading]
+                   + [artifact.each] * (len(found) - len(expected)))
+
         def error(message: str) -> SchemaError:
             return SchemaError(f"{source}, line {reader.line_num}: {message}")
 
@@ -369,7 +466,7 @@ def read_rows(source: str | Path, header: Sequence[str],
             if len(row) != len(found):
                 raise error(f"expected {len(found)} fields, got {len(row)}")
             try:
-                parsed.append(parse(row))
+                parsed.append([parse(cell) for parse, cell in zip(parsers, row)])
             except ValueError as exc:
                 raise error(str(exc)) from None
     return found, parsed
@@ -577,7 +674,7 @@ def write_observations(table: ObservationTable, dest: str | Path) -> None:
     columns = {**table._columns, "time": [
         None if ts is None else format_timestamp(ts)
         for ts in table._columns["time"]]}
-    write_rows(dest, OBSERVATION_COLUMNS,
+    write_rows(dest, CLEAN_OBSERVATIONS.header(),
                zip(*(columns[_COLUMN_TO_ATTR[c]] for c in OBSERVATION_COLUMNS)))
 
 
@@ -668,16 +765,14 @@ def parse_population(source: str | Path) -> PopulationTable:
 
 def write_population(table: PopulationTable, dest: str | Path) -> None:
     """Write population records in long format (country, year, population)."""
-    write_rows(dest, POPULATION_LONG_HEADER,
+    write_rows(dest, POPULATION_LONG.header(),
                ([rec.country, rec.year, rec.population] for rec in table))
 
 
 def read_population_long(source: str | Path) -> PopulationTable:
     """Read back the long format produced by write_population."""
-    _, records = read_rows(
-        source, POPULATION_LONG_HEADER,
-        lambda row: PopulationRecord(row[0], int(row[1]), int(row[2])))
-    return PopulationTable(records)
+    return PopulationTable(PopulationRecord(*row)
+                           for row in read_rows(source, POPULATION_LONG)[1])
 
 
 def join_population(obs: ObservationTable, pop: PopulationTable) -> ObservationTable:

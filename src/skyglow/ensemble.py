@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import read_rows, write_rows
+from .dataset import WEIGHTS, read_rows, write_rows
 from .errors import DimensionError, ParameterError
 from .metrics import micro_f1, predicted_classes
 from .specs import DEFAULT_STEP_SCHEDULE
 
 _MAX_SWEEPS = 200
-WEIGHTS_HEADER = ("model_id", "weight")
 
 
 def _stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -84,15 +83,14 @@ class EnsembleWeights:
         _check_simplex(self.weights)
 
     def write_csv(self, dest: str | Path) -> None:
-        write_rows(dest, WEIGHTS_HEADER,
+        write_rows(dest, WEIGHTS.header(),
                    zip(self.model_ids, self.weights.tolist()))
 
 
 def read_weights_csv(source: str | Path) -> EnsembleWeights:
     """The weights of write_csv; the file holds no objective, so it reads
     back as 0.0."""
-    _, rows = read_rows(source, WEIGHTS_HEADER,
-                        lambda row: (row[0], float(row[1])))
+    _, rows = read_rows(source, WEIGHTS)
     return EnsembleWeights(tuple(row[0] for row in rows),
                            np.array([row[1] for row in rows]), 0.0)
 

@@ -1,10 +1,10 @@
-"""The micro-F1 metric family, the OOF prediction and CV-truth files, and
-the numpy side of the CSV matrix path (`write_matrix`), through which the
-feature matrix, the OOF and blended probabilities and the predictions are
-written.
+"""The micro-F1 metric family, the OOF prediction and CV-truth files as
+numpy arrays, and the numpy side of the CSV matrix path (`write_matrix`),
+through which the feature matrix, the OOF and blended probabilities and
+the predictions are written. The files' layouts are declared in `dataset`.
 
-Nothing here fits a model: the module imports numpy, `dataset`, `errors`
-and `specs` alone, so `ensemble` loads no feature or learner code.
+Nothing here fits a model: the module imports numpy, `dataset` and
+`errors` alone, so `ensemble` loads no feature or learner code.
 `validation` imports the metric names it calls from here. `eda` loads
 none of this module: its statistics (Pearson correlation, annual trends)
 are the pure-Python ones of `dataset`.
@@ -18,15 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import finite_float, read_rows, write_coded_rows, write_rows
+from .dataset import (CONFUSION, CV_TRUTH, METRICS, OOF, read_rows,
+                      write_coded_rows, write_rows)
 from .errors import EmptyInputError, ParameterError, SchemaError
-from .specs import N_CLASSES
-
-# The leading columns of an OOF prediction file; one p_class_* column per
-# class follows.
-OOF_HEADER = ("row_id", "fold", "model_id")
-# cv_truth.csv: each CV row's fold and true class.
-CV_TRUTH_HEADER = ("row_id", "fold", "true_class")
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,7 @@ class MetricsReport:
     per_fold_f1: tuple[float, ...] = ()
 
     def write_csv(self, dest: str | Path) -> None:
-        write_rows(dest, ["kind", "key", "value"], [
+        write_rows(dest, METRICS.header(), [
             ["metric", "micro_precision", self.micro_precision],
             ["metric", "micro_recall", self.micro_recall],
             ["metric", "micro_f1", self.micro_f1],
@@ -46,7 +40,7 @@ class MetricsReport:
 
     def write_confusion_csv(self, dest: str | Path) -> None:
         n = self.confusion.shape[0]
-        write_rows(dest, ["true_class"] + [f"pred_{c}" for c in range(n)],
+        write_rows(dest, CONFUSION.header(width=n),
                    ([c] + [int(v) for v in self.confusion[c]] for c in range(n)))
 
 
@@ -113,8 +107,7 @@ def write_oof_csv(dest: str | Path, row_ids: Sequence[str],
                   folds: np.ndarray, model_id: str,
                   probabilities: np.ndarray) -> None:
     """Persist OOF probabilities: row_id, fold, model_id, p_class_*."""
-    n_classes = probabilities.shape[1]
-    write_matrix(dest, OOF_HEADER + tuple(f"p_class_{c}" for c in range(n_classes)),
+    write_matrix(dest, OOF.header(width=probabilities.shape[1]),
                  ([row_id, fold, model_id]
                   for row_id, fold in zip(row_ids, folds.tolist())),
                  probabilities)
@@ -137,46 +130,21 @@ def write_matrix(dest: str | Path, header: Sequence[str],
                      map(np.ndarray.tolist, codes.reshape(bits.shape)))
 
 
-def _probability(cell: str) -> float:
-    value = finite_float(cell)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"probability outside [0, 1]: {cell}")
-    return value
-
-
 def read_oof_csv(source: str | Path):
-    """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs).
-    Each probability must be a number in [0, 1]."""
-    _, rows = read_rows(source, OOF_HEADER, lambda row: (
-        row[0], int(row[1]), row[2], [_probability(v) for v in row[3:]]),
-        leading=True)
+    """Inverse of write_oof_csv; returns (row_ids, folds, model_id, probs)."""
+    _, rows = read_rows(source, OOF)
     if len({row[2] for row in rows}) > 1:
         raise SchemaError("mixed model ids in one OOF file")
     return (tuple(row[0] for row in rows),
             np.array([row[1] for row in rows], dtype=np.int64),
             rows[0][2] if rows else None,
-            np.array([row[3] for row in rows]))
-
-
-def write_cv_truth(dest: str | Path, row_ids: Sequence[str],
-                   folds: np.ndarray, truth: np.ndarray) -> None:
-    """Persist each CV row's fold and true class: row_id, fold, true_class."""
-    write_rows(dest, CV_TRUTH_HEADER,
-               zip(row_ids, folds.tolist(), truth.tolist()))
-
-
-def _true_class(cell: str) -> int:
-    value = int(cell)
-    if not 0 <= value < N_CLASSES:
-        raise ValueError(f"class outside 0-{N_CLASSES - 1}: {cell}")
-    return value
+            np.array([row[3:] for row in rows]))
 
 
 def read_cv_truth(source: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Inverse of write_cv_truth; returns (row_ids, folds, truth), the folds
-    and classes as int64 arrays. Each class must be one of 0-7."""
-    _, rows = read_rows(source, CV_TRUTH_HEADER,
-                        lambda row: (row[0], int(row[1]), _true_class(row[2])))
+    """cv_truth.csv as (row_ids, folds, truth), the folds and classes as
+    int64 arrays."""
+    _, rows = read_rows(source, CV_TRUTH)
     return ([row[0] for row in rows],
             np.array([row[1] for row in rows], dtype=np.int64),
             np.array([row[2] for row in rows], dtype=np.int64))

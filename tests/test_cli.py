@@ -29,7 +29,7 @@ from skyglow.cli.commands import COMMANDS, dispatch
 from skyglow.cli.config import load_config, render_config
 from skyglow.cli.main import main
 from skyglow.cli.svg import escape
-from skyglow.dataset import write_observations
+from skyglow.dataset import read_rows, write_observations
 from skyglow.ensemble import read_weights_csv
 from skyglow.errors import (
     ConfigError,
@@ -476,6 +476,15 @@ def write_entries(path, entries):
 INPUTS = {("data", "observations"): "obs.csv", ("data", "population"): "pop.csv"}
 
 
+def test_readme_stage_table_names_every_declared_artifact():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| command ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([^`]+\.csv)`", table))
+    assert named == {artifact.name.replace("{}", "*")
+                     for artifact in dataset.ARTIFACTS}
+
+
 def test_readme_configuration_reference_matches_the_default_echo(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -801,6 +810,18 @@ def digests(out):
             for p in sorted(out.iterdir()) if p.is_file()}
 
 
+def _declaration(name):
+    """The artifact that declares the file `name`, and the model id or
+    field that file is for ("" for a file of fixed name)."""
+    found = [(artifact, match.group(1) if match.groups() else "")
+             for artifact in dataset.ARTIFACTS
+             for match in [re.fullmatch(
+                 re.escape(artifact.name).replace(r"\{\}", "(.+)"), name)]
+             if match]
+    assert len(found) == 1, (name, found)
+    return found[0]
+
+
 def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     out = tmp_path / "out"
     for command in COMMANDS:
@@ -820,6 +841,10 @@ def test_pipeline_end_to_end_and_rerun_byte_identical(tmp_path, config):
     for name in expected:
         assert (out / name).exists(), name
     assert not (out / ".skyglow.lock").exists()
+    # every CSV file the run wrote reads back through its declaration
+    for path in sorted(out.glob("*.csv")):
+        if path.name not in ("obs.csv", "pop.csv"):  # the config's inputs
+            read_rows(path, *_declaration(path.name))
 
     before = digests(out)
     for command in COMMANDS:
@@ -1153,7 +1178,7 @@ def test_eda_decomposes_each_timestamp_once(tmp_path, config, monkeypatch):
     for command in ("synth", "ingest"):
         assert dispatch(command, config) == 0, command
     table, _ = dataset.parse_observations(
-        tmp_path / "out" / commands.CLEAN_OBSERVATIONS, "strict")
+        tmp_path / "out" / dataset.CLEAN_OBSERVATIONS.name, "strict")
     timestamps = sum(record.time is not None for record in records(table))
     calls = Counter()
 
@@ -1749,7 +1774,7 @@ def test_nan_weight_fails_with_one_line(tmp_path, config, capsys):
                              "weights.csv", poison)
     assert len(err) == 1
     assert err[0].startswith("skyglow: error:")
-    assert "finite and nonnegative" in err[0]
+    assert "weights.csv, line 2: not a finite number: nan" in err[0]
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
@@ -1861,6 +1886,10 @@ def _cell_set(line, column, cell):
     ("ensemble", "cv_truth.csv", 2, 2, "8", "class outside 0-7: 8"),
     ("train", "cv_truth.csv", 3, 2, "-1", "class outside 0-7: -1"),
     ("report", "ensemble_metrics.csv", 2, 1, "nan", "not a finite number: nan"),
+    ("report", "ensemble_metrics.csv", 2, 2, "nan", "not a finite number: nan"),
+    ("report", "missingness.csv", 3, 1, "-1", "negative integer: -1"),
+    ("report", "missingness.csv", 4, 3, "many",
+     "invalid literal for int() with base 10: 'many'"),
     ("report", "missingness.csv", 2, 2, "inf", "not a finite number: inf"),
     ("report", "category_clouds.csv", 2, 3, "nan", "not a finite number: nan"),
     ("report", "trend_limiting_magnitude.csv", 2, 1, "1e999",

@@ -2,8 +2,10 @@
 `dataset.read_rows` (or, for the outside inputs, `dataset.csv_reader`).
 These tests keep CSV reading and writing from growing back elsewhere: no
 module of the package but `dataset.py` touches `csv.reader` or
-`csv.writer`. They also pin the cell contract that `write_rows` owns, and
-keep per-site float formatting out: no module of the package calls
+`csv.writer` or binds a `*_HEADER` name, and no `read_rows` call passes a
+lambda in place of the cell parsers its artifact declares
+(`dataset.ARTIFACTS`). They also pin the cell contract that `write_rows`
+owns, and keep per-site float formatting out: no module of the package calls
 `repr`. The matrix path (`metrics.write_matrix` over
 `dataset.write_coded_rows`) must write exactly the bytes `write_rows`
 writes for the same rows."""
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skyglow.dataset import read_rows, write_coded_rows, write_rows
+from skyglow.dataset import Artifact, read_rows, write_coded_rows, write_rows
 from skyglow.metrics import write_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skyglow"
@@ -37,6 +39,30 @@ def _repr_calls(tree: ast.AST) -> list[str]:
             and node.func.id == "repr"]
 
 
+def _header_bindings(tree: ast.AST) -> list[str]:
+    """Each `*_HEADER` name a module binds, and each `read_rows` call that
+    passes a lambda."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and "read_rows" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found += [f"line {node.lineno}: a lambda passed to read_rows"
+                      for arg in [*node.args, *(k.value for k in node.keywords)]
+                      if isinstance(arg, ast.Lambda)]
+            continue
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.endswith("_HEADER")]
+    return found
+
+
 def _scan(find) -> dict[str, list[str]]:
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -49,6 +75,25 @@ def _scan(find) -> dict[str, list[str]]:
 def test_csv_reader_and_writer_only_in_dataset():
     found = _scan(_csv_uses)
     assert set(found) == {"dataset.py"}, found
+
+
+def test_headers_are_declared_only_with_their_artifacts():
+    found = _scan(_header_bindings)
+    assert set(found) <= {"dataset.py"}, found
+
+
+def test_header_scan_finds_every_binding_and_lambda():
+    source = ("OOF_HEADER = ('row_id',)\n"
+              "from .metrics import CV_TRUTH_HEADER as _HEADER\n"
+              "x = read_rows(path, OOF)\n"
+              "y = dataset.read_rows(path, OOF, lambda row: row)\n"
+              "def TREND_HEADER(field):\n"
+              "    HEADER = 1\n"
+              "z = read_rows(path, parse=lambda row: row)\n")
+    assert sorted(_header_bindings(ast.parse(source))) == [
+        "line 1: OOF_HEADER", "line 2: _HEADER",
+        "line 4: a lambda passed to read_rows", "line 5: TREND_HEADER",
+        "line 7: a lambda passed to read_rows"]
 
 
 def test_no_module_calls_repr():
@@ -69,16 +114,20 @@ FLOATS = [0.1, 1 / 3, 0.1 + 0.2, 5e-324, -0.0, 1e16,
 INTS = [0, 7, -3, 10**20, *np.array([2, -5], dtype=np.int64).tolist()]
 
 
+CELLS = Artifact("cells.csv", (("kind", str), ("value", str)))
+
+
 def test_write_rows_formats_every_cell(tmp_path):
     path = tmp_path / "cells.csv"
-    write_rows(path, ["kind", "value"],
+    write_rows(path, CELLS.header(),
                [["float", v] for v in FLOATS] + [["int", v] for v in INTS]
                + [["none", None]])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == (["kind,value"] + [f"float,{v!r}" for v in FLOATS]
                      + [f"int,{v}" for v in INTS] + ["none,"])
 
-    _, cells = read_rows(path, ["kind", "value"], lambda row: row[1])
+    _, rows = read_rows(path, CELLS)
+    cells = [value for _, value in rows]
     floats = [float(cell) for cell in cells[:len(FLOATS)]]
     # equal bit for bit, so -0.0 keeps its sign
     assert [v.hex() for v in floats] == [v.hex() for v in FLOATS]

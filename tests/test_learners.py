@@ -318,6 +318,41 @@ def test_gbdt_early_stopping_truncates_to_best_round():
     assert any("early stop" in d for d in model.diagnostics)
 
 
+def _rounds_kept(losses, patience):
+    """The rounds early stopping keeps on the validation losses `losses`:
+    all of them, unless some round comes `patience` rounds after the first
+    minimum of the losses so far; then those up to that minimum."""
+    for round_no in range(len(losses)):
+        best = int(np.argmin(losses[:round_no + 1]))
+        if round_no - best >= patience:
+            return best + 1
+    return len(losses)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gbdt_early_stopping_keeps_the_rounds_a_plain_loop_keeps(seed):
+    # the validation labels follow the features, so the best round comes
+    # after round 0; with pure-noise labels it is round 0 for any rule
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        X = rng.normal(size=(n, 3))
+        return X, (X[:, 0] + 0.8 * rng.normal(size=n) > 0).astype(int)
+
+    X, y = draw(120)
+    validation = draw(80)
+    params = LearnerParams(n_rounds=30, learning_rate=0.3, min_samples_leaf=5,
+                           max_leaves=4, early_stopping_patience=30)
+    losses = fit_gbdt(X, y, params, validation=validation).validation_losses
+    assert len(losses) == 30  # a patience of n_rounds never stops
+    for patience in (2, 4, 6):
+        model = fit_gbdt(X, y, replace(params, early_stopping_patience=patience),
+                         validation=validation)
+        kept = _rounds_kept(losses, patience)
+        assert len(model.trees) == kept, patience
+        assert model.validation_losses == losses[:kept]
+
+
 def _assert_same_trees(got, want):
     assert len(got) == len(want)
     for got_round, want_round in zip(got, want):

@@ -136,7 +136,7 @@ def test_moved_metric_names_are_one_object_under_every_import_path():
     for name in ("pearson", "annual_trend"):
         assert hasattr(dataset, name), name
         assert not hasattr(metrics, name) and not hasattr(validation, name), name
-    for name in ("OOF_HEADER", "read_oof_csv", "write_oof_csv"):
+    for name in ("read_oof_csv", "write_oof_csv"):
         assert hasattr(metrics, name) and not hasattr(validation, name), name
     assert ensemble.micro_f1 is metrics.micro_f1
     assert ensemble.predicted_classes is metrics.predicted_classes
