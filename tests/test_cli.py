@@ -39,7 +39,8 @@ from skyglow.errors import (
     ParameterError,
     SchemaError,
 )
-from skyglow.features import pipeline, target_classes
+from skyglow.features import pipeline
+from skyglow.features.pipeline import target_classes
 from skyglow.features.stack import fit_stack
 from skyglow.folds import fold_assignment, labelled_folds
 from skyglow.serialize import learner_to_obj, load_json, save_json, stack_to_obj
@@ -1224,10 +1225,10 @@ def test_patched_light_stage_names_reach_the_commands(config):
 
 
 @pytest.mark.parametrize("name, owners", [
-    ("LearnerParams", ("learners", "learners.params", "learners.gbdt",
-                       "learners.forest", "cli.config")),
-    ("FeatureConfig", ("features", "features.pipeline", "features.stack",
-                       "validation", "cli.config")),
+    ("LearnerParams", ("learners.params", "learners.gbdt", "learners.forest",
+                       "cli.config")),
+    ("FeatureConfig", ("features.pipeline", "features.stack", "validation",
+                       "cli.config")),
     ("StackSpec", ("features.stack", "cli.config")),
     ("LearnerSpec", ("validation", "cli.config")),
     ("SynthConfig", ("synth", "cli.config")),
@@ -1895,6 +1896,10 @@ def _cell_set(line, column, cell):
     ("report", "trend_limiting_magnitude.csv", 2, 1, "1e999",
      "not a finite number: 1e999"),
     ("report", "cv_summary.csv", 2, 2, "-inf", "not a finite number: -inf"),
+    ("train", "cv_rounds.csv", 2, 2, "1_0",
+     "invalid literal for int() with base 10: '1_0'"),
+    ("ensemble", "cv_truth.csv", 3, 2, " 3",
+     "invalid literal for int() with base 10: ' 3'"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_artifact_number_a_writer_never_writes_fails_with_one_line(
         tmp_path, config, capsys, command, name, line, column, cell, message):
@@ -1907,6 +1912,26 @@ def test_artifact_number_a_writer_never_writes_fails_with_one_line(
     before = _snapshot(out)
     assert _run_failing(capsys, [command, "--config", config]) == (
         f"skyglow: error: {artifact}, line {line}: {message}")
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("command, name, column, cell", [
+    ("ensemble", "oof_boost.csv", 10, "weight"),
+    ("report", "cv_summary.csv", 3, "fold_2"),
+])
+def test_misnamed_class_or_fold_column_fails_with_one_line(
+        tmp_path, config, capsys, command, name, column, cell):
+    # a column after the leading ones is named for its class or fold
+    out = tmp_path / "out"
+    for before in COMMANDS[:COMMANDS.index(command)]:
+        assert dispatch(before, config) == 0, before
+    artifact = out / name
+    text = artifact.read_text(encoding="utf-8")
+    artifact.write_text(_cell_set(1, column, cell)(text), encoding="utf-8")
+    before = _snapshot(out)
+    assert _run_failing(capsys, [command, "--config", config]) == (
+        f"skyglow: error: {artifact}: expected a header equal to "
+        f"{text.splitlines()[0]}")
     assert _snapshot(out) == before
 
 

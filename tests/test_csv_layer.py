@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skyglow.dataset import Artifact, read_rows, write_coded_rows, write_rows
+from skyglow.dataset import (Artifact, nonnegative_int, read_rows, target_class,
+                             write_coded_rows, write_rows)
 from skyglow.metrics import write_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skyglow"
@@ -133,6 +134,20 @@ def test_write_rows_formats_every_cell(tmp_path):
     assert [v.hex() for v in floats] == [v.hex() for v in FLOATS]
     assert [int(cell) for cell in cells[len(FLOATS):-1]] == INTS
     assert cells[-1] == ""
+
+
+def test_integer_cells_read_only_what_write_rows_writes():
+    # write_rows writes an int as its str: ASCII digits, after a '-' if
+    # negative; int() alone also reads each of the texts refused below
+    for text in ("0", "7", "10", "007"):
+        assert nonnegative_int(text) == int(text)
+    assert target_class("7") == 7
+    with pytest.raises(ValueError, match="negative integer: -1"):
+        nonnegative_int("-1")
+    for text in ("1_0", " 3", "3 ", "+3", "\u0663", "\u00b2", "", "-", "--1", "3.0"):
+        for parse in (nonnegative_int, target_class):
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                parse(text)
 
 
 def _nan_with_payload() -> float:

@@ -3,6 +3,7 @@ import pytest
 
 from skyglow.ensemble import (
     EnsembleWeights,
+    _ascend,
     blend,
     mean_blend,
     optimize_weights,
@@ -152,3 +153,39 @@ def test_single_model_ensemble_is_identity():
     weights = optimize_weights([probs], truth, model_ids=("only",), seed=0)
     assert weights.weights.tolist() == [1.0]
     assert weights.objective == micro_f1(predicted_classes(probs), truth)
+
+
+def test_step_sizes_are_in_the_half_open_unit_interval():
+    probs = np.full((4, 2), 0.5)
+    truth = np.array([0, 1, 0, 1])
+    weights = optimize_weights([probs, probs.copy()], truth, step_schedule=(1.0,))
+    assert weights.weights.sum() == 1.0
+    for step in (0.0, 1.0 + 1e-12):
+        with pytest.raises(ParameterError, match="step sizes must be in"):
+            optimize_weights([probs, probs.copy()], truth, step_schedule=(step,))
+
+
+def test_weights_sum_to_one_within_1e_9():
+    mats = [np.full((3, 2), 0.5)] * 2
+    near = np.array([0.5, 0.5 + 5e-10])
+    EnsembleWeights(("a", "b"), near, 0.5)
+    assert blend(mats, near).shape == (3, 2)
+    far = np.array([0.5, 0.5 + 2e-9])
+    with pytest.raises(ParameterError, match="must sum to 1"):
+        EnsembleWeights(("a", "b"), far, 0.5)
+    with pytest.raises(ParameterError, match="must sum to 1"):
+        blend(mats, far)
+
+
+def test_ascent_stays_put_when_every_move_ties():
+    # identical models score the same at every simplex point, so no move
+    # improves strictly and every start point is a fixed point
+    rng = np.random.default_rng(10)
+    truth, probs = random_oof(rng, 40, 3, 1.0)
+    stacked = np.stack([probs] * 3)
+    for start in ([1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]):
+        start = np.array(start)
+        weights, objective = _ascend(stacked, truth, start, (0.5, 0.1),
+                                     np.random.default_rng(0))
+        assert weights.tolist() == start.tolist()
+        assert objective == micro_f1(predicted_classes(probs), truth)

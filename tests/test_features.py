@@ -193,8 +193,8 @@ def test_fit_stack_matrix_covers_all_rows():
     table = grid_table(80, seed=4)
     targets = target_classes(table)
     folds = np.arange(len(table)) % 4
-    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(),
-                              StackSpec(svd_rank=4), seed=0)
+    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(svd_rank=4),
+                              StackSpec(), seed=0)
     assert matrix.shape == (len(table), len(stack.columns))
     assert "neighbor_target_mean" in stack.columns
     assert any(c.startswith("comment_1_svd_") for c in stack.columns)
@@ -232,8 +232,8 @@ def test_apply_stack_reproduces_non_neighbor_columns():
     table = grid_table(50, seed=7)
     targets = target_classes(table)
     folds = np.arange(len(table)) % 5
-    stack, fitted = fit_stack(table, targets, folds, FeatureConfig(),
-                              StackSpec(svd_rank=3), seed=1)
+    stack, fitted = fit_stack(table, targets, folds, FeatureConfig(svd_rank=3),
+                              StackSpec(), seed=1)
     applied = apply_stack(stack, table)
     assert applied.shape == fitted.shape
     for j, col in enumerate(stack.columns):
@@ -335,8 +335,8 @@ def test_fit_stack_weighs_each_document_once(monkeypatch):
     # fitted on the first 20 rows and applied to the other 10
     train = np.arange(len(table)) < 20
     stack, _ = fit_stack(table.subset(train), target_classes(table)[train],
-                         np.arange(20) % 2, FeatureConfig(),
-                         StackSpec(svd_rank=2), seed=0)
+                         np.arange(20) % 2, FeatureConfig(svd_rank=2),
+                         StackSpec(), seed=0)
     apply_stack(stack, table.subset(~train))
     assert all(model.svd is not None and model.svd.rank
                for _, model in stack.text_models)

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from skyglow.errors import ParameterError, SchemaError
-from skyglow.learners import (
-    LearnerParams,
-    fit_forest,
-    fit_gbdt,
-    predict_proba_forest,
-    predict_proba_gbdt,
-)
+from skyglow.learners.forest import fit_forest, predict_proba_forest
+from skyglow.learners.gbdt import fit_gbdt, predict_proba_gbdt
+from skyglow.learners.params import LearnerParams
 from skyglow.learners.binning import BinnedMatrix, bin_matrix, compute_bin_edges
 from skyglow.learners.gbdt import (
     log_loss,

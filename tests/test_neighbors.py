@@ -144,6 +144,41 @@ def test_float32_screen_matches_scan(monkeypatch, block_cells):
         assert found.tolist() == scan_knn(ref, queries, k), name
 
 
+def shell_case(seed):
+    """300 reference rows near (-1000, 0, 0, 0) and 200 on a unit shell
+    around (1000, 0, 0, 0), each radius off 1 by 1e-5 to 1e-3, with 20
+    queries within 1e-3 of the shell's centre: the centred squared norms
+    are about 1.4e6, so float32 cannot rank the shell rows, and the
+    screen's allowance alone keeps the true neighbors among them."""
+    rng = np.random.default_rng(seed)
+    cluster = [-1000.0, 0.0, 0.0, 0.0] + rng.normal(size=(300, 4))
+    directions = rng.normal(size=(200, 4))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    radii = 1.0 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-5, -3, 200)
+    centre = np.array([1000.0, 0.0, 0.0, 0.0])
+    ref = rng.permutation(np.vstack([cluster, centre + directions * radii[:, None]]))
+    return ref, centre + 5e-4 * rng.uniform(-1, 1, size=(20, 4))
+
+
+def test_float32_screen_needs_its_whole_allowance(monkeypatch):
+    cases = [shell_case(seed) for seed in range(1, 4)]
+    for ref, queries in cases:
+        assert _exact_knn(ref, queries, 10).tolist() == scan_knn(ref, queries, 10)
+
+    def misses(ref, queries):
+        # a screen that drops a true neighbor misranks, or keeps fewer than
+        # k candidates for a query and fails to fill its row
+        try:
+            return _exact_knn(ref, queries, 10).tolist() != scan_knn(ref, queries, 10)
+        except IndexError:
+            return True
+
+    real = knn._rounding_allowance
+    monkeypatch.setattr(knn, "_rounding_allowance",
+                        lambda dim, dtype: real(dim, dtype) / 64)
+    assert any(misses(ref, queries) for ref, queries in cases)
+
+
 def test_threshold_cast_rounds_upward():
     rng = np.random.default_rng(37)
     values = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-30, 30, 500),

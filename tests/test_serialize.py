@@ -48,8 +48,8 @@ def fitted_stack():
     table = grid_table(60, seed=21)
     targets = target_classes(table)
     folds = np.arange(len(table)) % 4
-    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(),
-                              StackSpec(svd_rank=3), seed=1)
+    stack, matrix = fit_stack(table, targets, folds, FeatureConfig(svd_rank=3),
+                              StackSpec(), seed=1)
     return table, stack, matrix
 
 
@@ -218,10 +218,10 @@ def test_sidecar_keys_are_pinned():
     obj = stack_to_obj(stack)
     assert sorted(obj) == ["columns", "neighbor", "pipeline", "spec",
                            "text_models"]
-    assert sorted(obj["spec"]) == ["svd_rank", "use_neighbor", "use_text",
-                                   "vocab_cap"]
+    assert sorted(obj["spec"]) == ["use_neighbor", "use_text"]
     assert sorted(obj["pipeline"]["config"]) == [
-        "indicator_threshold", "knn_k", "quantile_high", "quantile_low"]
+        "indicator_threshold", "knn_k", "quantile_high", "quantile_low",
+        "svd_rank", "vocab_cap"]
     assert sorted(obj["pipeline"]) == ["categorical", "config", "diagnostics",
                                        "excluded", "indicator_columns",
                                        "numeric"]

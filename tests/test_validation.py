@@ -15,7 +15,7 @@ from skyglow.features.pipeline import FeatureConfig, target_classes
 from skyglow.features import stack as stack_module
 from skyglow.features.stack import StackSpec, apply_stack
 from skyglow.folds import fold_assignment, stratified_folds
-from skyglow.learners import LearnerParams
+from skyglow.learners.params import LearnerParams
 from skyglow.metrics import read_oof_csv, write_oof_csv
 from skyglow.validation import (
     LearnerSpec,
@@ -261,8 +261,8 @@ def test_stack_spec_sizes_must_be_positive():
     for name in ("vocab_cap", "svd_rank"):
         for value in (0, -1):
             with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
-                StackSpec(**{name: value})
-    assert StackSpec(vocab_cap=1, svd_rank=1).svd_rank == 1
+                FeatureConfig(**{name: value})
+    assert FeatureConfig(vocab_cap=1, svd_rank=1).svd_rank == 1
 
 
 def test_oof_csv_round_trip(tmp_path):
